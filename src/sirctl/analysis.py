@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -65,6 +64,15 @@ def total_cost(trace: PolicyTrace, warn: bool = True) -> float:
     return float(np.trapezoid(trace.u, trace.t))
 
 
+def grid_mismatch(trace_a: PolicyTrace, trace_b: PolicyTrace) -> str:
+    """Why two traces do not span the same horizon; empty if they do."""
+    for a, b, what in ((trace_a.t[0], trace_b.t[0], "start"),
+                       (trace_a.t[-1], trace_b.t[-1], "end")):
+        if abs(a - b) > 1e-9 * max(1.0, abs(float(b))):
+            return f"trace grids disagree at the {what}: {a} vs {b}"
+    return ""
+
+
 def gap_direct(trace_robust: PolicyTrace, trace_optimal: PolicyTrace) -> float:
     """Integral of the pointwise rate difference over the common horizon.
 
@@ -72,10 +80,9 @@ def gap_direct(trace_robust: PolicyTrace, trace_optimal: PolicyTrace) -> float:
     grid and subtracting equals the integral of the difference exactly (the
     rates are piecewise linear between duplicated nodes).
     """
-    for a, b, what in ((trace_robust.t[0], trace_optimal.t[0], "start"),
-                       (trace_robust.t[-1], trace_optimal.t[-1], "end")):
-        if abs(a - b) > 1e-9 * max(1.0, abs(float(b))):
-            raise ValueError(f"trace grids disagree at the {what}: {a} vs {b}")
+    mismatch = grid_mismatch(trace_robust, trace_optimal)
+    if mismatch:
+        raise ValueError(mismatch)
     return float(np.trapezoid(trace_robust.u, trace_robust.t)
                  - np.trapezoid(trace_optimal.u, trace_optimal.t))
 
@@ -174,16 +181,19 @@ def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
                       beta_max: float, gamma_min: float) -> CostReport:
     """Assemble the full cost/gap report for one matched pair of runs.
 
-    Gap formulas need both robust switching times; when the robust herd
-    condition never fired within the horizon the gaps are reported as NaN
-    and only the (truncated) total costs are meaningful.
+    ``gap_direct`` is reported whenever both traces span the same horizon
+    (NaN otherwise, e.g. after early stops at different times). The other
+    gap formulas need all four switching times; when a herd condition never
+    fired within the horizon they are NaN, and the total costs and
+    ``gap_direct`` are integrals truncated at the horizon.
     """
     cost_r = total_cost(robust_trace, warn=False)
     cost_o = total_cost(optimal_trace, warn=False)
     nan = float("nan")
     direct = l4 = c = c_bar = nan
-    if robust_trace.switching.complete and optimal_trace.switching.complete:
+    if not grid_mismatch(robust_trace, optimal_trace):
         direct = gap_direct(robust_trace, optimal_trace)
+    if robust_trace.switching.complete and optimal_trace.switching.complete:
         l4 = gap_from_states(robust_traj, optimal_traj, true_params.beta,
                         robust_trace.switching)
         c, c_bar = gap_closed_form(robust_bounds, beta_max, gamma_min,

@@ -20,7 +20,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
-    EVENT_TOL,
     ControlBounds,
     EpidemicParams,
     IntegratorConfig,
@@ -28,12 +27,12 @@ from .core import (
     SirState,
     Trajectory,
     _rk4_step,
+    locate_event,
 )
 from .estimation import ParamIntervals
 from .noise import MeasurementNoise
 
 FEASIBILITY_SLACK = 1e-6
-_EVENT_ITERS = 80
 
 
 class PolicyKind(str, Enum):
@@ -94,9 +93,6 @@ class StateBounds:
     def s_max_at(self, time) -> np.ndarray:
         return np.interp(time, self.t, self.s_max)
 
-    def i_max_at(self, time) -> np.ndarray:
-        return np.interp(time, self.t, self.i_max)
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -138,21 +134,18 @@ class ClosedLoopResult:
 
 def optimal_rate(t: float, state: SirState, params: EpidemicParams,
                  times: SwitchingTimes, bounds: ControlBounds) -> float:
-    """Three-stage optimal rate: 0, then beta*S - gamma, then 0.
-
-    Stage membership is decided from the precomputed switching times; the
-    returned value is clamped to [0, u_max].
-    """
-    if times.t_b is None or t < times.t_b:
-        return 0.0
-    if times.t_h is not None and t >= times.t_h:
-        return 0.0
-    return bounds.clamp(params.beta * state.s - params.gamma)
+    """Three-stage optimal rate: the robust rate law fed the true state and
+    the true (beta, gamma)."""
+    return robust_rate(t, state.s, params.beta, params.gamma, times, bounds)
 
 
 def robust_rate(t: float, s_max_at_t: float, beta_max: float, gamma_min: float,
                 times: SwitchingTimes, bounds: ControlBounds) -> float:
-    """Three-stage robust rate beta_max * S_max(t) - gamma_min, clamped."""
+    """Three-stage rate: 0, then beta_max * S_max(t) - gamma_min, then 0.
+
+    Stage membership is decided from the precomputed switching times; the
+    stage-two value is clamped to [0, u_max].
+    """
     if times.t_b is None or t < times.t_b:
         return 0.0
     if times.t_h is not None and t >= times.t_h:
@@ -238,11 +231,11 @@ class _Controller:
             self.clamp_events += 1
         return u
 
-    def threshold_gap(self, i: float) -> float:
+    def threshold_gap(self, s: float, i: float) -> float:
         """Positive once the infection signal has reached i_bar (stage-1 event)."""
         return self.i_signal(i) - self.i_bar
 
-    def herd_gap(self, s: float) -> float:
+    def herd_gap(self, s: float, i: float) -> float:
         """Positive once the assumed herd-immunity condition fires (stage-2 event)."""
         return self.gamma_eff - self.beta_eff * self.s_signal(s)
 
@@ -252,16 +245,15 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                          init: SirState, noise: Optional[MeasurementNoise],
                          config: IntegratorConfig, i_bar: float,
                          bounds: ControlBounds,
-                         measurement_interval: Optional[float] = None,
                          early_stop: bool = False) -> ClosedLoopResult:
     """Drive the true dynamics with a policy that sees only its own signals.
 
-    The trajectory advances on the uniform grid; measurements are read every
-    ``measurement_interval`` (default: every step) and held between reads.
-    Stage switches are located by bisection inside the bracketing step, the
-    state is advanced exactly to the switch instant, and integration lands
-    back on the grid, so switching times are resolved to the event tolerance
-    while the output grid stays uniform. Infeasibility is recorded in the
+    The trajectory advances on the uniform grid; measurements are read at
+    every grid node and held over the step. Stage switches are located by
+    ``locate_event`` inside the bracketing step, the state is advanced
+    exactly to the switch instant, and integration lands back on the grid,
+    so switching times are resolved to the event tolerance while the output
+    grid stays uniform. Infeasibility is recorded in the
     report, never raised.
     """
     if not (0.0 < i_bar < 1.0):
@@ -273,7 +265,6 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
 
     h = config.step
     n = config.n_steps
-    cadence = 1 if measurement_interval is None else max(1, round(measurement_interval / h))
     beta, gamma = true_params.beta, true_params.gamma
     ctrl = _Controller(kind, true_params, assumed, bounds, i_bar)
 
@@ -305,34 +296,18 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         tr_s.append(ctrl.s_signal(s))
         tr_i.append(ctrl.i_signal(i))
 
-    def bisect_event(gap_at, s0, i0, r0, u, t_base, hi):
-        """First time in (t_base, hi] where the crossing gap turns >= 0."""
-        lo = t_base
-        for _ in range(_EVENT_ITERS):
-            mid = 0.5 * (lo + hi)
-            sm, im, _ = _rk4_step(s0, i0, r0, beta, gamma, u, mid - t_base)
-            g = gap_at(sm, im)
-            if g >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if abs(g) <= EVENT_TOL:
-                return mid
-        return hi
-
     k = 0
     while k <= n:
         t_node = t0 + k * h
-        if k % cadence == 0:
-            ctrl.read(noise, k, s, i)
+        ctrl.read(noise, k, s, i)
 
         # an event can fire exactly at a node (including k == 0)
-        if ctrl.stage == 1 and ctrl.threshold_gap(i) >= 0.0:
+        if ctrl.stage == 1 and ctrl.threshold_gap(s, i) >= 0.0:
             t_b = t_node
             state_at_tb = SirState(t=t_node, s=s, i=i, r=r)
             record_trace(t_node, 0.0)
             ctrl.stage = 2
-        if ctrl.stage == 2 and ctrl.herd_gap(s) >= 0.0 and t_b is not None and t_b < t_node:
+        if ctrl.stage == 2 and ctrl.herd_gap(s, i) >= 0.0 and t_b is not None and t_b < t_node:
             t_h = t_node
             record_trace(t_node, ctrl.rate(s))
             ctrl.stage = 3
@@ -357,18 +332,16 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
             s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, span)
             if not (math.isfinite(s2) and math.isfinite(i2) and math.isfinite(r2)):
                 raise NonFiniteDynamicsError(f"state became non-finite near t={sub_t}")
-            if ctrl.stage == 1 and ctrl.threshold_gap(i2) >= 0.0:
-                def gap_at(sm, im):
-                    return ctrl.threshold_gap(im)
-            elif ctrl.stage == 2 and ctrl.herd_gap(s2) >= 0.0:
-                def gap_at(sm, im):
-                    return ctrl.herd_gap(sm)
+            if ctrl.stage == 1 and ctrl.threshold_gap(s2, i2) >= 0.0:
+                gap = ctrl.threshold_gap
+            elif ctrl.stage == 2 and ctrl.herd_gap(s2, i2) >= 0.0:
+                gap = ctrl.herd_gap
             else:
                 s, i, r = s2, i2, r2
                 sub_t = t_next
                 break
 
-            tau = bisect_event(gap_at, s, i, r, u, sub_t, t_next)
+            tau = locate_event(gap, s, i, r, beta, gamma, u, sub_t, t_next)
             s, i, r = _rk4_step(s, i, r, beta, gamma, u, tau - sub_t)
             sub_t = tau
             record_trace(tau, u)

@@ -9,8 +9,9 @@ removal rate gamma, and an isolation rate u acting on the infected group:
 
 This module provides the right-hand side, a fixed-step integrator (RK4 or
 forward Euler), the one-step Euler map used by the sampled-data estimator,
-the closed-form peak-infection value, and bisection-refined event detection
-for threshold crossings and herd immunity.
+the closed-form peak-infection value, and the bisection event locator that
+both the closed loop and the trajectory event helpers (threshold crossing,
+herd immunity) use.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import numpy as np
 CONSERVATION_TOL = 1e-9
 EVENT_TOL = 1e-8
 _EVENT_MAX_ITERS = 80
+HORIZON_RTOL = 1e-9  # horizon / step may miss a whole number by this much
 
 
 class NonFiniteDynamicsError(RuntimeError):
@@ -93,10 +95,14 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.method not in ("rk4", "euler"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not (self.step > 0.0 and math.isfinite(self.step)):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
+        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        n = self.n_steps
+        if n < 1 or abs(n * self.step - self.horizon) > HORIZON_RTOL * self.horizon:
+            raise ValueError(
+                f"horizon {self.horizon} is not a whole number of steps {self.step}")
 
     @property
     def n_steps(self) -> int:
@@ -269,22 +275,47 @@ def peak_infection(params: EpidemicParams, start: SirState, u_fix: float) -> flo
     return rho * (math.log(rho) - 1.0 - math.log(start.s)) + start.s + start.i
 
 
-def _bisect_time(value_of: Callable[[float], float], lo: float, hi: float,
-                 tol: float = EVENT_TOL) -> float:
-    """First root of a sign change of value_of on [lo, hi]; value_of(hi) >= 0."""
-    v_lo = value_of(lo)
-    if v_lo >= 0.0:
-        return lo
+def locate_event(gap: Callable[[float, float], float], s0: float, i0: float,
+                 r0: float, beta: float, gamma: float, u: float, t_lo: float,
+                 t_hi: float) -> float:
+    """First time in (t_lo, t_hi] at which gap(S, I) turns >= 0, by bisection.
+
+    The state at a trial time is one RK4 sub-step from (s0, i0, r0) at t_lo
+    under the held rate u. The caller guarantees gap < 0 at t_lo and >= 0 at
+    t_hi. Stops once |gap| <= EVENT_TOL, or after _EVENT_MAX_ITERS halvings
+    with the upper end of the bracket.
+    """
+    lo, hi = t_lo, t_hi
     for _ in range(_EVENT_MAX_ITERS):
         mid = 0.5 * (lo + hi)
-        v = value_of(mid)
-        if v >= 0.0:
+        sm, im, _ = _rk4_step(s0, i0, r0, beta, gamma, u, mid - t_lo)
+        g = gap(sm, im)
+        if g >= 0.0:
             hi = mid
         else:
             lo = mid
-        if abs(v) <= tol:
+        if abs(g) <= EVENT_TOL:
             return mid
     return hi
+
+
+def _first_event(traj: Trajectory, gap: Callable[..., float]) -> Optional[float]:
+    """First time gap(S, I) >= 0 along a trajectory, or None if it never is.
+
+    ``gap`` must accept both grid arrays and scalars: the grid is scanned for
+    the first node at or past the event, then the crossing is located inside
+    the bracketing step.
+    """
+    hits = np.nonzero(gap(traj.s, traj.i) >= 0.0)[0]
+    if len(hits) == 0:
+        return None
+    k = int(hits[0])
+    if k == 0:
+        return float(traj.t[0])
+    k -= 1
+    return locate_event(gap, float(traj.s[k]), float(traj.i[k]), float(traj.r[k]),
+                        traj.params.beta, traj.params.gamma, float(traj.u[k]),
+                        float(traj.t[k]), float(traj.t[k + 1]))
 
 
 def find_threshold_crossing(traj: Trajectory, threshold: float,
@@ -297,24 +328,7 @@ def find_threshold_crossing(traj: Trajectory, threshold: float,
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
-    series = traj.i + i_offset
-    above = np.nonzero(series >= threshold)[0]
-    if len(above) == 0:
-        return None
-    k = int(above[0])
-    if k == 0:
-        return float(traj.t[0])
-
-    s0, i0, r0 = float(traj.s[k - 1]), float(traj.i[k - 1]), float(traj.r[k - 1])
-    u0 = float(traj.u[k - 1])
-    t0 = float(traj.t[k - 1])
-    beta, gamma = traj.params.beta, traj.params.gamma
-
-    def val(tq: float) -> float:
-        _, iq, _ = _rk4_step(s0, i0, r0, beta, gamma, u0, tq - t0)
-        return iq + i_offset - threshold
-
-    return _bisect_time(val, t0, float(traj.t[k]))
+    return _first_event(traj, lambda s, i: i + i_offset - threshold)
 
 
 def find_herd_immunity(traj: Trajectory, beta_eff: float, gamma_eff: float,
@@ -327,23 +341,10 @@ def find_herd_immunity(traj: Trajectory, beta_eff: float, gamma_eff: float,
     """
     if not (beta_eff > 0.0 and gamma_eff > 0.0):
         raise ValueError("effective rates must be positive")
-    series = beta_eff * np.minimum(traj.s + s_offset, 1.0) - gamma_eff
-    below = np.nonzero(series <= 0.0)[0]
-    if len(below) == 0:
+    t_h = _first_event(
+        traj, lambda s, i: gamma_eff - beta_eff * np.minimum(s + s_offset, 1.0))
+    if t_h is None:
         raise HerdImmunityNotReached(
             f"beta_eff*S never reached gamma_eff={gamma_eff} within the horizon"
         )
-    k = int(below[0])
-    if k == 0:
-        return float(traj.t[0])
-
-    s0, i0, r0 = float(traj.s[k - 1]), float(traj.i[k - 1]), float(traj.r[k - 1])
-    u0 = float(traj.u[k - 1])
-    t0 = float(traj.t[k - 1])
-    beta, gamma = traj.params.beta, traj.params.gamma
-
-    def val(tq: float) -> float:
-        sq, _, _ = _rk4_step(s0, i0, r0, beta, gamma, u0, tq - t0)
-        return gamma_eff - beta_eff * min(sq + s_offset, 1.0)
-
-    return _bisect_time(val, t0, float(traj.t[k]))
+    return t_h

@@ -102,18 +102,6 @@ class MeasurementNoise:
         d_i = TRUNCATION_SIGMAS * math.sqrt(max(i_hat, 0.0) / div)
         return s_hat, i_hat, d_s, d_i
 
-    @property
-    def delta_s(self) -> float:
-        if self.config.kind == "scaled_variance":
-            raise ValueError("scaled_variance noise has per-state amplitude bounds")
-        return TRUNCATION_SIGMAS * self.sigma_s
-
-    @property
-    def delta_i(self) -> float:
-        if self.config.kind == "scaled_variance":
-            raise ValueError("scaled_variance noise has per-state amplitude bounds")
-        return TRUNCATION_SIGMAS * self.sigma_i
-
 
 @dataclass(frozen=True)
 class MeasuredSeries:
@@ -169,23 +157,7 @@ def measured_series_for(noise: MeasurementNoise, traj: Trajectory) -> MeasuredSe
 
 
 def inject_noise(traj: Trajectory, config: NoiseConfig, seed: int) -> MeasuredSeries:
-    """Sample a trajectory at every grid node under a noise model."""
-    n = len(traj)
-    if config.kind == "none":
-        zero = np.zeros(n)
-        return MeasuredSeries(t=traj.t.copy(), s_hat=traj.s.copy(),
-                              i_hat=traj.i.copy(), u=traj.u.copy(),
-                              sigma_s=zero, sigma_i=zero.copy())
-    z = standard_draws(n, seed)
-    if config.kind == "snr_db":
-        ratio = 10.0 ** (config.snr_db / 10.0)
-        sig_s = math.sqrt(float(np.mean(traj.s ** 2)) / ratio)
-        sig_i = math.sqrt(float(np.mean(traj.i ** 2)) / ratio)
-        sigma_s = np.full(n, sig_s)
-        sigma_i = np.full(n, sig_i)
-    else:
-        sigma_s = np.sqrt(np.maximum(traj.s, 0.0) / config.divisor)
-        sigma_i = np.sqrt(np.maximum(traj.i, 0.0) / config.divisor)
-    return MeasuredSeries(t=traj.t.copy(), s_hat=traj.s + z[:, 0] * sigma_s,
-                          i_hat=traj.i + z[:, 1] * sigma_i, u=traj.u.copy(),
-                          sigma_s=sigma_s, sigma_i=sigma_i)
+    """Sample a trajectory at every grid node under a noise model; the
+    trajectory itself is the reference for SNR-mode signal power."""
+    return measured_series_for(
+        MeasurementNoise.build(config, len(traj), seed, reference=traj), traj)

@@ -16,12 +16,20 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .analysis import CostReport, CumulativeCheck, build_cost_report, cumulative_infected_check
+from .analysis import (
+    CostReport,
+    CumulativeCheck,
+    build_cost_report,
+    cumulative_infected_check,
+    gap_direct,
+    grid_mismatch,
+    total_cost,
+)
 from .control import (
     AssumedRates,
     ClosedLoopResult,
@@ -39,7 +47,6 @@ from .estimation import (
     composite_constant,
     estimation_error_bound,
     estimate_params,
-    lipschitz_constant,
     param_intervals,
 )
 from .noise import (
@@ -110,7 +117,6 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
     policies: tuple[str, ...] = ("optimal", "robust", "misestimated")
     estimation: Optional[EstimationWindow] = None
-    measurement_interval: Optional[float] = None
     early_stop: bool = False
 
     def __post_init__(self) -> None:
@@ -125,6 +131,9 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         try:
+            unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
             return cls(
                 name=raw["name"],
                 params=EpidemicParams(**raw["params"]),
@@ -146,7 +155,6 @@ class ScenarioConfig:
                     "alphas": tuple(raw["estimation"].get(
                         "alphas", tuple(range(1, 201)))),
                 }) if "estimation" in raw else None),
-                measurement_interval=raw.get("measurement_interval"),
                 early_stop=raw.get("early_stop", False),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -175,8 +183,6 @@ class ScenarioConfig:
         if self.estimation is not None:
             out["estimation"] = {**vars(self.estimation),
                                  "alphas": list(self.estimation.alphas)}
-        if self.measurement_interval is not None:
-            out["measurement_interval"] = self.measurement_interval
         return out
 
 
@@ -249,47 +255,47 @@ def _assumed_rates(config: ScenarioConfig, inflation: InflationConfig,
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Run the configured policies on one true epidemic and assemble artifacts.
 
-    The optimal policy ignores measurements, so its run doubles as the
-    noise-free reference from which SNR-mode noise power is resolved. All
-    policies share the same per-epoch noise draws, making the comparison
+    All policies share the same per-epoch noise draws, making the comparison
     matched and the artifacts deterministic under a fixed seed.
     """
-    bounds = ControlBounds(config.u_max)
-    n_epochs = config.integrator.n_steps + 1
+    return _run_policies(config, *_optimal_run(config))
+
+
+def _optimal_run(config: ScenarioConfig) -> tuple[ClosedLoopResult, MeasurementNoise]:
+    """The optimal closed loop of a scenario and the noise source it resolves.
+
+    The optimal policy ignores measurements, so its run doubles as the
+    noise-free reference from which SNR-mode noise power is resolved. Neither
+    depends on the policies' assumed rates.
+    """
     optimal = simulate_closed_loop(
         PolicyKind.OPTIMAL, config.params, None, config.init, None,
-        config.integrator, config.i_bar, bounds,
-        measurement_interval=config.measurement_interval,
+        config.integrator, config.i_bar, ControlBounds(config.u_max),
         early_stop=config.early_stop)
-    noise = MeasurementNoise.build(config.noise, n_epochs,
+    noise = MeasurementNoise.build(config.noise, config.integrator.n_steps + 1,
                                    derive_seed(config.seed, config.name),
                                    reference=optimal.trajectory)
+    return optimal, noise
 
+
+def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
+                  noise: MeasurementNoise) -> RunArtifacts:
+    """``run_scenario`` given the scenario's ``_optimal_run``."""
     runs: dict[str, PolicyRun] = {}
     if "optimal" in config.policies:
         runs["optimal"] = PolicyRun(PolicyKind.OPTIMAL, optimal,
                                     measured_series_for(noise, optimal.trajectory),
                                     assumed=None)
-    if "robust" in config.policies:
-        assumed = _assumed_rates(config, config.inflation, optimal.trajectory)
+    for kind, inflation in ((PolicyKind.ROBUST, config.inflation),
+                            (PolicyKind.MISESTIMATED, config.misestimation)):
+        if kind.value not in config.policies:
+            continue
+        assumed = _assumed_rates(config, inflation, optimal.trajectory)
         res = simulate_closed_loop(
-            PolicyKind.ROBUST, config.params, assumed, config.init, noise,
-            config.integrator, config.i_bar, bounds,
-            measurement_interval=config.measurement_interval,
-            early_stop=config.early_stop)
-        runs["robust"] = PolicyRun(PolicyKind.ROBUST, res,
-                                   measured_series_for(noise, res.trajectory),
-                                   assumed)
-    if "misestimated" in config.policies:
-        assumed = _assumed_rates(config, config.misestimation, optimal.trajectory)
-        res = simulate_closed_loop(
-            PolicyKind.MISESTIMATED, config.params, assumed, config.init, noise,
-            config.integrator, config.i_bar, bounds,
-            measurement_interval=config.measurement_interval,
-            early_stop=config.early_stop)
-        runs["misestimated"] = PolicyRun(PolicyKind.MISESTIMATED, res,
-                                         measured_series_for(noise, res.trajectory),
-                                         assumed)
+            kind, config.params, assumed, config.init, noise, config.integrator,
+            config.i_bar, ControlBounds(config.u_max), early_stop=config.early_stop)
+        runs[kind.value] = PolicyRun(kind, res, measured_series_for(noise, res.trajectory),
+                                     assumed)
 
     report, cumulative = None, None
     if "robust" in runs and "optimal" in runs:
@@ -304,30 +310,28 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
                 rob.result.trajectory, opt.result.trajectory,
                 opt.result.trace.switching.t_h)
     return RunArtifacts(config=config, runs=runs, cost_report=report,
-                        cumulative=cumulative,
-                        cost_rows=tuple(_cost_rows(runs, report, config)))
+                        cumulative=cumulative, cost_rows=tuple(_cost_rows(runs, report)))
 
 
-def _cost_rows(runs: dict[str, PolicyRun], report: Optional[CostReport],
-               config: ScenarioConfig) -> list[CostRow]:
-    from .analysis import gap_direct as _gap_direct
-    from .analysis import total_cost as _total_cost
-
+def _cost_rows(runs: dict[str, PolicyRun], report: Optional[CostReport]) -> list[CostRow]:
+    """One row per run; the robust and optimal costs come from the report."""
     nan = float("nan")
     rows = []
     opt = runs.get("optimal")
-    for name in ("optimal", "robust", "misestimated"):
-        run = runs.get(name)
-        if run is None:
-            continue
-        cost = _total_cost(run.result.trace, warn=False)
-        direct = 0.0 if name == "optimal" else nan
-        if name != "optimal" and opt is not None:
-            direct = _gap_direct(run.result.trace, opt.result.trace)
+    for name, run in runs.items():
+        trace = run.result.trace
         l4 = c = c_bar = nan
         if name == "robust" and report is not None:
+            cost, direct = report.total_cost, report.gap_direct
             l4, c, c_bar = report.gap_from_states, report.gap_closed_form, report.gap_upper
-        sw = run.result.trace.switching
+        elif name == "optimal":
+            cost = total_cost(trace, warn=False) if report is None else report.optimal_cost
+            direct = 0.0
+        else:
+            cost = total_cost(trace, warn=False)
+            aligned = opt is not None and not grid_mismatch(trace, opt.result.trace)
+            direct = gap_direct(trace, opt.result.trace) if aligned else nan
+        sw = trace.switching
         rows.append(CostRow(
             policy=name, total_cost=cost, gap_direct=direct, gap_lemma4=l4,
             gap_thm4=c, gap_upper=c_bar,
@@ -428,8 +432,11 @@ def sweep_h(config: ScenarioConfig) -> list[EstimateRow]:
     """
     if config.estimation is None:
         raise ConfigError("sweep_h needs an estimation block in the config")
-    traj = integrate(config.params, 0.0, config.init,
-                     replace(config.integrator, step=config.estimation.h_unit))
+    try:
+        integrator = replace(config.integrator, step=config.estimation.h_unit)
+    except ValueError as exc:
+        raise ConfigError(f"estimation h_unit does not fit the horizon: {exc}") from exc
+    traj = integrate(config.params, 0.0, config.init, integrator)
     rows, _ = _sweep_rows(config, traj)
     return rows
 
@@ -438,23 +445,19 @@ def gap_table(config: ScenarioConfig,
               inflations: list[tuple[float, float]]) -> list[CostRow]:
     """Cost-gap rows for a grid of (beta, gamma) inflation multipliers.
 
-    The optimal run is shared; one robust run per multiplier pair.
+    The optimal closed loop and its noise draws are computed once and shared:
+    every pair keeps the config's seed and name, so its draws would be the
+    same. Only the robust loop runs per pair. The rows are the optimal row,
+    then one ``robust_bx<beta_mult>_gx<gamma_mult>`` row per pair, in order.
     """
+    base = replace(config, policies=("optimal", "robust"))
+    optimal, noise = _optimal_run(base)
     rows: list[CostRow] = []
-    first = True
     for bm, gm in inflations:
-        cfg = replace(config,
-                      inflation=InflationConfig(beta_mult=bm, gamma_mult=gm),
-                      policies=("optimal", "robust"))
-        art = run_scenario(cfg)
-        for row in art.cost_rows:
-            if row.policy == "optimal" and not first:
-                continue
-            label = row.policy if row.policy == "optimal" else \
-                f"robust_bx{bm:g}_gx{gm:g}"
-            rows.append(CostRow(**{**vars(row), "policy": label}))
-        first = False
-    return rows
+        cfg = replace(base, inflation=InflationConfig(beta_mult=bm, gamma_mult=gm))
+        optimal_row, robust_row = _run_policies(cfg, optimal, noise).cost_rows
+        rows.append(replace(robust_row, policy=f"robust_bx{bm:g}_gx{gm:g}"))
+    return [optimal_row, *rows] if rows else []
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from sirctl.control import (
     robust_rate,
     simulate_closed_loop,
 )
-from sirctl.core import EpidemicParams, IntegratorConfig, SirState
+from sirctl.core import EpidemicParams, IntegratorConfig, SirState, find_threshold_crossing
 from sirctl.noise import MeasuredSeries
 
 PARAMS_F1 = EpidemicParams(beta=0.16, gamma=0.063)
@@ -124,6 +124,17 @@ class TestFeasibilityCheck:
 class TestClosedLoop:
     CONFIG = IntegratorConfig(step=0.01, horizon=260.0)
     INIT = SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0)
+
+    def test_threshold_event_matches_trajectory_helper(self, wave_traj):
+        # stage one is uncontrolled, so the loop and the open-loop wave share
+        # the bracketing step and the event locator
+        res = simulate_closed_loop(
+            PolicyKind.OPTIMAL, EpidemicParams(beta=0.16, gamma=1.0 / 30.0), None,
+            self.INIT, None, IntegratorConfig(step=0.01, horizon=60.0), 0.01,
+            ControlBounds(u_max=0.15))
+        t_b = res.trace.switching.t_b
+        assert t_b == find_threshold_crossing(wave_traj, 0.01)
+        assert t_b == 54.66169921875
 
     def test_collapse_with_exact_bounds(self, fig1_collapse_artifacts):
         runs = fig1_collapse_artifacts.runs

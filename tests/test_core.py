@@ -169,6 +169,21 @@ class TestPeakInfection:
             peak_infection(PARAMS_F1, SirState(t=0.0, s=0.0, i=0.5, r=0.5), 0.0)
 
 
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"horizon": math.inf}, {"horizon": math.nan}, {"step": math.inf},
+        {"step": math.nan}, {"horizon": 300.005}, {"step": 0.03, "horizon": 1.0},
+        {"step": 0.1, "horizon": 0.04},
+    ])
+    def test_rejects_non_finite_or_partial_step_counts(self, kwargs):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**kwargs)
+
+    def test_accepts_whole_step_counts_up_to_rounding(self):
+        assert 0.3 / 0.1 != 3.0
+        assert IntegratorConfig(step=0.1, horizon=0.3).n_steps == 3
+
+
 class TestThresholdCrossing:
     def test_never_reached_returns_none(self, wave_traj):
         assert find_threshold_crossing(wave_traj, 0.9) is None

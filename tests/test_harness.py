@@ -3,13 +3,16 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sirctl import scenarios
 from sirctl.cli import main
+from sirctl.control import PolicyKind
 from sirctl.core import EpidemicParams, IntegratorConfig, SirState, integrate
 from sirctl.csvio import (
     COSTS_HEADER,
@@ -28,6 +31,7 @@ from sirctl.scenarios import (
     EstimationWindow,
     InflationConfig,
     ScenarioConfig,
+    gap_table,
     preset,
     run_scenario,
     run_scenarios,
@@ -140,6 +144,58 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             replace(preset("fig1"), i_bar=0.0)
 
+    def test_early_stops_at_different_times_leave_gap_direct_nan(self):
+        cfg = replace(preset("fig1"), name="early-stop",
+                      params=EpidemicParams(beta=0.5, gamma=0.2), u_max=0.5,
+                      noise=NoiseConfig(kind="none"), early_stop=True,
+                      policies=("optimal", "robust", "misestimated"),
+                      integrator=IntegratorConfig(step=0.1, horizon=400.0))
+        art = run_scenario(cfg)
+        ends = {name: run.result.trace.t[-1] for name, run in art.runs.items()}
+        assert ends["robust"] != ends["optimal"] != ends["misestimated"]
+        rows = {row.policy: row for row in art.cost_rows}
+        assert rows["optimal"].gap_direct == 0.0
+        assert math.isnan(rows["robust"].gap_direct)
+        assert math.isnan(rows["misestimated"].gap_direct)
+        assert math.isfinite(rows["robust"].gap_lemma4)
+
+
+class TestGapTable:
+    PAIRS = [(1.02, 0.98), (1.1, 0.9)]  # the second never reaches its herd condition
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        """gap_table over PAIRS with every closed-loop call recorded by kind."""
+        cfg = replace(preset("fig1"), name="fig1-gap-table",
+                      integrator=IntegratorConfig(step=0.01, horizon=200.0))
+        real = scenarios.simulate_closed_loop
+        kinds = Counter()
+
+        def counting(kind, *args, **kwargs):
+            kinds[kind] += 1
+            return real(kind, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenarios, "simulate_closed_loop", counting)
+            rows = gap_table(cfg, self.PAIRS)
+        return cfg, rows, kinds
+
+    def test_optimal_loop_runs_once_for_all_pairs(self, counted):
+        _, _, kinds = counted
+        assert kinds == {PolicyKind.OPTIMAL: 1, PolicyKind.ROBUST: len(self.PAIRS)}
+
+    def test_rows_match_run_scenario_per_pair(self, counted):
+        cfg, rows, _ = counted
+        assert [r.policy for r in rows] == ["optimal", "robust_bx1.02_gx0.98",
+                                            "robust_bx1.1_gx0.9"]
+        for (bm, gm), row in zip(self.PAIRS, rows[1:]):
+            alone = run_scenario(replace(
+                cfg, inflation=InflationConfig(beta_mult=bm, gamma_mult=gm),
+                policies=("optimal", "robust")))
+            optimal_row, robust_row = alone.cost_rows
+            assert repr(rows[0]) == repr(optimal_row)  # NaN-tolerant equality
+            assert repr(row) == repr(replace(robust_row, policy=row.policy))
+
 
 class TestSweep:
     def test_single_alpha_single_row(self):
@@ -165,6 +221,12 @@ class TestSweep:
     def test_missing_estimation_block_rejected(self):
         cfg = replace(preset("param-est"), estimation=None)
         with pytest.raises(ConfigError):
+            sweep_h(cfg)
+
+    def test_h_unit_off_the_horizon_grid_is_config_error(self):
+        cfg = replace(preset("param-est"),
+                      estimation=EstimationWindow(h_unit=0.03, alphas=(1,)))
+        with pytest.raises(ConfigError, match="h_unit"):
             sweep_h(cfg)
 
 
@@ -255,6 +317,18 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
                      "--set", "i_bar=-1"]) == 2
+
+    @pytest.mark.parametrize("spec, named", [
+        ("integrator.horizon=Infinity", "horizon"),
+        ("integrator.horizon=300.005", "horizon"),
+        ("early_stp=true", "early_stp"),
+        ("measurement_interval=0.5", "measurement_interval"),  # removed knob
+    ])
+    def test_rejected_override_names_the_field(self, tmp_path, capsys, spec, named):
+        code = main(["simulate", "--preset", "fig1", "--out", str(tmp_path),
+                     "--set", spec])
+        assert code == 2
+        assert named in capsys.readouterr().err
 
     def test_infeasible_robust_run_exits_three(self, tmp_path):
         cfg = self._write_config(tmp_path, u_max=0.05)
