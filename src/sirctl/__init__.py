@@ -16,9 +16,7 @@ from .control import (
     FeasibilityReport,
     PolicyKind,
     PolicyTrace,
-    StateBounds,
     SwitchingTimes,
-    construct_state_bounds,
     feasibility_check,
     optimal_rate,
     robust_rate,
@@ -66,7 +64,6 @@ from .scenarios import (
     gap_table,
     preset,
     run_scenario,
-    run_scenarios,
     sweep_h,
 )
 

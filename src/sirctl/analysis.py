@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EpidemicParams, Trajectory
-from .control import PolicyTrace, StateBounds, SwitchingTimes
+from .control import PolicyTrace, SwitchingTimes
 
 _MIN_INFECTION = 1e-12
 
@@ -121,17 +121,19 @@ def gap_from_states(traj_robust: Trajectory, traj_optimal: Trajectory,
     return float(beta * np.trapezoid(s_gap, grid) - math.log(i_rob) + math.log(i_opt))
 
 
-def gap_closed_form(bounds: StateBounds, beta_max: float, gamma_min: float,
+def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
              beta: float, gamma: float, s_star: Trajectory,
-             times_robust: SwitchingTimes, times_optimal: SwitchingTimes
-             ) -> tuple[float, float]:
+             times_optimal: SwitchingTimes) -> tuple[float, float]:
     """Closed-form gap C and its endpoint upper bound C_bar.
 
-    C integrates the robust envelope rate beta_max*S_max - gamma_min over
-    the three segments [t_b, t*_b], [t*_b, t*_h], [t*_h, t_h], subtracting
-    the optimal rate on the middle one. C_bar freezes S_max at t_b and S*
-    at t*_h. Requires t_b <= t*_b <= t*_h <= t_h.
+    The robust trace is the envelope: S_max is its ``s_seen``, interpolated
+    in time, and t_b, t_h are its switching times. C integrates the robust
+    envelope rate beta_max*S_max - gamma_min over the three segments
+    [t_b, t*_b], [t*_b, t*_h], [t*_h, t_h], subtracting the optimal rate on
+    the middle one. C_bar freezes S_max at t_b and S* at t*_h. Requires
+    t_b <= t*_b <= t*_h <= t_h.
     """
+    times_robust = robust.switching
     if not (times_robust.complete and times_optimal.complete):
         raise ValueError("gap_closed_form needs all four switching times")
     tb_h, th_h = times_robust.t_b, times_robust.t_h
@@ -146,9 +148,9 @@ def gap_closed_form(bounds: StateBounds, beta_max: float, gamma_min: float,
     g2 = _segment_grid(tb_s, th_s, step)
     g3 = _segment_grid(th_s, min(th_h, float(s_star.t[-1])), step)
 
-    smax_1 = bounds.s_max_at(g1)
-    smax_2 = bounds.s_max_at(g2)
-    smax_3 = bounds.s_max_at(g3)
+    smax_1 = np.interp(g1, robust.t, robust.s_seen)
+    smax_2 = np.interp(g2, robust.t, robust.s_seen)
+    smax_3 = np.interp(g3, robust.t, robust.s_seen)
     sstar_2 = _s_on(s_star, g2)
 
     c = (-gamma_min * (tb_s - tb_h + th_h - th_s)
@@ -156,7 +158,7 @@ def gap_closed_form(bounds: StateBounds, beta_max: float, gamma_min: float,
          + beta_max * (float(np.trapezoid(smax_1, g1)) + float(np.trapezoid(smax_3, g3)))
          + float(np.trapezoid(smax_2 * beta_max - sstar_2 * beta, g2)))
 
-    smax_tb = float(bounds.s_max_at(tb_h))
+    smax_tb = float(np.interp(tb_h, robust.t, robust.s_seen))
     sstar_th = float(_s_on(s_star, np.array([th_s]))[0])
     c_bar = ((smax_tb * beta_max - gamma_min) * (tb_s - tb_h + th_h - th_s)
              + (smax_tb * beta_max - gamma_min - sstar_th * beta + gamma)
@@ -176,9 +178,9 @@ def cumulative_infected_check(traj_robust: Trajectory, traj_optimal: Trajectory,
 
 
 def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
-                      robust_bounds: StateBounds, optimal_trace: PolicyTrace,
-                      optimal_traj: Trajectory, true_params: EpidemicParams,
-                      beta_max: float, gamma_min: float) -> CostReport:
+                      optimal_trace: PolicyTrace, optimal_traj: Trajectory,
+                      true_params: EpidemicParams, beta_max: float,
+                      gamma_min: float) -> CostReport:
     """Assemble the full cost/gap report for one matched pair of runs.
 
     ``gap_direct`` is reported whenever both traces span the same horizon
@@ -196,9 +198,9 @@ def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
     if robust_trace.switching.complete and optimal_trace.switching.complete:
         l4 = gap_from_states(robust_traj, optimal_traj, true_params.beta,
                         robust_trace.switching)
-        c, c_bar = gap_closed_form(robust_bounds, beta_max, gamma_min,
+        c, c_bar = gap_closed_form(robust_trace, beta_max, gamma_min,
                             true_params.beta, true_params.gamma, optimal_traj,
-                            robust_trace.switching, optimal_trace.switching)
+                            optimal_trace.switching)
     return CostReport(total_cost=cost_r, optimal_cost=cost_o, gap_direct=direct,
                       gap_from_states=l4, gap_closed_form=c, gap_upper=c_bar,
                       times_robust=robust_trace.switching,

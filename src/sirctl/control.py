@@ -80,21 +80,6 @@ class SwitchingTimes:
 
 
 @dataclass(frozen=True)
-class StateBounds:
-    """Envelope series around measured states; contains the true state
-    whenever the configured amplitude bounds are valid."""
-
-    t: np.ndarray
-    s_min: np.ndarray
-    s_max: np.ndarray
-    i_min: np.ndarray
-    i_max: np.ndarray
-
-    def s_max_at(self, time) -> np.ndarray:
-        return np.interp(time, self.t, self.s_max)
-
-
-@dataclass(frozen=True)
 class FeasibilityReport:
     """Outcome of one closed-loop run against the infection cap."""
 
@@ -132,6 +117,15 @@ class ClosedLoopResult:
     node_stage: np.ndarray
 
 
+def stage_two_rate(beta: float, gamma: float, s_seen: float) -> float:
+    """Unclamped stage-two rate beta*S_seen - gamma.
+
+    It holds dI/dt at zero under the planning rates (beta, gamma) and the
+    consumed susceptible signal; its negation is the herd-immunity gap.
+    """
+    return beta * s_seen - gamma
+
+
 def optimal_rate(t: float, state: SirState, params: EpidemicParams,
                  times: SwitchingTimes, bounds: ControlBounds) -> float:
     """Three-stage optimal rate: the robust rate law fed the true state and
@@ -150,22 +144,7 @@ def robust_rate(t: float, s_max_at_t: float, beta_max: float, gamma_min: float,
         return 0.0
     if times.t_h is not None and t >= times.t_h:
         return 0.0
-    return bounds.clamp(beta_max * s_max_at_t - gamma_min)
-
-
-def construct_state_bounds(measured: MeasuredSeries,
-                           noise_amp: tuple[float, float]) -> StateBounds:
-    """Envelopes s_hat +/- delta_s and i_hat +/- delta_i, clipped to [0, 1]."""
-    d_s, d_i = noise_amp
-    if d_s < 0.0 or d_i < 0.0:
-        raise ValueError("noise amplitudes must be non-negative")
-    return StateBounds(
-        t=measured.t.copy(),
-        s_min=np.clip(measured.s_hat - d_s, 0.0, 1.0),
-        s_max=np.clip(measured.s_hat + d_s, 0.0, 1.0),
-        i_min=np.clip(measured.i_hat - d_i, 0.0, 1.0),
-        i_max=np.clip(measured.i_hat + d_i, 0.0, 1.0),
-    )
+    return bounds.clamp(stage_two_rate(beta_max, gamma_min, s_max_at_t))
 
 
 def feasibility_check(params: EpidemicParams, state_at_tb: SirState,
@@ -175,69 +154,8 @@ def feasibility_check(params: EpidemicParams, state_at_tb: SirState,
     A non-positive required rate means the infection is already
     non-increasing at the crossing, which is trivially feasible.
     """
-    required = params.beta * state_at_tb.s - params.gamma
+    required = stage_two_rate(params.beta, params.gamma, state_at_tb.s)
     return required, required <= u_max
-
-
-class _Controller:
-    """Stage machine shared by the three policy kinds."""
-
-    def __init__(self, kind: PolicyKind, true_params: EpidemicParams,
-                 assumed: Optional[AssumedRates], bounds: ControlBounds,
-                 i_bar: float):
-        self.kind = kind
-        self.bounds = bounds
-        self.i_bar = i_bar
-        if kind is PolicyKind.OPTIMAL:
-            self.beta_eff = true_params.beta
-            self.gamma_eff = true_params.gamma
-        else:
-            if assumed is None:
-                raise ValueError(f"{kind.value} policy needs assumed rates")
-            self.beta_eff = assumed.beta
-            self.gamma_eff = assumed.gamma
-        self.stage = 1
-        self.clamp_events = 0
-        # frozen measurement offsets for the current epoch
-        self.off_s = 0.0
-        self.off_i = 0.0
-
-    def read(self, noise: Optional[MeasurementNoise], k: int, s: float, i: float) -> None:
-        """Refresh the frozen measurement offsets from the epoch-k draw."""
-        if self.kind is PolicyKind.OPTIMAL or noise is None:
-            self.off_s = 0.0
-            self.off_i = 0.0
-            return
-        s_hat, i_hat, d_s, d_i = noise.measure(k, s, i)
-        if self.kind is PolicyKind.ROBUST:
-            self.off_s = (s_hat - s) + d_s
-            self.off_i = (i_hat - i) + d_i
-        else:
-            self.off_s = s_hat - s
-            self.off_i = i_hat - i
-
-    def s_signal(self, s: float) -> float:
-        return min(s + self.off_s, 1.0)
-
-    def i_signal(self, i: float) -> float:
-        return min(i + self.off_i, 1.0)
-
-    def rate(self, s: float) -> float:
-        if self.stage != 2:
-            return 0.0
-        raw = self.beta_eff * self.s_signal(s) - self.gamma_eff
-        u = self.bounds.clamp(raw)
-        if raw > self.bounds.u_max:
-            self.clamp_events += 1
-        return u
-
-    def threshold_gap(self, s: float, i: float) -> float:
-        """Positive once the infection signal has reached i_bar (stage-1 event)."""
-        return self.i_signal(i) - self.i_bar
-
-    def herd_gap(self, s: float, i: float) -> float:
-        """Positive once the assumed herd-immunity condition fires (stage-2 event)."""
-        return self.gamma_eff - self.beta_eff * self.s_signal(s)
 
 
 def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
@@ -247,6 +165,13 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                          bounds: ControlBounds,
                          early_stop: bool = False) -> ClosedLoopResult:
     """Drive the true dynamics with a policy that sees only its own signals.
+
+    A policy plans with the true (beta, gamma) if it is optimal and with
+    ``assumed`` otherwise. Its signals are the true states plus offsets
+    held over each step: zero for the optimal policy, the measurement error
+    for the misestimated one, and that error plus the amplitude bound delta
+    for the robust one, whose signals are thus upper envelopes. Both
+    signals are capped at 1.
 
     The trajectory advances on the uniform grid; measurements are read at
     every grid node and held over the step. Stage switches are located by
@@ -266,7 +191,15 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     h = config.step
     n = config.n_steps
     beta, gamma = true_params.beta, true_params.gamma
-    ctrl = _Controller(kind, true_params, assumed, bounds, i_bar)
+    if kind is PolicyKind.OPTIMAL:
+        beta_plan, gamma_plan = beta, gamma
+    elif assumed is None:
+        raise ValueError(f"{kind.value} policy needs assumed rates")
+    else:
+        beta_plan, gamma_plan = assumed.beta, assumed.gamma
+    reads = kind is not PolicyKind.OPTIMAL and noise is not None
+    margin = kind is PolicyKind.ROBUST
+    u_max = bounds.u_max
 
     s, i, r = init.s, init.i, init.r
     t0 = init.t
@@ -283,44 +216,70 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     tr_s: list[float] = []
     tr_i: list[float] = []
 
+    stage = 1
+    clamp_events = 0
+    off_s = off_i = 0.0  # measurement offsets held over the current step
     t_b: Optional[float] = None
     t_h: Optional[float] = None
     state_at_tb: Optional[SirState] = None
     max_i = i
     n_recorded = n + 1
 
+    def rate(s: float) -> float:
+        nonlocal clamp_events
+        if stage != 2:
+            return 0.0
+        raw = stage_two_rate(beta_plan, gamma_plan, min(s + off_s, 1.0))
+        if raw > u_max:
+            clamp_events += 1
+        return bounds.clamp(raw)
+
+    def threshold_gap(s: float, i: float) -> float:
+        """Positive once the infection signal has reached i_bar (stage-1 event)."""
+        return min(i + off_i, 1.0) - i_bar
+
+    def herd_gap(s: float, i: float) -> float:
+        """Positive once the planned herd-immunity condition fires (stage-2 event)."""
+        return -stage_two_rate(beta_plan, gamma_plan, min(s + off_s, 1.0))
+
     def record_trace(tt: float, u: float) -> None:
         tr_t.append(tt)
         tr_u.append(u)
-        tr_stage.append(ctrl.stage)
-        tr_s.append(ctrl.s_signal(s))
-        tr_i.append(ctrl.i_signal(i))
+        tr_stage.append(stage)
+        tr_s.append(min(s + off_s, 1.0))
+        tr_i.append(min(i + off_i, 1.0))
 
     k = 0
     while k <= n:
         t_node = t0 + k * h
-        ctrl.read(noise, k, s, i)
+        if reads:
+            s_hat, i_hat, d_s, d_i = noise.measure(k, s, i)
+            off_s = s_hat - s
+            off_i = i_hat - i
+            if margin:
+                off_s += d_s
+                off_i += d_i
 
         # an event can fire exactly at a node (including k == 0)
-        if ctrl.stage == 1 and ctrl.threshold_gap(s, i) >= 0.0:
+        if stage == 1 and threshold_gap(s, i) >= 0.0:
             t_b = t_node
             state_at_tb = SirState(t=t_node, s=s, i=i, r=r)
             record_trace(t_node, 0.0)
-            ctrl.stage = 2
-        if ctrl.stage == 2 and ctrl.herd_gap(s, i) >= 0.0 and t_b is not None and t_b < t_node:
+            stage = 2
+        if stage == 2 and herd_gap(s, i) >= 0.0 and t_b is not None and t_b < t_node:
             t_h = t_node
-            record_trace(t_node, ctrl.rate(s))
-            ctrl.stage = 3
+            record_trace(t_node, rate(s))
+            stage = 3
 
-        u = ctrl.rate(s)
+        u = rate(s)
         ts[k], ss[k], ii[k], rr[k], uu[k] = t_node, s, i, r, u
-        node_stage[k] = ctrl.stage
+        node_stage[k] = stage
         record_trace(t_node, u)
         if i > max_i:
             max_i = i
         if k == n:
             break
-        if early_stop and ctrl.stage == 3 and i < 1e-8:
+        if early_stop and stage == 3 and i < 1e-8:
             n_recorded = k + 1
             break
 
@@ -332,10 +291,10 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
             s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, span)
             if not (math.isfinite(s2) and math.isfinite(i2) and math.isfinite(r2)):
                 raise NonFiniteDynamicsError(f"state became non-finite near t={sub_t}")
-            if ctrl.stage == 1 and ctrl.threshold_gap(s2, i2) >= 0.0:
-                gap = ctrl.threshold_gap
-            elif ctrl.stage == 2 and ctrl.herd_gap(s2, i2) >= 0.0:
-                gap = ctrl.herd_gap
+            if stage == 1 and threshold_gap(s2, i2) >= 0.0:
+                gap = threshold_gap
+            elif stage == 2 and herd_gap(s2, i2) >= 0.0:
+                gap = herd_gap
             else:
                 s, i, r = s2, i2, r2
                 sub_t = t_next
@@ -345,16 +304,16 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
             s, i, r = _rk4_step(s, i, r, beta, gamma, u, tau - sub_t)
             sub_t = tau
             record_trace(tau, u)
-            if ctrl.stage == 1:
+            if stage == 1:
                 t_b = tau
                 state_at_tb = SirState(t=tau, s=s, i=i, r=r)
-                ctrl.stage = 2
+                stage = 2
                 if i > max_i:
                     max_i = i
             else:
                 t_h = tau
-                ctrl.stage = 3
-            u = ctrl.rate(s)
+                stage = 3
+            u = rate(s)
             record_trace(tau, u)
         k += 1
 
@@ -364,22 +323,15 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     trace = PolicyTrace(t=np.array(tr_t), u=np.array(tr_u),
                         stage=np.array(tr_stage, dtype=np.int64),
                         s_seen=np.array(tr_s), i_seen=np.array(tr_i),
-                        switching=times, clamp_events=ctrl.clamp_events, kind=kind)
+                        switching=times, clamp_events=clamp_events, kind=kind)
     if state_at_tb is not None:
-        required, _ = feasibility_check(true_params, state_at_tb, bounds.u_max)
+        required, _ = feasibility_check(true_params, state_at_tb, u_max)
     else:
         required = float("nan")
     report = FeasibilityReport(
         feasible=bool(max_i <= i_bar + FEASIBILITY_SLACK),
-        required_rate_at_tb=required, u_max=bounds.u_max,
-        max_infection_attained=max_i, clamp_events=ctrl.clamp_events, i_bar=i_bar,
+        required_rate_at_tb=required, u_max=u_max,
+        max_infection_attained=max_i, clamp_events=clamp_events, i_bar=i_bar,
     )
     return ClosedLoopResult(trajectory=traj, trace=trace, report=report,
                             node_stage=node_stage[:n_recorded])
-
-
-def envelope_from_trace(trace: PolicyTrace) -> StateBounds:
-    """State bounds as the robust controller actually consumed them."""
-    return StateBounds(t=trace.t.copy(), s_min=trace.s_seen.copy(),
-                       s_max=trace.s_seen.copy(), i_min=trace.i_seen.copy(),
-                       i_max=trace.i_seen.copy())

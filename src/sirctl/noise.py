@@ -39,7 +39,8 @@ class NoiseConfig:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "snr_db" and (self.snr_db is None or not math.isfinite(self.snr_db)):
             raise ValueError("snr_db mode requires a finite snr_db value")
-        if self.kind == "scaled_variance" and (self.divisor is None or self.divisor <= 0.0):
+        if self.kind == "scaled_variance" and not (
+                self.divisor is not None and self.divisor > 0.0):  # NaN fails too
             raise ValueError("scaled_variance mode requires a positive divisor")
 
 
@@ -117,12 +118,6 @@ class MeasuredSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    def index_at(self, time: float) -> int:
-        k = int(np.searchsorted(self.t, time + 1e-12, side="right") - 1)
-        if k < 0 or abs(float(self.t[k]) - time) > 1e-9 * max(1.0, abs(time)):
-            raise ValueError(f"no sample at time {time}")
-        return k
-
     @property
     def v_max_bound(self) -> float:
         """Truncation-based amplitude bound on every noise sample."""
@@ -134,8 +129,11 @@ class MeasuredSeries:
 def measured_series_for(noise: MeasurementNoise, traj: Trajectory) -> MeasuredSeries:
     """The per-node measurements a controller driven by this noise source saw.
 
-    Vectorized equivalent of calling ``noise.measure`` at every grid node of
-    the trajectory (same draws, same scaling).
+    Bitwise equal to ``noise.measure(k, s[k], i[k])`` at every grid node k
+    (same draws, same scaling). Both forms stay on purpose: the scalar
+    ``measure`` is the online path, called once per grid node inside the
+    closed loop while the trajectory is still being integrated; this vector
+    form is the offline path over a finished trajectory.
     """
     n = len(traj)
     if noise.config.kind == "none":

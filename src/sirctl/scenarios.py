@@ -9,13 +9,11 @@ artifacts. ``sweep_h`` reproduces the sample-step study: one estimate plus
 error bound per step multiple alpha.
 
 Determinism: every scenario derives its RNG stream from (seed, scenario
-name), so fixed configs give byte-identical CSV artifacts, sequentially or
-in parallel.
+name), so fixed configs give byte-identical CSV artifacts.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -35,10 +33,17 @@ from .control import (
     ClosedLoopResult,
     ControlBounds,
     PolicyKind,
-    envelope_from_trace,
     simulate_closed_loop,
 )
-from .core import EpidemicParams, IntegratorConfig, SirState, Trajectory, integrate, rhs
+from .core import (
+    EpidemicParams,
+    IntegratorConfig,
+    NonFiniteDynamicsError,
+    SirState,
+    Trajectory,
+    integrate,
+    rhs,
+)
 from .estimation import (
     BoundInputs,
     MeasuredSample,
@@ -101,6 +106,10 @@ class InflationConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("multipliers", "estimated"):
             raise ConfigError(f"unknown inflation mode {self.mode!r}")
+        for name in ("beta_mult", "gamma_mult"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,8 @@ class ScenarioConfig:
     early_stop: bool = False
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.init.t):
+            raise ConfigError(f"init.t must be finite, got {self.init.t}")
         if not (0.0 < self.i_bar < 1.0):
             raise ConfigError("i_bar must lie in (0, 1)")
         if not (0.0 < self.u_max <= 1.0):
@@ -137,9 +148,7 @@ class ScenarioConfig:
             return cls(
                 name=raw["name"],
                 params=EpidemicParams(**raw["params"]),
-                init=SirState(t=raw.get("init", {}).get("t", 0.0),
-                              s=raw["init"]["s"], i=raw["init"]["i"],
-                              r=raw["init"]["r"]),
+                init=SirState(**{"t": 0.0, **raw["init"]}),
                 i_bar=raw["i_bar"],
                 u_max=raw["u_max"],
                 noise=NoiseConfig(**raw.get("noise", {})),
@@ -157,7 +166,7 @@ class ScenarioConfig:
                 }) if "estimation" in raw else None),
                 early_stop=raw.get("early_stop", False),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, NonFiniteDynamicsError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad scenario config: {exc}") from exc
@@ -171,8 +180,8 @@ class ScenarioConfig:
             "i_bar": self.i_bar,
             "u_max": self.u_max,
             "noise": {k: v for k, v in vars(self.noise).items() if v is not None},
-            "inflation": vars(self.inflation),
-            "misestimation": vars(self.misestimation),
+            "inflation": dict(vars(self.inflation)),
+            "misestimation": dict(vars(self.misestimation)),
             "integrator": {"method": self.integrator.method,
                            "step": self.integrator.step,
                            "horizon": self.integrator.horizon},
@@ -268,6 +277,9 @@ def _optimal_run(config: ScenarioConfig) -> tuple[ClosedLoopResult, MeasurementN
     noise-free reference from which SNR-mode noise power is resolved. Neither
     depends on the policies' assumed rates.
     """
+    if config.integrator.method != "rk4":
+        raise ConfigError("closed-loop runs need integrator.method \"rk4\", "
+                          f"got {config.integrator.method!r}")
     optimal = simulate_closed_loop(
         PolicyKind.OPTIMAL, config.params, None, config.init, None,
         config.integrator, config.i_bar, ControlBounds(config.u_max),
@@ -301,10 +313,8 @@ def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
     if "robust" in runs and "optimal" in runs:
         rob, opt = runs["robust"], runs["optimal"]
         report = build_cost_report(
-            rob.result.trace, rob.result.trajectory,
-            envelope_from_trace(rob.result.trace), opt.result.trace,
-            opt.result.trajectory, config.params,
-            rob.assumed.beta, rob.assumed.gamma)
+            rob.result.trace, rob.result.trajectory, opt.result.trace,
+            opt.result.trajectory, config.params, rob.assumed.beta, rob.assumed.gamma)
         if opt.result.trace.switching.t_h is not None:
             cumulative = cumulative_infected_check(
                 rob.result.trajectory, opt.result.trajectory,
@@ -339,16 +349,6 @@ def _cost_rows(runs: dict[str, PolicyRun], report: Optional[CostReport]) -> list
             t_h=nan if sw.t_h is None else sw.t_h,
             feasible=run.result.report.feasible))
     return rows
-
-
-def run_scenarios(configs: list[ScenarioConfig],
-                  max_workers: Optional[int] = None) -> list[RunArtifacts]:
-    """Run independent scenarios, optionally in parallel; output order and
-    content match the sequential run (each scenario owns its RNG stream)."""
-    if max_workers is None or max_workers <= 1:
-        return [run_scenario(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_scenario, configs))
 
 
 def _fnorm(traj: Trajectory, k: int) -> float:

@@ -18,21 +18,21 @@ from sirctl.control import (
     AssumedRates,
     PolicyKind,
     PolicyTrace,
-    StateBounds,
     SwitchingTimes,
-    envelope_from_trace,
 )
 from sirctl.core import EpidemicParams, Trajectory
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 
 
-def make_trace(t, u, kind=PolicyKind.OPTIMAL, switching=SwitchingTimes()):
+def make_trace(t, u, kind=PolicyKind.OPTIMAL, switching=SwitchingTimes(),
+               s_seen=None):
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
     filler = np.zeros_like(t)
+    s_seen = filler.copy() if s_seen is None else np.asarray(s_seen, dtype=float)
     return PolicyTrace(t=t, u=u, stage=np.ones_like(t, dtype=np.int64),
-                       s_seen=filler, i_seen=filler.copy(), switching=switching,
+                       s_seen=s_seen, i_seen=filler, switching=switching,
                        clamp_events=0, kind=kind)
 
 
@@ -112,18 +112,18 @@ class TestGapFromStates:
 
 
 class TestGapClosedForm:
-    def _bounds(self, t, s):
-        s = np.asarray(s, dtype=float)
-        return StateBounds(t=np.asarray(t, dtype=float), s_min=s, s_max=s,
-                           i_min=np.zeros_like(s), i_max=np.zeros_like(s))
+    def _robust(self, t, s, switching):
+        """A robust trace whose consumed susceptible signal is ``s``."""
+        return make_trace(t, np.zeros_like(t), kind=PolicyKind.ROBUST,
+                          switching=switching, s_seen=s)
 
     def test_collapse_gives_zero_gap(self):
         t = np.arange(0.0, 20.1, 0.1)
         s = np.full_like(t, 0.9)
         traj = make_traj(t, s, np.full_like(t, 0.01))
         times = SwitchingTimes(t_b=5.0, t_h=15.0)
-        c, c_bar = gap_closed_form(self._bounds(t, s), PARAMS.beta, PARAMS.gamma,
-                            PARAMS.beta, PARAMS.gamma, traj, times, times)
+        c, c_bar = gap_closed_form(self._robust(t, s, times), PARAMS.beta, PARAMS.gamma,
+                            PARAMS.beta, PARAMS.gamma, traj, times)
         assert c == pytest.approx(0.0, abs=1e-12)
         assert c <= c_bar + 1e-12
 
@@ -132,9 +132,8 @@ class TestGapClosedForm:
         s = np.full_like(t, 0.9)
         traj = make_traj(t, s, np.full_like(t, 0.01))
         with pytest.raises(ValueError, match="out of order"):
-            gap_closed_form(self._bounds(t, s), 0.168, 0.06, 0.16, 0.063, traj,
-                     SwitchingTimes(t_b=6.0, t_h=14.0),
-                     SwitchingTimes(t_b=5.0, t_h=15.0))
+            gap_closed_form(self._robust(t, s, SwitchingTimes(t_b=6.0, t_h=14.0)),
+                     0.168, 0.06, 0.16, 0.063, traj, SwitchingTimes(t_b=5.0, t_h=15.0))
 
     def test_wider_beta_inflation_raises_both_values(self, fig1_noise_free_artifacts):
         from sirctl.scenarios import InflationConfig, preset, run_scenario
@@ -168,9 +167,20 @@ class TestCrossFormulaConsistency:
         assert cr.gap_direct >= -1e-6
 
     def test_robust_envelope_feeds_closed_form(self, fig1_noisy_artifacts):
-        rob = fig1_noisy_artifacts.runs["robust"].result.trace
-        env = envelope_from_trace(rob)
-        assert np.all(env.s_max == rob.s_seen)
+        art = fig1_noisy_artifacts
+        rob, opt = art.runs["robust"], art.runs["optimal"].result
+        params = art.config.params
+
+        def closed_form(trace):
+            return gap_closed_form(trace, rob.assumed.beta, rob.assumed.gamma,
+                                   params.beta, params.gamma, opt.trajectory,
+                                   opt.trace.switching)
+
+        trace = rob.result.trace
+        cr = art.cost_report
+        assert closed_form(trace) == (cr.gap_closed_form, cr.gap_upper)
+        wider = replace(trace, s_seen=np.minimum(trace.s_seen + 0.01, 1.0))
+        assert closed_form(wider)[0] > cr.gap_closed_form
 
 
 class TestCumulativeCheck:

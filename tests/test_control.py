@@ -9,14 +9,13 @@ from sirctl.control import (
     ControlBounds,
     PolicyKind,
     SwitchingTimes,
-    construct_state_bounds,
     feasibility_check,
     optimal_rate,
     robust_rate,
     simulate_closed_loop,
 )
 from sirctl.core import EpidemicParams, IntegratorConfig, SirState, find_threshold_crossing
-from sirctl.noise import MeasuredSeries
+from sirctl.noise import MeasurementNoise, NoiseConfig, measured_series_for
 
 PARAMS_F1 = EpidemicParams(beta=0.16, gamma=0.063)
 BOUNDS = ControlBounds(u_max=0.2)
@@ -69,27 +68,37 @@ class TestRobustRate:
 
 
 class TestStateBounds:
-    def _series(self, s, i):
-        n = len(s)
-        zero = np.zeros(n)
-        return MeasuredSeries(t=np.arange(n, dtype=float), s_hat=np.asarray(s),
-                              i_hat=np.asarray(i), u=zero, sigma_s=zero,
-                              sigma_i=zero.copy())
+    """The robust policy's state bounds are its trace's s_seen and i_seen:
+    the measurement plus the amplitude bound delta, capped at 1."""
+
+    CONFIG = IntegratorConfig(step=0.01, horizon=20.0)
+
+    def _robust_run(self, noise):
+        # i_bar above any infection reached: no event, one trace row per node
+        params = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
+        return simulate_closed_loop(
+            PolicyKind.ROBUST, params, AssumedRates.from_multipliers(params, 1.05, 0.95),
+            SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0), noise, self.CONFIG,
+            i_bar=0.5, bounds=ControlBounds(u_max=0.15))
 
     def test_zero_amplitude_collapses_to_measurements(self):
-        series = self._series([0.9, 0.8], [0.01, 0.02])
-        sb = construct_state_bounds(series, (0.0, 0.0))
-        assert np.all(sb.s_min == sb.s_max) and np.all(sb.s_max == series.s_hat)
+        noise = MeasurementNoise.build(NoiseConfig(kind="none"),
+                                       self.CONFIG.n_steps + 1, seed=0)
+        res = self._robust_run(noise)
+        series = measured_series_for(noise, res.trajectory)
+        assert np.array_equal(res.trace.t, series.t)
+        assert np.array_equal(res.trace.s_seen, series.s_hat)
+        assert np.array_equal(res.trace.i_seen, series.i_hat)
 
     def test_clipping_at_physical_range(self):
-        series = self._series([0.999], [0.003])
-        sb = construct_state_bounds(series, (0.005, 0.005))
-        assert sb.s_max[0] == 1.0
-        assert sb.i_min[0] == 0.0
-
-    def test_rejects_negative_amplitudes(self):
-        with pytest.raises(ValueError):
-            construct_state_bounds(self._series([0.9], [0.01]), (-0.1, 0.0))
+        # zero draws and delta = 0.005 on both series
+        n = self.CONFIG.n_steps + 1
+        noise = MeasurementNoise(NoiseConfig(kind="snr_db", snr_db=50.0),
+                                 np.zeros((n, 2)), 0.005 / 3.0, 0.005 / 3.0)
+        trace = self._robust_run(noise).trace
+        assert trace.s_seen[0] == 1.0
+        assert np.all(trace.s_seen <= 1.0)
+        assert trace.i_seen[0] == pytest.approx(1e-5 + 0.005, abs=1e-15)
 
     def test_monte_carlo_containment_of_true_state(self):
         # variance S/100 truncated at 3 sigma: amplitude 3*sigma from the true
@@ -196,7 +205,8 @@ class TestClosedLoop:
             AssumedRates.from_multipliers(params, 1.05, 0.95), self.INIT, None,
             IntegratorConfig(step=0.01, horizon=150.0), i_bar=0.01,
             bounds=ControlBounds(u_max=0.05))
-        assert res.report.clamp_events > 0
+        assert res.report.clamp_events == 5866
+        assert len(res.trace.t) == 15003
         assert not res.report.feasible
 
     def test_same_seed_reproduces_run(self):
