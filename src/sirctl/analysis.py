@@ -65,10 +65,18 @@ def total_cost(trace: PolicyTrace, warn: bool = True) -> float:
 
 
 def grid_mismatch(trace_a: PolicyTrace, trace_b: PolicyTrace) -> str:
-    """Why two traces do not span the same horizon; empty if they do."""
+    """Why the rates of two traces cannot be compared; empty if they can.
+
+    The starts must agree. The ends may differ only when the trace that ends
+    first stopped in stage 3 at rate zero (an early stop): the rate stays
+    zero from there, so that trace adds nothing beyond its end.
+    """
+    shorter = trace_a if trace_a.t[-1] < trace_b.t[-1] else trace_b
+    stopped = shorter.stage[-1] == 3 and shorter.u[-1] == 0.0
     for a, b, what in ((trace_a.t[0], trace_b.t[0], "start"),
                        (trace_a.t[-1], trace_b.t[-1], "end")):
-        if abs(a - b) > 1e-9 * max(1.0, abs(float(b))):
+        differ = abs(a - b) > 1e-9 * max(1.0, abs(float(b)))
+        if differ and not (what == "end" and stopped):
             return f"trace grids disagree at the {what}: {a} vs {b}"
     return ""
 
@@ -78,7 +86,8 @@ def gap_direct(trace_robust: PolicyTrace, trace_optimal: PolicyTrace) -> float:
 
     Both traces duplicate their switch nodes, so integrating each on its own
     grid and subtracting equals the integral of the difference exactly (the
-    rates are piecewise linear between duplicated nodes).
+    rates are piecewise linear between duplicated nodes). A trace that
+    stopped early counts as zero-rate to the other's end (``grid_mismatch``).
     """
     mismatch = grid_mismatch(trace_robust, trace_optimal)
     if mismatch:
@@ -183,11 +192,11 @@ def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
                       gamma_min: float) -> CostReport:
     """Assemble the full cost/gap report for one matched pair of runs.
 
-    ``gap_direct`` is reported whenever both traces span the same horizon
-    (NaN otherwise, e.g. after early stops at different times). The other
-    gap formulas need all four switching times; when a herd condition never
-    fired within the horizon they are NaN, and the total costs and
-    ``gap_direct`` are integrals truncated at the horizon.
+    ``gap_direct`` is exact and reported whenever ``grid_mismatch`` allows
+    it (same horizon, or the shorter run stopped early at rate zero); it is
+    NaN otherwise. The other gap formulas need all four switching times;
+    when a herd condition never fired within the horizon they are NaN, and
+    the total costs and ``gap_direct`` are integrals truncated at the horizon.
     """
     cost_r = total_cost(robust_trace, warn=False)
     cost_o = total_cost(optimal_trace, warn=False)

@@ -5,18 +5,21 @@ Schemas:
 * trajectory: ``t,S_true,I_true,R_true,S_meas,I_meas,u_applied,stage``
 * estimates:  ``alpha,h,beta_hat,gamma_hat,err_norm,bound_b,contained``
 * costs:      ``policy,total_cost,gap_direct,gap_lemma4,gap_thm4,gap_upper,t_b,t_h,feasible``
+* policy trace: ``t,u,stage,s_seen,i_seen``
 
-Numbers are written with 12 significant digits, which keeps the
-cross-formula consistency checks meaningful after a round trip. Writers are
-deterministic (fixed line terminator, fixed formatting), so a fixed seed
-yields byte-identical files.
+Cells are floats as ``f"{v:.12g}"`` (``nan``, ``inf`` and ``-0`` as such;
+12 digits keep the cross-formula checks meaningful after a round trip),
+integers, ``true``/``false`` flags and unquoted text. Rows are written
+column-wise: each block of ``_CHUNK_ROWS`` rows is one ``%`` call applying
+the row format (``%.12g`` per float cell) repeated per row to the block's
+column slices as lists. ``%.12g`` is the CPython formatting of
+``f"{v:.12g}"``, so a fixed seed yields byte-identical files.
 """
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -30,16 +33,11 @@ COSTS_HEADER = ["policy", "total_cost", "gap_direct", "gap_lemma4", "gap_thm4",
                 "gap_upper", "t_b", "t_h", "feasible"]
 TRACE_HEADER = ["t", "u", "stage", "s_seen", "i_seen"]
 
-
-def fmt(value: Union[float, int, bool, str]) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    v = float(value)
-    return "nan" if math.isnan(v) else f"{v:.12g}"
+# Rows per format call. It bounds the objects alive at once: a trajectory
+# block takes ~0.5 MB at 1024 rows and ~1.9 MB at 4096, at the same speed.
+_CHUNK_ROWS = 1024
+_ESTIMATES_KINDS = "dgggggb"  # one _KINDS key per column
+_COSTS_KINDS = "sgggggggb"
 
 
 def _parse_bool(text: str) -> bool:
@@ -50,39 +48,60 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean field: {text!r}")
 
 
-def _write(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
+# column kind -> (cell format, parser): float, integer, text, flag
+_KINDS = {"g": ("%.12g", float), "d": ("%d", int), "s": ("%s", str),
+          "b": ("%s", _parse_bool)}
+
+
+def _write(path: Path, header: list[str], columns: Sequence[Sequence],
+           kinds: str) -> None:
+    """Write equal-length columns (arrays or lists) under ``header``; ``kinds``
+    holds one ``_KINDS`` key per column."""
+    n, width = len(columns[0]), len(columns)
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"{path}: columns differ in length")
+    row = ",".join(_KINDS[k][0] for k in kinds) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            m = min(_CHUNK_ROWS, n - lo)
+            flat: list = [None] * (m * width)
+            for j, (col, kind) in enumerate(zip(columns, kinds)):
+                cells = col[lo:lo + m]
+                cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
+                flat[j::width] = (["true" if v else "false" for v in cells]
+                                  if kind == "b" else cells)
+            fh.write(row * m % tuple(flat))
 
 
 def write_trajectory_csv(path: Path, run: PolicyRun) -> None:
     traj = run.result.trajectory
     meas = run.measured
-    stage = run.result.node_stage
-    rows = zip(traj.t, traj.s, traj.i, traj.r, meas.s_hat, meas.i_hat, traj.u,
-               stage)
-    _write(path, TRAJECTORY_HEADER, rows)
+    _write(path, TRAJECTORY_HEADER,
+           (traj.t, traj.s, traj.i, traj.r, meas.s_hat, meas.i_hat, traj.u,
+            run.result.node_stage), "gggggggd")
 
 
 def write_trace_csv(path: Path, run: PolicyRun) -> None:
     tr = run.result.trace
-    _write(path, TRACE_HEADER, zip(tr.t, tr.u, tr.stage, tr.s_seen, tr.i_seen))
+    _write(path, TRACE_HEADER, (tr.t, tr.u, tr.stage, tr.s_seen, tr.i_seen),
+           "ggdgg")
+
+
+def _row_columns(rows: Iterable, header: list[str]) -> list[list]:
+    """Columns of dataclass rows whose fields are named as the header."""
+    rows = list(rows)
+    return [[getattr(r, name) for r in rows] for name in header]
 
 
 def write_estimates_csv(path: Path, rows: Iterable[EstimateRow]) -> None:
-    _write(path, ESTIMATES_HEADER,
-           ((r.alpha, r.h, r.beta_hat, r.gamma_hat, r.err_norm, r.bound_b,
-             r.contained) for r in rows))
+    _write(path, ESTIMATES_HEADER, _row_columns(rows, ESTIMATES_HEADER),
+           _ESTIMATES_KINDS)
 
 
 def write_costs_csv(path: Path, rows: Iterable[CostRow]) -> None:
-    _write(path, COSTS_HEADER,
-           ((r.policy, r.total_cost, r.gap_direct, r.gap_lemma4, r.gap_thm4,
-             r.gap_upper, r.t_b, r.t_h, r.feasible) for r in rows))
+    _write(path, COSTS_HEADER, _row_columns(rows, COSTS_HEADER), _COSTS_KINDS)
 
 
 def emit_csv(artifacts: RunArtifacts, out_dir: Union[str, Path]) -> list[Path]:
@@ -121,18 +140,14 @@ def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
     return out
 
 
+def _read_rows(path: Path, header: list[str], kinds: str, row_type: type) -> list:
+    return [row_type(**{name: _KINDS[k][1](v) for name, k, v in zip(header, kinds, row)})
+            for row in _read(Path(path), header)]
+
+
 def read_estimates_csv(path: Path) -> list[EstimateRow]:
-    rows = _read(Path(path), ESTIMATES_HEADER)
-    return [EstimateRow(alpha=int(r[0]), h=float(r[1]), beta_hat=float(r[2]),
-                        gamma_hat=float(r[3]), err_norm=float(r[4]),
-                        bound_b=float(r[5]), contained=_parse_bool(r[6]))
-            for r in rows]
+    return _read_rows(path, ESTIMATES_HEADER, _ESTIMATES_KINDS, EstimateRow)
 
 
 def read_costs_csv(path: Path) -> list[CostRow]:
-    rows = _read(Path(path), COSTS_HEADER)
-    return [CostRow(policy=r[0], total_cost=float(r[1]), gap_direct=float(r[2]),
-                    gap_lemma4=float(r[3]), gap_thm4=float(r[4]),
-                    gap_upper=float(r[5]), t_b=float(r[6]), t_h=float(r[7]),
-                    feasible=_parse_bool(r[8]))
-            for r in rows]
+    return _read_rows(path, COSTS_HEADER, _COSTS_KINDS, CostRow)

@@ -82,12 +82,21 @@ class EstimationWindow:
     r: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("i", "j", "h_unit", "zeta", "r"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"estimation.{name} must be finite, got {value}")
+            if name in ("zeta", "r") and value < 0.0:
+                raise ConfigError(f"estimation.{name} must be >= 0, got {value}")
         if self.i == self.j:
             raise ConfigError("estimation base times must differ")
         if self.h_unit <= 0.0 or not self.alphas:
             raise ConfigError("estimation needs a positive h_unit and alphas")
-        if any(a < 1 for a in self.alphas):
+        if any(not isinstance(a, (int, np.integer)) or a < 1 for a in self.alphas):
             raise ConfigError("alphas must be positive integers")
+        if self.zeta * self.h_unit * max(self.alphas) >= 1.0:
+            raise ConfigError("estimation.zeta times the largest step h must be < 1, "
+                              f"got {self.zeta * self.h_unit * max(self.alphas)}")
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,16 @@ class TestGapDirect:
         with pytest.raises(ValueError, match="grids disagree"):
             gap_direct(a, b)
 
+    def test_early_stop_counts_as_zero_rate_to_the_end(self):
+        # a trace that stopped in stage 3 at rate zero, against a longer one
+        a = make_trace([0.0, 5.0, 5.0, 8.0, 8.0, 10.0], [0.0, 0.0, 0.1, 0.1, 0.0, 0.0])
+        a = replace(a, stage=np.array([1, 1, 2, 2, 3, 3]))
+        b = make_trace([0.0, 12.0], [0.1, 0.1])
+        assert gap_direct(a, b) == pytest.approx(0.1 * 3 - 0.1 * 12, abs=1e-12)
+        assert gap_direct(b, a) == pytest.approx(0.1 * 12 - 0.1 * 3, abs=1e-12)
+        with pytest.raises(ValueError, match="at the start"):
+            gap_direct(replace(a, t=a.t + 1.0), b)
+
 
 class TestGapFromStates:
     def test_identical_runs_give_zero(self):

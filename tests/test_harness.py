@@ -10,13 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sirctl import scenarios
+from sirctl import csvio, scenarios
+from sirctl.analysis import total_cost
 from sirctl.cli import main
-from sirctl.control import PolicyKind
-from sirctl.core import EpidemicParams, IntegratorConfig, SirState, integrate
+from sirctl.control import (
+    ClosedLoopResult,
+    FeasibilityReport,
+    PolicyKind,
+    PolicyTrace,
+    SwitchingTimes,
+)
+from sirctl.core import EpidemicParams, IntegratorConfig, SirState, Trajectory, integrate
 from sirctl.csvio import (
     COSTS_HEADER,
     ESTIMATES_HEADER,
+    TRACE_HEADER,
     TRAJECTORY_HEADER,
     emit_csv,
     read_costs_csv,
@@ -24,12 +32,17 @@ from sirctl.csvio import (
     read_trajectory_csv,
     write_costs_csv,
     write_estimates_csv,
+    write_trace_csv,
+    write_trajectory_csv,
 )
-from sirctl.noise import NoiseConfig, inject_noise
+from sirctl.noise import MeasuredSeries, NoiseConfig, inject_noise
 from sirctl.scenarios import (
     ConfigError,
+    CostRow,
+    EstimateRow,
     EstimationWindow,
     InflationConfig,
+    PolicyRun,
     ScenarioConfig,
     gap_table,
     preset,
@@ -161,7 +174,7 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             replace(preset("fig1"), i_bar=0.0)
 
-    def test_early_stops_at_different_times_leave_gap_direct_nan(self):
+    def test_early_stops_at_different_times_give_exact_gap_direct(self):
         cfg = replace(preset("fig1"), name="early-stop",
                       params=EpidemicParams(beta=0.5, gamma=0.2), u_max=0.5,
                       noise=NoiseConfig(kind="none"), early_stop=True,
@@ -172,8 +185,12 @@ class TestRunScenario:
         assert ends["robust"] != ends["optimal"] != ends["misestimated"]
         rows = {row.policy: row for row in art.cost_rows}
         assert rows["optimal"].gap_direct == 0.0
-        assert math.isnan(rows["robust"].gap_direct)
-        assert math.isnan(rows["misestimated"].gap_direct)
+        optimal_cost = total_cost(art.runs["optimal"].result.trace)
+        for name in ("robust", "misestimated"):
+            # a stopped run is in stage 3, where u = 0, so it costs nothing more
+            assert art.runs[name].result.trace.u[-1] == 0.0
+            assert rows[name].gap_direct == \
+                total_cost(art.runs[name].result.trace) - optimal_cost
         assert math.isfinite(rows["robust"].gap_lemma4)
 
 
@@ -298,6 +315,88 @@ class TestCsv:
         assert (tmp_path / "c.csv").read_text() == ",".join(COSTS_HEADER) + "\n"
 
 
+class TestCsvFormat:
+    """The writers' bytes follow the per-value rule of the CSV schema."""
+
+    CHUNK = getattr(csvio, "_CHUNK_ROWS", 1024)  # rows the writer formats at once
+    EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
+             -1e300, 0.1 + 0.2, 1.0000000000005, 123456789012.5, 999999999999.5,
+             0.12345678901249999, 2.0 / 3.0, 1e-7, 1e16, 12345678901234567890.0]
+
+    @staticmethod
+    def cell(v) -> str:
+        """The reference rule: one formatting decision per value."""
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, str):
+            return v
+        v = float(v)
+        return "nan" if math.isnan(v) else f"{v:.12g}"
+
+    def expected(self, header, rows) -> list[str]:
+        return [",".join(header)] + [",".join(self.cell(v) for v in row) for row in rows]
+
+    def floats(self, n, seed) -> np.ndarray:
+        """Doubles of every magnitude, with the edge cases at both ends."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        k = min(n, len(self.EDGES))
+        x[:k] = self.EDGES[:k]
+        x[n - k:] = self.EDGES[len(self.EDGES) - k:]
+        return x
+
+    @pytest.fixture(params=["empty", "one row", "one chunk", "one chunk plus one row"])
+    def n(self, request):
+        return {"empty": 0, "one row": 1, "one chunk": self.CHUNK,
+                "one chunk plus one row": self.CHUNK + 1}[request.param]
+
+    def test_trajectory_and_trace(self, tmp_path, n):
+        t = 1.0 / 3.0 + 0.01 * np.arange(n)
+        s, i, r, s_hat, i_hat, u = (self.floats(n, seed) for seed in range(6))
+        stage = np.random.default_rng(6).integers(1, 4, n)
+        traj = Trajectory(t=t, s=s, i=i, r=r, u=u, step=0.01,
+                          params=EpidemicParams(beta=0.16, gamma=1.0 / 30.0))
+        meas = MeasuredSeries(t=t, s_hat=s_hat, i_hat=i_hat, u=u,
+                              sigma_s=np.zeros(n), sigma_i=np.zeros(n))
+        trace = PolicyTrace(t=t, u=u, stage=stage, s_seen=s_hat, i_seen=i_hat,
+                            switching=SwitchingTimes(), clamp_events=0,
+                            kind=PolicyKind.ROBUST)
+        report = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan,
+                                   u_max=0.1, max_infection_attained=0.0,
+                                   clamp_events=0, i_bar=0.1)
+        run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(traj, trace, report, stage),
+                        meas, assumed=None)
+        write_trajectory_csv(tmp_path / "trajectory.csv", run)
+        write_trace_csv(tmp_path / "trace.csv", run)
+        assert (tmp_path / "trajectory.csv").read_text().split("\n") == self.expected(
+            TRAJECTORY_HEADER, zip(t, s, i, r, s_hat, i_hat, u, stage)) + [""]
+        assert (tmp_path / "trace.csv").read_text().split("\n") == self.expected(
+            TRACE_HEADER, zip(t, u, stage, s_hat, i_hat)) + [""]
+
+    def test_estimates_and_costs(self, tmp_path, n):
+        x = [self.floats(n, seed).tolist() for seed in range(7)]
+        estimates = [EstimateRow(alpha=k + 1 + (k % 2) * 10**15, h=x[0][k], beta_hat=x[1][k],
+                                 gamma_hat=x[2][k], err_norm=x[3][k],
+                                 bound_b=x[4][k], contained=k % 3 == 0)
+                     for k in range(n)]
+        costs = [CostRow(policy=f"robust_bx{1 + k / 7:g}_gx{1 - k / 9:g}",
+                         total_cost=x[0][k], gap_direct=x[1][k], gap_lemma4=x[2][k],
+                         gap_thm4=x[3][k], gap_upper=x[4][k], t_b=x[5][k],
+                         t_h=x[6][k], feasible=k % 2 == 0)
+                 for k in range(n)]
+        write_estimates_csv(tmp_path / "estimates.csv", estimates)
+        write_costs_csv(tmp_path / "costs.csv", costs)
+        assert (tmp_path / "estimates.csv").read_text().split("\n") == self.expected(
+            ESTIMATES_HEADER, ((r.alpha, r.h, r.beta_hat, r.gamma_hat, r.err_norm,
+                                r.bound_b, r.contained) for r in estimates)) + [""]
+        assert (tmp_path / "costs.csv").read_text().split("\n") == self.expected(
+            COSTS_HEADER, ((r.policy, r.total_cost, r.gap_direct, r.gap_lemma4,
+                            r.gap_thm4, r.gap_upper, r.t_b, r.t_h, r.feasible)
+                           for r in costs)) + [""]
+
+
 class TestCli:
     def _write_config(self, tmp_path, **overrides) -> Path:
         cfg = replace(preset("policy-compare"), name="compare-cli",
@@ -348,6 +447,14 @@ class TestCli:
         ("misestimation.gamma_mult=Infinity", "gamma_mult"),
         ("noise.divisor=NaN", "divisor"),
         ("integrator.method=euler", "method"),  # closed loops need rk4
+        ("estimation.zeta=NaN", "zeta"),
+        ("estimation.zeta=-1", "zeta"),
+        ("estimation.zeta=1", "zeta"),  # zeta * h >= 1 at the largest alpha
+        ("estimation.r=Infinity", "estimation.r"),
+        ("estimation.r=-1", "estimation.r"),
+        ("estimation.i=NaN", "estimation.i"),
+        ("estimation.h_unit=NaN", "h_unit"),
+        ("estimation.alphas=[1.5]", "alphas"),
     ])
     def test_rejected_override_names_the_field(self, tmp_path, capsys, spec, named):
         code = main(["simulate", "--preset", "fig1", "--out", str(tmp_path),
