@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpidemicParams, Trajectory
+from .core import EpidemicParams, Trajectory, _rk4_step
 from .control import PolicyTrace, SwitchingTimes
 
 _MIN_INFECTION = 1e-12
@@ -105,7 +105,19 @@ def _segment_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _s_on(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
-    return np.array([traj.state_at(float(tq))[0] for tq in grid])
+    """S at every time of ``grid``: ``traj.state_at`` over an array.
+
+    Each time takes the last node at or before it and one RK4 sub-step of
+    the remaining span; a time on a node takes the node value.
+    """
+    k = np.searchsorted(traj.t, grid + 1e-12, side="right") - 1
+    outside = (k < 0) | (grid > traj.t[-1] + 1e-9)
+    if np.any(outside):
+        raise ValueError(f"time {float(grid[np.argmax(outside)])} outside trajectory range")
+    dt = grid - traj.t[k]
+    s, _, _ = _rk4_step(traj.s[k], traj.i[k], traj.r[k], traj.params.beta,
+                        traj.params.gamma, traj.u[k], dt)
+    return np.where(dt > 0.0, s, traj.s[k])
 
 
 def gap_from_states(traj_robust: Trajectory, traj_optimal: Trajectory,

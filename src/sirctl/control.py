@@ -158,6 +158,16 @@ def feasibility_check(params: EpidemicParams, state_at_tb: SirState,
     return required, required <= u_max
 
 
+def _threshold_gap(i_bar: float, off_i: float):
+    """Stage-1 event gap: >= 0 once the infection signal has reached i_bar."""
+    return lambda s, i: min(i + off_i, 1.0) - i_bar
+
+
+def _herd_gap(beta: float, gamma: float, off_s: float):
+    """Stage-2 event gap: >= 0 once the planned herd-immunity condition fires."""
+    return lambda s, i: -stage_two_rate(beta, gamma, min(s + off_s, 1.0))
+
+
 def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                          assumed: Union[AssumedRates, ParamIntervals, None],
                          init: SirState, noise: Optional[MeasurementNoise],
@@ -174,12 +184,21 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     signals are capped at 1.
 
     The trajectory advances on the uniform grid; measurements are read at
-    every grid node and held over the step. Stage switches are located by
-    ``locate_event`` inside the bracketing step, the state is advanced
-    exactly to the switch instant, and integration lands back on the grid,
-    so switching times are resolved to the event tolerance while the output
-    grid stays uniform. Infeasibility is recorded in the
-    report, never raised.
+    every grid node and held over the step. Each step is one RK4 step
+    followed by the event test of the current stage at its end. Only when
+    that test fires is the step split: the switch is located by
+    ``locate_event`` inside the step, the state is advanced exactly to the
+    switch instant, and integration lands back on the grid, so switching
+    times are resolved to the event tolerance while the output grid stays
+    uniform. Infeasibility is recorded in the report, never raised.
+
+    The trace is assembled after the loop. Its node rows are the node
+    arrays of the trajectory (time, rate, stage) with the signals
+    ``min(state + offset, 1)`` from the held offsets stored per node. A
+    switch adds rows at the switch instant, inserted in recording order: one
+    (the pre-switch stage at rate 0 for a threshold, the stage-2 rate for a
+    herd event) before the node row when it fires at a node, and a pre- and
+    a post-switch row after the node row when it fires inside the step.
     """
     if not (0.0 < i_bar < 1.0):
         raise ValueError("i_bar must lie in (0, 1)")
@@ -200,81 +219,73 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     reads = kind is not PolicyKind.OPTIMAL and noise is not None
     margin = kind is PolicyKind.ROBUST
     u_max = bounds.u_max
+    clamp = bounds.clamp
+    isfinite = math.isfinite
 
     s, i, r = init.s, init.i, init.r
     t0 = init.t
-    ts = np.empty(n + 1)
+    ts = t0 + np.arange(n + 1) * h
     ss = np.empty(n + 1)
     ii = np.empty(n + 1)
     rr = np.empty(n + 1)
     uu = np.empty(n + 1)
     node_stage = np.empty(n + 1, dtype=np.int64)
-
-    tr_t: list[float] = []
-    tr_u: list[float] = []
-    tr_stage: list[int] = []
-    tr_s: list[float] = []
-    tr_i: list[float] = []
+    off_s = np.zeros(n + 1)  # measurement offsets held over each step
+    off_i = np.zeros(n + 1)
+    # switch rows: (trace position among the node rows, t, u, stage, s_seen, i_seen)
+    switch_rows: list[tuple[int, float, float, int, float, float]] = []
 
     stage = 1
     clamp_events = 0
-    off_s = off_i = 0.0  # measurement offsets held over the current step
+    o_s = o_i = 0.0
     t_b: Optional[float] = None
     t_h: Optional[float] = None
     state_at_tb: Optional[SirState] = None
     max_i = i
     n_recorded = n + 1
+    t_node = float(ts[0])
 
-    def rate(s: float) -> float:
-        nonlocal clamp_events
-        if stage != 2:
-            return 0.0
-        raw = stage_two_rate(beta_plan, gamma_plan, min(s + off_s, 1.0))
-        if raw > u_max:
-            clamp_events += 1
-        return bounds.clamp(raw)
-
-    def threshold_gap(s: float, i: float) -> float:
-        """Positive once the infection signal has reached i_bar (stage-1 event)."""
-        return min(i + off_i, 1.0) - i_bar
-
-    def herd_gap(s: float, i: float) -> float:
-        """Positive once the planned herd-immunity condition fires (stage-2 event)."""
-        return -stage_two_rate(beta_plan, gamma_plan, min(s + off_s, 1.0))
-
-    def record_trace(tt: float, u: float) -> None:
-        tr_t.append(tt)
-        tr_u.append(u)
-        tr_stage.append(stage)
-        tr_s.append(min(s + off_s, 1.0))
-        tr_i.append(min(i + off_i, 1.0))
-
-    k = 0
-    while k <= n:
-        t_node = t0 + k * h
+    for k in range(n + 1):
         if reads:
             s_hat, i_hat, d_s, d_i = noise.measure(k, s, i)
-            off_s = s_hat - s
-            off_i = i_hat - i
+            o_s = s_hat - s
+            o_i = i_hat - i
             if margin:
-                off_s += d_s
-                off_i += d_i
+                o_s += d_s
+                o_i += d_i
+            off_s[k] = o_s
+            off_i[k] = o_i
 
-        # an event can fire exactly at a node (including k == 0)
-        if stage == 1 and threshold_gap(s, i) >= 0.0:
-            t_b = t_node
-            state_at_tb = SirState(t=t_node, s=s, i=i, r=r)
-            record_trace(t_node, 0.0)
-            stage = 2
-        if stage == 2 and herd_gap(s, i) >= 0.0 and t_b is not None and t_b < t_node:
-            t_h = t_node
-            record_trace(t_node, rate(s))
-            stage = 3
+        # an event can fire exactly at a node (including k == 0); the signals
+        # are capped at 1 (``1.0 if x > 1.0 else x`` is ``min(x, 1.0)``)
+        if stage == 1:
+            i_seen = i + o_i
+            if (1.0 if i_seen > 1.0 else i_seen) - i_bar >= 0.0:
+                t_b = t_node
+                state_at_tb = SirState(t=t_node, s=s, i=i, r=r)
+                switch_rows.append((k, t_node, 0.0, 1, min(s + o_s, 1.0),
+                                    min(i + o_i, 1.0)))
+                stage = 2
+        if stage == 2:
+            s_seen = s + o_s
+            raw = stage_two_rate(beta_plan, gamma_plan, 1.0 if s_seen > 1.0 else s_seen)
+            if raw > u_max:
+                clamp_events += 1
+            u = clamp(raw)
+            if -raw >= 0.0 and t_b < t_node:
+                t_h = t_node
+                switch_rows.append((k, t_node, u, 2, min(s + o_s, 1.0),
+                                    min(i + o_i, 1.0)))
+                stage = 3
+                u = 0.0
+        else:
+            u = 0.0
 
-        u = rate(s)
-        ts[k], ss[k], ii[k], rr[k], uu[k] = t_node, s, i, r, u
+        ss[k] = s
+        ii[k] = i
+        rr[k] = r
+        uu[k] = u
         node_stage[k] = stage
-        record_trace(t_node, u)
         if i > max_i:
             max_i = i
         if k == n:
@@ -283,46 +294,62 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
             n_recorded = k + 1
             break
 
-        # advance one grid step, splitting at stage switches
+        # advance one grid step to the next node, split at a stage switch
         sub_t = t_node
-        t_next = t0 + (k + 1) * h
-        while sub_t < t_next - 1e-15:
-            span = t_next - sub_t
-            s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, span)
-            if not (math.isfinite(s2) and math.isfinite(i2) and math.isfinite(r2)):
+        t_node = t0 + (k + 1) * h
+        while sub_t < t_node - 1e-15:
+            s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, t_node - sub_t)
+            if not (isfinite(s2) and isfinite(i2) and isfinite(r2)):
                 raise NonFiniteDynamicsError(f"state became non-finite near t={sub_t}")
-            if stage == 1 and threshold_gap(s2, i2) >= 0.0:
-                gap = threshold_gap
-            elif stage == 2 and herd_gap(s2, i2) >= 0.0:
-                gap = herd_gap
+            if stage == 1:
+                i_seen = i2 + o_i
+                fired = (1.0 if i_seen > 1.0 else i_seen) - i_bar >= 0.0
+            elif stage == 2:
+                s_seen = s2 + o_s
+                fired = -stage_two_rate(beta_plan, gamma_plan,
+                                        1.0 if s_seen > 1.0 else s_seen) >= 0.0
             else:
+                fired = False
+            if not fired:
                 s, i, r = s2, i2, r2
-                sub_t = t_next
                 break
 
-            tau = locate_event(gap, s, i, r, beta, gamma, u, sub_t, t_next)
+            gap = (_threshold_gap(i_bar, o_i) if stage == 1
+                   else _herd_gap(beta_plan, gamma_plan, o_s))
+            tau = locate_event(gap, s, i, r, beta, gamma, u, sub_t, t_node)
             s, i, r = _rk4_step(s, i, r, beta, gamma, u, tau - sub_t)
             sub_t = tau
-            record_trace(tau, u)
+            s_seen, i_seen = min(s + o_s, 1.0), min(i + o_i, 1.0)
+            switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
             if stage == 1:
                 t_b = tau
                 state_at_tb = SirState(t=tau, s=s, i=i, r=r)
                 stage = 2
                 if i > max_i:
                     max_i = i
+                raw = stage_two_rate(beta_plan, gamma_plan, s_seen)
+                if raw > u_max:
+                    clamp_events += 1
+                u = clamp(raw)
             else:
                 t_h = tau
                 stage = 3
-            u = rate(s)
-            record_trace(tau, u)
-        k += 1
+                u = 0.0
+            switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
 
+    m = n_recorded
     times = SwitchingTimes(t_b=t_b, t_h=t_h)
-    traj = Trajectory(t=ts[:n_recorded], s=ss[:n_recorded], i=ii[:n_recorded],
-                      r=rr[:n_recorded], u=uu[:n_recorded], step=h, params=true_params)
-    trace = PolicyTrace(t=np.array(tr_t), u=np.array(tr_u),
-                        stage=np.array(tr_stage, dtype=np.int64),
-                        s_seen=np.array(tr_s), i_seen=np.array(tr_i),
+    traj = Trajectory(t=ts[:m], s=ss[:m], i=ii[:m], r=rr[:m], u=uu[:m], step=h,
+                      params=true_params)
+    at = np.array([row[0] for row in switch_rows], dtype=np.intp)
+
+    def spliced(node_rows: np.ndarray, col: int) -> np.ndarray:
+        return np.insert(node_rows, at, [row[col] for row in switch_rows])
+
+    trace = PolicyTrace(t=spliced(ts[:m], 1), u=spliced(uu[:m], 2),
+                        stage=spliced(node_stage[:m], 3),
+                        s_seen=spliced(np.minimum(ss[:m] + off_s[:m], 1.0), 4),
+                        i_seen=spliced(np.minimum(ii[:m] + off_i[:m], 1.0), 5),
                         switching=times, clamp_events=clamp_events, kind=kind)
     if state_at_tb is not None:
         required, _ = feasibility_check(true_params, state_at_tb, u_max)
@@ -334,4 +361,4 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         max_infection_attained=max_i, clamp_events=clamp_events, i_bar=i_bar,
     )
     return ClosedLoopResult(trajectory=traj, trace=trace, report=report,
-                            node_stage=node_stage[:n_recorded])
+                            node_stage=node_stage[:m])

@@ -81,7 +81,10 @@ class ControlBounds:
             raise ValueError(f"u_max must lie in (0, 1], got {self.u_max}")
 
     def clamp(self, u: float) -> float:
-        return min(max(u, 0.0), self.u_max)
+        """``min(max(u, 0.0), u_max)``, written as comparisons for the closed loop."""
+        if u > self.u_max:
+            return self.u_max
+        return 0.0 if u < 0.0 else u
 
 
 @dataclass(frozen=True)
@@ -121,14 +124,34 @@ def _rhs(s: float, i: float, beta: float, gamma: float, u: float):
 
 
 def _rk4_step(s, i, r, beta, gamma, u, h):
-    k1 = _rhs(s, i, beta, gamma, u)
-    k2 = _rhs(s + 0.5 * h * k1[0], i + 0.5 * h * k1[1], beta, gamma, u)
-    k3 = _rhs(s + 0.5 * h * k2[0], i + 0.5 * h * k2[1], beta, gamma, u)
-    k4 = _rhs(s + h * k3[0], i + h * k3[1], beta, gamma, u)
+    """One classical RK4 step of size h under the held rate u.
+
+    The stages are written out as locals: stage k has new infections
+    ``nk = beta*S*I`` and removals ``mk = (gamma + u)*I``, i.e. the derivative
+    (-nk, nk - mk, mk) of ``_rhs``, and every floating-point operation runs
+    in the order of ``_rhs``. Works elementwise on numpy arrays too.
+    """
+    g = gamma + u
+    hh = 0.5 * h
+    n1 = beta * s * i
+    m1 = g * i
+    s2 = s + hh * -n1
+    i2 = i + hh * (n1 - m1)
+    n2 = beta * s2 * i2
+    m2 = g * i2
+    s3 = s + hh * -n2
+    i3 = i + hh * (n2 - m2)
+    n3 = beta * s3 * i3
+    m3 = g * i3
+    s4 = s + h * -n3
+    i4 = i + h * (n3 - m3)
+    n4 = beta * s4 * i4
+    m4 = g * i4
+    h6 = h / 6.0
     return (
-        s + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        i + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        r + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+        s + h6 * (-n1 + 2.0 * -n2 + 2.0 * -n3 + -n4),
+        i + h6 * ((n1 - m1) + 2.0 * (n2 - m2) + 2.0 * (n3 - m3) + (n4 - m4)),
+        r + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4),
     )
 
 

@@ -85,22 +85,28 @@ class MeasurementNoise:
 
     def measure(self, k: int, s_true: float, i_true: float
                 ) -> tuple[float, float, float, float]:
-        """Measured (s, i) at epoch k plus the amplitude bounds (delta_s, delta_i)."""
-        if self.config.kind == "none":
+        """Measured (s, i) at epoch k plus the amplitude bounds (delta_s, delta_i).
+
+        Called once per grid node by the closed loop, so ``max(x, 0.0)`` is
+        written as the comparison ``0.0 if x < 0.0 else x`` (same value,
+        signed zeros and NaN included).
+        """
+        kind = self.config.kind
+        if kind == "none":
             return s_true, i_true, 0.0, 0.0
-        zs, zi = float(self.z[k, 0]), float(self.z[k, 1])
-        if self.config.kind == "snr_db":
+        zs, zi = self.z[k].tolist()
+        if kind == "snr_db":
             s_hat = s_true + zs * self.sigma_s
             i_hat = i_true + zi * self.sigma_i
             return (s_hat, i_hat, TRUNCATION_SIGMAS * self.sigma_s,
                     TRUNCATION_SIGMAS * self.sigma_i)
         div = self.config.divisor
-        s_hat = s_true + zs * math.sqrt(max(s_true, 0.0) / div)
-        i_hat = i_true + zi * math.sqrt(max(i_true, 0.0) / div)
+        s_hat = s_true + zs * math.sqrt((0.0 if s_true < 0.0 else s_true) / div)
+        i_hat = i_true + zi * math.sqrt((0.0 if i_true < 0.0 else i_true) / div)
         # amplitude bounds from the measured value: exact containment would
         # need the true state, which the controller does not have
-        d_s = TRUNCATION_SIGMAS * math.sqrt(max(s_hat, 0.0) / div)
-        d_i = TRUNCATION_SIGMAS * math.sqrt(max(i_hat, 0.0) / div)
+        d_s = TRUNCATION_SIGMAS * math.sqrt((0.0 if s_hat < 0.0 else s_hat) / div)
+        d_i = TRUNCATION_SIGMAS * math.sqrt((0.0 if i_hat < 0.0 else i_hat) / div)
         return s_hat, i_hat, d_s, d_i
 
 

@@ -147,6 +147,10 @@ class ScenarioConfig:
         bad = [p for p in self.policies if p not in PolicyKind._value2member_map_]
         if bad:
             raise ConfigError(f"unknown policies {bad}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.early_stop, bool):
+            raise ConfigError(f"early_stop must be true or false, got {self.early_stop!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sirctl.analysis import (
+    _s_on,
     cumulative_infected_check,
     gap_direct,
     gap_from_states,
@@ -20,7 +21,7 @@ from sirctl.control import (
     PolicyTrace,
     SwitchingTimes,
 )
-from sirctl.core import EpidemicParams, Trajectory
+from sirctl.core import EpidemicParams, IntegratorConfig, SirState, Trajectory, integrate
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 
@@ -89,6 +90,29 @@ class TestGapDirect:
         assert gap_direct(b, a) == pytest.approx(0.1 * 12 - 0.1 * 3, abs=1e-12)
         with pytest.raises(ValueError, match="at the start"):
             gap_direct(replace(a, t=a.t + 1.0), b)
+
+
+class TestStateOnGrid:
+    @pytest.fixture(scope="class")
+    def traj(self):
+        # a rate switched on and off between nodes, so sub-steps use u != 0
+        return integrate(PARAMS, lambda t, state: 0.1 if 30.0 < t < 90.0 else 0.0,
+                         SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0),
+                         IntegratorConfig(step=0.01, horizon=150.0))
+
+    def test_equals_state_at_per_time(self, traj):
+        rng = np.random.default_rng(0)
+        grid = np.concatenate([rng.uniform(0.0, 150.0, 2000), traj.t[::7],
+                               traj.t[::11] + 1e-13, traj.t[1::13] - 1e-13,
+                               [150.0 + 5e-10]])
+        expected = np.array([traj.state_at(float(tq))[0] for tq in grid])
+        assert np.array_equal(_s_on(traj, grid), expected)
+
+    @pytest.mark.parametrize("times, first", [([-1.0], "-1.0"),
+                                              ([10.0, 150.1, 151.0], "150.1")])
+    def test_time_outside_range_names_the_first(self, traj, times, first):
+        with pytest.raises(ValueError, match=f"time {first} outside trajectory range"):
+            _s_on(traj, np.array(times))
 
 
 class TestGapFromStates:

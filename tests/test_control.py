@@ -246,6 +246,48 @@ class TestClosedLoop:
         assert len(traj) == 120001
 
 
+class TestTraceLayout:
+    """A trace is the node rows plus two rows per switch located inside a
+    step and one per switch that fired at a node, in time order."""
+
+    @pytest.fixture(scope="class")
+    def node_event_artifacts(self):
+        # I(0) > i_bar fires the threshold at node 0; noisy signals move the
+        # herd condition onto nodes; every run stops early
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset, run_scenario
+
+        cfg = replace(preset("fig1"), name="node-events",
+                      init=SirState(t=0.0, s=0.8, i=0.2, r=0.0),
+                      params=EpidemicParams(beta=0.5, gamma=0.2), u_max=0.5,
+                      early_stop=True, policies=("optimal", "robust", "misestimated"),
+                      integrator=IntegratorConfig(step=0.1, horizon=400.0))
+        return run_scenario(cfg)
+
+    @staticmethod
+    def _switch_kinds(result):
+        """'node' or 'step' for each switch that fired, checking the row count."""
+        traj, trace = result.trajectory, result.trace
+        kinds = ["node" if tau in traj.t else "step"
+                 for tau in (trace.switching.t_b, trace.switching.t_h) if tau is not None]
+        assert len(trace.t) == len(traj) + sum(1 if k == "node" else 2 for k in kinds)
+        assert np.all(np.diff(trace.t) >= 0.0)
+        return kinds
+
+    def test_node_switches(self, node_event_artifacts):
+        kinds = [self._switch_kinds(run.result)
+                 for run in node_event_artifacts.runs.values()]
+        assert kinds == [["node", "step"], ["node", "node"], ["node", "node"]]
+        assert all(len(run.result.trajectory) < 4001
+                   for run in node_event_artifacts.runs.values())
+
+    def test_headline_runs(self, fig1_noisy_artifacts, compare_artifacts):
+        kinds = [kind for art in (fig1_noisy_artifacts, compare_artifacts)
+                 for run in art.runs.values() for kind in self._switch_kinds(run.result)]
+        assert kinds.count("step") == 6 and kinds.count("node") == 3
+
+
 class TestCumulativeOrdering:
     def test_robust_keeps_more_susceptibles(self, fig1_noisy_artifacts):
         opt = fig1_noisy_artifacts.runs["optimal"].result

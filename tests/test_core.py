@@ -20,6 +20,8 @@ from sirctl.core import (
     integrate,
     peak_infection,
     rhs,
+    _rhs,
+    _rk4_step,
 )
 
 PARAMS_52 = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
@@ -48,6 +50,34 @@ class TestRhs:
         state = SirState(t=0.0, s=0.3, i=0.25, r=0.45)
         ds, di, dr = rhs(state, PARAMS_52, 0.07)
         assert ds + di + dr == pytest.approx(0.0, abs=1e-18)
+
+
+class TestRk4Step:
+    @staticmethod
+    def _four_rhs_calls(s, i, r, beta, gamma, u, h):
+        """RK4 as four derivative evaluations: the reference for the flat step."""
+        k1 = _rhs(s, i, beta, gamma, u)
+        k2 = _rhs(s + 0.5 * h * k1[0], i + 0.5 * h * k1[1], beta, gamma, u)
+        k3 = _rhs(s + 0.5 * h * k2[0], i + 0.5 * h * k2[1], beta, gamma, u)
+        k4 = _rhs(s + h * k3[0], i + h * k3[1], beta, gamma, u)
+        return tuple(x + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+                     for j, x in enumerate((s, i, r)))
+
+    def test_flat_stages_equal_four_rhs_calls(self):
+        rng = random.Random(5)
+        cases = []
+        for _ in range(2000):
+            s = rng.random()
+            i = rng.choice([0.0, rng.random() * (1.0 - s)])
+            cases.append((s, i, 1.0 - s - i, rng.uniform(0.01, 2.0),
+                          rng.uniform(0.001, 1.0), rng.choice([0.0, rng.random()]),
+                          rng.choice([0.01, 0.1, 5.0, rng.random()])))
+        expected = [self._four_rhs_calls(*c) for c in cases]
+        assert [_rk4_step(*c) for c in cases] == expected
+        # elementwise over arrays, as Trajectory-wide sub-steps use it
+        stepped = _rk4_step(*(np.array(col) for col in zip(*cases)))
+        for got, want in zip(stepped, zip(*expected)):
+            assert np.array_equal(got, np.array(want))
 
 
 class TestEulerStep:

@@ -23,9 +23,43 @@ CASES = {
     "gap-fig1": ["gap", "--preset", "fig1", "--inflations", "1.02:0.98,1.1:0.9"],
     "param-est-1-10": ["estimate", "--preset", "param-est",
                        "--set", "estimation.alphas=[1,10]"],
+    # closed-loop branches, all under measurement noise: every run stops
+    # early in stage 3 ...
+    "early-stop-fig1": ["simulate", "--preset", "fig1", "--set", "early_stop=true",
+                        "--set", "params.beta=0.5", "--set", "params.gamma=0.2",
+                        "--set", "u_max=0.5", "--set", "integrator.step=0.1",
+                        "--set", "integrator.horizon=400",
+                        "--set", 'policies=["optimal","robust","misestimated"]'],
+    # ... the stage-2 rate saturates at u_max (clamp events, infeasible) ...
+    "saturated-policy-compare": ["simulate", "--preset", "policy-compare",
+                                 "--set", "u_max=0.05",
+                                 "--set", "integrator.horizon=150"],
+    # ... and the threshold has fired at node 0
+    "threshold-at-start-fig1": ["simulate", "--preset", "fig1", "--set", "init.s=0.8",
+                                "--set", "init.i=0.2", "--set", "integrator.horizon=100",
+                                "--set", 'policies=["optimal","robust","misestimated"]'],
 }
 
+# cases whose robust run is infeasible exit 3 after writing their CSVs
+EXIT_CODES = {"saturated-policy-compare": 3, "threshold-at-start-fig1": 3}
+
 EXPECTED = {
+    "early-stop-fig1": {
+        "costs.csv":
+            "a1f8948c00aa831abc4d40e339c8b3d7eb53963ec2345e765361ebc79bcfcc04",
+        "policy_trace_misestimated.csv":
+            "e4c81c5487025d96d4107a7610046e3fba91792d7603f11afc8ec6967c88d309",
+        "policy_trace_optimal.csv":
+            "b0fb3d2d26f4c63b50586510c4fe282103d8dccd47dd8cc3d175e21e5c98ae8b",
+        "policy_trace_robust.csv":
+            "406e14babde7a2964a5fa1ae0bf9a87019f94ba55278b23a274352b4c0667fbe",
+        "trajectory_misestimated.csv":
+            "32b297326ea1c051fbe4dd2cc6c78260af9e75a9d89cc776662cdb09bf0bd1a3",
+        "trajectory_optimal.csv":
+            "617c0cb719f63a5830df846afbd3d429ea3f805c4860b3bbfd5b7513bf4749a3",
+        "trajectory_robust.csv":
+            "03257e1ad32eab6be8656b9984caad9821dee18d467f39cde67132c5ce4c1fd4",
+    },
     "fig1": {
         "fig1/costs.csv":
             "07e1900616e35465f4382dc4f9bfa66343939f5e84e1aedb853d6f5edc47e8eb",
@@ -62,6 +96,38 @@ EXPECTED = {
         "trajectory_robust.csv":
             "d2d5ef95d9a5f50eae820432d233c676a9bec943facf12cccac6f0dbff2738bc",
     },
+    "saturated-policy-compare": {
+        "costs.csv":
+            "cf5b998b33bac5a835837290190811269d0138a2648a53262d3a46d71b76ebe6",
+        "policy_trace_misestimated.csv":
+            "9ad6f2d1db882f0942626761965735b70253dda10539451fc09465db683fed4b",
+        "policy_trace_optimal.csv":
+            "6aab0341d3ad459877193d377dcafe2c01eb21d9d83bbaeb3b6e5e3ec3a8c07e",
+        "policy_trace_robust.csv":
+            "b8e2a9d4403400652c71093315178440f730e2ce84ce17d63bca618d77a5c506",
+        "trajectory_misestimated.csv":
+            "dab2e7ca3f2e48d9d1e5965278a002f5a1cab0f771162bdfce66094e89567627",
+        "trajectory_optimal.csv":
+            "361334e250e7a9fa46b43a48f5a166ab0a3611e0f8887d0314db21fb30a6a4e1",
+        "trajectory_robust.csv":
+            "6a34ba1233b39944cf44d3dd511fc969db5b3fe7ab9fabf1aed0076f91057800",
+    },
+    "threshold-at-start-fig1": {
+        "costs.csv":
+            "6cd5aa8cbc92de36edcc9dda6fed976cf27010fa3e55b85e4431907ccd5ebbaf",
+        "policy_trace_misestimated.csv":
+            "537142d93a07e88c6f9eb9576cd8a597620141a4f0b21a2e13c6b54aaf3edbe4",
+        "policy_trace_optimal.csv":
+            "15f51f2e8773f6b2af03a4ff8780b90318f1a628f5fcae8c80f46169f65f88dc",
+        "policy_trace_robust.csv":
+            "f80c303d6eecff00ae072578a328bef45ec9eeb9e9a891bcb6691a1ca6e9f91a",
+        "trajectory_misestimated.csv":
+            "bb20f7aa092f7b93fcf1b557f74584d93658e789a653a52ea584f3ab43fd99a3",
+        "trajectory_optimal.csv":
+            "6e44c3f4dd6417bf737cbf517c982f9e6e78ec1c8700c1e15289425939912f34",
+        "trajectory_robust.csv":
+            "a573e4b55aa7bda4bb861340e52ba2d3b7c5900b9e63225235c7565fe2abc75b",
+    },
 }
 
 
@@ -73,5 +139,5 @@ def csv_digests(out: Path) -> dict[str, str]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_bytes_match_golden_digests(name, tmp_path):
-    assert main([*CASES[name], "--out", str(tmp_path)]) == 0
+    assert main([*CASES[name], "--out", str(tmp_path)]) == EXIT_CODES.get(name, 0)
     assert csv_digests(tmp_path) == EXPECTED[name]

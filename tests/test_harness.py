@@ -455,6 +455,9 @@ class TestCli:
         ("estimation.i=NaN", "estimation.i"),
         ("estimation.h_unit=NaN", "h_unit"),
         ("estimation.alphas=[1.5]", "alphas"),
+        ("early_stop=no", "early_stop"),  # a truthy string used to switch it on
+        ("seed=1.5", "seed"),
+        ("seed=NaN", "seed"),
     ])
     def test_rejected_override_names_the_field(self, tmp_path, capsys, spec, named):
         code = main(["simulate", "--preset", "fig1", "--out", str(tmp_path),
