@@ -23,6 +23,13 @@ CASES = {
     "gap-fig1": ["gap", "--preset", "fig1", "--inflations", "1.02:0.98,1.1:0.9"],
     "param-est-1-10": ["estimate", "--preset", "param-est",
                        "--set", "estimation.alphas=[1,10]"],
+    # both 200-row sweep tables, clean and 100 dB
+    "bound-sweep": ["reproduce", "bound-sweep"],
+    # the robust run's bounds come from one alpha of the estimator
+    "estimated-policy-compare-250": ["simulate", "--preset", "policy-compare",
+                                     "--set", "integrator.horizon=250",
+                                     "--set", "inflation.mode=estimated",
+                                     "--set", "estimation.alphas=[10]"],
     # closed-loop branches, all under measurement noise: every run stops
     # early in stage 3 ...
     "early-stop-fig1": ["simulate", "--preset", "fig1", "--set", "early_stop=true",
@@ -44,6 +51,12 @@ CASES = {
 EXIT_CODES = {"saturated-policy-compare": 3, "threshold-at-start-fig1": 3}
 
 EXPECTED = {
+    "bound-sweep": {
+        "bound-sweep/estimates.csv":
+            "75136a5354280d516d1f165406b7efb1fb5a78128cdccd654a06ce8467d62ab2",
+        "bound-sweep/estimates_snr100.csv":
+            "5ee60eae2bea6b934e6b542750b9d19f9f22b1cf76f529a15e0ae59f16a5b1bf",
+    },
     "early-stop-fig1": {
         "costs.csv":
             "a1f8948c00aa831abc4d40e339c8b3d7eb53963ec2345e765361ebc79bcfcc04",
@@ -59,6 +72,22 @@ EXPECTED = {
             "617c0cb719f63a5830df846afbd3d429ea3f805c4860b3bbfd5b7513bf4749a3",
         "trajectory_robust.csv":
             "03257e1ad32eab6be8656b9984caad9821dee18d467f39cde67132c5ce4c1fd4",
+    },
+    "estimated-policy-compare-250": {
+        "costs.csv":
+            "8d0f6058d4270cd9fee98b42929814e5314946133ee40bea4580032fda1d0163",
+        "policy_trace_misestimated.csv":
+            "34fe10c28813983237d402b0f0fa639c5887aa1c2aa50e48f600bf524c9f9038",
+        "policy_trace_optimal.csv":
+            "fafd557f2156320547065ff3d31623f2d8777e72e5852737e6f780e22c6bb7cb",
+        "policy_trace_robust.csv":
+            "eecb36afe6348e00b6c137b8a3a732df1ea951d78cdae59b595705db3c636ab2",
+        "trajectory_misestimated.csv":
+            "d1059c48d87ad98c360b04979ddffb66104b9ed1bb69ccc2eb62fb110a7adbef",
+        "trajectory_optimal.csv":
+            "2b088e895ae067cfd6db2d535fd65b8428674879f000624cba0fdad67fc0a16a",
+        "trajectory_robust.csv":
+            "373c1d06108a5c794c8c4dae1bcea528962c7a824076e8331b978fe199510460",
     },
     "fig1": {
         "fig1/costs.csv":
