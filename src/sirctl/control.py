@@ -272,7 +272,9 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
             if raw > u_max:
                 clamp_events += 1
             u = clamp(raw)
-            if -raw >= 0.0 and t_b < t_node:
+            # the herd event may fire at the node where the threshold just
+            # did (t_h == t_b): the sub-step locator needs gap < 0 at t_node
+            if -raw >= 0.0:
                 t_h = t_node
                 switch_rows.append((k, t_node, u, 2, min(s + o_s, 1.0),
                                     min(i + o_i, 1.0)))
@@ -331,10 +333,15 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                 if raw > u_max:
                     clamp_events += 1
                 u = clamp(raw)
-            else:
-                t_h = tau
-                stage = 3
-                u = 0.0
+                switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
+                if not -raw >= 0.0:
+                    continue
+                # the herd condition holds at t_b already, so it fires there
+                # too: the locator needs gap < 0 at the start of its bracket
+                switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
+            t_h = tau
+            stage = 3
+            u = 0.0
             switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
 
     m = n_recorded

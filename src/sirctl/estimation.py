@@ -11,11 +11,18 @@ errors. The estimator is the unregularized least-squares solution
 and the error-bound machinery turns a Lipschitz constant, a dynamics norm,
 and a measurement-error amplitude into a half-width b with
 |beta_hat - beta| <= b and |gamma_hat - gamma| <= b.
+
+Z depends only on the two base samples, not on h. A sweep over n steps
+therefore stacks its batches: L is n x 2, Z Z' is formed and tested once,
+and the estimates and bounds are arrays with one entry per step. A single
+step is the case n = 1.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -23,62 +30,94 @@ from .core import EpidemicParams
 
 _SINGULAR_RTOL = 1e-12
 
+Value = Union[float, np.ndarray]  # a float, or one entry per step of a stack
+
 
 class SingularRegressorsError(ValueError):
     """Z Z' is numerically singular; the two samples carry no information."""
 
 
+def _first(flags) -> Optional[int]:
+    """Index of the first set flag in a flag array (or a single flag), or None."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else None
+
+
+def _at(value: Value, k: int) -> Value:
+    """Entry k of a stacked value; a single value is the same at every k."""
+    return np.ravel(value)[k] if np.ndim(value) else value
+
+
 @dataclass(frozen=True)
 class MeasuredSample:
-    """A noisy (S, I) measurement at time t with the applied rate u."""
+    """A noisy (S, I) measurement at time t with the applied rate u.
 
-    t: float
-    s_hat: float
-    i_hat: float
-    u: float
+    The fields may also be equal-length arrays: a stack of samples, one per
+    step of a sweep. Each range check reports the first offending entry.
+    """
+
+    t: Value
+    s_hat: Value
+    i_hat: Value
+    u: Value
 
     def __post_init__(self) -> None:
-        if not (-0.1 <= self.s_hat <= 1.1 and -0.1 <= self.i_hat <= 1.1):
+        s, i, u = self.s_hat, self.i_hat, self.u
+        k = _first(np.logical_not((-0.1 <= s) & (s <= 1.1) & (-0.1 <= i) & (i <= 1.1)))
+        if k is not None:
             raise ValueError(
-                f"measured fractions ({self.s_hat}, {self.i_hat}) too far outside [0, 1]"
+                f"measured fractions ({_at(s, k)}, {_at(i, k)}) too far outside [0, 1]"
             )
-        if not (0.0 <= self.u <= 1.0):
-            raise ValueError(f"u={self.u} outside [0, 1]")
+        k = _first(np.logical_not((0.0 <= u) & (u <= 1.0)))
+        if k is not None:
+            raise ValueError(f"u={_at(u, k)} outside [0, 1]")
 
 
 @dataclass(frozen=True)
 class RegressionBatch:
-    """Batch matrices L (1x2) and Z (2x2) built from two sample pairs."""
+    """Batch matrices L (n x 2) and Z (2x2) built from two sample pairs.
+
+    Row k of L is the 1x2 batch at step h[k] (n = 1 for a single step h);
+    all rows share Z.
+    """
 
     L: np.ndarray
     Z: np.ndarray
-    h: float
+    h: Value
     indices: tuple[float, float]  # the two base times (i, j)
 
     def zzt(self) -> np.ndarray:
         return self.Z @ self.Z.T
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of Z Z' in ascending order."""
+        return np.linalg.eigvalsh(self.zzt())
+
     def lambda_min(self) -> float:
-        return float(np.linalg.eigvalsh(self.zzt())[0])
+        return float(self.eigenvalues[0])
 
 
 @dataclass(frozen=True)
 class ParamEstimate:
     """The least-squares row Theta_hat = [beta_hat, gamma_hat].
 
+    For a stacked batch both fields are arrays, one entry per step.
     Negative entries are possible under noise; they are flagged rather than
     clamped so error-decomposition identities stay exact.
     """
 
-    beta_hat: float
-    gamma_hat: float
+    beta_hat: Value
+    gamma_hat: Value
 
     @property
-    def negative_flagged(self) -> bool:
-        return self.beta_hat < 0.0 or self.gamma_hat < 0.0
+    def negative_flagged(self):
+        """Whether an estimate is negative (per step for a stack)."""
+        return np.logical_or(self.beta_hat < 0.0, self.gamma_hat < 0.0)
 
     def as_row(self) -> np.ndarray:
-        return np.array([self.beta_hat, self.gamma_hat])
+        """[beta_hat, gamma_hat], or one such row per step for a stack."""
+        return np.stack([self.beta_hat, self.gamma_hat], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -87,13 +126,14 @@ class ErrorBound:
 
     term_sampling grows with the step h (discretization), term_noise_fast
     decays like 1/h (differencing amplifies noise), term_noise_slow is the
-    h-independent noise contribution.
+    h-independent noise contribution. Each is an array, one entry per step,
+    when h is.
     """
 
-    value: float
-    term_sampling: float
-    term_noise_fast: float
-    term_noise_slow: float
+    value: Value
+    term_sampling: Value
+    term_noise_fast: Value
+    term_noise_slow: Value
 
 
 @dataclass(frozen=True)
@@ -103,10 +143,11 @@ class BoundInputs:
     zeta must be a valid Lipschitz constant of the dynamics over balls of
     radius r around the two sample states, f_max an upper bound on the
     dynamics norm there, and v_max an amplitude bound on all eight
-    measurement errors entering the batch.
+    measurement errors entering the batch. h may be an array of steps, and
+    each check reports the first offending one.
     """
 
-    h: float
+    h: Value
     zeta: float
     f_max: float
     v_max: float
@@ -118,11 +159,13 @@ class BoundInputs:
 
     def __post_init__(self) -> None:
         for name in ("h", "zeta", "f_max", "v_max", "u_max_local", "x_max", "r", "c"):
-            if getattr(self, name) < 0.0:
+            if np.any(getattr(self, name) < 0.0):
                 raise ValueError(f"{name} must be non-negative")
-        if self.zeta * self.h >= 1.0:
+        zeta_h = self.zeta * self.h
+        k = _first(zeta_h >= 1.0)
+        if k is not None:
             raise ValueError(
-                f"zeta*h = {self.zeta * self.h} >= 1: outside the validity "
+                f"zeta*h = {_at(zeta_h, k)} >= 1: outside the validity "
                 "threshold of the discretization error bound"
             )
         if self.lambda_min <= 0.0:
@@ -152,44 +195,60 @@ class ParamIntervals:
 
 def build_regressor_batch(sample_i: MeasuredSample, sample_i_plus_h: MeasuredSample,
                           sample_j: MeasuredSample, sample_j_plus_h: MeasuredSample,
-                          h: float) -> RegressionBatch:
-    """Assemble L and Z from two measured sample pairs a step h apart."""
-    if not h > 0.0:
+                          h: Value) -> RegressionBatch:
+    """Assemble L and Z from two measured sample pairs a step h apart.
+
+    h may be an array of n steps, with the two ahead samples stacked to
+    match: row k of L is then the batch at step h[k]. A single step is the
+    case n = 1. Each check reports the first offending step.
+    """
+    if not np.all(h > 0.0):
         raise ValueError("h must be positive")
-    for base, ahead in ((sample_i, sample_i_plus_h), (sample_j, sample_j_plus_h)):
-        if abs(ahead.t - (base.t + h)) > 1e-9 * max(1.0, abs(base.t)):
-            raise ValueError(
-                f"sample at t={ahead.t} is not h={h} ahead of base t={base.t}"
-            )
+    pairs = ((sample_i, sample_i_plus_h), (sample_j, sample_j_plus_h))
+    late = [np.abs(ahead.t - (base.t + h)) > 1e-9 * max(1.0, abs(base.t))
+            for base, ahead in pairs]
+    k = _first(late[0] | late[1])
+    if k is not None:
+        base, ahead = pairs[0] if _at(late[0], k) else pairs[1]
+        raise ValueError(
+            f"sample at t={_at(ahead.t, k)} is not h={_at(h, k)} ahead of base t={base.t}"
+        )
     if abs(sample_i.t - sample_j.t) < 1e-12:
         raise ValueError("the two base times must differ")
 
-    def l_of(base: MeasuredSample, ahead: MeasuredSample) -> float:
+    def l_of(base: MeasuredSample, ahead: MeasuredSample) -> Value:
         return ahead.i_hat - base.i_hat + h * base.u * base.i_hat
 
     def z_of(base: MeasuredSample) -> tuple[float, float]:
         return base.s_hat * base.i_hat, -base.i_hat
 
     zi, zj = z_of(sample_i), z_of(sample_j)
-    L = np.array([[l_of(sample_i, sample_i_plus_h), l_of(sample_j, sample_j_plus_h)]])
+    L = np.stack([l_of(sample_i, sample_i_plus_h), l_of(sample_j, sample_j_plus_h)],
+                 axis=-1).reshape(-1, 2)
     Z = np.array([[zi[0], zj[0]], [zi[1], zj[1]]])
     return RegressionBatch(L=L, Z=Z, h=h, indices=(sample_i.t, sample_j.t))
 
 
 def estimate_params(batch: RegressionBatch) -> ParamEstimate:
-    """Closed-form least squares Theta_hat = L Z' (Z Z')^{-1} / h.
+    """Closed-form least squares Theta_hat = L Z' (Z Z')^{-1} / h, per row of L.
 
     Raises SingularRegressorsError when the smallest eigenvalue of Z Z' is
     below 1e-12 of the largest (e.g. both infected measurements are zero).
+    Z Z' is shared by the rows, so one test covers every step. The rows are
+    solved by one stacked ``np.linalg.solve``, one right-hand side each, so
+    every row gets the same bits as a batch of its own. A single step gives
+    float estimates, a stack of steps arrays.
     """
-    zzt = batch.zzt()
-    lam = np.linalg.eigvalsh(zzt)
+    lam = batch.eigenvalues
     if lam[0] <= _SINGULAR_RTOL * max(lam[1], 1e-300):
         raise SingularRegressorsError(
             f"regressor Gram matrix is singular (eigenvalues {lam[0]:.3e}, {lam[1]:.3e})"
         )
-    theta = np.linalg.solve(zzt, (batch.L @ batch.Z.T).T).T / batch.h
-    return ParamEstimate(beta_hat=float(theta[0, 0]), gamma_hat=float(theta[0, 1]))
+    rhs = (batch.L[:, None, :] @ batch.Z.T).transpose(0, 2, 1)  # row k: (L_k Z')'
+    theta = np.linalg.solve(batch.zzt(), rhs)[..., 0] / np.reshape(batch.h, (-1, 1))
+    if np.ndim(batch.h) == 0:
+        return ParamEstimate(beta_hat=float(theta[0, 0]), gamma_hat=float(theta[0, 1]))
+    return ParamEstimate(beta_hat=theta[:, 0], gamma_hat=theta[:, 1])
 
 
 def lipschitz_constant(params_guess: EpidemicParams, x_max: float, r: float,
@@ -229,6 +288,8 @@ def estimation_error_bound(inputs: BoundInputs) -> ErrorBound:
     b = 2*h*zeta*f_max / (sqrt(lam_min)*(1 - zeta*h))
       + 4*v_max / (h*sqrt(lam_min))
       + v_max*c / sqrt(lam_min)
+
+    Elementwise in h: an array of steps gives one bound per step.
     """
     sq = math.sqrt(inputs.lambda_min)
     term1 = 2.0 * inputs.h * inputs.zeta * inputs.f_max / (sq * (1.0 - inputs.zeta * inputs.h))

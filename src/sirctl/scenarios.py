@@ -47,6 +47,7 @@ from .core import (
 from .estimation import (
     BoundInputs,
     MeasuredSample,
+    ParamEstimate,
     SingularRegressorsError,
     build_regressor_batch,
     composite_constant,
@@ -140,6 +141,13 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.init.t):
             raise ConfigError(f"init.t must be finite, got {self.init.t}")
+        # grid times t0 + k*step are strictly increasing when the step exceeds
+        # the rounding of k*step plus that of the sum: twice the spacing of
+        # doubles at the largest magnitude on the grid
+        spacing = 2.0 * np.spacing(abs(self.init.t) + self.integrator.horizon)
+        if not self.integrator.step > spacing:
+            raise ConfigError(f"integrator.step {self.integrator.step} is too small for the "
+                              f"time grid from init.t={self.init.t}: must exceed {spacing}")
         if not (0.0 < self.i_bar < 1.0):
             raise ConfigError("i_bar must lie in (0, 1)")
         if not (0.0 < self.u_max <= 1.0):
@@ -265,13 +273,11 @@ def _assumed_rates(config: ScenarioConfig, inflation: InflationConfig,
                                              inflation.gamma_mult)
     if config.estimation is None:
         raise ConfigError("inflation mode 'estimated' needs an estimation block")
-    rows, extras = _sweep_rows(config, reference,
-                               alphas=(config.estimation.alphas[0],))
-    row = rows[0]
+    row, = _sweep_rows(config, reference, alphas=(config.estimation.alphas[0],))
     if math.isnan(row.beta_hat):
         raise ConfigError("estimation-derived bounds failed: singular regressors")
-    est = extras[0]
-    return AssumedRates.from_intervals(param_intervals(est, row.bound_b))
+    return AssumedRates.from_intervals(
+        param_intervals(ParamEstimate(row.beta_hat, row.gamma_hat), row.bound_b))
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
@@ -381,9 +387,9 @@ def _grid_index(traj: Trajectory, time: float) -> int:
     return k
 
 
-def _sample(meas: MeasuredSeries, k: int) -> MeasuredSample:
-    return MeasuredSample(t=float(meas.t[k]), s_hat=float(meas.s_hat[k]),
-                          i_hat=float(meas.i_hat[k]), u=float(meas.u[k]))
+def _sample(meas: MeasuredSeries, k) -> MeasuredSample:
+    """The measurement at grid index k; an index array gives a stack of them."""
+    return MeasuredSample(meas.t[k], meas.s_hat[k], meas.i_hat[k], meas.u[k])
 
 
 def _sweep_rows(config: ScenarioConfig, traj: Trajectory,
@@ -407,51 +413,56 @@ def _sweep_rows(config: ScenarioConfig, traj: Trajectory,
     f_max = max(_fnorm(traj, ki), _fnorm(traj, kj))
     x_max = max(_xnorm(traj, ki), _xnorm(traj, kj))
     u_loc = max(abs(float(traj.u[ki])), abs(float(traj.u[kj])))
-    nan = float("nan")
 
-    rows: list[EstimateRow] = []
-    estimates = []
-    for a in alphas:
-        h = a * est.h_unit
-        batch = build_regressor_batch(_sample(meas, ki), _sample(meas, ki + a),
-                                      _sample(meas, kj), _sample(meas, kj + a), h)
-        c = composite_constant(config.params, float(meas.s_hat[ki]),
-                               float(meas.s_hat[kj]), float(meas.i_hat[ki]),
-                               float(meas.i_hat[kj]), v_max, u_loc)
-        try:
-            point = estimate_params(batch)
-        except SingularRegressorsError:
-            rows.append(EstimateRow(alpha=a, h=h, beta_hat=nan, gamma_hat=nan,
-                                    err_norm=nan, bound_b=nan, contained=False))
-            estimates.append(None)
-            continue
-        bound = estimation_error_bound(BoundInputs(
-            h=h, zeta=est.zeta, f_max=f_max, v_max=v_max, u_max_local=u_loc,
-            x_max=x_max, r=est.r, c=c, lambda_min=batch.lambda_min()))
-        err = float(np.linalg.norm(point.as_row() - theta))
-        rows.append(EstimateRow(alpha=a, h=h, beta_hat=point.beta_hat,
-                                gamma_hat=point.gamma_hat, err_norm=err,
-                                bound_b=bound.value, contained=bool(err <= bound.value)))
-        estimates.append(point)
-    return rows, estimates
+    # every alpha at once: the ahead samples are stacked, the base samples
+    # (and so Z Z') are shared
+    steps = np.asarray(alphas)
+    h = steps * est.h_unit
+    batch = build_regressor_batch(_sample(meas, ki), _sample(meas, ki + steps),
+                                  _sample(meas, kj), _sample(meas, kj + steps), h)
+    try:
+        point = estimate_params(batch)
+    except SingularRegressorsError:
+        nan = math.nan
+        return [EstimateRow(a, h_a, nan, nan, nan, nan, False)
+                for a, h_a in zip(alphas, h.tolist())]
+    c = composite_constant(config.params, float(meas.s_hat[ki]),
+                           float(meas.s_hat[kj]), float(meas.i_hat[ki]),
+                           float(meas.i_hat[kj]), v_max, u_loc)
+    bound = estimation_error_bound(BoundInputs(
+        h=h, zeta=est.zeta, f_max=f_max, v_max=v_max, u_max_local=u_loc,
+        x_max=x_max, r=est.r, c=c, lambda_min=batch.lambda_min()))
+    diff = point.as_row() - theta
+    # vecdot is the dot product np.linalg.norm takes per row, so the bits match
+    err = np.sqrt(np.vecdot(diff, diff))
+    return [EstimateRow(*row) for row in zip(alphas, *(col.tolist() for col in (
+        h, point.beta_hat, point.gamma_hat, err, bound.value, err <= bound.value)))]
 
 
-def sweep_h(config: ScenarioConfig) -> list[EstimateRow]:
-    """Estimate (beta, gamma) and the error bound for every step multiple.
-
-    Simulates the uncontrolled epidemic once at the unit step, injects the
-    configured noise, then builds the two-sample batch per alpha. Singular
-    batches produce NaN rows flagged as not contained.
-    """
+def sweep_trajectory(config: ScenarioConfig) -> Trajectory:
+    """The uncontrolled epidemic at the estimation unit step, which ``sweep_h`` samples."""
     if config.estimation is None:
         raise ConfigError("sweep_h needs an estimation block in the config")
     try:
         integrator = replace(config.integrator, step=config.estimation.h_unit)
     except ValueError as exc:
         raise ConfigError(f"estimation h_unit does not fit the horizon: {exc}") from exc
-    traj = integrate(config.params, 0.0, config.init, integrator)
-    rows, _ = _sweep_rows(config, traj)
-    return rows
+    return integrate(config.params, 0.0, config.init, integrator)
+
+
+def sweep_h(config: ScenarioConfig,
+            trajectory: Optional[Trajectory] = None) -> list[EstimateRow]:
+    """Estimate (beta, gamma) and the error bound for every step multiple.
+
+    Samples ``trajectory``, the uncontrolled epidemic at the unit step
+    (integrated from the config by ``sweep_trajectory`` when omitted, and
+    passed in to share one integration between configs that differ only in
+    noise), under the configured noise. Then all alphas are estimated in one
+    array pass: Z Z' depends only on the base times i and j, so its
+    eigenvalues, the singular test and the bound's lambda_min are computed
+    once. A singular window makes every row NaN, flagged as not contained.
+    """
+    return _sweep_rows(config, sweep_trajectory(config) if trajectory is None else trajectory)
 
 
 def gap_table(config: ScenarioConfig,

@@ -14,7 +14,13 @@ from sirctl.control import (
     robust_rate,
     simulate_closed_loop,
 )
-from sirctl.core import EpidemicParams, IntegratorConfig, SirState, find_threshold_crossing
+from sirctl.core import (
+    EpidemicParams,
+    IntegratorConfig,
+    SirState,
+    find_threshold_crossing,
+    locate_event,
+)
 from sirctl.noise import MeasurementNoise, NoiseConfig, measured_series_for
 
 PARAMS_F1 = EpidemicParams(beta=0.16, gamma=0.063)
@@ -281,6 +287,42 @@ class TestTraceLayout:
         assert kinds == [["node", "step"], ["node", "node"], ["node", "node"]]
         assert all(len(run.result.trajectory) < 4001
                    for run in node_event_artifacts.runs.values())
+
+    def test_herd_fires_at_the_threshold_node(self, tmp_path):
+        # beta*S(0) < gamma and I(0) > i_bar: both events fire at node 0, and
+        # the herd event is not left to a bracket whose start already fires
+        from sirctl.cli import main
+        from sirctl.csvio import read_costs_csv
+
+        code = main(["simulate", "--preset", "fig1", "--set", "init.s=0.3",
+                     "--set", "init.i=0.2", "--set", "init.r=0.5",
+                     "--set", "integrator.horizon=10", "--set", "noise.kind=none",
+                     "--out", str(tmp_path)])
+        assert code == 3  # I(0) is above the cap
+        rows = read_costs_csv(tmp_path / "costs.csv")
+        assert [(r.policy, r.t_b, r.t_h) for r in rows] == \
+            [("optimal", 0.0, 0.0), ("robust", 0.0, 0.0)]
+
+    def test_herd_fires_at_a_threshold_inside_a_step(self, monkeypatch):
+        # the misestimated rates see herd immunity (S < 0.435) before the true
+        # peak (S = 0.394), where i_bar just below the peak is crossed
+        from dataclasses import replace
+
+        from sirctl import control
+        from sirctl.scenarios import preset, run_scenario
+
+        def checked(gap, s0, i0, *args):
+            assert gap(s0, i0) < 0.0, "bracket starts where the event already fired"
+            return locate_event(gap, s0, i0, *args)
+
+        monkeypatch.setattr(control, "locate_event", checked)
+        cfg = replace(preset("fig1"), i_bar=0.238, noise=NoiseConfig(kind="none"),
+                      policies=("optimal", "misestimated"),
+                      integrator=IntegratorConfig(step=0.01, horizon=130.0))
+        result = run_scenario(cfg).runs["misestimated"].result
+        switching = result.trace.switching
+        assert switching.t_b is not None and switching.t_h == switching.t_b
+        assert self._switch_kinds(result) == ["step", "step"]
 
     def test_headline_runs(self, fig1_noisy_artifacts, compare_artifacts):
         kinds = [kind for art in (fig1_noisy_artifacts, compare_artifacts)

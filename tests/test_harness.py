@@ -35,7 +35,17 @@ from sirctl.csvio import (
     write_trace_csv,
     write_trajectory_csv,
 )
-from sirctl.noise import MeasuredSeries, NoiseConfig, inject_noise
+from sirctl.core import rhs
+from sirctl.estimation import (
+    BoundInputs,
+    MeasuredSample,
+    SingularRegressorsError,
+    build_regressor_batch,
+    composite_constant,
+    estimate_params,
+    estimation_error_bound,
+)
+from sirctl.noise import MeasuredSeries, NoiseConfig, derive_seed, inject_noise
 from sirctl.scenarios import (
     ConfigError,
     CostRow,
@@ -44,10 +54,12 @@ from sirctl.scenarios import (
     InflationConfig,
     PolicyRun,
     ScenarioConfig,
+    bound_sweep_noisy_config,
     gap_table,
     preset,
     run_scenario,
     sweep_h,
+    sweep_trajectory,
 )
 
 
@@ -231,7 +243,100 @@ class TestGapTable:
             assert repr(row) == repr(replace(robust_row, policy=row.policy))
 
 
+def per_alpha_rows(config: ScenarioConfig, traj: Trajectory) -> list[EstimateRow]:
+    """The sample-step sweep as one scalar (n = 1) estimator call per alpha."""
+    est = config.estimation
+    meas = inject_noise(traj, config.noise, derive_seed(config.seed, config.name + ":sweep"))
+    ki, kj = traj.index_at(est.i), traj.index_at(est.j)
+
+    def sample(k):
+        return MeasuredSample(t=float(meas.t[k]), s_hat=float(meas.s_hat[k]),
+                              i_hat=float(meas.i_hat[k]), u=float(meas.u[k]))
+
+    def norm(v):
+        return math.sqrt(sum(x * x for x in v))
+
+    f_max = max(norm(rhs(traj.sample(k), traj.params, float(traj.u[k]))) for k in (ki, kj))
+    x_max = max(norm((float(traj.s[k]), float(traj.i[k]), float(traj.r[k])))
+                for k in (ki, kj))
+    u_loc = max(abs(float(traj.u[ki])), abs(float(traj.u[kj])))
+    c = composite_constant(config.params, float(meas.s_hat[ki]), float(meas.s_hat[kj]),
+                           float(meas.i_hat[ki]), float(meas.i_hat[kj]),
+                           meas.v_max_bound, u_loc)
+    theta = np.array([config.params.beta, config.params.gamma])
+    nan = float("nan")
+    rows = []
+    for a in est.alphas:
+        h = a * est.h_unit
+        batch = build_regressor_batch(sample(ki), sample(ki + a), sample(kj),
+                                      sample(kj + a), h)
+        try:
+            point = estimate_params(batch)
+        except SingularRegressorsError:
+            rows.append(EstimateRow(a, h, nan, nan, nan, nan, False))
+            continue
+        bound = estimation_error_bound(BoundInputs(
+            h=h, zeta=est.zeta, f_max=f_max, v_max=meas.v_max_bound, u_max_local=u_loc,
+            x_max=x_max, r=est.r, c=c, lambda_min=batch.lambda_min()))
+        err = float(np.linalg.norm(point.as_row() - theta))
+        rows.append(EstimateRow(a, h, point.beta_hat, point.gamma_hat, err, bound.value,
+                                err <= bound.value))
+    return rows
+
+
+SWEEP_CONFIGS = {
+    "param-est": lambda seed: preset("param-est", seed),
+    "bound-sweep": lambda seed: preset("bound-sweep", seed),
+    "bound-sweep-100db": lambda seed: replace(bound_sweep_noisy_config(), seed=seed),
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
+    def test_rows_equal_per_alpha_calls(self, name, seed):
+        cfg = SWEEP_CONFIGS[name](seed)
+        traj = sweep_trajectory(cfg)
+        # repr compares NaN rows too, and every bit of each float
+        assert [repr(r) for r in sweep_h(cfg, traj)] == \
+            [repr(r) for r in per_alpha_rows(cfg, traj)]
+
+    def test_rows_equal_per_alpha_calls_on_random_windows(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        base = replace(preset("param-est"),
+                       integrator=IntegratorConfig(step=0.01, horizon=60.0))
+        traj = sweep_trajectory(base)
+        last = base.integrator.n_steps - 200  # room for the largest alpha
+        noises = st.builds(
+            lambda noisy, db: NoiseConfig(kind="snr_db", snr_db=db) if noisy else NoiseConfig(),
+            st.booleans(), st.floats(30.0, 140.0))
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            ks=st.lists(st.integers(0, last), min_size=2, max_size=2, unique=True),
+            alphas=st.lists(st.integers(1, 200), min_size=1, max_size=40, unique=True),
+            noise=noises, seed=st.integers(0, 2**31))
+        def check(ks, alphas, noise, seed):
+            cfg = replace(base, noise=noise, seed=seed, estimation=EstimationWindow(
+                i=float(traj.t[ks[0]]), j=float(traj.t[ks[1]]), alphas=tuple(alphas)))
+            assert [repr(r) for r in sweep_h(cfg, traj)] == \
+                [repr(r) for r in per_alpha_rows(cfg, traj)]
+
+        check()
+
+    def test_reproduce_bound_sweep_integrates_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(*args, **kwargs):
+            calls["integrate"] += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "integrate", counted)
+        assert main(["reproduce", "bound-sweep", "--out", str(tmp_path)]) == 0
+        assert calls["integrate"] == 1
+        assert len(read_estimates_csv(tmp_path / "bound-sweep" / "estimates_snr100.csv")) == 200
+
     def test_single_alpha_single_row(self):
         cfg = replace(preset("param-est"), estimation=EstimationWindow(alphas=(1,)))
         rows = sweep_h(cfg)
@@ -458,10 +563,14 @@ class TestCli:
         ("early_stop=no", "early_stop"),  # a truthy string used to switch it on
         ("seed=1.5", "seed"),
         ("seed=NaN", "seed"),
+        # a step below the spacing of doubles at init.t: the grid would repeat times
+        pytest.param(("init.t=1000", "integrator.step=1e-14", "integrator.horizon=1e-12"),
+                     "integrator.step", id="step-below-spacing-at-t1000"),
     ])
     def test_rejected_override_names_the_field(self, tmp_path, capsys, spec, named):
+        specs = spec if isinstance(spec, tuple) else (spec,)
         code = main(["simulate", "--preset", "fig1", "--out", str(tmp_path),
-                     "--set", spec])
+                     *(arg for one in specs for arg in ("--set", one))])
         assert code == 2
         assert named in capsys.readouterr().err
 
