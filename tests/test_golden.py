@@ -21,6 +21,10 @@ CASES = {
                            "--set", "integrator.horizon=250"],
     # the 1.1:0.9 robust run never reaches its herd condition
     "gap-fig1": ["gap", "--preset", "fig1", "--inflations", "1.02:0.98,1.1:0.9"],
+    # the seven-pair gap grid of the benchmark: one optimal run, seven robust
+    "gap-grid-fig1": ["gap", "--preset", "fig1", "--inflations",
+                      "1.01:0.99,1.015:0.985,1.02:0.98,1.03:0.97,1.04:0.96,"
+                      "1.05:0.95,1.1:0.9"],
     "param-est-1-10": ["estimate", "--preset", "param-est",
                        "--set", "estimation.alphas=[1,10]"],
     # both 200-row sweep tables, clean and 100 dB
@@ -30,6 +34,12 @@ CASES = {
                                      "--set", "integrator.horizon=250",
                                      "--set", "inflation.mode=estimated",
                                      "--set", "estimation.alphas=[10]"],
+    # the misestimated threshold fires at t = 54.67, after the optimal run
+    # has left stage 1 (t_b = 54.6616992188)
+    "late-threshold-policy-compare": ["simulate", "--preset", "policy-compare",
+                                      "--set", "seed=12", "--set", "noise.snr_db=40",
+                                      "--set", "integrator.horizon=120",
+                                      "--set", 'policies=["optimal","robust","misestimated"]'],
     # closed-loop branches, all under measurement noise: every run stops
     # early in stage 3 ...
     "early-stop-fig1": ["simulate", "--preset", "fig1", "--set", "early_stop=true",
@@ -104,6 +114,26 @@ EXPECTED = {
     "gap-fig1": {
         "costs.csv":
             "185f41cdcdf93323c8878df9a2eb1f5bd6fc9c919aa7c226a881ee94e3576ece",
+    },
+    "gap-grid-fig1": {
+        "costs.csv":
+            "82f9c6ef339ebf24210efb0a5e40c2eeb4801304f928e22784184027251aca0c",
+    },
+    "late-threshold-policy-compare": {
+        "costs.csv":
+            "66b20734662c41b0ff49d0a6d3ac6bcbc35f98f011da42e31917d48593c09ad9",
+        "policy_trace_misestimated.csv":
+            "f371bf6017a7a445095ceb4734519021d24df7eabdb3ce7e05fb76d372eb2702",
+        "policy_trace_optimal.csv":
+            "45b10ee0171840c7093dae8eea0ebc34f3b8b79ca5fe2b12d7460d0783a7c234",
+        "policy_trace_robust.csv":
+            "88a2d33c03d6d404f7693641aceb8fe0b5faaa53ca9d2441b32b1125d2c14083",
+        "trajectory_misestimated.csv":
+            "688c9b7d3abde296d2a3d21f59a45bf13cc301dc801f387568572f7c57c683d1",
+        "trajectory_optimal.csv":
+            "60d744abe83a3d66735acd5a873945204b0a5e96359762f9698827e678b34c59",
+        "trajectory_robust.csv":
+            "bffc99e024244980bf108ba4f26f6cf0bfacc0e193fbd8e3b02ee2db43b1bfb8",
     },
     "param-est-1-10": {
         "estimates.csv":
