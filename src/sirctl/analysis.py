@@ -142,6 +142,18 @@ def gap_from_states(traj_robust: Trajectory, traj_optimal: Trajectory,
     return float(beta * np.trapezoid(s_gap, grid) - math.log(i_rob) + math.log(i_opt))
 
 
+def theorem4_order(times_robust: SwitchingTimes, times_optimal: SwitchingTimes) -> bool:
+    """Whether t_b <= t*_b <= t*_h <= t_h (to 1e-9), the order Theorem 4 assumes.
+
+    It holds when the robust plan overestimates the epidemic; with a
+    planned gamma above the truth or a beta below it, the robust run can,
+    for example, reach its herd condition first (t_h < t*_h).
+    """
+    tb_h, th_h = times_robust.t_b, times_robust.t_h
+    tb_s, th_s = times_optimal.t_b, times_optimal.t_h
+    return tb_h <= tb_s + 1e-9 and tb_s <= th_s and th_s <= th_h + 1e-9
+
+
 def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
              beta: float, gamma: float, s_star: Trajectory,
              times_optimal: SwitchingTimes) -> tuple[float, float]:
@@ -159,7 +171,7 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
         raise ValueError("gap_closed_form needs all four switching times")
     tb_h, th_h = times_robust.t_b, times_robust.t_h
     tb_s, th_s = times_optimal.t_b, times_optimal.t_h
-    if not (tb_h <= tb_s + 1e-9 and tb_s <= th_s and th_s <= th_h + 1e-9):
+    if not theorem4_order(times_robust, times_optimal):
         raise ValueError(
             f"switching times out of order: {tb_h}, {tb_s}, {th_s}, {th_h}"
         )
@@ -209,6 +221,9 @@ def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
     NaN otherwise. The other gap formulas need all four switching times;
     when a herd condition never fired within the horizon they are NaN, and
     the total costs and ``gap_direct`` are integrals truncated at the horizon.
+    The closed form and its bound (``gap_closed_form``, ``gap_upper``) also
+    need Theorem 4's order t_b <= t*_b <= t*_h <= t_h (``theorem4_order``)
+    and are NaN when the four times break it.
     """
     cost_r = total_cost(robust_trace, warn=False)
     cost_o = total_cost(optimal_trace, warn=False)
@@ -219,9 +234,10 @@ def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
     if robust_trace.switching.complete and optimal_trace.switching.complete:
         l4 = gap_from_states(robust_traj, optimal_traj, true_params.beta,
                         robust_trace.switching)
-        c, c_bar = gap_closed_form(robust_trace, beta_max, gamma_min,
-                            true_params.beta, true_params.gamma, optimal_traj,
-                            optimal_trace.switching)
+        if theorem4_order(robust_trace.switching, optimal_trace.switching):
+            c, c_bar = gap_closed_form(robust_trace, beta_max, gamma_min,
+                                true_params.beta, true_params.gamma, optimal_traj,
+                                optimal_trace.switching)
     return CostReport(total_cost=cost_r, optimal_cost=cost_o, gap_direct=direct,
                       gap_from_states=l4, gap_closed_form=c, gap_upper=c_bar,
                       times_robust=robust_trace.switching,

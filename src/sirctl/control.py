@@ -168,12 +168,54 @@ def _herd_gap(beta: float, gamma: float, off_s: float):
     return lambda s, i: -stage_two_rate(beta, gamma, min(s + off_s, 1.0))
 
 
+def _read_offsets(noise: MeasurementNoise, margin: bool, nodes: slice, ss: np.ndarray,
+                  ii: np.ndarray, off_s: np.ndarray, off_i: np.ndarray) -> None:
+    """The loop's held offsets at ``nodes``, from one array call of ``measure``."""
+    s_hat, i_hat, d_s, d_i = noise.measure(nodes, ss[nodes], ii[nodes])
+    np.subtract(s_hat, ss[nodes], out=off_s[nodes])
+    np.subtract(i_hat, ii[nodes], out=off_i[nodes])
+    if margin:
+        off_s[nodes] += d_s
+        off_i[nodes] += d_i
+
+
+def _shared_stage_one(prefix: ClosedLoopResult, params: EpidemicParams, init: SirState,
+                      h: float, n: int, noise: Optional[MeasurementNoise], margin: bool,
+                      i_bar: float, off_s: np.ndarray, off_i: np.ndarray) -> int:
+    """The first node where this policy's threshold can fire, found on ``prefix``.
+
+    The leading stage-1 nodes of any run with the same parameters, initial
+    state and step are the u = 0 epidemic, the same for every policy. This
+    policy's offsets there come from one array read into ``off_s`` and
+    ``off_i`` (``noise`` is None when the policy reads none), and the loop's
+    two stage-1 tests run as arrays: at each node, and at the end of each
+    step the prefix took unsplit. Returns the first node where either test
+    fires, else the prefix's last stage-1 node (0 if it has none).
+    """
+    traj = prefix.trajectory
+    if not (traj.params == params and traj.step == h and len(traj) <= n + 1
+            and (float(traj.t[0]), float(traj.s[0]), float(traj.i[0]), float(traj.r[0]))
+            == (init.t, init.s, init.i, init.r)):
+        raise ValueError("prefix run has other parameters, initial state or time grid")
+    later = prefix.node_stage != 1
+    m = int(np.argmax(later)) if later.any() else len(traj)
+    if m == 0:
+        return 0
+    if noise is not None:
+        _read_offsets(noise, margin, slice(0, m), traj.s, traj.i, off_s, off_i)
+    i_open, o_i = traj.i[:m], off_i[:m]
+    fires = np.minimum(i_open + o_i, 1.0) - i_bar >= 0.0
+    fires[:-1] |= np.minimum(i_open[1:] + o_i[:-1], 1.0) - i_bar >= 0.0
+    return int(np.argmax(fires)) if fires.any() else m - 1
+
+
 def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                          assumed: Union[AssumedRates, ParamIntervals, None],
                          init: SirState, noise: Optional[MeasurementNoise],
                          config: IntegratorConfig, i_bar: float,
                          bounds: ControlBounds,
-                         early_stop: bool = False) -> ClosedLoopResult:
+                         early_stop: bool = False,
+                         prefix: Optional[ClosedLoopResult] = None) -> ClosedLoopResult:
     """Drive the true dynamics with a policy that sees only its own signals.
 
     A policy plans with the true (beta, gamma) if it is optimal and with
@@ -183,8 +225,20 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     for the robust one, whose signals are thus upper envelopes. Both
     signals are capped at 1.
 
-    The trajectory advances on the uniform grid; measurements are read at
-    every grid node and held over the step. Each step is one RK4 step
+    The trajectory advances on the uniform grid; the offsets are read at
+    grid nodes and held over the step, and they are read only where the
+    policy decides. Stage 1 is the u = 0 epidemic for every policy, so with
+    ``prefix`` (a run with the same parameters, initial state and step,
+    usually the scenario's optimal run) the loop starts at the first node
+    where this policy's threshold can fire: one array read of the noise
+    over the prefix's stage-1 nodes and the stage-1 tests as arrays find
+    it (``_shared_stage_one``), and the nodes before it are copied. From
+    there through stage 2 the loop reads the noise at each node. Stage 3
+    decides nothing: its offsets, which only the trace signals use, are
+    read in one array call after the loop. ``measure`` is elementwise, so
+    every form gives the bits of a run from node 0 with ``prefix=None``.
+
+    Each step is one RK4 step
     followed by the event test of the current stage at its end. Only when
     that test fires is the step split: the switch is located by
     ``locate_event`` inside the step, the state is advanced exactly to the
@@ -216,7 +270,8 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         raise ValueError(f"{kind.value} policy needs assumed rates")
     else:
         beta_plan, gamma_plan = assumed.beta, assumed.gamma
-    reads = kind is not PolicyKind.OPTIMAL and noise is not None
+    # noise-free measurements leave every offset at zero
+    reads = kind is not PolicyKind.OPTIMAL and noise is not None and noise.kind != "none"
     margin = kind is PolicyKind.ROBUST
     u_max = bounds.u_max
     clamp = bounds.clamp
@@ -243,10 +298,23 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     state_at_tb: Optional[SirState] = None
     max_i = i
     n_recorded = n + 1
-    t_node = float(ts[0])
+    start = 0
+    if prefix is not None:
+        # the nodes before start are the prefix's, at rate 0 in stage 1
+        start = _shared_stage_one(prefix, true_params, init, h, n, noise if reads else None,
+                                  margin, i_bar, off_s, off_i)
+        p = prefix.trajectory
+        ss[:start], ii[:start], rr[:start] = p.s[:start], p.i[:start], p.r[:start]
+        uu[:start] = 0.0
+        node_stage[:start] = 1
+        s, i, r = float(p.s[start]), float(p.i[start]), float(p.r[start])
+        if start > 0:
+            max_i = float(np.max(ii[:start]))
+    t_node = float(ts[start])
+    read_to = n + 1  # the loop reads offsets at the nodes before this one
 
-    for k in range(n + 1):
-        if reads:
+    for k in range(start, n + 1):
+        if reads and k < read_to:
             s_hat, i_hat, d_s, d_i = noise.measure(k, s, i)
             o_s = s_hat - s
             o_i = i_hat - i
@@ -279,6 +347,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                 switch_rows.append((k, t_node, u, 2, min(s + o_s, 1.0),
                                     min(i + o_i, 1.0)))
                 stage = 3
+                read_to = k + 1
                 u = 0.0
         else:
             u = 0.0
@@ -341,10 +410,14 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                 switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
             t_h = tau
             stage = 3
+            read_to = k + 1
             u = 0.0
             switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
 
     m = n_recorded
+    if reads and read_to < m:
+        # stage 3 decides nothing; its offsets only feed the trace signals
+        _read_offsets(noise, margin, slice(read_to, m), ss, ii, off_s, off_i)
     times = SwitchingTimes(t_b=t_b, t_h=t_h)
     traj = Trajectory(t=ts[:m], s=ss[:m], i=ii[:m], r=rr[:m], u=uu[:m], step=h,
                       params=true_params)

@@ -17,13 +17,15 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .core import Trajectory
 
 TRUNCATION_SIGMAS = 3.0
+
+Value = Union[float, np.ndarray]  # a scalar, or an array of per-node values
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,20 @@ def standard_draws(n_epochs: int, seed: int) -> np.ndarray:
                    TRUNCATION_SIGMAS)
 
 
+def _nonneg(x: float) -> float:
+    """``max(x, 0.0)`` as a comparison: same value, signed zeros and NaN included."""
+    return 0.0 if x < 0.0 else x
+
+
+def _nonneg_array(x: np.ndarray) -> np.ndarray:
+    """``_nonneg`` elementwise."""
+    return np.where(x < 0.0, 0.0, x)
+
+
+_SCALAR_OPS = (math.sqrt, _nonneg)
+_ARRAY_OPS = (np.sqrt, _nonneg_array)
+
+
 class MeasurementNoise:
     """Deterministic per-epoch noise source with known amplitude bounds."""
 
@@ -66,6 +82,12 @@ class MeasurementNoise:
         self.z = z
         self.sigma_s = sigma_s
         self.sigma_i = sigma_i
+        # read on every closed-loop call of ``measure``: plain attributes,
+        # and each draw column as a memoryview, which indexes to a float
+        self.kind = config.kind
+        self.divisor = config.divisor
+        if z is not None:
+            self._zs, self._zi = memoryview(z[:, 0]), memoryview(z[:, 1])
 
     @classmethod
     def build(cls, config: NoiseConfig, n_epochs: int, seed: int,
@@ -83,31 +105,50 @@ class MeasurementNoise:
             return cls(config, z, sigma_s, sigma_i)
         return cls(config, z, 0.0, 0.0)  # scaled_variance: sigmas are per-state
 
-    def measure(self, k: int, s_true: float, i_true: float
-                ) -> tuple[float, float, float, float]:
+    def measure(self, k: Union[int, slice, np.ndarray], s_true: Value, i_true: Value,
+                std: bool = False) -> tuple[Value, Value, Value, Value]:
         """Measured (s, i) at epoch k plus the amplitude bounds (delta_s, delta_i).
 
-        Called once per grid node by the closed loop, so ``max(x, 0.0)`` is
-        written as the comparison ``0.0 if x < 0.0 else x`` (same value,
-        signed zeros and NaN included).
+        Elementwise. ``k`` is either an int with float states (the closed
+        loop reads one grid node per call) or an index array or slice of
+        epochs with equal-length state arrays, and then every output is an
+        array of that length. Both forms evaluate the same expressions, with
+        ``math`` or numpy primitives, so they agree bitwise. The noise std is
+        sigma for snr_db and sqrt(max(x, 0)/divisor) for scaled_variance;
+        ``std=True`` returns it in place of delta = 3*std.
         """
-        kind = self.config.kind
+        kind = self.kind
+        scalar = isinstance(k, int)
         if kind == "none":
-            return s_true, i_true, 0.0, 0.0
-        zs, zi = self.z[k].tolist()
+            if scalar:
+                return s_true, i_true, 0.0, 0.0
+            shape = np.shape(s_true)
+            return (np.array(s_true, dtype=float), np.array(i_true, dtype=float),
+                    np.zeros(shape), np.zeros(shape))
+        if scalar:
+            zs, zi = self._zs[k], self._zi[k]
+            sqrt, nonneg = _SCALAR_OPS
+        else:
+            zs, zi = self.z[k, 0], self.z[k, 1]
+            sqrt, nonneg = _ARRAY_OPS
+        div = self.divisor
         if kind == "snr_db":
-            s_hat = s_true + zs * self.sigma_s
-            i_hat = i_true + zi * self.sigma_i
-            return (s_hat, i_hat, TRUNCATION_SIGMAS * self.sigma_s,
-                    TRUNCATION_SIGMAS * self.sigma_i)
-        div = self.config.divisor
-        s_hat = s_true + zs * math.sqrt((0.0 if s_true < 0.0 else s_true) / div)
-        i_hat = i_true + zi * math.sqrt((0.0 if i_true < 0.0 else i_true) / div)
-        # amplitude bounds from the measured value: exact containment would
-        # need the true state, which the controller does not have
-        d_s = TRUNCATION_SIGMAS * math.sqrt((0.0 if s_hat < 0.0 else s_hat) / div)
-        d_i = TRUNCATION_SIGMAS * math.sqrt((0.0 if i_hat < 0.0 else i_hat) / div)
-        return s_hat, i_hat, d_s, d_i
+            sd_s, sd_i = self.sigma_s, self.sigma_i
+            if not scalar:
+                sd_s, sd_i = np.full(np.shape(s_true), sd_s), np.full(np.shape(i_true), sd_i)
+        else:
+            sd_s = sqrt(nonneg(s_true) / div)
+            sd_i = sqrt(nonneg(i_true) / div)
+        s_hat = s_true + zs * sd_s
+        i_hat = i_true + zi * sd_i
+        if std:
+            return s_hat, i_hat, sd_s, sd_i
+        if kind == "scaled_variance":
+            # amplitude bounds from the measured value: exact containment
+            # would need the true state, which the controller does not have
+            sd_s = sqrt(nonneg(s_hat) / div)
+            sd_i = sqrt(nonneg(i_hat) / div)
+        return s_hat, i_hat, TRUNCATION_SIGMAS * sd_s, TRUNCATION_SIGMAS * sd_i
 
 
 @dataclass(frozen=True)
@@ -135,28 +176,13 @@ class MeasuredSeries:
 def measured_series_for(noise: MeasurementNoise, traj: Trajectory) -> MeasuredSeries:
     """The per-node measurements a controller driven by this noise source saw.
 
-    Bitwise equal to ``noise.measure(k, s[k], i[k])`` at every grid node k
-    (same draws, same scaling). Both forms stay on purpose: the scalar
-    ``measure`` is the online path, called once per grid node inside the
-    closed loop while the trajectory is still being integrated; this vector
-    form is the offline path over a finished trajectory.
+    One array call of ``noise.measure`` over every grid node, so bitwise
+    equal to ``noise.measure(k, s[k], i[k])`` at each node k; the sigma
+    columns are the noise std of each sample.
     """
-    n = len(traj)
-    if noise.config.kind == "none":
-        zero = np.zeros(n)
-        return MeasuredSeries(t=traj.t.copy(), s_hat=traj.s.copy(),
-                              i_hat=traj.i.copy(), u=traj.u.copy(),
-                              sigma_s=zero, sigma_i=zero.copy())
-    z = noise.z[:n]
-    if noise.config.kind == "snr_db":
-        sigma_s = np.full(n, noise.sigma_s)
-        sigma_i = np.full(n, noise.sigma_i)
-    else:
-        div = noise.config.divisor
-        sigma_s = np.sqrt(np.maximum(traj.s, 0.0) / div)
-        sigma_i = np.sqrt(np.maximum(traj.i, 0.0) / div)
-    return MeasuredSeries(t=traj.t.copy(), s_hat=traj.s + z[:, 0] * sigma_s,
-                          i_hat=traj.i + z[:, 1] * sigma_i, u=traj.u.copy(),
+    s_hat, i_hat, sigma_s, sigma_i = noise.measure(slice(0, len(traj)), traj.s, traj.i,
+                                                   std=True)
+    return MeasuredSeries(t=traj.t.copy(), s_hat=s_hat, i_hat=i_hat, u=traj.u.copy(),
                           sigma_s=sigma_s, sigma_i=sigma_i)
 
 

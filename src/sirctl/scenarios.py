@@ -83,6 +83,7 @@ class EstimationWindow:
     r: float = 0.1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alphas", tuple(self.alphas))  # e.g. a JSON list
         for name in ("i", "j", "h_unit", "zeta", "r"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -174,17 +175,13 @@ class ScenarioConfig:
                 u_max=raw["u_max"],
                 noise=NoiseConfig(**raw.get("noise", {})),
                 inflation=InflationConfig(**raw.get("inflation", {})),
-                misestimation=InflationConfig(**raw.get(
-                    "misestimation", {"beta_mult": 0.95, "gamma_mult": 1.05})),
+                misestimation=(InflationConfig(**raw["misestimation"])
+                               if "misestimation" in raw else cls.misestimation),
                 integrator=IntegratorConfig(**raw.get("integrator", {})),
                 seed=raw.get("seed", DEFAULT_SEED),
-                policies=tuple(raw.get("policies",
-                                       ("optimal", "robust", "misestimated"))),
-                estimation=(EstimationWindow(**{
-                    **raw["estimation"],
-                    "alphas": tuple(raw["estimation"].get(
-                        "alphas", tuple(range(1, 201)))),
-                }) if "estimation" in raw else None),
+                policies=tuple(raw.get("policies", cls.policies)),
+                estimation=(EstimationWindow(**raw["estimation"])
+                            if "estimation" in raw else None),
                 early_stop=raw.get("early_stop", False),
             )
         except (KeyError, TypeError, ValueError, NonFiniteDynamicsError) as exc:
@@ -324,7 +321,7 @@ def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
         assumed = _assumed_rates(config, inflation, optimal.trajectory)
         res = simulate_closed_loop(
             kind, config.params, assumed, config.init, noise, config.integrator,
-            config.i_bar, ControlBounds(config.u_max), early_stop=config.early_stop)
+            config.i_bar, ControlBounds(config.u_max), config.early_stop, optimal)
         runs[kind.value] = PolicyRun(kind, res, measured_series_for(noise, res.trajectory),
                                      assumed)
 
@@ -344,7 +341,7 @@ def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
 
 def _cost_rows(runs: dict[str, PolicyRun], report: Optional[CostReport]) -> list[CostRow]:
     """One row per run; the robust and optimal costs come from the report."""
-    nan = float("nan")
+    nan = math.nan
     rows = []
     opt = runs.get("optimal")
     for name, run in runs.items():
@@ -389,7 +386,11 @@ def _grid_index(traj: Trajectory, time: float) -> int:
 
 def _sample(meas: MeasuredSeries, k) -> MeasuredSample:
     """The measurement at grid index k; an index array gives a stack of them."""
-    return MeasuredSample(meas.t[k], meas.s_hat[k], meas.i_hat[k], meas.u[k])
+    try:
+        return MeasuredSample(meas.t[k], meas.s_hat[k], meas.i_hat[k], meas.u[k])
+    except ValueError as exc:  # the sweep's rate is 0: only noise moves a sample out
+        raise ConfigError(f"noise too large to estimate (noise.snr_db, noise.divisor): {exc}"
+                          ) from exc
 
 
 def _sweep_rows(config: ScenarioConfig, traj: Trajectory,

@@ -18,6 +18,7 @@ from sirctl.core import (
     EpidemicParams,
     IntegratorConfig,
     SirState,
+    _rk4_step,
     find_threshold_crossing,
     locate_event,
 )
@@ -337,3 +338,145 @@ class TestCumulativeOrdering:
         t_h_star = opt.trace.switching.t_h
         mask = opt.trajectory.t <= t_h_star
         assert np.all(rob.trajectory.s[mask] >= opt.trajectory.s[mask] - 1e-9)
+
+
+class TestSharedStageOne:
+    """A loop given the optimal run as ``prefix`` starts where its own
+    threshold can fire; its run is bitwise the run from node 0."""
+
+    @staticmethod
+    def _assert_same_run(a, b):
+        ta, tb = a.trajectory, b.trajectory
+        for x, y in ((ta.t, tb.t), (ta.s, tb.s), (ta.i, tb.i), (ta.r, tb.r), (ta.u, tb.u),
+                     (a.node_stage, b.node_stage), (a.trace.t, b.trace.t),
+                     (a.trace.u, b.trace.u), (a.trace.stage, b.trace.stage),
+                     (a.trace.s_seen, b.trace.s_seen), (a.trace.i_seen, b.trace.i_seen)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        # repr compares every bit of the floats, NaN included
+        assert repr(a.trace.switching) == repr(b.trace.switching)
+        assert a.trace.clamp_events == b.trace.clamp_events
+        assert repr(a.report) == repr(b.report)
+
+    @classmethod
+    def _check_policies(cls, cfg):
+        """Run every non-optimal policy of ``cfg`` with and without the prefix."""
+        from sirctl.scenarios import _assumed_rates, _optimal_run
+
+        optimal, noise = _optimal_run(cfg)
+        results = []
+        for kind, inflation in ((PolicyKind.ROBUST, cfg.inflation),
+                                (PolicyKind.MISESTIMATED, cfg.misestimation)):
+            args = (kind, cfg.params, _assumed_rates(cfg, inflation, optimal.trajectory),
+                    cfg.init, noise, cfg.integrator, cfg.i_bar, ControlBounds(cfg.u_max),
+                    cfg.early_stop)
+            shared = simulate_closed_loop(*args, prefix=optimal)
+            cls._assert_same_run(shared, simulate_closed_loop(*args))
+            results.append(shared)
+        return optimal, results
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"init": SirState(t=0.0, s=0.8, i=0.2, r=0.0)},  # threshold at node 0
+        {"i_bar": 0.3},  # no policy reaches the threshold
+        {"noise": NoiseConfig(kind="snr_db", snr_db=30.0)},
+        {"noise": NoiseConfig(kind="none")},
+        {"early_stop": True, "params": EpidemicParams(beta=0.5, gamma=0.2), "u_max": 0.5,
+         "integrator": IntegratorConfig(step=0.1, horizon=400.0)},
+    ], ids=["fig1", "threshold-at-node-0", "never-fires", "snr", "noise-free", "early-stop"])
+    def test_fig1_runs_equal_the_runs_from_node_0(self, overrides):
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset
+
+        self._check_policies(replace(preset("fig1"), **overrides))
+
+    @pytest.mark.parametrize("overrides", [
+        {"integrator": IntegratorConfig(step=0.01, horizon=250.0)},
+        # the misestimated threshold fires at t = 54.67, after the optimal
+        # run's last stage-1 node: the loop starts there
+        {"seed": 12, "noise": NoiseConfig(kind="snr_db", snr_db=40.0),
+         "integrator": IntegratorConfig(step=0.01, horizon=120.0)},
+    ], ids=["policy-compare-250", "late-misestimated-threshold"])
+    def test_policy_compare_runs_equal_the_runs_from_node_0(self, overrides):
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset
+
+        optimal, (robust, misestimated) = self._check_policies(
+            replace(preset("policy-compare"), **overrides))
+        if "seed" in overrides:
+            assert misestimated.trace.switching.t_b == 54.67
+            last_open = int(np.argmax(optimal.node_stage != 1)) - 1
+            assert optimal.trajectory.t[last_open] < 54.67 < optimal.trajectory.t[last_open + 2]
+
+    def test_stage_one_is_not_integrated_again(self, monkeypatch):
+        from dataclasses import replace
+
+        from sirctl import control
+        from sirctl.scenarios import _optimal_run, preset
+
+        cfg = replace(preset("fig1"), policies=("optimal", "robust"))
+        optimal, noise = _optimal_run(cfg)
+        steps = []
+        monkeypatch.setattr(control, "_rk4_step",
+                            lambda *a: steps.append(1) or _rk4_step(*a))
+        args = (PolicyKind.ROBUST, cfg.params, AssumedRates(0.168, 0.05985), cfg.init,
+                noise, cfg.integrator, cfg.i_bar, BOUNDS)
+        simulate_closed_loop(*args)
+        from_zero = len(steps)
+        steps.clear()
+        result = simulate_closed_loop(*args, prefix=optimal)
+        # the loop starts at the node where the threshold fires, or at the
+        # start of the step in which it does
+        t, t_b = result.trajectory.t, result.trace.switching.t_b
+        start = int(np.searchsorted(t, t_b))
+        start -= t[start] != t_b
+        assert from_zero - len(steps) == start > 9000
+
+    def test_random_configs_equal_the_runs_from_node_0(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from dataclasses import replace
+
+        from sirctl.scenarios import InflationConfig, preset
+
+        noises = st.one_of(
+            st.just(NoiseConfig(kind="none")),
+            st.builds(lambda db: NoiseConfig(kind="snr_db", snr_db=db), st.floats(20.0, 80.0)),
+            st.builds(lambda d: NoiseConfig(kind="scaled_variance", divisor=d),
+                      st.floats(1e2, 1e6)))
+        mults = st.builds(lambda b, g: InflationConfig(beta_mult=b, gamma_mult=g),
+                          st.floats(0.85, 1.15), st.floats(0.85, 1.15))
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(name=st.sampled_from(["fig1", "policy-compare"]), noise=noises,
+                          inflation=mults, misestimation=mults,
+                          i_bar=st.floats(0.005, 0.3), early_stop=st.booleans(),
+                          seed=st.integers(0, 2**31))
+        def check(name, noise, inflation, misestimation, i_bar, early_stop, seed):
+            horizon = 300.0 if name == "fig1" else 400.0
+            self._check_policies(replace(
+                preset(name), noise=noise, inflation=inflation, misestimation=misestimation,
+                i_bar=i_bar, early_stop=early_stop, seed=seed,
+                integrator=IntegratorConfig(step=0.1, horizon=horizon)))
+
+        check()
+
+    @pytest.mark.parametrize("change", ["params", "init", "step", "horizon"])
+    def test_mismatched_prefix_raises(self, change):
+        init = _state(1.0 - 1e-5, 1e-5)
+        grid = IntegratorConfig(step=0.1, horizon=200.0)
+        prefix = simulate_closed_loop(PolicyKind.OPTIMAL, PARAMS_F1, None, init, None, grid,
+                                      0.1, BOUNDS)
+        params, other_init, other_grid = PARAMS_F1, init, grid
+        if change == "params":
+            params = EpidemicParams(beta=0.17, gamma=0.063)
+        elif change == "init":
+            other_init = _state(1.0 - 2e-5, 2e-5)
+        elif change == "step":
+            other_grid = IntegratorConfig(step=0.05, horizon=200.0)
+        else:
+            other_grid = IntegratorConfig(step=0.1, horizon=100.0)
+        with pytest.raises(ValueError, match="prefix"):
+            simulate_closed_loop(PolicyKind.ROBUST, params, AssumedRates(0.17, 0.06),
+                                 other_init, None, other_grid, 0.1, BOUNDS, prefix=prefix)

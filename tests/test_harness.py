@@ -45,7 +45,13 @@ from sirctl.estimation import (
     estimate_params,
     estimation_error_bound,
 )
-from sirctl.noise import MeasuredSeries, NoiseConfig, derive_seed, inject_noise
+from sirctl.noise import (
+    MeasuredSeries,
+    MeasurementNoise,
+    NoiseConfig,
+    derive_seed,
+    inject_noise,
+)
 from sirctl.scenarios import (
     ConfigError,
     CostRow,
@@ -123,12 +129,50 @@ class TestInjectNoise:
         optimal, noise = scenarios._optimal_run(cfg)
         runs = scenarios._run_policies(cfg, optimal, noise).runs
         assert runs["robust"].result.trace.switching.t_b is not None
-        for run in runs.values():
-            traj = run.result.trajectory
-            reads = np.array([noise.measure(k, traj.s[k], traj.i[k])[:2]
+        for name, run in runs.items():
+            traj, trace = run.result.trajectory, run.result.trace
+            reads = np.array([noise.measure(k, float(traj.s[k]), float(traj.i[k]))
                               for k in range(len(traj))])
+            stds = np.array([noise.measure(k, float(traj.s[k]), float(traj.i[k]), std=True)[2:]
+                             for k in range(len(traj))])
             assert np.array_equal(run.measured.s_hat, reads[:, 0])
             assert np.array_equal(run.measured.i_hat, reads[:, 1])
+            assert np.array_equal(run.measured.sigma_s, stds[:, 0])
+            assert np.array_equal(run.measured.sigma_i, stds[:, 1])
+            # delta reaches the loop through the robust signals: the node rows
+            # (the last trace row at each node time) hold min(x + offset, 1)
+            if name == "optimal" or noise_cfg.kind == "none":
+                off_s = off_i = np.zeros(len(traj))
+            else:
+                off_s, off_i = reads[:, 0] - traj.s, reads[:, 1] - traj.i
+                if name == "robust":
+                    off_s, off_i = off_s + reads[:, 2], off_i + reads[:, 3]
+            rows = np.searchsorted(trace.t, traj.t, side="right") - 1
+            assert np.minimum(traj.s + off_s, 1.0).tobytes() == trace.s_seen[rows].tobytes()
+            assert np.minimum(traj.i + off_i, 1.0).tobytes() == trace.i_seen[rows].tobytes()
+
+    @pytest.mark.parametrize("noise_cfg", [
+        NoiseConfig(kind="none"),
+        NoiseConfig(kind="snr_db", snr_db=20.0),
+        NoiseConfig(kind="scaled_variance", divisor=10.0),
+    ], ids=lambda c: c.kind)
+    @pytest.mark.parametrize("std", [False, True])
+    def test_array_measure_equals_scalar_measure(self, noise_cfg, std):
+        # every output bit, signed zeros and NaN included
+        s = np.array([0.0, -0.0, -1e-3, np.nan, 1.5, 0.5, 1e-320, -1e-320, 1.0, 0.25])
+        i = np.array([-0.0, 0.0, np.nan, -2.0, 0.1, 1.2, 0.0, 3e-6, -1e-320, 1e-9])
+        reference = integrate(EpidemicParams(beta=0.16, gamma=0.063), 0.0,
+                              SirState(t=0.0, s=0.99, i=0.01, r=0.0),
+                              IntegratorConfig(step=0.1, horizon=1.0))
+        noise = MeasurementNoise.build(noise_cfg, len(s) + 3, seed=11, reference=reference)
+        k = np.arange(3, 3 + len(s))
+        for nodes in (k, slice(3, 3 + len(s))):
+            arrays = noise.measure(nodes, s, i, std=std)
+            assert all(isinstance(a, np.ndarray) and a.shape == s.shape for a in arrays)
+            scalars = np.array([noise.measure(int(kk), float(ss), float(ii), std=std)
+                                for kk, ss, ii in zip(k, s, i)])
+            for col, a in enumerate(arrays):
+                assert a.tobytes() == scalars[:, col].tobytes(), col
 
     def test_vanishing_noise_recovers_noise_free_estimates(self):
         cfg = replace(preset("param-est"),
@@ -573,6 +617,37 @@ class TestCli:
                      *(arg for one in specs for arg in ("--set", one))])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--preset", "param-est"],
+        ["simulate", "--preset", "policy-compare", "--set", "inflation.mode=estimated",
+         "--set", "estimation.alphas=[10]", "--set", "integrator.horizon=250"],
+    ], ids=["estimate", "estimated-inflation"])
+    def test_noise_too_large_to_estimate_names_the_noise(self, tmp_path, capsys, command):
+        # 0 dB pushes a sample far outside [0, 1], where the estimator refuses it
+        code = main([*command, "--set", "noise.kind=snr_db", "--set", "noise.snr_db=0",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "noise.snr_db" in err and "too far outside [0, 1]" in err
+
+    @pytest.mark.parametrize("command, exit_code", [
+        (["simulate", "--preset", "fig1", "--set", "inflation.beta_mult=1.0586",
+          "--set", "inflation.gamma_mult=1.0889"], 3),
+        (["gap", "--preset", "fig1", "--inflations", "1.0586:1.0889"], 0),
+    ], ids=["simulate", "gap"])
+    def test_switching_times_out_of_theorem_4_order_give_nan(self, tmp_path, command,
+                                                              exit_code):
+        # gamma planned above the truth: the robust run reaches herd immunity
+        # before the optimal one (t_h < t*_h), so Theorem 4's closed form and
+        # its bound do not apply; the other gaps are still written
+        code = main([*command, "--set", "i_bar=0.2", "--set", "noise.kind=none",
+                     "--out", str(tmp_path)])
+        assert code == exit_code
+        optimal, robust = read_costs_csv(tmp_path / "costs.csv")
+        assert robust.t_h < optimal.t_h
+        assert math.isnan(robust.gap_thm4) and math.isnan(robust.gap_upper)
+        assert not math.isnan(robust.gap_direct) and not math.isnan(robust.gap_lemma4)
 
     def test_infeasible_robust_run_exits_three(self, tmp_path):
         cfg = self._write_config(tmp_path, u_max=0.05)
