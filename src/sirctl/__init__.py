@@ -18,8 +18,6 @@ from .control import (
     PolicyTrace,
     SwitchingTimes,
     feasibility_check,
-    optimal_rate,
-    robust_rate,
     simulate_closed_loop,
 )
 from .core import (

@@ -32,8 +32,6 @@ class CostReport:
     gap_from_states: float
     gap_closed_form: float
     gap_upper: float
-    times_robust: SwitchingTimes
-    times_optimal: SwitchingTimes
 
 
 @dataclass(frozen=True)
@@ -239,6 +237,4 @@ def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
                                 true_params.beta, true_params.gamma, optimal_traj,
                                 optimal_trace.switching)
     return CostReport(total_cost=cost_r, optimal_cost=cost_o, gap_direct=direct,
-                      gap_from_states=l4, gap_closed_form=c, gap_upper=c_bar,
-                      times_robust=robust_trace.switching,
-                      times_optimal=optimal_trace.switching)
+                      gap_from_states=l4, gap_closed_form=c, gap_upper=c_bar)

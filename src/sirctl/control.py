@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -126,27 +126,6 @@ def stage_two_rate(beta: float, gamma: float, s_seen: float) -> float:
     return beta * s_seen - gamma
 
 
-def optimal_rate(t: float, state: SirState, params: EpidemicParams,
-                 times: SwitchingTimes, bounds: ControlBounds) -> float:
-    """Three-stage optimal rate: the robust rate law fed the true state and
-    the true (beta, gamma)."""
-    return robust_rate(t, state.s, params.beta, params.gamma, times, bounds)
-
-
-def robust_rate(t: float, s_max_at_t: float, beta_max: float, gamma_min: float,
-                times: SwitchingTimes, bounds: ControlBounds) -> float:
-    """Three-stage rate: 0, then beta_max * S_max(t) - gamma_min, then 0.
-
-    Stage membership is decided from the precomputed switching times; the
-    stage-two value is clamped to [0, u_max].
-    """
-    if times.t_b is None or t < times.t_b:
-        return 0.0
-    if times.t_h is not None and t >= times.t_h:
-        return 0.0
-    return bounds.clamp(stage_two_rate(beta_max, gamma_min, s_max_at_t))
-
-
 def feasibility_check(params: EpidemicParams, state_at_tb: SirState,
                       u_max: float) -> tuple[float, bool]:
     """Required rate beta*S(t_b) - gamma and whether it fits under u_max.
@@ -210,7 +189,7 @@ def _shared_stage_one(prefix: ClosedLoopResult, params: EpidemicParams, init: Si
 
 
 def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
-                         assumed: Union[AssumedRates, ParamIntervals, None],
+                         assumed: Optional[AssumedRates],
                          init: SirState, noise: Optional[MeasurementNoise],
                          config: IntegratorConfig, i_bar: float,
                          bounds: ControlBounds,
@@ -258,8 +237,6 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         raise ValueError("i_bar must lie in (0, 1)")
     if config.method != "rk4":
         raise ValueError("closed-loop simulation uses the rk4 ground-truth integrator")
-    if isinstance(assumed, ParamIntervals):
-        assumed = AssumedRates.from_intervals(assumed)
 
     h = config.step
     n = config.n_steps

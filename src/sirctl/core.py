@@ -51,9 +51,9 @@ class EpidemicParams:
 
 @dataclass(frozen=True)
 class SirState:
-    """Population fractions at time t; s + i + r must equal 1."""
+    """Population fractions at time t (keyword-only, 0 by default); s + i + r must equal 1."""
 
-    t: float
+    t: float = field(default=0.0, kw_only=True)
     s: float
     i: float
     r: float

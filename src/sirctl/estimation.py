@@ -103,17 +103,12 @@ class ParamEstimate:
     """The least-squares row Theta_hat = [beta_hat, gamma_hat].
 
     For a stacked batch both fields are arrays, one entry per step.
-    Negative entries are possible under noise; they are flagged rather than
-    clamped so error-decomposition identities stay exact.
+    Negative entries are possible under noise; they are kept, not clamped,
+    so error-decomposition identities stay exact.
     """
 
     beta_hat: Value
     gamma_hat: Value
-
-    @property
-    def negative_flagged(self):
-        """Whether an estimate is negative (per step for a stack)."""
-        return np.logical_or(self.beta_hat < 0.0, self.gamma_hat < 0.0)
 
     def as_row(self) -> np.ndarray:
         """[beta_hat, gamma_hat], or one such row per step for a stack."""

@@ -13,9 +13,10 @@ name), so fixed configs give byte-identical CSV artifacts.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -83,7 +84,6 @@ class EstimationWindow:
     r: float = 0.1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alphas", tuple(self.alphas))  # e.g. a JSON list
         for name in ("i", "j", "h_unit", "zeta", "r"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -94,8 +94,8 @@ class EstimationWindow:
             raise ConfigError("estimation base times must differ")
         if self.h_unit <= 0.0 or not self.alphas:
             raise ConfigError("estimation needs a positive h_unit and alphas")
-        if any(not isinstance(a, (int, np.integer)) or a < 1 for a in self.alphas):
-            raise ConfigError("alphas must be positive integers")
+        if min(self.alphas) < 1:
+            raise ConfigError(f"estimation.alphas must be >= 1, got {min(self.alphas)}")
         if self.zeta * self.h_unit * max(self.alphas) >= 1.0:
             raise ConfigError("estimation.zeta times the largest step h must be < 1, "
                               f"got {self.zeta * self.h_unit * max(self.alphas)}")
@@ -156,61 +156,81 @@ class ScenarioConfig:
         bad = [p for p in self.policies if p not in PolicyKind._value2member_map_]
         if bad:
             raise ConfigError(f"unknown policies {bad}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.early_stop, bool):
-            raise ConfigError(f"early_stop must be true or false, got {self.early_stop!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        try:
-            unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-            if unknown:
-                raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-            return cls(
-                name=raw["name"],
-                params=EpidemicParams(**raw["params"]),
-                init=SirState(**{"t": 0.0, **raw["init"]}),
-                i_bar=raw["i_bar"],
-                u_max=raw["u_max"],
-                noise=NoiseConfig(**raw.get("noise", {})),
-                inflation=InflationConfig(**raw.get("inflation", {})),
-                misestimation=(InflationConfig(**raw["misestimation"])
-                               if "misestimation" in raw else cls.misestimation),
-                integrator=IntegratorConfig(**raw.get("integrator", {})),
-                seed=raw.get("seed", DEFAULT_SEED),
-                policies=tuple(raw.get("policies", cls.policies)),
-                estimation=(EstimationWindow(**raw["estimation"])
-                            if "estimation" in raw else None),
-                early_stop=raw.get("early_stop", False),
-            )
-        except (KeyError, TypeError, ValueError, NonFiniteDynamicsError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"bad scenario config: {exc}") from exc
+        """The config a JSON object describes, as ``to_dict`` writes it.
+
+        The field annotations are the schema. Each value must have the JSON
+        type of its field, as in the example config: a number for a float
+        field, an integer for ``seed`` and the alphas, true or false for
+        ``early_stop``, a string, a list or an object; a bool is not a
+        number. Lists become tuples, and a missing field takes its default
+        (``init.t`` is 0). An unknown key or a missing required one, at any
+        depth, is a ``ConfigError``, and every error names the field's
+        dotted path. Range and cross-field checks are those of each class.
+        """
+        return _build(cls, raw, "")
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "params": {"beta": self.params.beta, "gamma": self.params.gamma},
-            "init": {"t": self.init.t, "s": self.init.s, "i": self.init.i,
-                     "r": self.init.r},
-            "i_bar": self.i_bar,
-            "u_max": self.u_max,
-            "noise": {k: v for k, v in vars(self.noise).items() if v is not None},
-            "inflation": dict(vars(self.inflation)),
-            "misestimation": dict(vars(self.misestimation)),
-            "integrator": {"method": self.integrator.method,
-                           "step": self.integrator.step,
-                           "horizon": self.integrator.horizon},
-            "seed": self.seed,
-            "policies": list(self.policies),
-            "early_stop": self.early_stop,
-        }
-        if self.estimation is not None:
-            out["estimation"] = {**vars(self.estimation),
-                                 "alphas": list(self.estimation.alphas)}
-        return out
+        """The config as a JSON object: tuples as lists, ``None`` fields left out."""
+        return _to_json(self)
+
+
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+               bool: (bool, "true or false"), str: (str, "a string")}
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """Each field of a config dataclass: its resolved annotation and whether it is required."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING) for f in fields(cls)}
+
+
+def _build(cls, raw, path: str):
+    """The ``cls`` a JSON object describes; ``path`` is its dotted place in the config."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object, got {raw!r}")
+    schema, prefix = _schema(cls), f"{path}." if path else ""
+    unknown = [f"{prefix}{k}" for k in raw if k not in schema]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    missing = [prefix + k for k, (_, required) in schema.items() if required and k not in raw]
+    if missing:
+        raise ConfigError(f"missing config keys: {', '.join(missing)}")
+    values = {k: _parse(schema[k][0], v, prefix + k) for k, v in raw.items()}
+    try:
+        return cls(**values)
+    except (ValueError, ArithmeticError, NonFiniteDynamicsError) as exc:
+        # the class's own checks; name the block unless the message already does
+        msg = str(exc)
+        raise ConfigError(msg if msg.startswith(path) else f"{path}: {msg}") from exc
+
+
+def _parse(annotation, value, path: str):
+    """A JSON value as the field type ``annotation``; errors name ``path``."""
+    if get_origin(annotation) is Union:  # Optional[X]
+        return None if value is None else _parse(get_args(annotation)[0], value, path)
+    if get_origin(annotation) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        item = get_args(annotation)[0]
+        return tuple(_parse(item, v, f"{path}[{n}]") for n, v in enumerate(value))
+    if is_dataclass(annotation):
+        return _build(annotation, value, path)
+    accepted, noun = _JSON_TYPES[annotation]
+    if isinstance(value, bool) is not (annotation is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+    return value
+
+
+def _to_json(value):
+    """A config value as JSON data: an object per dataclass, a list per tuple."""
+    if is_dataclass(value):
+        return {f.name: _to_json(v) for f in fields(value)
+                if (v := getattr(value, f.name)) is not None}
+    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ class TestEstimator:
         est = estimate_params(batch)
         assert abs(est.beta_hat - PARAMS.beta) <= 1e-10
         assert abs(est.gamma_hat - PARAMS.gamma) <= 1e-10
-        assert not est.negative_flagged
+        assert est.beta_hat >= 0.0 and est.gamma_hat >= 0.0
 
     def test_normal_equations_residual(self):
         states = euler_chain(PARAMS, SirState(t=0.0, s=0.7, i=0.2, r=0.1), 0.0, 0.05, 12)

@@ -58,6 +58,7 @@ from sirctl.scenarios import (
     EstimateRow,
     EstimationWindow,
     InflationConfig,
+    PRESETS,
     PolicyRun,
     ScenarioConfig,
     bound_sweep_noisy_config,
@@ -211,9 +212,32 @@ class TestRunScenario:
         assert assumed.gamma <= cfg.params.gamma
         assert art.runs["robust"].result.report.feasible
 
+    @staticmethod
+    def _through_json(cfg):
+        return ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+
     def test_config_roundtrip_through_dict(self, small_scenario):
-        again = ScenarioConfig.from_dict(small_scenario.to_dict())
-        assert again == small_scenario
+        assert self._through_json(small_scenario) == small_scenario
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_roundtrip_through_json(self, name):
+        assert self._through_json(preset(name)) == preset(name)
+
+    def test_random_config_roundtrip_through_json(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from test_control import mults, noises
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(name=st.sampled_from(sorted(PRESETS)), noise=noises,
+                          inflation=mults, misestimation=mults,
+                          i_bar=st.floats(0.005, 0.3), u_max=st.floats(0.01, 1.0),
+                          early_stop=st.booleans(), seed=st.integers(0, 2**63))
+        def check(name, **changes):
+            cfg = replace(preset(name), **changes)
+            assert self._through_json(cfg) == cfg
+
+        check()
 
     def test_dict_edits_leave_the_config_untouched(self):
         # --set edits this dict; fig1 shares the class-level misestimation default
@@ -607,6 +631,13 @@ class TestCli:
         ("early_stop=no", "early_stop"),  # a truthy string used to switch it on
         ("seed=1.5", "seed"),
         ("seed=NaN", "seed"),
+        # a value of the wrong JSON type; a bool is not a number
+        ("name=5", "name"),
+        ("u_max=true", "u_max"),
+        ("params.beta=true", "params.beta"),
+        ("inflation.beta_mult=true", "inflation.beta_mult"),
+        ("estimation.alphas=[true,2]", "estimation.alphas"),
+        ('i_bar="0.1"', "i_bar"),
         # a step below the spacing of doubles at init.t: the grid would repeat times
         pytest.param(("init.t=1000", "integrator.step=1e-14", "integrator.horizon=1e-12"),
                      "integrator.step", id="step-below-spacing-at-t1000"),
@@ -617,6 +648,12 @@ class TestCli:
                      *(arg for one in specs for arg in ("--set", one))])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    def test_estimate_rejects_a_mistyped_name(self, tmp_path, capsys):
+        code = main(["estimate", "--preset", "param-est", "--set", "name=5",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "name: expected a string" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["estimate", "--preset", "param-est"],
