@@ -51,15 +51,16 @@ def total_cost(trace: PolicyTrace, warn: bool = True) -> float:
     internal table assembly passes warn=False because the truncation is
     visible in the switching-time columns.
     """
-    if len(trace.t) == 0:
+    t, u = trace.t, trace.u
+    if len(t) == 0:
         return 0.0
-    if warn and trace.u[-1] > 0.0:
+    if warn and u[-1] > 0.0:
         warnings.warn(
-            f"isolation rate is {trace.u[-1]:.3e} at the end of the horizon; "
+            f"isolation rate is {u[-1]:.3e} at the end of the horizon; "
             "the cost integral is truncated, not converged",
             stacklevel=2,
         )
-    return float(np.trapezoid(trace.u, trace.t))
+    return float(np.trapezoid(u, t))
 
 
 def grid_mismatch(trace_a: PolicyTrace, trace_b: PolicyTrace) -> str:
@@ -69,10 +70,10 @@ def grid_mismatch(trace_a: PolicyTrace, trace_b: PolicyTrace) -> str:
     first stopped in stage 3 at rate zero (an early stop): the rate stays
     zero from there, so that trace adds nothing beyond its end.
     """
-    shorter = trace_a if trace_a.t[-1] < trace_b.t[-1] else trace_b
+    t_a, t_b = trace_a.t, trace_b.t
+    shorter = trace_a if t_a[-1] < t_b[-1] else trace_b
     stopped = shorter.stage[-1] == 3 and shorter.u[-1] == 0.0
-    for a, b, what in ((trace_a.t[0], trace_b.t[0], "start"),
-                       (trace_a.t[-1], trace_b.t[-1], "end")):
+    for a, b, what in ((t_a[0], t_b[0], "start"), (t_a[-1], t_b[-1], "end")):
         differ = abs(a - b) > 1e-9 * max(1.0, abs(float(b)))
         if differ and not (what == "end" and stopped):
             return f"trace grids disagree at the {what}: {a} vs {b}"
@@ -90,8 +91,7 @@ def gap_direct(trace_robust: PolicyTrace, trace_optimal: PolicyTrace) -> float:
     mismatch = grid_mismatch(trace_robust, trace_optimal)
     if mismatch:
         raise ValueError(mismatch)
-    return float(np.trapezoid(trace_robust.u, trace_robust.t)
-                 - np.trapezoid(trace_optimal.u, trace_optimal.t))
+    return total_cost(trace_robust, warn=False) - total_cost(trace_optimal, warn=False)
 
 
 def _segment_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -179,9 +179,10 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
     g2 = _segment_grid(tb_s, th_s, step)
     g3 = _segment_grid(th_s, min(th_h, float(s_star.t[-1])), step)
 
-    smax_1 = np.interp(g1, robust.t, robust.s_seen)
-    smax_2 = np.interp(g2, robust.t, robust.s_seen)
-    smax_3 = np.interp(g3, robust.t, robust.s_seen)
+    t_r, s_max = robust.t, robust.s_seen
+    smax_1 = np.interp(g1, t_r, s_max)
+    smax_2 = np.interp(g2, t_r, s_max)
+    smax_3 = np.interp(g3, t_r, s_max)
     sstar_2 = _s_on(s_star, g2)
 
     c = (-gamma_min * (tb_s - tb_h + th_h - th_s)
@@ -189,7 +190,7 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
          + beta_max * (float(np.trapezoid(smax_1, g1)) + float(np.trapezoid(smax_3, g3)))
          + float(np.trapezoid(smax_2 * beta_max - sstar_2 * beta, g2)))
 
-    smax_tb = float(np.interp(tb_h, robust.t, robust.s_seen))
+    smax_tb = float(np.interp(tb_h, t_r, s_max))
     sstar_th = float(_s_on(s_star, np.array([th_s]))[0])
     c_bar = ((smax_tb * beta_max - gamma_min) * (tb_s - tb_h + th_h - th_s)
              + (smax_tb * beta_max - gamma_min - sstar_th * beta + gamma)
@@ -228,7 +229,7 @@ def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
     nan = float("nan")
     direct = l4 = c = c_bar = nan
     if not grid_mismatch(robust_trace, optimal_trace):
-        direct = gap_direct(robust_trace, optimal_trace)
+        direct = cost_r - cost_o  # gap_direct, from the costs already integrated
     if robust_trace.switching.complete and optimal_trace.switching.complete:
         l4 = gap_from_states(robust_traj, optimal_traj, true_params.beta,
                         robust_trace.switching)

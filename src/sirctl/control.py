@@ -28,6 +28,7 @@ from .core import (
     Trajectory,
     _rk4_step,
     locate_event,
+    read_only,
 )
 from .estimation import ParamIntervals
 from .noise import MeasurementNoise
@@ -95,18 +96,61 @@ class FeasibilityReport:
 class PolicyTrace:
     """Applied rate, stage label and consumed state signal over time.
 
-    Switch instants appear as duplicated time nodes (pre- and post-switch
-    values) so piecewise integration of the rate is exact.
+    The rows are the run's grid nodes with switch rows spliced in: a stage
+    switch adds rows at the switch instant (pre- and post-switch values),
+    so piecewise integration of the rate is exact. Only the switch rows
+    are the trace's own. The node columns are held by reference: ``node_t``
+    and ``node_u`` are the trajectory's ``t`` and ``u``, ``node_stage`` is
+    the run's int8 stage per node, and ``node_s_seen``/``node_i_seen`` are
+    the trajectory's ``s``/``i`` when the signals have their bits (a policy
+    that reads no noise), else arrays of their own. ``switch_rows`` holds
+    one ``(position, t, u, stage, s_seen, i_seen)`` per switch row, in row
+    order; the row comes right before node row ``position``. All node
+    arrays are read-only.
+
+    ``t``, ``u``, ``stage``, ``s_seen`` and ``i_seen`` are the full-row
+    columns. Each access splices the switch rows into a new array, so
+    take a column once and let it go when done.
     """
 
-    t: np.ndarray
-    u: np.ndarray
-    stage: np.ndarray
-    s_seen: np.ndarray
-    i_seen: np.ndarray
+    node_t: np.ndarray
+    node_u: np.ndarray
+    node_stage: np.ndarray
+    node_s_seen: np.ndarray
+    node_i_seen: np.ndarray
+    switch_rows: tuple[tuple[int, float, float, int, float, float], ...]
     switching: SwitchingTimes
     clamp_events: int
     kind: PolicyKind
+
+    def __post_init__(self) -> None:
+        read_only(self.node_t, self.node_u, self.node_stage, self.node_s_seen,
+                  self.node_i_seen)
+
+    def _spliced(self, nodes: np.ndarray, col: int) -> np.ndarray:
+        rows = self.switch_rows
+        at = np.array([row[0] for row in rows], dtype=np.intp)
+        return np.insert(nodes, at, [row[col] for row in rows])
+
+    @property
+    def t(self) -> np.ndarray:
+        return self._spliced(self.node_t, 1)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._spliced(self.node_u, 2)
+
+    @property
+    def stage(self) -> np.ndarray:
+        return self._spliced(self.node_stage, 3)
+
+    @property
+    def s_seen(self) -> np.ndarray:
+        return self._spliced(self.node_s_seen, 4)
+
+    @property
+    def i_seen(self) -> np.ndarray:
+        return self._spliced(self.node_i_seen, 5)
 
 
 @dataclass(frozen=True)
@@ -114,7 +158,11 @@ class ClosedLoopResult:
     trajectory: Trajectory
     trace: PolicyTrace
     report: FeasibilityReport
-    node_stage: np.ndarray
+
+    @property
+    def node_stage(self) -> np.ndarray:
+        """The int8 stage in effect at each grid node (the trace's node column)."""
+        return self.trace.node_stage
 
 
 def stage_two_rate(beta: float, gamma: float, s_seen: float) -> float:
@@ -225,13 +273,18 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     times are resolved to the event tolerance while the output grid stays
     uniform. Infeasibility is recorded in the report, never raised.
 
-    The trace is assembled after the loop. Its node rows are the node
-    arrays of the trajectory (time, rate, stage) with the signals
-    ``min(state + offset, 1)`` from the held offsets stored per node. A
-    switch adds rows at the switch instant, inserted in recording order: one
-    (the pre-switch stage at rate 0 for a threshold, the stage-2 rate for a
-    herd event) before the node row when it fires at a node, and a pre- and
-    a post-switch row after the node row when it fires inside the step.
+    The trace is assembled after the loop (see ``PolicyTrace``). Its node
+    columns are the run's own arrays, by reference: the trajectory's time
+    and rate, the int8 ``node_stage``, and the signals
+    ``min(state + offset, 1)`` formed in place in the held-offset buffers
+    (for a policy that reads no noise, the trajectory's ``s`` and ``i``
+    when bitwise equal). A policy that reads no noise allocates no offset
+    buffers, and with a full-length ``prefix`` the run shares its time
+    grid. Every array of the result is a read-only view. A switch adds
+    rows at the switch instant, kept in recording order: one (the
+    pre-switch stage at rate 0 for a threshold, the stage-2 rate for a herd
+    event) before the node row when it fires at a node, and a pre- and a
+    post-switch row after the node row when it fires inside the step.
     """
     if not (0.0 < i_bar < 1.0):
         raise ValueError("i_bar must lie in (0, 1)")
@@ -256,14 +309,20 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
 
     s, i, r = init.s, init.i, init.r
     t0 = init.t
-    ts = t0 + np.arange(n + 1) * h
+    if prefix is not None and len(prefix.trajectory) == n + 1:
+        ts = prefix.trajectory.t  # the same grid, once _shared_stage_one accepts the prefix
+    else:
+        ts = t0 + np.arange(n + 1) * h
     ss = np.empty(n + 1)
     ii = np.empty(n + 1)
     rr = np.empty(n + 1)
     uu = np.empty(n + 1)
-    node_stage = np.empty(n + 1, dtype=np.int64)
-    off_s = np.zeros(n + 1)  # measurement offsets held over each step
-    off_i = np.zeros(n + 1)
+    node_stage = np.empty(n + 1, dtype=np.int8)
+    if reads:
+        off_s = np.zeros(n + 1)  # measurement offsets held over each step
+        off_i = np.zeros(n + 1)
+    else:
+        off_s = off_i = np.broadcast_to(0.0, n + 1)  # all zero, in no memory
     # switch rows: (trace position among the node rows, t, u, stage, s_seen, i_seen)
     switch_rows: list[tuple[int, float, float, int, float, float]] = []
 
@@ -395,19 +454,24 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     if reads and read_to < m:
         # stage 3 decides nothing; its offsets only feed the trace signals
         _read_offsets(noise, margin, slice(read_to, m), ss, ii, off_s, off_i)
-    times = SwitchingTimes(t_b=t_b, t_h=t_h)
     traj = Trajectory(t=ts[:m], s=ss[:m], i=ii[:m], r=rr[:m], u=uu[:m], step=h,
                       params=true_params)
-    at = np.array([row[0] for row in switch_rows], dtype=np.intp)
 
-    def spliced(node_rows: np.ndarray, col: int) -> np.ndarray:
-        return np.insert(node_rows, at, [row[col] for row in switch_rows])
+    def signal(node: np.ndarray, off: np.ndarray) -> np.ndarray:
+        # min(node + offset, 1): formed in the offset buffer of a policy that
+        # read noise; otherwise the node array itself if it has the same bits
+        # (compared as bits: -0.0 + 0.0 is 0.0, which == does not see)
+        if reads:
+            return np.minimum(np.add(node, off[:m], out=off[:m]), 1.0, out=off[:m])
+        seen = node + 0.0
+        np.minimum(seen, 1.0, out=seen)
+        return node if np.array_equal(seen.view(np.int64), node.view(np.int64)) else seen
 
-    trace = PolicyTrace(t=spliced(ts[:m], 1), u=spliced(uu[:m], 2),
-                        stage=spliced(node_stage[:m], 3),
-                        s_seen=spliced(np.minimum(ss[:m] + off_s[:m], 1.0), 4),
-                        i_seen=spliced(np.minimum(ii[:m] + off_i[:m], 1.0), 5),
-                        switching=times, clamp_events=clamp_events, kind=kind)
+    trace = PolicyTrace(node_t=traj.t, node_u=traj.u, node_stage=node_stage[:m],
+                        node_s_seen=signal(traj.s, off_s), node_i_seen=signal(traj.i, off_i),
+                        switch_rows=tuple(switch_rows),
+                        switching=SwitchingTimes(t_b=t_b, t_h=t_h),
+                        clamp_events=clamp_events, kind=kind)
     if state_at_tb is not None:
         required, _ = feasibility_check(true_params, state_at_tb, u_max)
     else:
@@ -417,5 +481,4 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         required_rate_at_tb=required, u_max=u_max,
         max_infection_attained=max_i, clamp_events=clamp_events, i_bar=i_bar,
     )
-    return ClosedLoopResult(trajectory=traj, trace=trace, report=report,
-                            node_stage=node_stage[:m])
+    return ClosedLoopResult(trajectory=traj, trace=trace, report=report)

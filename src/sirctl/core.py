@@ -176,14 +176,28 @@ def euler_step(state: SirState, params: EpidemicParams, u: float, h: float) -> S
     return SirState(t=state.t + h, s=s, i=i, r=r)
 
 
+def read_only(*arrays) -> None:
+    """Make the numpy arrays among ``arrays`` read-only, in place.
+
+    Results hand out their arrays as shared views (a measured series holds
+    its trajectory's time grid, a later run its prefix's); a read-only view
+    cannot carry a write from one result into another.
+    """
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """An integrated path on a uniform time grid.
 
     ``u[k]`` is the isolation rate applied on [t[k], t[k+1]) (zero-order
     hold); the last entry repeats the rate in effect at the final node.
-    Immutable once produced; carries the parameters it was integrated with
-    so events can be refined by local re-integration.
+    Immutable once produced: its arrays are read-only, since measured
+    series, policy traces and later runs may hold them as views. Carries the
+    parameters it was integrated with so events can be refined by local
+    re-integration.
     """
 
     t: np.ndarray
@@ -195,6 +209,7 @@ class Trajectory:
     params: EpidemicParams = field(repr=False)
 
     def __post_init__(self) -> None:
+        read_only(self.t, self.s, self.i, self.r, self.u)
         if len(self.t) == 0:
             return
         if np.any(np.diff(self.t) <= 0.0):

@@ -12,8 +12,10 @@ Cells are floats as ``f"{v:.12g}"`` (``nan``, ``inf`` and ``-0`` as such;
 integers, ``true``/``false`` flags and unquoted text. Rows are written
 column-wise: each block of ``_CHUNK_ROWS`` rows is one ``%`` call applying
 the row format (``%.12g`` per float cell) repeated per row to the block's
-column slices as lists. ``%.12g`` is the CPython formatting of
-``f"{v:.12g}"``, so a fixed seed yields byte-identical files.
+column slices as lists. A policy trace is written from its node columns,
+with its few switch rows formatted one by one where they belong. ``%.12g``
+is the CPython formatting of ``f"{v:.12g}"``, so a fixed seed yields
+byte-identical files.
 """
 from __future__ import annotations
 
@@ -54,9 +56,12 @@ _KINDS = {"g": ("%.12g", float), "d": ("%d", int), "s": ("%s", str),
 
 
 def _write(path: Path, header: list[str], columns: Sequence[Sequence],
-           kinds: str) -> None:
+           kinds: str, inserts: Sequence[tuple] = ()) -> None:
     """Write equal-length columns (arrays or lists) under ``header``; ``kinds``
-    holds one ``_KINDS`` key per column."""
+    holds one ``_KINDS`` key per column. ``inserts`` are extra rows
+    ``(position, *cells)`` in row order, each written right before column
+    row ``position`` (after the last one at ``len``); a policy trace's
+    switch rows are spliced in this way, with no full-length copy."""
     n, width = len(columns[0]), len(columns)
     if any(len(col) != n for col in columns):
         raise ValueError(f"{path}: columns differ in length")
@@ -64,15 +69,20 @@ def _write(path: Path, header: list[str], columns: Sequence[Sequence],
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n, _CHUNK_ROWS):
-            m = min(_CHUNK_ROWS, n - lo)
-            flat: list = [None] * (m * width)
-            for j, (col, kind) in enumerate(zip(columns, kinds)):
-                cells = col[lo:lo + m]
-                cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
-                flat[j::width] = (["true" if v else "false" for v in cells]
-                                  if kind == "b" else cells)
-            fh.write(row * m % tuple(flat))
+        done = 0
+        for at, *cells in (*inserts, (n,)):
+            for lo in range(done, at, _CHUNK_ROWS):
+                m = min(_CHUNK_ROWS, at - lo)
+                flat: list = [None] * (m * width)
+                for j, (col, kind) in enumerate(zip(columns, kinds)):
+                    chunk = col[lo:lo + m]
+                    chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+                    flat[j::width] = (["true" if v else "false" for v in chunk]
+                                      if kind == "b" else chunk)
+                fh.write(row * m % tuple(flat))
+            if cells:
+                fh.write(row % tuple(cells))
+            done = at
 
 
 def write_trajectory_csv(path: Path, run: PolicyRun) -> None:
@@ -85,8 +95,9 @@ def write_trajectory_csv(path: Path, run: PolicyRun) -> None:
 
 def write_trace_csv(path: Path, run: PolicyRun) -> None:
     tr = run.result.trace
-    _write(path, TRACE_HEADER, (tr.t, tr.u, tr.stage, tr.s_seen, tr.i_seen),
-           "ggdgg")
+    _write(path, TRACE_HEADER,
+           (tr.node_t, tr.node_u, tr.node_stage, tr.node_s_seen, tr.node_i_seen), "ggdgg",
+           tr.switch_rows)
 
 
 def _row_columns(rows: Iterable, header: list[str]) -> list[list]:

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Trajectory
+from .core import Trajectory, read_only
 
 TRUNCATION_SIGMAS = 3.0
 
@@ -115,16 +115,18 @@ class MeasurementNoise:
         array of that length. Both forms evaluate the same expressions, with
         ``math`` or numpy primitives, so they agree bitwise. The noise std is
         sigma for snr_db and sqrt(max(x, 0)/divisor) for scaled_variance;
-        ``std=True`` returns it in place of delta = 3*std.
+        ``std=True`` returns it in place of delta = 3*std. Array outputs are
+        not copied where they hold one value or the input: the std of snr_db
+        and the zero deltas of kind "none" are read-only broadcasts, and kind
+        "none" returns the state arrays themselves.
         """
         kind = self.kind
         scalar = isinstance(k, int)
         if kind == "none":
             if scalar:
                 return s_true, i_true, 0.0, 0.0
-            shape = np.shape(s_true)
-            return (np.array(s_true, dtype=float), np.array(i_true, dtype=float),
-                    np.zeros(shape), np.zeros(shape))
+            zero = np.broadcast_to(0.0, np.shape(s_true))
+            return np.asarray(s_true, dtype=float), np.asarray(i_true, dtype=float), zero, zero
         if scalar:
             zs, zi = self._zs[k], self._zi[k]
             sqrt, nonneg = _SCALAR_OPS
@@ -135,7 +137,8 @@ class MeasurementNoise:
         if kind == "snr_db":
             sd_s, sd_i = self.sigma_s, self.sigma_i
             if not scalar:
-                sd_s, sd_i = np.full(np.shape(s_true), sd_s), np.full(np.shape(i_true), sd_i)
+                sd_s = np.broadcast_to(sd_s, np.shape(s_true))
+                sd_i = np.broadcast_to(sd_i, np.shape(i_true))
         else:
             sd_s = sqrt(nonneg(s_true) / div)
             sd_i = sqrt(nonneg(i_true) / div)
@@ -153,14 +156,25 @@ class MeasurementNoise:
 
 @dataclass(frozen=True)
 class MeasuredSeries:
-    """Noisy samples of a trajectory on its grid, with noise metadata."""
+    """Noisy samples of a trajectory on its grid, with noise metadata.
+
+    ``t`` and ``u`` are the sampled trajectory's own arrays (views, not
+    copies); ``s_hat`` and ``i_hat`` are arrays of their own, or the
+    trajectory's ``s`` and ``i`` when the noise kind is "none". The sigma
+    columns are the per-sample noise std (zero when noise-free, a read-only
+    broadcast of one value for snr_db), or None when the series was built
+    without them. Every array is read-only.
+    """
 
     t: np.ndarray
     s_hat: np.ndarray
     i_hat: np.ndarray
     u: np.ndarray
-    sigma_s: np.ndarray  # per-sample noise std, zero when noise-free
-    sigma_i: np.ndarray
+    sigma_s: Optional[np.ndarray] = None
+    sigma_i: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        read_only(self.t, self.s_hat, self.i_hat, self.u, self.sigma_s, self.sigma_i)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -168,21 +182,28 @@ class MeasuredSeries:
     @property
     def v_max_bound(self) -> float:
         """Truncation-based amplitude bound on every noise sample."""
+        if self.sigma_s is None or self.sigma_i is None:
+            raise ValueError("the amplitude bound needs the sigma columns")
         big = max(float(np.max(self.sigma_s, initial=0.0)),
                   float(np.max(self.sigma_i, initial=0.0)))
         return TRUNCATION_SIGMAS * big
 
 
-def measured_series_for(noise: MeasurementNoise, traj: Trajectory) -> MeasuredSeries:
+def measured_series_for(noise: MeasurementNoise, traj: Trajectory,
+                        sigma: bool = False) -> MeasuredSeries:
     """The per-node measurements a controller driven by this noise source saw.
 
     One array call of ``noise.measure`` over every grid node, so bitwise
-    equal to ``noise.measure(k, s[k], i[k])`` at each node k; the sigma
-    columns are the noise std of each sample.
+    equal to ``noise.measure(k, s[k], i[k])`` at each node k. The series
+    holds the trajectory's ``t`` and ``u`` by reference. ``sigma=True``
+    keeps the noise std of each sample as the sigma columns, which the
+    estimator's amplitude bound reads; a policy run's series leaves them out.
     """
     s_hat, i_hat, sigma_s, sigma_i = noise.measure(slice(0, len(traj)), traj.s, traj.i,
                                                    std=True)
-    return MeasuredSeries(t=traj.t.copy(), s_hat=s_hat, i_hat=i_hat, u=traj.u.copy(),
+    if not sigma:
+        sigma_s = sigma_i = None
+    return MeasuredSeries(t=traj.t, s_hat=s_hat, i_hat=i_hat, u=traj.u,
                           sigma_s=sigma_s, sigma_i=sigma_i)
 
 
@@ -190,4 +211,4 @@ def inject_noise(traj: Trajectory, config: NoiseConfig, seed: int) -> MeasuredSe
     """Sample a trajectory at every grid node under a noise model; the
     trajectory itself is the reference for SNR-mode signal power."""
     return measured_series_for(
-        MeasurementNoise.build(config, len(traj), seed, reference=traj), traj)
+        MeasurementNoise.build(config, len(traj), seed, reference=traj), traj, sigma=True)

@@ -156,6 +156,8 @@ class ScenarioConfig:
         bad = [p for p in self.policies if p not in PolicyKind._value2member_map_]
         if bad:
             raise ConfigError(f"unknown policies {bad}")
+        if not self.policies or len(set(self.policies)) < len(self.policies):
+            raise ConfigError(f"policies must name each policy once, got {list(self.policies)}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -235,6 +237,14 @@ def _to_json(value):
 
 @dataclass(frozen=True)
 class PolicyRun:
+    """One policy's closed loop and what its noise source measured on it.
+
+    Each full-length array is held once, read-only: ``measured`` shares the
+    trajectory's ``t`` and ``u`` and keeps no sigma columns (its ``s_hat``
+    and ``i_hat`` are the trajectory's ``s`` and ``i`` when noise-free), and
+    the trace shares the node columns (``PolicyTrace``).
+    """
+
     kind: PolicyKind
     result: ClosedLoopResult
     measured: MeasuredSeries

@@ -32,9 +32,10 @@ def make_trace(t, u, kind=PolicyKind.OPTIMAL, switching=SwitchingTimes(),
     u = np.asarray(u, dtype=float)
     filler = np.zeros_like(t)
     s_seen = filler.copy() if s_seen is None else np.asarray(s_seen, dtype=float)
-    return PolicyTrace(t=t, u=u, stage=np.ones_like(t, dtype=np.int64),
-                       s_seen=s_seen, i_seen=filler, switching=switching,
-                       clamp_events=0, kind=kind)
+    # every row a node row: the duplicated switch instants are given as nodes
+    return PolicyTrace(node_t=t, node_u=u, node_stage=np.ones_like(t, dtype=np.int8),
+                       node_s_seen=s_seen, node_i_seen=filler, switch_rows=(),
+                       switching=switching, clamp_events=0, kind=kind)
 
 
 def make_traj(t, s, i, u=None):
@@ -84,12 +85,12 @@ class TestGapDirect:
     def test_early_stop_counts_as_zero_rate_to_the_end(self):
         # a trace that stopped in stage 3 at rate zero, against a longer one
         a = make_trace([0.0, 5.0, 5.0, 8.0, 8.0, 10.0], [0.0, 0.0, 0.1, 0.1, 0.0, 0.0])
-        a = replace(a, stage=np.array([1, 1, 2, 2, 3, 3]))
+        a = replace(a, node_stage=np.array([1, 1, 2, 2, 3, 3]))
         b = make_trace([0.0, 12.0], [0.1, 0.1])
         assert gap_direct(a, b) == pytest.approx(0.1 * 3 - 0.1 * 12, abs=1e-12)
         assert gap_direct(b, a) == pytest.approx(0.1 * 12 - 0.1 * 3, abs=1e-12)
         with pytest.raises(ValueError, match="at the start"):
-            gap_direct(replace(a, t=a.t + 1.0), b)
+            gap_direct(replace(a, node_t=a.node_t + 1.0), b)
 
 
 class TestStateOnGrid:
@@ -213,7 +214,10 @@ class TestCrossFormulaConsistency:
         trace = rob.result.trace
         cr = art.cost_report
         assert closed_form(trace) == (cr.gap_closed_form, cr.gap_upper)
-        wider = replace(trace, s_seen=np.minimum(trace.s_seen + 0.01, 1.0))
+        wider = replace(trace, node_s_seen=np.minimum(trace.node_s_seen + 0.01, 1.0),
+                        switch_rows=tuple((*row[:4], min(row[4] + 0.01, 1.0), row[5])
+                                          for row in trace.switch_rows))
+        assert np.array_equal(wider.s_seen, np.minimum(trace.s_seen + 0.01, 1.0))
         assert closed_form(wider)[0] > cr.gap_closed_form
 
 

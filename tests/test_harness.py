@@ -51,6 +51,7 @@ from sirctl.noise import (
     NoiseConfig,
     derive_seed,
     inject_noise,
+    measured_series_for,
 )
 from sirctl.scenarios import (
     ConfigError,
@@ -138,8 +139,13 @@ class TestInjectNoise:
                              for k in range(len(traj))])
             assert np.array_equal(run.measured.s_hat, reads[:, 0])
             assert np.array_equal(run.measured.i_hat, reads[:, 1])
-            assert np.array_equal(run.measured.sigma_s, stds[:, 0])
-            assert np.array_equal(run.measured.sigma_i, stds[:, 1])
+            # a policy run keeps no sigma; the estimator's series does
+            assert run.measured.sigma_s is None and run.measured.sigma_i is None
+            series = measured_series_for(noise, traj, sigma=True)
+            assert np.array_equal(series.s_hat, reads[:, 0])
+            assert np.array_equal(series.i_hat, reads[:, 1])
+            assert np.array_equal(series.sigma_s, stds[:, 0])
+            assert np.array_equal(series.sigma_i, stds[:, 1])
             # delta reaches the loop through the robust signals: the node rows
             # (the last trace row at each node time) hold min(x + offset, 1)
             if name == "optimal" or noise_cfg.kind == "none":
@@ -533,13 +539,13 @@ class TestCsvFormat:
                           params=EpidemicParams(beta=0.16, gamma=1.0 / 30.0))
         meas = MeasuredSeries(t=t, s_hat=s_hat, i_hat=i_hat, u=u,
                               sigma_s=np.zeros(n), sigma_i=np.zeros(n))
-        trace = PolicyTrace(t=t, u=u, stage=stage, s_seen=s_hat, i_seen=i_hat,
-                            switching=SwitchingTimes(), clamp_events=0,
-                            kind=PolicyKind.ROBUST)
+        trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s_seen=s_hat,
+                            node_i_seen=i_hat, switch_rows=(), switching=SwitchingTimes(),
+                            clamp_events=0, kind=PolicyKind.ROBUST)
         report = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan,
                                    u_max=0.1, max_infection_attained=0.0,
                                    clamp_events=0, i_bar=0.1)
-        run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(traj, trace, report, stage),
+        run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(traj, trace, report),
                         meas, assumed=None)
         write_trajectory_csv(tmp_path / "trajectory.csv", run)
         write_trace_csv(tmp_path / "trace.csv", run)
@@ -547,6 +553,28 @@ class TestCsvFormat:
             TRAJECTORY_HEADER, zip(t, s, i, r, s_hat, i_hat, u, stage)) + [""]
         assert (tmp_path / "trace.csv").read_text().split("\n") == self.expected(
             TRACE_HEADER, zip(t, u, stage, s_hat, i_hat)) + [""]
+
+    def test_trace_switch_rows_are_spliced(self, tmp_path, n):
+        # switch rows before the first node, twice mid-way and after the last
+        t, u, s_seen, i_seen = (self.floats(n, seed) for seed in range(4))
+        stage = np.random.default_rng(4).integers(1, 4, n).astype(np.int8)
+        cells = self.floats(16, 5).tolist()
+        switch_rows = tuple((at, *cells[4 * k:4 * k + 2], k % 3 + 1, *cells[4 * k + 2:4 * k + 4])
+                            for k, at in enumerate((0, n // 2, n // 2, n)))
+        trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s_seen=s_seen,
+                            node_i_seen=i_seen, switch_rows=switch_rows,
+                            switching=SwitchingTimes(), clamp_events=0,
+                            kind=PolicyKind.ROBUST)
+        report = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan,
+                                   u_max=0.1, max_infection_attained=0.0,
+                                   clamp_events=0, i_bar=0.1)
+        run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(None, trace, report),
+                        None, assumed=None)
+        write_trace_csv(tmp_path / "trace.csv", run)
+        full = (trace.t, trace.u, trace.stage, trace.s_seen, trace.i_seen)
+        assert len(full[0]) == n + 4
+        assert (tmp_path / "trace.csv").read_text().split("\n") == self.expected(
+            TRACE_HEADER, zip(*full)) + [""]
 
     def test_estimates_and_costs(self, tmp_path, n):
         x = [self.floats(n, seed).tolist() for seed in range(7)]
@@ -641,6 +669,10 @@ class TestCli:
         # a step below the spacing of doubles at init.t: the grid would repeat times
         pytest.param(("init.t=1000", "integrator.step=1e-14", "integrator.horizon=1e-12"),
                      "integrator.step", id="step-below-spacing-at-t1000"),
+        # no policy to run (this wrote nothing and exited 0), or one named
+        # twice (this ran it once)
+        ("policies=[]", "policies"),
+        ('policies=["optimal","optimal"]', "policies"),
     ])
     def test_rejected_override_names_the_field(self, tmp_path, capsys, spec, named):
         specs = spec if isinstance(spec, tuple) else (spec,)

@@ -1,0 +1,114 @@
+"""What a scenario run keeps: each full-length array once, shared as read-only views."""
+from __future__ import annotations
+
+from dataclasses import fields, is_dataclass, replace
+
+import numpy as np
+import pytest
+
+from sirctl.core import IntegratorConfig
+from sirctl.noise import NoiseConfig
+from sirctl.scenarios import preset, run_scenario
+
+
+def _arrays(obj) -> list[np.ndarray]:
+    """Every ndarray reachable from ``obj`` through dataclass fields, dicts and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if is_dataclass(obj) and not isinstance(obj, type):
+        children = [getattr(obj, f.name) for f in fields(obj)]
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (tuple, list)):
+        children = list(obj)
+    else:
+        return []
+    return [a for child in children for a in _arrays(child)]
+
+
+def _buffers(arrays: list[np.ndarray], nodes: int) -> list[np.ndarray]:
+    """One representative per group of memory-sharing arrays of at least ``nodes``
+    rows; a zero-stride broadcast holds one value and no per-node memory."""
+    groups: list[np.ndarray] = []
+    for a in arrays:
+        if a.ndim == 1 and len(a) >= nodes and a.strides[0] != 0:
+            if not any(np.shares_memory(a, g) for g in groups):
+                groups.append(a)
+    return groups
+
+
+SHORT = IntegratorConfig(step=0.01, horizon=150.0)
+CASES = {
+    # policy -> (distinct full-length buffers the run holds, of which its own)
+    "fig1": (replace(preset("fig1"), integrator=SHORT),
+             {"optimal": (8, 8), "robust": (10, 9)}),
+    "fig1-noise-free": (replace(preset("fig1"), integrator=SHORT,
+                                noise=NoiseConfig(kind="none")),
+                        {"optimal": (6, 6), "robust": (6, 5)}),
+    "policy-compare": (replace(preset("policy-compare"), integrator=SHORT),
+                       {"optimal": (8, 8), "robust": (10, 9), "misestimated": (10, 9)}),
+}
+
+
+@pytest.fixture(scope="module", params=list(CASES))
+def case(request):
+    cfg, expected = CASES[request.param]
+    return run_scenario(cfg), expected
+
+
+class TestRetention:
+    def test_distinct_full_length_buffers_per_policy(self, case):
+        # optimal: t, s, i, r, u, stage and s_hat, i_hat (its signals are s
+        # and i); a policy that reads noise adds its two signals and takes the
+        # optimal run's time grid; noise-free, s_hat and i_hat are s and i
+        art, expected = case
+        earlier: list[np.ndarray] = []
+        counts = {}
+        for name, run in art.runs.items():
+            held = _buffers(_arrays(run), len(run.result.trajectory))
+            own = [b for b in held if not any(np.shares_memory(b, e) for e in earlier)]
+            counts[name] = (len(held), len(own))
+            earlier += own
+        assert counts == expected
+
+    def test_views_shared_with_the_trajectory(self, case):
+        art, _ = case
+        optimal = art.runs["optimal"].result
+        for name, run in art.runs.items():
+            traj, trace, meas = run.result.trajectory, run.result.trace, run.measured
+            assert meas.t is traj.t and meas.u is traj.u
+            assert meas.sigma_s is None and meas.sigma_i is None
+            assert trace.node_t is traj.t and trace.node_u is traj.u
+            assert trace.node_stage.dtype == np.int8
+            assert np.shares_memory(traj.t, optimal.trajectory.t)
+            reads = name != "optimal" and art.config.noise.kind != "none"
+            assert (trace.node_s_seen is traj.s) is not reads
+            assert (trace.node_i_seen is traj.i) is not reads
+            if art.config.noise.kind == "none":
+                assert meas.s_hat is traj.s and meas.i_hat is traj.i
+
+    def test_full_rows_splice_the_switch_rows(self, case):
+        art, _ = case
+        for run in art.runs.values():
+            trace = run.result.trace
+            t = trace.t
+            assert len(t) == len(trace.node_t) + len(trace.switch_rows)
+            assert np.all(np.diff(t) >= 0.0)
+            nodes = np.ones(len(t), dtype=bool)
+            nodes[[pos + k for k, (pos, *_) in enumerate(trace.switch_rows)]] = False
+            for full, node in ((t, trace.node_t), (trace.u, trace.node_u),
+                               (trace.stage, trace.node_stage),
+                               (trace.s_seen, trace.node_s_seen),
+                               (trace.i_seen, trace.node_i_seen)):
+                assert full[nodes].tobytes() == node.tobytes()
+
+
+class TestReadOnly:
+    def test_writing_to_a_shared_array_raises(self, case):
+        art, _ = case
+        for run in art.runs.values():
+            traj, trace, meas = run.result.trajectory, run.result.trace, run.measured
+            for a in (traj.t, traj.s, traj.i, traj.r, traj.u, meas.s_hat, meas.i_hat,
+                      trace.node_stage, trace.node_s_seen, trace.node_i_seen):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.5
