@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpidemicParams, Trajectory, _rk4_step
+from .core import EpidemicParams, Trajectory
 from .control import PolicyTrace, SwitchingTimes
 
 _MIN_INFECTION = 1e-12
@@ -68,11 +68,13 @@ def grid_mismatch(trace_a: PolicyTrace, trace_b: PolicyTrace) -> str:
 
     The starts must agree. The ends may differ only when the trace that ends
     first stopped in stage 3 at rate zero (an early stop): the rate stays
-    zero from there, so that trace adds nothing beyond its end.
+    zero from there, so that trace adds nothing beyond its end. Only node
+    values are read: a switch row never comes last, and one that comes
+    first is at the first node's time.
     """
-    t_a, t_b = trace_a.t, trace_b.t
+    t_a, t_b = trace_a.node_t, trace_b.node_t
     shorter = trace_a if t_a[-1] < t_b[-1] else trace_b
-    stopped = shorter.stage[-1] == 3 and shorter.u[-1] == 0.0
+    stopped = shorter.node_stage[-1] == 3 and shorter.node_u[-1] == 0.0
     for a, b, what in ((t_a[0], t_b[0], "start"), (t_a[-1], t_b[-1], "end")):
         differ = abs(a - b) > 1e-9 * max(1.0, abs(float(b)))
         if differ and not (what == "end" and stopped):
@@ -102,22 +104,6 @@ def _segment_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.concatenate(([lo], inner, [hi]))
 
 
-def _s_on(traj: Trajectory, grid: np.ndarray) -> np.ndarray:
-    """S at every time of ``grid``: ``traj.state_at`` over an array.
-
-    Each time takes the last node at or before it and one RK4 sub-step of
-    the remaining span; a time on a node takes the node value.
-    """
-    k = np.searchsorted(traj.t, grid + 1e-12, side="right") - 1
-    outside = (k < 0) | (grid > traj.t[-1] + 1e-9)
-    if np.any(outside):
-        raise ValueError(f"time {float(grid[np.argmax(outside)])} outside trajectory range")
-    dt = grid - traj.t[k]
-    s, _, _ = _rk4_step(traj.s[k], traj.i[k], traj.r[k], traj.params.beta,
-                        traj.params.gamma, traj.u[k], dt)
-    return np.where(dt > 0.0, s, traj.s[k])
-
-
 def gap_from_states(traj_robust: Trajectory, traj_optimal: Trajectory,
                beta: float, times: SwitchingTimes) -> float:
     """State-based gap over [t_b, t_h] of the robust run:
@@ -130,7 +116,7 @@ def gap_from_states(traj_robust: Trajectory, traj_optimal: Trajectory,
         raise ValueError("gap_from_states needs both switching times of the robust run")
     t_lo, t_hi = times.t_b, times.t_h
     grid = _segment_grid(t_lo, t_hi, traj_robust.step)
-    s_gap = _s_on(traj_robust, grid) - _s_on(traj_optimal, grid)
+    s_gap = traj_robust.state_at(grid)[0] - traj_optimal.state_at(grid)[0]
     i_rob = traj_robust.state_at(t_hi)[1]
     i_opt = traj_optimal.state_at(t_hi)[1]
     if i_rob < _MIN_INFECTION or i_opt < _MIN_INFECTION:
@@ -183,7 +169,7 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
     smax_1 = np.interp(g1, t_r, s_max)
     smax_2 = np.interp(g2, t_r, s_max)
     smax_3 = np.interp(g3, t_r, s_max)
-    sstar_2 = _s_on(s_star, g2)
+    sstar_2 = s_star.state_at(g2)[0]
 
     c = (-gamma_min * (tb_s - tb_h + th_h - th_s)
          + (gamma - gamma_min) * (th_s - tb_s)
@@ -191,7 +177,7 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
          + float(np.trapezoid(smax_2 * beta_max - sstar_2 * beta, g2)))
 
     smax_tb = float(np.interp(tb_h, t_r, s_max))
-    sstar_th = float(_s_on(s_star, np.array([th_s]))[0])
+    sstar_th = float(sstar_2[-1])  # g2 ends at t*_h
     c_bar = ((smax_tb * beta_max - gamma_min) * (tb_s - tb_h + th_h - th_s)
              + (smax_tb * beta_max - gamma_min - sstar_th * beta + gamma)
              * (th_s - tb_s))

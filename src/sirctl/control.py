@@ -288,8 +288,6 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     """
     if not (0.0 < i_bar < 1.0):
         raise ValueError("i_bar must lie in (0, 1)")
-    if config.method != "rk4":
-        raise ValueError("closed-loop simulation uses the rk4 ground-truth integrator")
 
     h = config.step
     n = config.n_steps

@@ -7,8 +7,8 @@ removal rate gamma, and an isolation rate u acting on the infected group:
     dI/dt =  beta*S*I - (gamma + u)*I
     dR/dt =  (gamma + u)*I
 
-This module provides the right-hand side, a fixed-step integrator (RK4 or
-forward Euler), the one-step Euler map used by the sampled-data estimator,
+This module provides the right-hand side, the fixed-step RK4 integrator of
+the ground truth, the one-step Euler map used by the sampled-data estimator,
 the closed-form peak-infection value, and the bisection event locator that
 both the closed loop and the trajectory event helpers (threshold crossing,
 herd immunity) use.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ HORIZON_RTOL = 1e-9  # horizon / step may miss a whole number by this much
 
 
 class NonFiniteDynamicsError(RuntimeError):
-    """The state or the policy output became NaN/inf during integration."""
+    """The state or the isolation rate became NaN/inf during integration."""
 
 
 class HerdImmunityNotReached(RuntimeError):
@@ -89,15 +89,12 @@ class ControlBounds:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration settings."""
+    """Fixed-step RK4 integration settings."""
 
-    method: str = "rk4"  # "rk4" | "euler"
     step: float = 0.01
     horizon: float = 1200.0
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk4", "euler"):
-            raise ValueError(f"unknown method {self.method!r}")
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ValueError(f"step must be positive and finite, got {self.step}")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
@@ -155,14 +152,6 @@ def _rk4_step(s, i, r, beta, gamma, u, h):
     )
 
 
-def _euler_step(s, i, r, beta, gamma, u, h):
-    d = _rhs(s, i, beta, gamma, u)
-    return s + h * d[0], i + h * d[1], r + h * d[2]
-
-
-_STEPPERS = {"rk4": _rk4_step, "euler": _euler_step}
-
-
 def euler_step(state: SirState, params: EpidemicParams, u: float, h: float) -> SirState:
     """One forward-Euler step of size h; the exact model class of the estimator.
 
@@ -172,8 +161,9 @@ def euler_step(state: SirState, params: EpidemicParams, u: float, h: float) -> S
     """
     if not h > 0.0:
         raise ValueError("step h must be positive")
-    s, i, r = _euler_step(state.s, state.i, state.r, params.beta, params.gamma, u, h)
-    return SirState(t=state.t + h, s=s, i=i, r=r)
+    d = rhs(state, params, u)
+    return SirState(t=state.t + h, s=state.s + h * d[0], i=state.i + h * d[1],
+                    r=state.r + h * d[2])
 
 
 def read_only(*arrays) -> None:
@@ -222,78 +212,69 @@ class Trajectory:
         return SirState(t=float(self.t[k]), s=float(self.s[k]), i=float(self.i[k]),
                         r=float(self.r[k]))
 
-    def index_at(self, time: float) -> int:
-        """Index of the last grid node with t[k] <= time."""
-        k = int(np.searchsorted(self.t, time + 1e-12, side="right") - 1)
-        if k < 0 or time > self.t[-1] + 1e-9:
-            raise ValueError(f"time {time} outside trajectory range")
-        return k
+    def index_at(self, time):
+        """Index of the last grid node with t[k] <= time (to 1e-12).
 
-    def state_at(self, time: float) -> tuple[float, float, float]:
-        """(S, I, R) at an off-grid time via one local RK4 sub-step."""
+        Elementwise: a float gives an int, an array of times an index array.
+        A time outside the grid, or NaN, raises ValueError naming the first.
+        """
+        k = np.searchsorted(self.t, np.add(time, 1e-12), side="right") - 1
+        outside = (k < 0) | ~(np.asarray(time) <= self.t[-1] + 1e-9)
+        if np.any(outside):
+            first = np.asarray(time).flat[np.argmax(outside)]
+            raise ValueError(f"time {float(first)} outside trajectory range")
+        return int(k) if np.ndim(k) == 0 else k
+
+    def state_at(self, time):
+        """(S, I, R) at a time: the node values on a node, else one RK4 sub-step.
+
+        The sub-step runs from the last node at or before the time under that
+        node's held rate. Elementwise: a float gives three floats, an array
+        of times three arrays.
+        """
         k = self.index_at(time)
-        dt = time - float(self.t[k])
-        if dt <= 0.0:
-            return float(self.s[k]), float(self.i[k]), float(self.r[k])
-        return _rk4_step(float(self.s[k]), float(self.i[k]), float(self.r[k]),
-                         self.params.beta, self.params.gamma, float(self.u[k]), dt)
+        dt = time - self.t[k]
+        sub = _rk4_step(self.s[k], self.i[k], self.r[k], self.params.beta,
+                        self.params.gamma, self.u[k], dt)
+        on_node = dt <= 0.0
+        s, i, r = (np.where(on_node, node[k], x) for node, x in
+                   zip((self.s, self.i, self.r), sub))
+        return (float(s), float(i), float(r)) if np.ndim(time) == 0 else (s, i, r)
 
     def max_conservation_error(self) -> float:
         return float(np.max(np.abs(self.s + self.i + self.r - 1.0)))
 
 
-Policy = Union[float, Callable[[float, SirState], float]]
-
-
-def integrate(params: EpidemicParams, policy: Policy, init: SirState,
+def integrate(params: EpidemicParams, u: float, init: SirState,
               config: IntegratorConfig) -> Trajectory:
-    """Integrate the controlled SIR dynamics on a fixed grid.
+    """Integrate the SIR dynamics by RK4 on a fixed grid under the constant rate u.
 
-    ``policy`` is either a constant rate or a callable (t, state) -> rate,
-    sampled at each grid node and held over the step. Raises
-    NonFiniteDynamicsError if the policy returns NaN/inf.
+    The grid is ``init.t + k*step``, as in the closed loop. Raises
+    NonFiniteDynamicsError if u or the state becomes NaN/inf, and
+    ValueError if u lies outside [0, 1].
     """
+    u = float(u)
+    if not math.isfinite(u):
+        raise NonFiniteDynamicsError(f"isolation rate {u} is not finite")
+    if u < 0.0 or u > 1.0:
+        raise ValueError(f"isolation rate {u} outside [0, 1]")
     h = config.step
     n = config.n_steps
-    stepper = _STEPPERS[config.method]
     beta, gamma = params.beta, params.gamma
 
-    constant = not callable(policy)
-    u_const = float(policy) if constant else 0.0
-    if constant:
-        _check_rate(u_const, 0.0)
-
     s, i, r = init.s, init.i, init.r
-    t = init.t
-    ts = np.empty(n + 1)
+    ts = init.t + np.arange(n + 1) * h
     ss = np.empty(n + 1)
     ii = np.empty(n + 1)
     rr = np.empty(n + 1)
-    uu = np.empty(n + 1)
-    ts[0], ss[0], ii[0], rr[0] = t, s, i, r
-
-    for k in range(n):
-        if constant:
-            u = u_const
-        else:
-            u = float(policy(t, SirState(t=t, s=s, i=i, r=r)))
-            _check_rate(u, t)
-        uu[k] = u
-        s, i, r = stepper(s, i, r, beta, gamma, u, h)
+    ss[0], ii[0], rr[0] = s, i, r
+    for k in range(1, n + 1):
+        s, i, r = _rk4_step(s, i, r, beta, gamma, u, h)
         if not (math.isfinite(s) and math.isfinite(i) and math.isfinite(r)):
-            raise NonFiniteDynamicsError(f"state became non-finite at t={t + h}")
-        t = init.t + (k + 1) * h
-        ts[k + 1], ss[k + 1], ii[k + 1], rr[k + 1] = t, s, i, r
-    uu[n] = uu[n - 1] if n > 0 else u_const
+            raise NonFiniteDynamicsError(f"state became non-finite at t={ts[k]}")
+        ss[k], ii[k], rr[k] = s, i, r
 
-    return Trajectory(t=ts, s=ss, i=ii, r=rr, u=uu, step=h, params=params)
-
-
-def _check_rate(u: float, t: float) -> None:
-    if not math.isfinite(u):
-        raise NonFiniteDynamicsError(f"policy returned non-finite rate at t={t}")
-    if u < 0.0 or u > 1.0:
-        raise ValueError(f"policy rate {u} outside [0, 1] at t={t}")
+    return Trajectory(t=ts, s=ss, i=ii, r=rr, u=np.full(n + 1, u), step=h, params=params)
 
 
 def peak_infection(params: EpidemicParams, start: SirState, u_fix: float) -> float:

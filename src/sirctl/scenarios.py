@@ -25,7 +25,6 @@ from .analysis import (
     CumulativeCheck,
     build_cost_report,
     cumulative_infected_check,
-    gap_direct,
     grid_mismatch,
     total_cost,
 )
@@ -323,9 +322,6 @@ def _optimal_run(config: ScenarioConfig) -> tuple[ClosedLoopResult, MeasurementN
     noise-free reference from which SNR-mode noise power is resolved. Neither
     depends on the policies' assumed rates.
     """
-    if config.integrator.method != "rk4":
-        raise ConfigError("closed-loop runs need integrator.method \"rk4\", "
-                          f"got {config.integrator.method!r}")
     optimal = simulate_closed_loop(
         PolicyKind.OPTIMAL, config.params, None, config.init, None,
         config.integrator, config.i_bar, ControlBounds(config.u_max),
@@ -370,7 +366,11 @@ def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
 
 
 def _cost_rows(runs: dict[str, PolicyRun], report: Optional[CostReport]) -> list[CostRow]:
-    """One row per run; the robust and optimal costs come from the report."""
+    """One row per run; the robust and optimal costs come from the report.
+
+    Each trace is integrated once: the optimal run comes first, and a later
+    run's ``gap_direct`` is its cost minus the optimal one.
+    """
     nan = math.nan
     rows = []
     opt = runs.get("optimal")
@@ -381,12 +381,13 @@ def _cost_rows(runs: dict[str, PolicyRun], report: Optional[CostReport]) -> list
             cost, direct = report.total_cost, report.gap_direct
             l4, c, c_bar = report.gap_from_states, report.gap_closed_form, report.gap_upper
         elif name == "optimal":
-            cost = total_cost(trace, warn=False) if report is None else report.optimal_cost
+            cost = opt_cost = (total_cost(trace, warn=False) if report is None
+                               else report.optimal_cost)
             direct = 0.0
         else:
             cost = total_cost(trace, warn=False)
             aligned = opt is not None and not grid_mismatch(trace, opt.result.trace)
-            direct = gap_direct(trace, opt.result.trace) if aligned else nan
+            direct = cost - opt_cost if aligned else nan
         sw = trace.switching
         rows.append(CostRow(
             policy=name, total_cost=cost, gap_direct=direct, gap_lemma4=l4,

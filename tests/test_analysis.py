@@ -1,18 +1,22 @@
 """Cost integrals and the three gap formulas."""
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sirctl.analysis import (
-    _s_on,
     cumulative_infected_check,
     gap_direct,
     gap_from_states,
     gap_closed_form,
+    grid_mismatch,
     total_cost,
 )
 from sirctl.control import (
@@ -22,6 +26,7 @@ from sirctl.control import (
     SwitchingTimes,
 )
 from sirctl.core import EpidemicParams, IntegratorConfig, SirState, Trajectory, integrate
+from sirctl.scenarios import preset, run_scenario
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 
@@ -93,27 +98,63 @@ class TestGapDirect:
             gap_direct(replace(a, node_t=a.node_t + 1.0), b)
 
 
+class TestGridMismatch:
+    @pytest.mark.parametrize("fixture", ["compare_artifacts", "fig1_noisy_artifacts"])
+    def test_node_ends_are_the_row_ends(self, request, fixture):
+        # grid_mismatch reads only node columns: a switch row is never the
+        # last row, and one at position 0 has the first node's time
+        for run in request.getfixturevalue(fixture).runs.values():
+            trace = run.result.trace
+            assert trace.switch_rows
+            assert (trace.t[0], trace.t[-1]) == (trace.node_t[0], trace.node_t[-1])
+            assert (trace.u[-1], trace.stage[-1]) == (trace.node_u[-1], trace.node_stage[-1])
+
+    def test_allocates_less_than_one_column(self):
+        n = 120_000
+        a = replace(make_trace(np.arange(n) * 0.01, np.zeros(n)),
+                    switch_rows=((0, 0.0, 0.0, 1, 0.0, 0.0), (500, 4.995, 0.1, 2, 0.0, 0.0)))
+        b = replace(a, switch_rows=((700, 6.995, 0.1, 2, 0.0, 0.0),))
+        tracemalloc.start()
+        try:
+            assert grid_mismatch(a, b) == ""
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.node_t.nbytes
+
+
 class TestStateOnGrid:
     @pytest.fixture(scope="class")
     def traj(self):
-        # a rate switched on and off between nodes, so sub-steps use u != 0
-        return integrate(PARAMS, lambda t, state: 0.1 if 30.0 < t < 90.0 else 0.0,
-                         SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0),
-                         IntegratorConfig(step=0.01, horizon=150.0))
+        # rate 0.1 on [30, 90] and 0 elsewhere, so sub-steps there use u != 0
+        state, parts = SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0), []
+        for u, span in ((0.0, 30.0), (0.1, 60.0), (0.0, 60.0)):
+            parts.append(integrate(PARAMS, u, state, IntegratorConfig(step=0.01, horizon=span)))
+            state = parts[-1].sample(-1)
+        cols = {c: np.concatenate([getattr(p, c)[:-1] for p in parts[:-1]]
+                                  + [getattr(parts[-1], c)]) for c in "tsiru"}
+        return Trajectory(**cols, step=0.01, params=PARAMS)
 
     def test_equals_state_at_per_time(self, traj):
         rng = np.random.default_rng(0)
         grid = np.concatenate([rng.uniform(0.0, 150.0, 2000), traj.t[::7],
                                traj.t[::11] + 1e-13, traj.t[1::13] - 1e-13,
+                               traj.t[2::17] + 9e-13, traj.t[3::19] - 9e-13,
                                [150.0 + 5e-10]])
-        expected = np.array([traj.state_at(float(tq))[0] for tq in grid])
-        assert np.array_equal(_s_on(traj, grid), expected)
+        expected = np.array([traj.state_at(float(tq)) for tq in grid]).T
+        got = traj.state_at(grid)
+        assert traj.u[3500] == 0.1 and len(got) == 3
+        for column, want in zip(got, expected):
+            assert np.array_equal(column.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("times, first", [([-1.0], "-1.0"),
-                                              ([10.0, 150.1, 151.0], "150.1")])
+                                              ([10.0, 150.1, 151.0], "150.1"),
+                                              ([10.0, math.nan, 151.0], "nan")])
     def test_time_outside_range_names_the_first(self, traj, times, first):
         with pytest.raises(ValueError, match=f"time {first} outside trajectory range"):
-            _s_on(traj, np.array(times))
+            traj.state_at(np.array(times))
+        with pytest.raises(ValueError, match=f"time {first} outside trajectory range"):
+            traj.state_at(times[0] if len(times) == 1 else times[1])
 
 
 class TestGapFromStates:
@@ -236,3 +277,26 @@ class TestCumulativeCheck:
         out = cumulative_infected_check(bad, good, t_h_star=8.0)
         assert out.max_violation == pytest.approx(0.02, abs=1e-12)
         assert not out.ok
+
+
+class TestClosedFormOptimum:
+    def test_error_halves_with_the_step(self, monkeypatch):
+        # J* of Miclo, Spiro & Weibull (2020), from the benchmark's oracle; the
+        # rate is sampled at nodes and held, so the drift is first order in h
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+        spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+        oracle = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, oracle)  # its dataclass looks itself up
+        spec.loader.exec_module(oracle)
+        cfg = replace(preset("fig1"), policies=("optimal",))
+        j_star = oracle.optimal_cost(oracle.CappedSir(
+            beta=cfg.params.beta, gamma=cfg.params.gamma, s0=cfg.init.s, i0=cfg.init.i,
+            i_bar=cfg.i_bar, u_max=cfg.u_max))
+
+        def error(step):
+            run = replace(cfg, integrator=IntegratorConfig(step=step, horizon=300.0))
+            return run_scenario(run).cost_rows[0].total_cost - j_star
+
+        coarse, fine = error(0.02), error(0.01)
+        assert fine > 0.0
+        assert 1.9 <= coarse / fine <= 2.1

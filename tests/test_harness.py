@@ -647,7 +647,7 @@ class TestCli:
         ("inflation.beta_mult=-1", "beta_mult"),
         ("misestimation.gamma_mult=Infinity", "gamma_mult"),
         ("noise.divisor=NaN", "divisor"),
-        ("integrator.method=euler", "method"),  # closed loops need rk4
+        ("integrator.method=euler", "method"),  # removed knob: one RK4 integrator
         ("estimation.zeta=NaN", "zeta"),
         ("estimation.zeta=-1", "zeta"),
         ("estimation.zeta=1", "zeta"),  # zeta * h >= 1 at the largest alpha
