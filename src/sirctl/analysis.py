@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,13 +47,16 @@ class CumulativeCheck:
 def total_cost(trace: PolicyTrace, warn: bool = True) -> float:
     """Trapezoidal integral of the applied rate over the trace.
 
-    Switch instants are duplicated nodes in the trace, so the piecewise
-    stage boundaries integrate exactly. Warns when the rate is still
-    non-zero at the end of the horizon (truncated, unconverged cost);
-    internal table assembly passes warn=False because the truncation is
-    visible in the switching-time columns.
+    Switch instants are duplicated rows in the trace, so the piecewise
+    stage boundaries integrate exactly. The node columns are integrated
+    segment by segment between the switch rows, and each group of switch
+    rows adds the trapezoids that join it to its neighbouring nodes, so no
+    full-length row column is built (a switch row never comes last). Warns when the rate is still non-zero
+    at the end of the horizon (truncated, unconverged cost); internal table
+    assembly passes warn=False because the truncation is visible in the
+    switching-time columns.
     """
-    t, u = trace.t, trace.u
+    t, u = trace.node_t, trace.node_u
     if len(t) == 0:
         return 0.0
     if warn and u[-1] > 0.0:
@@ -60,7 +65,17 @@ def total_cost(trace: PolicyTrace, warn: bool = True) -> float:
             "the cost integral is truncated, not converged",
             stacklevel=2,
         )
-    return float(np.trapezoid(u, t))
+    cost = 0.0
+    lo = 0  # the first node row not yet integrated
+    for at, rows in groupby(trace.switch_rows, key=itemgetter(0)):
+        # node rows lo..at-1, this group of switch rows, then node row at
+        cost += np.trapezoid(u[lo:at], t[lo:at])
+        pts = [(t[at - 1], u[at - 1])] if at > 0 else []
+        pts += [(row[1], row[2]) for row in rows] + [(t[at], u[at])]
+        cost += sum((t1 - t0) * (u1 + u0) / 2.0
+                    for (t0, u0), (t1, u1) in zip(pts, pts[1:]))
+        lo = at
+    return float(cost + np.trapezoid(u[lo:], t[lo:]))
 
 
 def grid_mismatch(trace_a: PolicyTrace, trace_b: PolicyTrace) -> str:

@@ -2,20 +2,24 @@
 
 Schemas:
 
-* trajectory: ``t,S_true,I_true,R_true,S_meas,I_meas,u_applied,stage``
+* trajectory: ``t,S_true,I_true,R_true,S_meas,I_meas,u_applied,stage``, one
+  row per grid node, plus ``s_seen,i_seen`` for a policy whose consumed
+  signals are not its true ``S``/``I`` (one that read noise)
 * estimates:  ``alpha,h,beta_hat,gamma_hat,err_norm,bound_b,contained``
 * costs:      ``policy,total_cost,gap_direct,gap_lemma4,gap_thm4,gap_upper,t_b,t_h,feasible``
-* policy trace: ``t,u,stage,s_seen,i_seen``
+* policy trace: ``t,u,stage,s_seen,i_seen``, the run's switch rows only. The
+  full trace is the trajectory's node rows (``t``, ``u_applied``, ``stage``
+  and the seen signals, ``S_true``/``I_true`` where the file has none) with
+  each switch row inserted, in file order, at
+  ``np.searchsorted(node_t, t, side="left")``.
 
 Cells are floats as ``f"{v:.12g}"`` (``nan``, ``inf`` and ``-0`` as such;
 12 digits keep the cross-formula checks meaningful after a round trip),
 integers, ``true``/``false`` flags and unquoted text. Rows are written
 column-wise: each block of ``_CHUNK_ROWS`` rows is one ``%`` call applying
 the row format (``%.12g`` per float cell) repeated per row to the block's
-column slices as lists. A policy trace is written from its node columns,
-with its few switch rows formatted one by one where they belong. ``%.12g``
-is the CPython formatting of ``f"{v:.12g}"``, so a fixed seed yields
-byte-identical files.
+column slices as lists. ``%.12g`` is the CPython formatting of
+``f"{v:.12g}"``, so a fixed seed yields byte-identical files.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ ESTIMATES_HEADER = ["alpha", "h", "beta_hat", "gamma_hat", "err_norm",
 COSTS_HEADER = ["policy", "total_cost", "gap_direct", "gap_lemma4", "gap_thm4",
                 "gap_upper", "t_b", "t_h", "feasible"]
 TRACE_HEADER = ["t", "u", "stage", "s_seen", "i_seen"]
+SEEN_HEADER = TRAJECTORY_HEADER + TRACE_HEADER[-2:]  # a run that read noise
 
 # Rows per format call. It bounds the objects alive at once: a trajectory
 # block takes ~0.5 MB at 1024 rows and ~1.9 MB at 4096, at the same speed.
@@ -56,12 +61,9 @@ _KINDS = {"g": ("%.12g", float), "d": ("%d", int), "s": ("%s", str),
 
 
 def _write(path: Path, header: list[str], columns: Sequence[Sequence],
-           kinds: str, inserts: Sequence[tuple] = ()) -> None:
+           kinds: str) -> None:
     """Write equal-length columns (arrays or lists) under ``header``; ``kinds``
-    holds one ``_KINDS`` key per column. ``inserts`` are extra rows
-    ``(position, *cells)`` in row order, each written right before column
-    row ``position`` (after the last one at ``len``); a policy trace's
-    switch rows are spliced in this way, with no full-length copy."""
+    holds one ``_KINDS`` key per column."""
     n, width = len(columns[0]), len(columns)
     if any(len(col) != n for col in columns):
         raise ValueError(f"{path}: columns differ in length")
@@ -69,35 +71,34 @@ def _write(path: Path, header: list[str], columns: Sequence[Sequence],
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        done = 0
-        for at, *cells in (*inserts, (n,)):
-            for lo in range(done, at, _CHUNK_ROWS):
-                m = min(_CHUNK_ROWS, at - lo)
-                flat: list = [None] * (m * width)
-                for j, (col, kind) in enumerate(zip(columns, kinds)):
-                    chunk = col[lo:lo + m]
-                    chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
-                    flat[j::width] = (["true" if v else "false" for v in chunk]
-                                      if kind == "b" else chunk)
-                fh.write(row * m % tuple(flat))
-            if cells:
-                fh.write(row % tuple(cells))
-            done = at
+        for lo in range(0, n, _CHUNK_ROWS):
+            m = min(_CHUNK_ROWS, n - lo)
+            flat: list = [None] * (m * width)
+            for j, (col, kind) in enumerate(zip(columns, kinds)):
+                chunk = col[lo:lo + m]
+                chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+                flat[j::width] = (["true" if v else "false" for v in chunk]
+                                  if kind == "b" else chunk)
+            fh.write(row * m % tuple(flat))
 
 
 def write_trajectory_csv(path: Path, run: PolicyRun) -> None:
-    traj = run.result.trajectory
-    meas = run.measured
-    _write(path, TRAJECTORY_HEADER,
-           (traj.t, traj.s, traj.i, traj.r, meas.s_hat, meas.i_hat, traj.u,
-            run.result.node_stage), "gggggggd")
+    """The node rows; the seen signals only where they are the run's own
+    arrays (the trace holds ``S``/``I`` themselves for a run that read none)."""
+    traj, meas, tr = run.result.trajectory, run.measured, run.result.trace
+    columns = (traj.t, traj.s, traj.i, traj.r, meas.s_hat, meas.i_hat, traj.u,
+               run.result.node_stage)
+    if tr.node_s_seen is traj.s and tr.node_i_seen is traj.i:
+        _write(path, TRAJECTORY_HEADER, columns, "gggggggd")
+    else:
+        _write(path, SEEN_HEADER, (*columns, tr.node_s_seen, tr.node_i_seen),
+               "gggggggdgg")
 
 
 def write_trace_csv(path: Path, run: PolicyRun) -> None:
-    tr = run.result.trace
-    _write(path, TRACE_HEADER,
-           (tr.node_t, tr.node_u, tr.node_stage, tr.node_s_seen, tr.node_i_seen), "ggdgg",
-           tr.switch_rows)
+    """The switch rows; the node rows are in the trajectory file."""
+    rows = run.result.trace.switch_rows
+    _write(path, TRACE_HEADER, [[row[k] for row in rows] for k in range(1, 6)], "ggdgg")
 
 
 def _row_columns(rows: Iterable, header: list[str]) -> list[list]:
@@ -133,27 +134,29 @@ def emit_csv(artifacts: RunArtifacts, out_dir: Union[str, Path]) -> list[Path]:
     return written
 
 
-def _read(path: Path, expected_header: list[str]) -> list[list[str]]:
+def _read(path: Path, *headers: list[str]) -> tuple[list[str], list[list[str]]]:
+    """The header, one of ``headers``, and the rows of a CSV file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header != expected_header:
+        if header not in headers:
             raise ValueError(f"{path}: unexpected header {header}")
-        return [row for row in reader]
+        return header, [row for row in reader]
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
-    rows = _read(Path(path), TRAJECTORY_HEADER)
+    """Columns by name: the base schema, plus ``s_seen``/``i_seen`` if written."""
+    header, rows = _read(Path(path), TRAJECTORY_HEADER, SEEN_HEADER)
     cols = np.array([[float(v) for v in row] for row in rows]).reshape(
-        len(rows), len(TRAJECTORY_HEADER))
-    out = {name: cols[:, k] for k, name in enumerate(TRAJECTORY_HEADER)}
+        len(rows), len(header))
+    out = {name: cols[:, k] for k, name in enumerate(header)}
     out["stage"] = out["stage"].astype(np.int64)
     return out
 
 
 def _read_rows(path: Path, header: list[str], kinds: str, row_type: type) -> list:
     return [row_type(**{name: _KINDS[k][1](v) for name, k, v in zip(header, kinds, row)})
-            for row in _read(Path(path), header)]
+            for row in _read(Path(path), header)[1]]
 
 
 def read_estimates_csv(path: Path) -> list[EstimateRow]:

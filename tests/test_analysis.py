@@ -68,6 +68,42 @@ class TestTotalCost:
         with pytest.warns(UserWarning, match="truncated"):
             assert total_cost(trace) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("fixture", ["compare_artifacts", "fig1_noisy_artifacts",
+                                         "fig1_noise_free_artifacts"])
+    def test_within_ulps_of_the_spliced_rows(self, request, fixture):
+        # the segment sums round differently from one trapezoid over all rows
+        for run in request.getfixturevalue(fixture).runs.values():
+            trace = run.result.trace
+            ref = float(np.trapezoid(trace.u, trace.t))
+            assert abs(total_cost(trace, warn=False) - ref) <= 4 * np.spacing(ref)
+
+    def test_switch_row_groups_and_first_row(self):
+        # switch rows before node 0, a group of three between two nodes and a
+        # single one; the rate rows they add change the integral
+        t = np.arange(11.0)
+        trace = replace(make_trace(t, np.where(t < 5.0, 0.0, 0.1)),
+                        switch_rows=((0, 0.0, 0.2, 2, 0.0, 0.0),
+                                     (5, 4.5, 0.0, 1, 0.0, 0.0), (5, 4.5, 0.2, 2, 0.0, 0.0),
+                                     (5, 4.5, 0.1, 2, 0.0, 0.0), (8, 7.5, 0.3, 2, 0.0, 0.0)))
+        assert len(trace.t) == 16
+        assert total_cost(trace, warn=False) == pytest.approx(
+            float(np.trapezoid(trace.u, trace.t)), rel=1e-15)
+
+    def test_allocates_less_than_two_columns(self):
+        # the spliced t and u alone are two columns
+        n = 120_000
+        t = np.arange(n) * 0.01
+        trace = replace(make_trace(t, np.linspace(0.0, 0.1, n)),
+                        switch_rows=((0, 0.0, 0.0, 1, 0.0, 0.0), (500, 4.995, 0.1, 2, 0.0, 0.0),
+                                     (500, 4.995, 0.0, 3, 0.0, 0.0)))
+        tracemalloc.start()
+        try:
+            total_cost(trace, warn=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * t.nbytes
+
 
 class TestGapDirect:
     def test_identical_traces_have_zero_gap(self):

@@ -71,45 +71,45 @@ EXPECTED = {
         "costs.csv":
             "a1f8948c00aa831abc4d40e339c8b3d7eb53963ec2345e765361ebc79bcfcc04",
         "policy_trace_misestimated.csv":
-            "e4c81c5487025d96d4107a7610046e3fba91792d7603f11afc8ec6967c88d309",
+            "15ff46f64ab3c026d622b90cd083d82b86eb50986558415525df606c05abdaf4",
         "policy_trace_optimal.csv":
-            "b0fb3d2d26f4c63b50586510c4fe282103d8dccd47dd8cc3d175e21e5c98ae8b",
+            "3327ea686d7c6fbf21b9d92d8b1d6c7c8efe0052e8ef7918eeb4356d1bff8f4a",
         "policy_trace_robust.csv":
-            "406e14babde7a2964a5fa1ae0bf9a87019f94ba55278b23a274352b4c0667fbe",
+            "a9b979adc86417392706027b90388c097bbf7a0845cd468e55d07625973620bc",
         "trajectory_misestimated.csv":
-            "32b297326ea1c051fbe4dd2cc6c78260af9e75a9d89cc776662cdb09bf0bd1a3",
+            "37b4a71375508d067fd5adcd29a9e810eb406b7d7cb867980bf691a9de24aa54",
         "trajectory_optimal.csv":
             "617c0cb719f63a5830df846afbd3d429ea3f805c4860b3bbfd5b7513bf4749a3",
         "trajectory_robust.csv":
-            "03257e1ad32eab6be8656b9984caad9821dee18d467f39cde67132c5ce4c1fd4",
+            "c1c01c80dde98729e5670c72cd9ecafdb9262b1c90f3c4d102a4d2079194f7b7",
     },
     "estimated-policy-compare-250": {
         "costs.csv":
             "8d0f6058d4270cd9fee98b42929814e5314946133ee40bea4580032fda1d0163",
         "policy_trace_misestimated.csv":
-            "34fe10c28813983237d402b0f0fa639c5887aa1c2aa50e48f600bf524c9f9038",
+            "90cee37ba62a6519d2df95123fde53588c6d5d7534e973020f022d94c843ab34",
         "policy_trace_optimal.csv":
-            "fafd557f2156320547065ff3d31623f2d8777e72e5852737e6f780e22c6bb7cb",
+            "b1542161aa5d3a23d7d9f464a55eb84d60c831c6ff92a789ec7cb25539a1911e",
         "policy_trace_robust.csv":
-            "eecb36afe6348e00b6c137b8a3a732df1ea951d78cdae59b595705db3c636ab2",
+            "c07b26583f4a8a22d87ec58a5bcb3a4e0ccb1885e2dc4c11dd134ce9b48dd147",
         "trajectory_misestimated.csv":
-            "d1059c48d87ad98c360b04979ddffb66104b9ed1bb69ccc2eb62fb110a7adbef",
+            "4fb8d287001c2a1a1981280df12c93866d204103962a40a9218d787db6780e41",
         "trajectory_optimal.csv":
             "2b088e895ae067cfd6db2d535fd65b8428674879f000624cba0fdad67fc0a16a",
         "trajectory_robust.csv":
-            "373c1d06108a5c794c8c4dae1bcea528962c7a824076e8331b978fe199510460",
+            "852b00be8b112a2f17e89c251e2dbc5e431cf639d30cc591ed25e28aca7e8df9",
     },
     "fig1": {
         "fig1/costs.csv":
             "07e1900616e35465f4382dc4f9bfa66343939f5e84e1aedb853d6f5edc47e8eb",
         "fig1/policy_trace_optimal.csv":
-            "2b1027ad02d11b0ba1e814606bb76ac2d3bba569e66a00ee3a20f330ce1df40c",
+            "f0633470f353d9ed315192100e652a657215472ae118658b48ddcf252812c056",
         "fig1/policy_trace_robust.csv":
-            "e398db0b7fdccd72b9e3fc4fec6230e362ac73ee3ed6aecf86f0eb76692c3937",
+            "ef7e204deec0300c0f473ccff893354138d814382727011db4d9177b4e7b93a2",
         "fig1/trajectory_optimal.csv":
             "ad0469c563eada2f414f88b7df28a3461aaf4a4b0ae231cbf2ac1e106ee9125f",
         "fig1/trajectory_robust.csv":
-            "eea70552887361b4b1c574e29930ca8c50c655d2ae3a2b25616a0c0958e306b8",
+            "d5d1d3116abcc25fdb312df2c8d14d8f2023c33b62d085f72136349410c9e28a",
     },
     "gap-fig1": {
         "costs.csv":
@@ -123,17 +123,17 @@ EXPECTED = {
         "costs.csv":
             "66b20734662c41b0ff49d0a6d3ac6bcbc35f98f011da42e31917d48593c09ad9",
         "policy_trace_misestimated.csv":
-            "f371bf6017a7a445095ceb4734519021d24df7eabdb3ce7e05fb76d372eb2702",
+            "feef32731fb7fff65dff542faff17e540980bb60a38ff34a8bd4a645c5451815",
         "policy_trace_optimal.csv":
-            "45b10ee0171840c7093dae8eea0ebc34f3b8b79ca5fe2b12d7460d0783a7c234",
+            "b1542161aa5d3a23d7d9f464a55eb84d60c831c6ff92a789ec7cb25539a1911e",
         "policy_trace_robust.csv":
-            "88a2d33c03d6d404f7693641aceb8fe0b5faaa53ca9d2441b32b1125d2c14083",
+            "079dcc17869c2af98334c0908be56040c9a255af0c1d91ce98420b03738974cb",
         "trajectory_misestimated.csv":
-            "688c9b7d3abde296d2a3d21f59a45bf13cc301dc801f387568572f7c57c683d1",
+            "9bd753d677e53b2d7fa8790e94bf8cacf05f5ac9fa301ab1d92f85118489a495",
         "trajectory_optimal.csv":
             "60d744abe83a3d66735acd5a873945204b0a5e96359762f9698827e678b34c59",
         "trajectory_robust.csv":
-            "bffc99e024244980bf108ba4f26f6cf0bfacc0e193fbd8e3b02ee2db43b1bfb8",
+            "cba0c2f0de88af9e5bf5302b8afa809cd61ccc7c8c360358e57dfc4969005f7b",
     },
     "param-est-1-10": {
         "estimates.csv":
@@ -143,49 +143,49 @@ EXPECTED = {
         "costs.csv":
             "d93d4e63a89b1d3de4eb80e13bf0609773316900508ef9b2de84e93f6f8b05a6",
         "policy_trace_misestimated.csv":
-            "34fe10c28813983237d402b0f0fa639c5887aa1c2aa50e48f600bf524c9f9038",
+            "90cee37ba62a6519d2df95123fde53588c6d5d7534e973020f022d94c843ab34",
         "policy_trace_optimal.csv":
-            "fafd557f2156320547065ff3d31623f2d8777e72e5852737e6f780e22c6bb7cb",
+            "b1542161aa5d3a23d7d9f464a55eb84d60c831c6ff92a789ec7cb25539a1911e",
         "policy_trace_robust.csv":
-            "d3dbdfde49275488b12f0fd601f5bb16b15a7f8d6ea1717c93cb0e8244b6d3d1",
+            "99294ade134298bf6ac647c62040c4dc7ba43812b10435ebf3eb04ece4c55dfd",
         "trajectory_misestimated.csv":
-            "d1059c48d87ad98c360b04979ddffb66104b9ed1bb69ccc2eb62fb110a7adbef",
+            "4fb8d287001c2a1a1981280df12c93866d204103962a40a9218d787db6780e41",
         "trajectory_optimal.csv":
             "2b088e895ae067cfd6db2d535fd65b8428674879f000624cba0fdad67fc0a16a",
         "trajectory_robust.csv":
-            "d2d5ef95d9a5f50eae820432d233c676a9bec943facf12cccac6f0dbff2738bc",
+            "c31108cd27d6877b099dcd85d991f2472a38c0db90ef0c81f921cf499b200233",
     },
     "saturated-policy-compare": {
         "costs.csv":
             "cf5b998b33bac5a835837290190811269d0138a2648a53262d3a46d71b76ebe6",
         "policy_trace_misestimated.csv":
-            "9ad6f2d1db882f0942626761965735b70253dda10539451fc09465db683fed4b",
+            "91983a17f7cbf660d3d335f907557115425c5666a0eb2a0fa55c637bd25c8960",
         "policy_trace_optimal.csv":
-            "6aab0341d3ad459877193d377dcafe2c01eb21d9d83bbaeb3b6e5e3ec3a8c07e",
+            "34881a06bf63e1a97f38c5a0970101ba11c34b0a812bf39d3f2453416e5a1d8d",
         "policy_trace_robust.csv":
-            "b8e2a9d4403400652c71093315178440f730e2ce84ce17d63bca618d77a5c506",
+            "ab796e76f92e1fe1f855cba9a5cd428166079fa5ee613011c0d43e0c65bf343d",
         "trajectory_misestimated.csv":
-            "dab2e7ca3f2e48d9d1e5965278a002f5a1cab0f771162bdfce66094e89567627",
+            "508d84f85ff82e564cf5bc7a6a2ed644684cdb30a4ec9e5585b0c51b5d791021",
         "trajectory_optimal.csv":
             "361334e250e7a9fa46b43a48f5a166ab0a3611e0f8887d0314db21fb30a6a4e1",
         "trajectory_robust.csv":
-            "6a34ba1233b39944cf44d3dd511fc969db5b3fe7ab9fabf1aed0076f91057800",
+            "b43221a6768d9fa66a202c76377ca0feebf4498efe00bb8afb4d139a71d591d9",
     },
     "threshold-at-start-fig1": {
         "costs.csv":
             "6cd5aa8cbc92de36edcc9dda6fed976cf27010fa3e55b85e4431907ccd5ebbaf",
         "policy_trace_misestimated.csv":
-            "537142d93a07e88c6f9eb9576cd8a597620141a4f0b21a2e13c6b54aaf3edbe4",
+            "d848d79d478f7dad8d964567a0f5086fc6d5628ce4b09ca4af2f0057cde00e85",
         "policy_trace_optimal.csv":
-            "15f51f2e8773f6b2af03a4ff8780b90318f1a628f5fcae8c80f46169f65f88dc",
+            "de260d77687bd36ae5fc8f97d69285efb878d471426e14764ba641826cdbd654",
         "policy_trace_robust.csv":
-            "f80c303d6eecff00ae072578a328bef45ec9eeb9e9a891bcb6691a1ca6e9f91a",
+            "1da5fd156a5039f3beab49ad7c917fbc43a29dc0de51b16284a129c50f75a89c",
         "trajectory_misestimated.csv":
-            "bb20f7aa092f7b93fcf1b557f74584d93658e789a653a52ea584f3ab43fd99a3",
+            "e0f27a1a480154e046efba86e572a6f85c745b95125c50162c9d230ddc3df501",
         "trajectory_optimal.csv":
             "6e44c3f4dd6417bf737cbf517c982f9e6e78ec1c8700c1e15289425939912f34",
         "trajectory_robust.csv":
-            "a573e4b55aa7bda4bb861340e52ba2d3b7c5900b9e63225235c7565fe2abc75b",
+            "4a46ce741e61bbf24553cb22de98c4c7dd384cddb1c82fb95e3cfc301d275e6b",
     },
 }
 

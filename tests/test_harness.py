@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from sirctl.core import EpidemicParams, IntegratorConfig, SirState, Trajectory, 
 from sirctl.csvio import (
     COSTS_HEADER,
     ESTIMATES_HEADER,
+    SEEN_HEADER,
     TRACE_HEADER,
     TRAJECTORY_HEADER,
     emit_csv,
@@ -451,16 +453,69 @@ class TestCsv:
         assert {"trajectory_optimal.csv", "trajectory_robust.csv",
                 "trajectory_misestimated.csv", "costs.csv"} <= names
 
+        # the robust run read noise, so its file holds its seen signals; the
+        # optimal run's signals are its true S and I
         table = read_trajectory_csv(tmp_path / "trajectory_robust.csv")
-        assert list(table) == TRAJECTORY_HEADER
+        assert list(table) == SEEN_HEADER
         n_expected = small_scenario.integrator.n_steps + 1
         assert len(table["t"]) == n_expected
+        assert np.all(table["s_seen"] >= np.minimum(table["S_meas"], 1.0))
+        assert list(read_trajectory_csv(tmp_path / "trajectory_optimal.csv")) == \
+            TRAJECTORY_HEADER
 
         rows = read_costs_csv(tmp_path / "costs.csv")
         assert [r.policy for r in rows] == ["optimal", "robust", "misestimated"]
         write_costs_csv(tmp_path / "costs_again.csv", rows)
         assert (tmp_path / "costs.csv").read_bytes() == \
             (tmp_path / "costs_again.csv").read_bytes()
+
+    @pytest.mark.parametrize("fixture", ["compare_artifacts", "fig1_noisy_artifacts"])
+    def test_no_fact_lost(self, request, fixture, tmp_path):
+        # the node rows plus each switch row put back at the searchsorted
+        # position of its time are the full trace, bit for bit; the seen
+        # signals are the true S and I where the trajectory file has none
+        art = request.getfixturevalue(fixture)
+        emit_csv(art, tmp_path)
+        for name, run in art.runs.items():
+            traj, trace = run.result.trajectory, run.result.trace
+            rows = trace.switch_rows
+            own = trace.node_s_seen is not traj.s
+            assert own is (trace.node_i_seen is not traj.i)
+            with open(tmp_path / f"trajectory_{name}.csv") as fh:
+                assert fh.readline() == ",".join(SEEN_HEADER if own else TRAJECTORY_HEADER) + "\n"
+            with open(tmp_path / f"policy_trace_{name}.csv") as fh:
+                assert len(fh.readlines()) == len(rows) + 1
+            at = np.searchsorted(traj.t, [row[1] for row in rows], side="left")
+            s_seen, i_seen = (trace.node_s_seen, trace.node_i_seen) if own else (traj.s, traj.i)
+            for k, (node, full) in enumerate(((traj.t, trace.t), (traj.u, trace.u),
+                                              (run.result.node_stage, trace.stage),
+                                              (s_seen, trace.s_seen), (i_seen, trace.i_seen))):
+                rebuilt = np.insert(node, at, [row[k + 1] for row in rows])
+                assert rebuilt.dtype == full.dtype and rebuilt.tobytes() == full.tobytes()
+
+    def test_trajectory_reader_takes_two_headers(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        for header in (TRAJECTORY_HEADER, SEEN_HEADER):
+            path.write_text(",".join(header) + "\n" + ",".join("1" * len(header)) + "\n")
+            assert list(read_trajectory_csv(path)) == header
+        for header in (TRAJECTORY_HEADER + ["s_seen"], TRAJECTORY_HEADER + ["i_seen", "s_seen"],
+                       TRAJECTORY_HEADER[:-1], SEEN_HEADER + ["x"], TRACE_HEADER):
+            path.write_text(",".join(header) + "\n" + ",".join("1" * len(header)) + "\n")
+            with pytest.raises(ValueError, match="unexpected header"):
+                read_trajectory_csv(path)
+
+    def test_readme_headers_are_the_writers(self):
+        # each artifact bullet of the README names its file and header
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        section = text[text.index("## CSV artifacts"):]
+        section = section[:section.index("\n## ")]
+        documented = {name: header.split(",") for name, header in
+                      re.findall(r"^\* `(\S+\.csv)` — `([^`]+)`", section, re.M)}
+        assert documented == {"trajectory_<policy>.csv": TRAJECTORY_HEADER,
+                              "policy_trace_<policy>.csv": TRACE_HEADER,
+                              "estimates.csv": ESTIMATES_HEADER,
+                              "costs.csv": COSTS_HEADER}
+        assert f"`{','.join(SEEN_HEADER)}`" in section
 
     def test_reemit_identical_bytes(self, small_scenario, tmp_path):
         art = run_scenario(small_scenario)
@@ -531,50 +586,54 @@ class TestCsvFormat:
         return {"empty": 0, "one row": 1, "one chunk": self.CHUNK,
                 "one chunk plus one row": self.CHUNK + 1}[request.param]
 
+    REPORT = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan, u_max=0.1,
+                               max_infection_attained=0.0, clamp_events=0, i_bar=0.1)
+
     def test_trajectory_and_trace(self, tmp_path, n):
+        # the seen signals are written as trajectory columns only when they
+        # are not the true S and I; a trace without switch rows is a header
         t = 1.0 / 3.0 + 0.01 * np.arange(n)
-        s, i, r, s_hat, i_hat, u = (self.floats(n, seed) for seed in range(6))
-        stage = np.random.default_rng(6).integers(1, 4, n)
+        s, i, r, s_hat, i_hat, u, s_seen, i_seen = (self.floats(n, seed) for seed in range(8))
+        stage = np.random.default_rng(8).integers(1, 4, n)
         traj = Trajectory(t=t, s=s, i=i, r=r, u=u, step=0.01,
                           params=EpidemicParams(beta=0.16, gamma=1.0 / 30.0))
         meas = MeasuredSeries(t=t, s_hat=s_hat, i_hat=i_hat, u=u,
                               sigma_s=np.zeros(n), sigma_i=np.zeros(n))
-        trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s_seen=s_hat,
-                            node_i_seen=i_hat, switch_rows=(), switching=SwitchingTimes(),
+        trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s_seen=s_seen,
+                            node_i_seen=i_seen, switch_rows=(), switching=SwitchingTimes(),
                             clamp_events=0, kind=PolicyKind.ROBUST)
-        report = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan,
-                                   u_max=0.1, max_infection_attained=0.0,
-                                   clamp_events=0, i_bar=0.1)
-        run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(traj, trace, report),
+        run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(traj, trace, self.REPORT),
                         meas, assumed=None)
         write_trajectory_csv(tmp_path / "trajectory.csv", run)
         write_trace_csv(tmp_path / "trace.csv", run)
         assert (tmp_path / "trajectory.csv").read_text().split("\n") == self.expected(
+            SEEN_HEADER, zip(t, s, i, r, s_hat, i_hat, u, stage, s_seen, i_seen)) + [""]
+        assert (tmp_path / "trace.csv").read_text() == ",".join(TRACE_HEADER) + "\n"
+
+        blind = replace(trace, node_s_seen=s, node_i_seen=i)
+        run = PolicyRun(PolicyKind.OPTIMAL, ClosedLoopResult(traj, blind, self.REPORT),
+                        meas, assumed=None)
+        write_trajectory_csv(tmp_path / "blind.csv", run)
+        assert (tmp_path / "blind.csv").read_text().split("\n") == self.expected(
             TRAJECTORY_HEADER, zip(t, s, i, r, s_hat, i_hat, u, stage)) + [""]
-        assert (tmp_path / "trace.csv").read_text().split("\n") == self.expected(
-            TRACE_HEADER, zip(t, u, stage, s_hat, i_hat)) + [""]
 
     def test_trace_switch_rows_are_spliced(self, tmp_path, n):
-        # switch rows before the first node, twice mid-way and after the last
+        # the file holds the switch rows alone, in row order, whatever the
+        # node rows they are spliced into on reading
         t, u, s_seen, i_seen = (self.floats(n, seed) for seed in range(4))
         stage = np.random.default_rng(4).integers(1, 4, n).astype(np.int8)
-        cells = self.floats(16, 5).tolist()
-        switch_rows = tuple((at, *cells[4 * k:4 * k + 2], k % 3 + 1, *cells[4 * k + 2:4 * k + 4])
-                            for k, at in enumerate((0, n // 2, n // 2, n)))
+        cells = self.floats(4 * n, 5).tolist()
+        switch_rows = tuple((k, *cells[4 * k:4 * k + 2], k % 3 + 1, *cells[4 * k + 2:4 * k + 4])
+                            for k in range(n))
         trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s_seen=s_seen,
                             node_i_seen=i_seen, switch_rows=switch_rows,
                             switching=SwitchingTimes(), clamp_events=0,
                             kind=PolicyKind.ROBUST)
-        report = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan,
-                                   u_max=0.1, max_infection_attained=0.0,
-                                   clamp_events=0, i_bar=0.1)
-        run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(None, trace, report),
+        run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(None, trace, self.REPORT),
                         None, assumed=None)
         write_trace_csv(tmp_path / "trace.csv", run)
-        full = (trace.t, trace.u, trace.stage, trace.s_seen, trace.i_seen)
-        assert len(full[0]) == n + 4
         assert (tmp_path / "trace.csv").read_text().split("\n") == self.expected(
-            TRACE_HEADER, zip(*full)) + [""]
+            TRACE_HEADER, (row[1:] for row in switch_rows)) + [""]
 
     def test_estimates_and_costs(self, tmp_path, n):
         x = [self.floats(n, seed).tolist() for seed in range(7)]
