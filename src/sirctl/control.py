@@ -26,6 +26,7 @@ from .core import (
     NonFiniteDynamicsError,
     SirState,
     Trajectory,
+    _rk4_fill,
     _rk4_step,
     locate_event,
     read_only,
@@ -252,39 +253,26 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     for the robust one, whose signals are thus upper envelopes. Both
     signals are capped at 1.
 
-    The trajectory advances on the uniform grid; the offsets are read at
-    grid nodes and held over the step, and they are read only where the
-    policy decides. Stage 1 is the u = 0 epidemic for every policy, so with
-    ``prefix`` (a run with the same parameters, initial state and step,
-    usually the scenario's optimal run) the loop starts at the first node
-    where this policy's threshold can fire: one array read of the noise
-    over the prefix's stage-1 nodes and the stage-1 tests as arrays find
-    it (``_shared_stage_one``), and the nodes before it are copied. From
-    there through stage 2 the loop reads the noise at each node. Stage 3
-    decides nothing: its offsets, which only the trace signals use, are
-    read in one array call after the loop. ``measure`` is elementwise, so
-    every form gives the bits of a run from node 0 with ``prefix=None``.
+    Only stage 2 needs feedback; stages 1 and 3 are the u = 0 epidemic.
+    The loop takes RK4 steps of exactly h between grid nodes. It reads the
+    noise at each node and holds it over the step, and it tests the
+    stage's event at each node and at the end of each step. A step in
+    which the test fires is split at the switch that ``locate_event`` finds
+    and then ends on the node. The loop stops at the first stage-3 node,
+    from which ``integrate``'s stepper fills the run; ``early_stop`` cuts
+    the run at the first stage-3 node with I < 1e-8. With ``prefix`` (a
+    run with the same parameters, initial state and step, usually the
+    optimal run) the loop starts at the first node where this policy's
+    threshold can fire (``_shared_stage_one``). The stage-1 and stage-3
+    offsets are read as arrays, which ``measure`` makes bitwise equal to
+    per-node reads. Infeasibility is recorded in the report, never raised.
 
-    Each step is one RK4 step
-    followed by the event test of the current stage at its end. Only when
-    that test fires is the step split: the switch is located by
-    ``locate_event`` inside the step, the state is advanced exactly to the
-    switch instant, and integration lands back on the grid, so switching
-    times are resolved to the event tolerance while the output grid stays
-    uniform. Infeasibility is recorded in the report, never raised.
-
-    The trace is assembled after the loop (see ``PolicyTrace``). Its node
-    columns are the run's own arrays, by reference: the trajectory's time
-    and rate, the int8 ``node_stage``, and the signals
-    ``min(state + offset, 1)`` formed in place in the held-offset buffers
-    (for a policy that reads no noise, the trajectory's ``s`` and ``i``
-    when bitwise equal). A policy that reads no noise allocates no offset
-    buffers, and with a full-length ``prefix`` the run shares its time
-    grid. Every array of the result is a read-only view. A switch adds
-    rows at the switch instant, kept in recording order: one (the
-    pre-switch stage at rate 0 for a threshold, the stage-2 rate for a herd
-    event) before the node row when it fires at a node, and a pre- and a
-    post-switch row after the node row when it fires inside the step.
+    The trace's node columns are the run's own read-only arrays (see
+    ``PolicyTrace``); a policy that reads no noise allocates no offsets. A
+    switch adds rows at its instant: one (the pre-switch stage at rate 0
+    for a threshold, the stage-2 rate for a herd event) before the node row
+    when it fires at a node, and a pre- and a post-switch row after the
+    node row when it fires inside the step.
     """
     if not (0.0 < i_bar < 1.0):
         raise ValueError("i_bar must lie in (0, 1)")
@@ -314,8 +302,8 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     ss = np.empty(n + 1)
     ii = np.empty(n + 1)
     rr = np.empty(n + 1)
-    uu = np.empty(n + 1)
-    node_stage = np.empty(n + 1, dtype=np.int8)
+    uu = np.zeros(n + 1)
+    node_stage = np.full(n + 1, 3, dtype=np.int8)  # the nodes after the loop's last are stage 3
     if reads:
         off_s = np.zeros(n + 1)  # measurement offsets held over each step
         off_i = np.zeros(n + 1)
@@ -330,8 +318,6 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     t_b: Optional[float] = None
     t_h: Optional[float] = None
     state_at_tb: Optional[SirState] = None
-    max_i = i
-    n_recorded = n + 1
     start = 0
     if prefix is not None:
         # the nodes before start are the prefix's, at rate 0 in stage 1
@@ -339,16 +325,12 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                                   margin, i_bar, off_s, off_i)
         p = prefix.trajectory
         ss[:start], ii[:start], rr[:start] = p.s[:start], p.i[:start], p.r[:start]
-        uu[:start] = 0.0
         node_stage[:start] = 1
         s, i, r = float(p.s[start]), float(p.i[start]), float(p.r[start])
-        if start > 0:
-            max_i = float(np.max(ii[:start]))
     t_node = float(ts[start])
-    read_to = n + 1  # the loop reads offsets at the nodes before this one
 
     for k in range(start, n + 1):
-        if reads and k < read_to:
+        if reads:
             s_hat, i_hat, d_s, d_i = noise.measure(k, s, i)
             o_s = s_hat - s
             o_i = i_hat - i
@@ -381,7 +363,6 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                 switch_rows.append((k, t_node, u, 2, min(s + o_s, 1.0),
                                     min(i + o_i, 1.0)))
                 stage = 3
-                read_to = k + 1
                 u = 0.0
         else:
             u = 0.0
@@ -391,47 +372,37 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         rr[k] = r
         uu[k] = u
         node_stage[k] = stage
-        if i > max_i:
-            max_i = i
-        if k == n:
-            break
-        if early_stop and stage == 3 and i < 1e-8:
-            n_recorded = k + 1
+        if stage == 3 or k == n:
             break
 
-        # advance one grid step to the next node, split at a stage switch
+        # advance by one step of h to the next node; a step in which the
+        # stage's event test fires is split at the located switch instant
         sub_t = t_node
         t_node = t0 + (k + 1) * h
-        while sub_t < t_node - 1e-15:
-            s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, t_node - sub_t)
-            if not (isfinite(s2) and isfinite(i2) and isfinite(r2)):
-                raise NonFiniteDynamicsError(f"state became non-finite near t={sub_t}")
+        dt = h
+        while True:
+            s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, dt)
             if stage == 1:
                 i_seen = i2 + o_i
                 fired = (1.0 if i_seen > 1.0 else i_seen) - i_bar >= 0.0
-            elif stage == 2:
+            else:
                 s_seen = s2 + o_s
                 fired = -stage_two_rate(beta_plan, gamma_plan,
                                         1.0 if s_seen > 1.0 else s_seen) >= 0.0
-            else:
-                fired = False
             if not fired:
-                s, i, r = s2, i2, r2
                 break
 
             gap = (_threshold_gap(i_bar, o_i) if stage == 1
                    else _herd_gap(beta_plan, gamma_plan, o_s))
             tau = locate_event(gap, s, i, r, beta, gamma, u, sub_t, t_node)
             s, i, r = _rk4_step(s, i, r, beta, gamma, u, tau - sub_t)
-            sub_t = tau
+            sub_t, dt = tau, t_node - tau
             s_seen, i_seen = min(s + o_s, 1.0), min(i + o_i, 1.0)
             switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
             if stage == 1:
                 t_b = tau
                 state_at_tb = SirState(t=tau, s=s, i=i, r=r)
                 stage = 2
-                if i > max_i:
-                    max_i = i
                 raw = stage_two_rate(beta_plan, gamma_plan, s_seen)
                 if raw > u_max:
                     clamp_events += 1
@@ -444,14 +415,27 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                 switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
             t_h = tau
             stage = 3
-            read_to = k + 1
             u = 0.0
             switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
+            s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, dt)
+            break
+        s, i, r = s2, i2, r2
+        if not (isfinite(s) and isfinite(i) and isfinite(r)):
+            raise NonFiniteDynamicsError(f"state became non-finite near t={t_node}")
 
-    m = n_recorded
-    if reads and read_to < m:
-        # stage 3 decides nothing; its offsets only feed the trace signals
-        _read_offsets(noise, margin, slice(read_to, m), ss, ii, off_s, off_i)
+    # stage 3 is the u = 0 epidemic from its first node k, on integrate's stepper
+    m = n + 1
+    if stage == 3:
+        _rk4_fill(ss, ii, rr, ts, k, beta, gamma, 0.0, h)
+        if early_stop:
+            # the run ends at the first stage-3 node where I < 1e-8
+            below = ii[k:] < 1e-8
+            if below.any():
+                m = k + int(np.argmax(below)) + 1
+        if reads and k + 1 < m:
+            # stage 3 decides nothing; its offsets only feed the trace signals
+            _read_offsets(noise, margin, slice(k + 1, m), ss, ii, off_s, off_i)
+    max_i = max(float(np.max(ii[:m])), state_at_tb.i if state_at_tb is not None else 0.0)
     traj = Trajectory(t=ts[:m], s=ss[:m], i=ii[:m], r=rr[:m], u=uu[:m], step=h,
                       params=true_params)
 

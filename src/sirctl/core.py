@@ -260,21 +260,28 @@ def integrate(params: EpidemicParams, u: float, init: SirState,
         raise ValueError(f"isolation rate {u} outside [0, 1]")
     h = config.step
     n = config.n_steps
-    beta, gamma = params.beta, params.gamma
-
-    s, i, r = init.s, init.i, init.r
     ts = init.t + np.arange(n + 1) * h
     ss = np.empty(n + 1)
     ii = np.empty(n + 1)
     rr = np.empty(n + 1)
-    ss[0], ii[0], rr[0] = s, i, r
-    for k in range(1, n + 1):
+    ss[0], ii[0], rr[0] = init.s, init.i, init.r
+    _rk4_fill(ss, ii, rr, ts, 0, params.beta, params.gamma, u, h)
+    return Trajectory(t=ts, s=ss, i=ii, r=rr, u=np.full(n + 1, u), step=h, params=params)
+
+
+def _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h) -> None:
+    """Fill nodes k0+1.. of ss, ii, rr in place by RK4 steps of h from node k0.
+
+    The one node-stepping loop: ``integrate`` runs it from node 0 and the
+    closed loop from its first stage-3 node. Raises NonFiniteDynamicsError
+    naming the time ``ts[k]`` of the first non-finite node.
+    """
+    s, i, r = float(ss[k0]), float(ii[k0]), float(rr[k0])
+    for k in range(k0 + 1, len(ss)):
         s, i, r = _rk4_step(s, i, r, beta, gamma, u, h)
         if not (math.isfinite(s) and math.isfinite(i) and math.isfinite(r)):
             raise NonFiniteDynamicsError(f"state became non-finite at t={ts[k]}")
         ss[k], ii[k], rr[k] = s, i, r
-
-    return Trajectory(t=ts, s=ss, i=ii, r=rr, u=np.full(n + 1, u), step=h, params=params)
 
 
 def peak_infection(params: EpidemicParams, start: SirState, u_fix: float) -> float:

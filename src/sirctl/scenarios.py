@@ -300,10 +300,12 @@ def _assumed_rates(config: ScenarioConfig, inflation: InflationConfig,
     if config.estimation is None:
         raise ConfigError("inflation mode 'estimated' needs an estimation block")
     row, = _sweep_rows(config, reference, alphas=(config.estimation.alphas[0],))
-    if math.isnan(row.beta_hat):
-        raise ConfigError("estimation-derived bounds failed: singular regressors")
-    return AssumedRates.from_intervals(
+    rates = AssumedRates.from_intervals(
         param_intervals(ParamEstimate(row.beta_hat, row.gamma_hat), row.bound_b))
+    if not (rates.beta > 0.0 and rates.gamma > 0.0):  # NaN: singular regressors
+        raise ConfigError(f"estimation gives beta_max={rates.beta:.6g}, gamma_min="
+                          f"{rates.gamma:.6g}; the robust policy needs both positive")
+    return rates
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:

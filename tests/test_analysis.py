@@ -336,3 +336,27 @@ class TestClosedFormOptimum:
         coarse, fine = error(0.02), error(0.01)
         assert fine > 0.0
         assert 1.9 <= coarse / fine <= 2.1
+
+    def test_stage_two_errors_halve_with_the_step(self):
+        # in stage 2 the optimal rate beta*S - gamma holds I at i_bar, so
+        # S(t) = S_b*exp(-beta*i_bar*(t - t_b)) and beta*S reaches gamma at
+        # t*_h = t_b + ln(beta*S_b/gamma)/(beta*i_bar) (Miclo, Spiro & Weibull
+        # 2020); the held rate makes each error first order in h
+        cfg = replace(preset("fig1"), policies=("optimal",))
+        beta, gamma, i_bar = cfg.params.beta, cfg.params.gamma, cfg.i_bar
+
+        def errors(step):
+            run = replace(cfg, integrator=IntegratorConfig(step=step, horizon=300.0))
+            res = run_scenario(run).runs["optimal"].result
+            traj, (t_b, t_h) = res.trajectory, (res.trace.switching.t_b,
+                                                res.trace.switching.t_h)
+            s_b = traj.state_at(t_b)[0]
+            held = res.node_stage == 2
+            s_cf = s_b * np.exp(-beta * i_bar * (traj.t[held] - t_b))
+            return np.array([abs(t_h - (t_b + math.log(beta * s_b / gamma) / (beta * i_bar))),
+                             np.max(np.abs(traj.s[held] - s_cf)),
+                             np.max(np.abs(traj.i[held] - i_bar))])
+
+        coarse, fine, finest = errors(0.02), errors(0.01), errors(0.005)
+        for ratio in (coarse / fine, fine / finest):
+            assert np.all((1.9 <= ratio) & (ratio <= 2.1)), ratio

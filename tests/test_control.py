@@ -13,11 +13,13 @@ from sirctl.control import (
     stage_two_rate,
 )
 from sirctl.core import (
+    EVENT_TOL,
     EpidemicParams,
     IntegratorConfig,
     SirState,
     _rk4_step,
     find_threshold_crossing,
+    integrate,
     locate_event,
 )
 from sirctl.noise import MeasurementNoise, NoiseConfig, measured_series_for
@@ -466,3 +468,121 @@ class TestSharedStageOne:
         with pytest.raises(ValueError, match="prefix"):
             simulate_closed_loop(PolicyKind.ROBUST, params, AssumedRates(0.17, 0.06),
                                  other_init, None, other_grid, 0.1, BOUNDS, prefix=prefix)
+
+
+class TestStageBoundaries:
+    """Stages 1 and 3 are the u = 0 epidemic, stepped by ``integrate``'s own
+    stepper: stage 1 is bitwise ``integrate`` from the initial state, and
+    stage 3 bitwise ``integrate`` from the run's first stage-3 node."""
+
+    THREE = ("optimal", "robust", "misestimated")
+
+    @staticmethod
+    def _assert_open_loop_stages(cfg, res):
+        traj, stage = res.trajectory, res.node_stage
+        h, n = cfg.integrator.step, cfg.integrator.n_steps
+        free = integrate(cfg.params, 0.0, cfg.init, cfg.integrator)
+        m1 = int(np.argmax(stage != 1)) if np.any(stage != 1) else len(traj)
+        for x, y in ((traj.s, free.s), (traj.i, free.i), (traj.r, free.r)):
+            assert x[:m1].tobytes() == y[:m1].tobytes()
+        if not np.any(stage == 3):
+            return None
+        k3 = int(np.argmax(stage == 3))
+        assert np.all(stage[k3:] == 3) and not np.any(traj.u[k3:])
+        if k3 < n:
+            tail = integrate(cfg.params, 0.0, traj.sample(k3),
+                             IntegratorConfig(step=h, horizon=(n - k3) * h))
+            m3 = len(traj) - k3  # early_stop cuts the run after its stage-3 start
+            for x, y in ((traj.s, tail.s), (traj.i, tail.i), (traj.r, tail.r)):
+                assert x[k3:].tobytes() == y[:m3].tobytes()
+        return k3
+
+    # the policy-compare runs end in stage 2 (the optimal t_h is 1027.5)
+    @pytest.mark.parametrize("name, overrides, stage_three", [
+        ("fig1", {}, True),
+        ("policy-compare", {"integrator": IntegratorConfig(step=0.01, horizon=250.0)}, False),
+        ("policy-compare", {"seed": 12, "noise": NoiseConfig(kind="snr_db", snr_db=40.0),
+                            "integrator": IntegratorConfig(step=0.01, horizon=120.0)}, False),
+        ("fig1", {"early_stop": True, "params": EpidemicParams(beta=0.5, gamma=0.2),
+                  "u_max": 0.5, "integrator": IntegratorConfig(step=0.1, horizon=400.0)}, True),
+        ("fig1", {"init": SirState(t=0.0, s=0.8, i=0.2, r=0.0),
+                  "integrator": IntegratorConfig(step=0.01, horizon=100.0)}, True),
+    ], ids=["fig1", "policy-compare-250", "late-threshold", "early-stop-fig1",
+            "threshold-at-start"])
+    def test_stages_one_and_three_are_integrate(self, name, overrides, stage_three):
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset, run_scenario
+
+        cfg = replace(preset(name), policies=self.THREE, **overrides)
+        art = run_scenario(cfg)
+        firsts = [self._assert_open_loop_stages(cfg, run.result) for run in art.runs.values()]
+        assert any(k3 is not None for k3 in firsts) == stage_three
+
+    def test_herd_event_in_the_last_step(self):
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset, run_scenario
+
+        # t_h = 144.4927 lies in the last step: the first stage-3 node is the
+        # last node, and the stepper takes no step
+        cfg = replace(preset("fig1"), policies=self.THREE,
+                      integrator=IntegratorConfig(step=0.01, horizon=144.5))
+        art = run_scenario(cfg)
+        assert 144.49 < art.runs["optimal"].result.trace.switching.t_h < 144.5
+        firsts = {name: self._assert_open_loop_stages(cfg, run.result)
+                  for name, run in art.runs.items()}
+        assert firsts["optimal"] == cfg.integrator.n_steps
+
+
+class TestOpenLoopOracle:
+    """Stages 1 and 3 against scipy's DOP853 on the u = 0 epidemic."""
+
+    RTOL = 1e-12
+
+    @classmethod
+    def _solve(cls, params, t_span, y0, **kwargs):
+        integrate_ivp = pytest.importorskip("scipy.integrate")
+        beta, gamma = params.beta, params.gamma
+
+        def rhs(t, y):
+            return [-beta * y[0] * y[1], beta * y[0] * y[1] - gamma * y[1]]
+
+        return rhs, integrate_ivp.solve_ivp(rhs, t_span, y0, method="DOP853", rtol=cls.RTOL,
+                                            atol=1e-20, **kwargs)
+
+    def test_threshold_time(self, fig1_noisy_artifacts):
+        cfg = fig1_noisy_artifacts.config
+        i_bar = cfg.i_bar
+
+        def crossing(t, y):
+            return y[1] - i_bar
+
+        crossing.terminal, crossing.direction = True, 1
+        rhs, sol = self._solve(cfg.params, (cfg.init.t, cfg.integrator.horizon),
+                               [cfg.init.s, cfg.init.i], events=crossing)
+        t_b, y_b = sol.t_events[0][0], sol.y_events[0][0]
+        # the locator stops once |I - i_bar| <= EVENT_TOL, which moves the
+        # crossing by up to EVENT_TOL/(dI/dt); RK4's own error in I there
+        # (~3e-14 at h = 0.01) is far below EVENT_TOL
+        bound = EVENT_TOL / rhs(t_b, y_b)[1]
+        assert abs(fig1_noisy_artifacts.runs["optimal"].result.trace.switching.t_b
+                   - t_b) <= bound
+
+    @pytest.mark.parametrize("policy", ["optimal", "robust"])
+    def test_stage_three_nodes(self, fig1_noisy_artifacts, policy):
+        res = fig1_noisy_artifacts.runs[policy].result
+        traj = res.trajectory
+        k3 = int(np.argmax(res.node_stage == 3))
+        assert res.node_stage[k3] == 3
+        t = traj.t[k3:]
+        _, sol = self._solve(traj.params, (t[0], t[-1]), [traj.s[k3], traj.i[k3]],
+                             dense_output=True)
+        ref = sol.sol(t)
+        # each integrator's error is at most its per-step error times its
+        # number of steps, on fractions <= 1: rounding of ~eps per RK4 step
+        # (RK4's truncation error at h = 0.01 is ~1e-16 here), and rtol per
+        # DOP853 step
+        bound = (len(t) - 1) * np.finfo(float).eps + (len(sol.t) - 1) * self.RTOL
+        assert np.max(np.abs(ref[0] - traj.s[k3:])) <= bound
+        assert np.max(np.abs(ref[1] - traj.i[k3:])) <= bound

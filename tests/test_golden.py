@@ -29,11 +29,15 @@ CASES = {
                        "--set", "estimation.alphas=[1,10]"],
     # both 200-row sweep tables, clean and 100 dB
     "bound-sweep": ["reproduce", "bound-sweep"],
-    # the robust run's bounds come from one alpha of the estimator
+    # the robust run's bounds come from one alpha of the estimator: here they
+    # give gamma_min < 0, a config error that writes nothing ...
     "estimated-policy-compare-250": ["simulate", "--preset", "policy-compare",
                                      "--set", "integrator.horizon=250",
                                      "--set", "inflation.mode=estimated",
                                      "--set", "estimation.alphas=[10]"],
+    # ... and here (0.1733, 0.0501), which bracket the true (0.16, 0.063)
+    "estimated-fig1": ["simulate", "--preset", "fig1", "--set", "inflation.mode=estimated",
+                       "--set", "noise.kind=none", "--set", "estimation.alphas=[1]"],
     # the misestimated threshold fires at t = 54.67, after the optimal run
     # has left stage 1 (t_b = 54.6616992188)
     "late-threshold-policy-compare": ["simulate", "--preset", "policy-compare",
@@ -57,8 +61,10 @@ CASES = {
                                 "--set", 'policies=["optimal","robust","misestimated"]'],
 }
 
-# cases whose robust run is infeasible exit 3 after writing their CSVs
-EXIT_CODES = {"saturated-policy-compare": 3, "threshold-at-start-fig1": 3}
+# cases whose robust run is infeasible exit 3 after writing their CSVs; a
+# config error exits 2 before writing any
+EXIT_CODES = {"saturated-policy-compare": 3, "threshold-at-start-fig1": 3,
+              "estimated-policy-compare-250": 2}
 
 EXPECTED = {
     "bound-sweep": {
@@ -73,43 +79,40 @@ EXPECTED = {
         "policy_trace_misestimated.csv":
             "15ff46f64ab3c026d622b90cd083d82b86eb50986558415525df606c05abdaf4",
         "policy_trace_optimal.csv":
-            "3327ea686d7c6fbf21b9d92d8b1d6c7c8efe0052e8ef7918eeb4356d1bff8f4a",
+            "76b50cb5fce5b73199114fb77c677aa7fd92667026f338ece3fa5083426945b1",
         "policy_trace_robust.csv":
             "a9b979adc86417392706027b90388c097bbf7a0845cd468e55d07625973620bc",
         "trajectory_misestimated.csv":
-            "37b4a71375508d067fd5adcd29a9e810eb406b7d7cb867980bf691a9de24aa54",
+            "4a0b0fa583ffde7dcacf9a9a8ee773dee100e1a902b9adbf59bfb38ecd74788d",
         "trajectory_optimal.csv":
-            "617c0cb719f63a5830df846afbd3d429ea3f805c4860b3bbfd5b7513bf4749a3",
+            "7c54188ce556a7b7692acf5715296c12f5dc4c7df45afb2bb3e9ac2359cb6d33",
         "trajectory_robust.csv":
-            "c1c01c80dde98729e5670c72cd9ecafdb9262b1c90f3c4d102a4d2079194f7b7",
+            "eb1df848063b40d94fbb35cd3608dc675e73731a17c711635baaf7ffafd1a6d7",
     },
-    "estimated-policy-compare-250": {
+    "estimated-fig1": {
         "costs.csv":
-            "8d0f6058d4270cd9fee98b42929814e5314946133ee40bea4580032fda1d0163",
-        "policy_trace_misestimated.csv":
-            "90cee37ba62a6519d2df95123fde53588c6d5d7534e973020f022d94c843ab34",
+            "42163422f9ce8a666eca79b1e72469a3570be4f365186ba1d9c48109766b98cb",
         "policy_trace_optimal.csv":
-            "b1542161aa5d3a23d7d9f464a55eb84d60c831c6ff92a789ec7cb25539a1911e",
+            "21f630193893564aa60d7bfbb46d8097f1f159704b5d953d9793979822df4120",
         "policy_trace_robust.csv":
-            "c07b26583f4a8a22d87ec58a5bcb3a4e0ccb1885e2dc4c11dd134ce9b48dd147",
-        "trajectory_misestimated.csv":
-            "4fb8d287001c2a1a1981280df12c93866d204103962a40a9218d787db6780e41",
+            "52d15fa036804dedacca648ad1cbfe0046312fccf64bf4c81a97bceecd48f597",
         "trajectory_optimal.csv":
-            "2b088e895ae067cfd6db2d535fd65b8428674879f000624cba0fdad67fc0a16a",
+            "51c029a24a9744fe44b305aa97330e97b83fcc73e627da6d031b046287bcf58d",
         "trajectory_robust.csv":
-            "852b00be8b112a2f17e89c251e2dbc5e431cf639d30cc591ed25e28aca7e8df9",
+            "8cdcc574cced0760693f8b0a2a3bf491d80592c47fc4d5adb811a8975760fe58",
     },
+    "estimated-policy-compare-250": {},
     "fig1": {
         "fig1/costs.csv":
-            "07e1900616e35465f4382dc4f9bfa66343939f5e84e1aedb853d6f5edc47e8eb",
+            "fefdc66bb8677cf80334446c6c9ad195a974b268d437797e49e609699199f2f9",
         "fig1/policy_trace_optimal.csv":
-            "f0633470f353d9ed315192100e652a657215472ae118658b48ddcf252812c056",
+            "21f630193893564aa60d7bfbb46d8097f1f159704b5d953d9793979822df4120",
         "fig1/policy_trace_robust.csv":
             "ef7e204deec0300c0f473ccff893354138d814382727011db4d9177b4e7b93a2",
         "fig1/trajectory_optimal.csv":
-            "ad0469c563eada2f414f88b7df28a3461aaf4a4b0ae231cbf2ac1e106ee9125f",
+            "0ab46b96c367bd72f5a9caed6d3e37fd57d8996a3ced8da11c2f506e034dec1d",
         "fig1/trajectory_robust.csv":
-            "d5d1d3116abcc25fdb312df2c8d14d8f2023c33b62d085f72136349410c9e28a",
+            "c332c15e52b94fc44e1492374a5e8019c001ca5c2add55b0f7172e345cb931b0",
     },
     "gap-fig1": {
         "costs.csv":
@@ -117,7 +120,7 @@ EXPECTED = {
     },
     "gap-grid-fig1": {
         "costs.csv":
-            "82f9c6ef339ebf24210efb0a5e40c2eeb4801304f928e22784184027251aca0c",
+            "a0a7bc22434cc026e6b807155712541bb4ef14d819ac4ae738ca34fa313c8f3e",
     },
     "late-threshold-policy-compare": {
         "costs.csv":
@@ -129,11 +132,11 @@ EXPECTED = {
         "policy_trace_robust.csv":
             "079dcc17869c2af98334c0908be56040c9a255af0c1d91ce98420b03738974cb",
         "trajectory_misestimated.csv":
-            "9bd753d677e53b2d7fa8790e94bf8cacf05f5ac9fa301ab1d92f85118489a495",
+            "59bb878192ab60eea9be567457c0c1656221e480c5191e408dae3dcf03789007",
         "trajectory_optimal.csv":
-            "60d744abe83a3d66735acd5a873945204b0a5e96359762f9698827e678b34c59",
+            "8a446a1609b1964143938a6bdef43f8c14399cc29fb060cef88d7264286bd681",
         "trajectory_robust.csv":
-            "cba0c2f0de88af9e5bf5302b8afa809cd61ccc7c8c360358e57dfc4969005f7b",
+            "6bb79a44a27492fc540be86dc0e86aa1fd27eb15c0fe2f0473896994e661a362",
     },
     "param-est-1-10": {
         "estimates.csv":
@@ -149,11 +152,11 @@ EXPECTED = {
         "policy_trace_robust.csv":
             "99294ade134298bf6ac647c62040c4dc7ba43812b10435ebf3eb04ece4c55dfd",
         "trajectory_misestimated.csv":
-            "4fb8d287001c2a1a1981280df12c93866d204103962a40a9218d787db6780e41",
+            "ba4ac9dd17945c6395562c92075f20bcd1534a5130ea53e83473f1773fe51bcc",
         "trajectory_optimal.csv":
-            "2b088e895ae067cfd6db2d535fd65b8428674879f000624cba0fdad67fc0a16a",
+            "c7d512bdd7ef5e38776212030ac3611efc34e12da9717a53ed18b9e352fe8e50",
         "trajectory_robust.csv":
-            "c31108cd27d6877b099dcd85d991f2472a38c0db90ef0c81f921cf499b200233",
+            "8ffc70bb9bea7e21677dad4df8b90f3c36877f9144ef27576852e5941f802439",
     },
     "saturated-policy-compare": {
         "costs.csv":
@@ -165,11 +168,11 @@ EXPECTED = {
         "policy_trace_robust.csv":
             "ab796e76f92e1fe1f855cba9a5cd428166079fa5ee613011c0d43e0c65bf343d",
         "trajectory_misestimated.csv":
-            "508d84f85ff82e564cf5bc7a6a2ed644684cdb30a4ec9e5585b0c51b5d791021",
+            "c6f4b0cbf8ab8e1499bd0cd1f6a0b28dee78bd7a2500a5c1d9e104e339a7595f",
         "trajectory_optimal.csv":
-            "361334e250e7a9fa46b43a48f5a166ab0a3611e0f8887d0314db21fb30a6a4e1",
+            "d463711ee05e6ee87084b121ebc25c032832c85ba7cfc870167442ba1f7b82b2",
         "trajectory_robust.csv":
-            "b43221a6768d9fa66a202c76377ca0feebf4498efe00bb8afb4d139a71d591d9",
+            "ac32750aa53ece5ae6d2992d53c8e59f52d1865b0b66900402d368eed1e62cbc",
     },
     "threshold-at-start-fig1": {
         "costs.csv":
@@ -181,11 +184,11 @@ EXPECTED = {
         "policy_trace_robust.csv":
             "1da5fd156a5039f3beab49ad7c917fbc43a29dc0de51b16284a129c50f75a89c",
         "trajectory_misestimated.csv":
-            "e0f27a1a480154e046efba86e572a6f85c745b95125c50162c9d230ddc3df501",
+            "e9f58a4e0724f7af9313a9001a0cf8531e405a9634109322f1bb1b68edae3382",
         "trajectory_optimal.csv":
-            "6e44c3f4dd6417bf737cbf517c982f9e6e78ec1c8700c1e15289425939912f34",
+            "d6b69e8b8fb0255c4d6ed44b72e029e428f500811656e3a49d3d7b04dc6d8944",
         "trajectory_robust.csv":
-            "4a46ce741e61bbf24553cb22de98c4c7dd384cddb1c82fb95e3cfc301d275e6b",
+            "df494537face792f51f27f3ead40aefefe1be96d7be25e5ed727d1e9c80a2cb0",
     },
 }
 

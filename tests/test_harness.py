@@ -212,13 +212,25 @@ class TestRunScenario:
             integrator=IntegratorConfig(step=0.01, horizon=120.0),
             noise=NoiseConfig(kind="none"),
             inflation=InflationConfig(mode="estimated"),
-            estimation=EstimationWindow(i=30.0, j=40.0, alphas=(10,)),
+            estimation=EstimationWindow(i=80.0, j=90.0, alphas=(1,)),
             policies=("optimal", "robust"))
         art = run_scenario(cfg)
         assumed = art.runs["robust"].assumed
-        assert assumed.beta >= cfg.params.beta
-        assert assumed.gamma <= cfg.params.gamma
+        assert 0.0 < cfg.params.beta <= assumed.beta
+        assert 0.0 < assumed.gamma <= cfg.params.gamma
         assert art.runs["robust"].result.report.feasible
+
+    def test_nonphysical_estimated_interval_is_config_error(self):
+        # the default window (80, 90), inside the optimal run's stage 2, gives
+        # (beta_max, gamma_min) = (2,238.86, -2,238.56) at alpha 10; with
+        # gamma_min < 0 the planned herd condition beta*S <= gamma can never fire
+        cfg = replace(preset("policy-compare"),
+                      integrator=IntegratorConfig(step=0.01, horizon=120.0),
+                      inflation=InflationConfig(mode="estimated"),
+                      estimation=EstimationWindow(alphas=(10,)),
+                      policies=("optimal", "robust"))
+        with pytest.raises(ConfigError, match="estimation gives .*gamma_min=-"):
+            run_scenario(cfg)
 
     @staticmethod
     def _through_json(cfg):
