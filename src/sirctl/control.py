@@ -267,8 +267,11 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     offsets are read as arrays, which ``measure`` makes bitwise equal to
     per-node reads. Infeasibility is recorded in the report, never raised.
 
-    The trace's node columns are the run's own read-only arrays (see
-    ``PolicyTrace``); a policy that reads no noise allocates no offsets. A
+    The loop writes each node's state, rate and offsets through
+    memoryviews of the run's arrays; the stage column, which only rises, is
+    filled from its first stage-2 node and the loop's last node once the
+    loop ends. The trace's node columns are the run's own read-only arrays
+    (see ``PolicyTrace``); a policy that reads no noise allocates no offsets. A
     switch adds rows at its instant: one (the pre-switch stage at rate 0
     for a threshold, the stage-2 rate for a herd event) before the node row
     when it fires at a node, and a pre- and a post-switch row after the
@@ -304,9 +307,12 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     rr = np.empty(n + 1)
     uu = np.zeros(n + 1)
     node_stage = np.full(n + 1, 3, dtype=np.int8)  # the nodes after the loop's last are stage 3
+    # memoryviews take a float faster than numpy's scalar setitem
+    ss_w, ii_w, rr_w, uu_w = (memoryview(a) for a in (ss, ii, rr, uu))
     if reads:
         off_s = np.zeros(n + 1)  # measurement offsets held over each step
         off_i = np.zeros(n + 1)
+        off_s_w, off_i_w = memoryview(off_s), memoryview(off_i)
     else:
         off_s = off_i = np.broadcast_to(0.0, n + 1)  # all zero, in no memory
     # switch rows: (trace position among the node rows, t, u, stage, s_seen, i_seen)
@@ -319,13 +325,13 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     t_h: Optional[float] = None
     state_at_tb: Optional[SirState] = None
     start = 0
+    k_b = n + 1  # the first node of stage 2 or later
     if prefix is not None:
         # the nodes before start are the prefix's, at rate 0 in stage 1
         start = _shared_stage_one(prefix, true_params, init, h, n, noise if reads else None,
                                   margin, i_bar, off_s, off_i)
         p = prefix.trajectory
         ss[:start], ii[:start], rr[:start] = p.s[:start], p.i[:start], p.r[:start]
-        node_stage[:start] = 1
         s, i, r = float(p.s[start]), float(p.i[start]), float(p.r[start])
     t_node = float(ts[start])
 
@@ -337,8 +343,8 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
             if margin:
                 o_s += d_s
                 o_i += d_i
-            off_s[k] = o_s
-            off_i[k] = o_i
+            off_s_w[k] = o_s
+            off_i_w[k] = o_i
 
         # an event can fire exactly at a node (including k == 0); the signals
         # are capped at 1 (``1.0 if x > 1.0 else x`` is ``min(x, 1.0)``)
@@ -346,6 +352,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
             i_seen = i + o_i
             if (1.0 if i_seen > 1.0 else i_seen) - i_bar >= 0.0:
                 t_b = t_node
+                k_b = k
                 state_at_tb = SirState(t=t_node, s=s, i=i, r=r)
                 switch_rows.append((k, t_node, 0.0, 1, min(s + o_s, 1.0),
                                     min(i + o_i, 1.0)))
@@ -367,11 +374,10 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         else:
             u = 0.0
 
-        ss[k] = s
-        ii[k] = i
-        rr[k] = r
-        uu[k] = u
-        node_stage[k] = stage
+        ss_w[k] = s
+        ii_w[k] = i
+        rr_w[k] = r
+        uu_w[k] = u
         if stage == 3 or k == n:
             break
 
@@ -401,6 +407,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
             switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
             if stage == 1:
                 t_b = tau
+                k_b = k + 1
                 state_at_tb = SirState(t=tau, s=s, i=i, r=r)
                 stage = 2
                 raw = stage_two_rate(beta_plan, gamma_plan, s_seen)
@@ -423,6 +430,8 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         if not (isfinite(s) and isfinite(i) and isfinite(r)):
             raise NonFiniteDynamicsError(f"state became non-finite near t={t_node}")
 
+    # the stage only rises: 1 before node k_b, 2 from there to the last node k
+    node_stage[:k_b], node_stage[k_b:k], node_stage[k] = 1, 2, stage
     # stage 3 is the u = 0 epidemic from its first node k, on integrate's stepper
     m = n + 1
     if stage == 3:

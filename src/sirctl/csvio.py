@@ -29,6 +29,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .noise import measured_series_for
 from .scenarios import CostRow, EstimateRow, PolicyRun, RunArtifacts
 
 TRAJECTORY_HEADER = ["t", "S_true", "I_true", "R_true", "S_meas", "I_meas",
@@ -84,8 +85,11 @@ def _write(path: Path, header: list[str], columns: Sequence[Sequence],
 
 def write_trajectory_csv(path: Path, run: PolicyRun) -> None:
     """The node rows; the seen signals only where they are the run's own
-    arrays (the trace holds ``S``/``I`` themselves for a run that read none)."""
-    traj, meas, tr = run.result.trajectory, run.measured, run.result.trace
+    arrays (the trace holds ``S``/``I`` themselves for a run that read none).
+    ``S_meas``/``I_meas`` come from one ``measured_series_for`` call, built
+    here and let go once written."""
+    traj, tr = run.result.trajectory, run.result.trace
+    meas = measured_series_for(run.noise, traj)
     columns = (traj.t, traj.s, traj.i, traj.r, meas.s_hat, meas.i_hat, traj.u,
                run.result.node_stage)
     if tr.node_s_seen is traj.s and tr.node_i_seen is traj.i:

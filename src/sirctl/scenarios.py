@@ -61,7 +61,6 @@ from .noise import (
     NoiseConfig,
     derive_seed,
     inject_noise,
-    measured_series_for,
 )
 
 DEFAULT_SEED = 20260810
@@ -236,17 +235,16 @@ def _to_json(value):
 
 @dataclass(frozen=True)
 class PolicyRun:
-    """One policy's closed loop and what its noise source measured on it.
+    """One policy's closed loop and the scenario's noise source.
 
-    Each full-length array is held once, read-only: ``measured`` shares the
-    trajectory's ``t`` and ``u`` and keeps no sigma columns (its ``s_hat``
-    and ``i_hat`` are the trajectory's ``s`` and ``i`` when noise-free), and
-    the trace shares the node columns (``PolicyTrace``).
+    Each full-length array is held once, read-only: the trace shares the
+    node columns (``PolicyTrace``). The measured series is not held; its
+    writer builds it from ``noise`` (``measured_series_for``).
     """
 
     kind: PolicyKind
     result: ClosedLoopResult
-    measured: MeasuredSeries
+    noise: MeasurementNoise
     assumed: Optional[AssumedRates]
 
 
@@ -339,9 +337,7 @@ def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
     """``run_scenario`` given the scenario's ``_optimal_run``."""
     runs: dict[str, PolicyRun] = {}
     if "optimal" in config.policies:
-        runs["optimal"] = PolicyRun(PolicyKind.OPTIMAL, optimal,
-                                    measured_series_for(noise, optimal.trajectory),
-                                    assumed=None)
+        runs["optimal"] = PolicyRun(PolicyKind.OPTIMAL, optimal, noise, assumed=None)
     for kind, inflation in ((PolicyKind.ROBUST, config.inflation),
                             (PolicyKind.MISESTIMATED, config.misestimation)):
         if kind.value not in config.policies:
@@ -350,8 +346,7 @@ def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
         res = simulate_closed_loop(
             kind, config.params, assumed, config.init, noise, config.integrator,
             config.i_bar, ControlBounds(config.u_max), config.early_stop, optimal)
-        runs[kind.value] = PolicyRun(kind, res, measured_series_for(noise, res.trajectory),
-                                     assumed)
+        runs[kind.value] = PolicyRun(kind, res, noise, assumed)
 
     report, cumulative = None, None
     if "robust" in runs and "optimal" in runs:

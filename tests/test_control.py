@@ -519,6 +519,48 @@ class TestStageBoundaries:
         firsts = [self._assert_open_loop_stages(cfg, run.result) for run in art.runs.values()]
         assert any(k3 is not None for k3 in firsts) == stage_three
 
+    def test_stage_column_follows_the_switching_times(self):
+        # node_stage is 1 before the t_b node, 2 from it up to the first
+        # stage-3 node, and 3 from there on (an event inside a step puts its
+        # stage on the step's end node)
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset, run_scenario
+
+        short = IntegratorConfig(step=0.01, horizon=100.0)
+        cases = {
+            "fig1": replace(preset("fig1"), policies=self.THREE),
+            "policy-compare-250": replace(preset("policy-compare"), policies=self.THREE,
+                                          integrator=IntegratorConfig(step=0.01,
+                                                                      horizon=250.0)),
+            "threshold-at-start-fig1": replace(preset("fig1"), policies=self.THREE,
+                                               init=SirState(t=0.0, s=0.8, i=0.2, r=0.0),
+                                               integrator=short),
+            "early-stop-fig1": replace(preset("fig1"), policies=self.THREE, early_stop=True,
+                                       params=EpidemicParams(beta=0.5, gamma=0.2), u_max=0.5,
+                                       integrator=IntegratorConfig(step=0.1, horizon=400.0)),
+            # beta*S(0) < gamma and I(0) > i_bar: both events at node 0
+            "herd-at-threshold-node": replace(preset("fig1"), policies=self.THREE,
+                                              init=SirState(t=0.0, s=0.3, i=0.2, r=0.5),
+                                              noise=NoiseConfig(kind="none"),
+                                              integrator=IntegratorConfig(step=0.01,
+                                                                          horizon=10.0)),
+        }
+        switches = []
+        for cfg in cases.values():
+            for run in run_scenario(cfg).runs.values():
+                res = run.result
+                t, sw = res.trajectory.t, res.trace.switching
+                t_b = np.inf if sw.t_b is None else sw.t_b
+                t_h = np.inf if sw.t_h is None else sw.t_h
+                expected = 1 + (t >= t_b).astype(int) + (t >= t_h).astype(int)
+                assert res.node_stage.dtype == np.int8
+                assert res.node_stage.tolist() == expected.tolist()
+                switches.append((sw.t_b, sw.t_h))
+        assert (0.0, 0.0) in switches  # the herd event at the threshold node, node 0
+        assert any(t_b == 0.0 and t_h is not None and t_h > 0.0 for t_b, t_h in switches)
+        assert any(t_b is not None and t_h is None for t_b, t_h in switches)
+
     def test_herd_event_in_the_last_step(self):
         from dataclasses import replace
 

@@ -79,6 +79,29 @@ class TestRk4Step:
         for got, want in zip(stepped, zip(*expected)):
             assert np.array_equal(got, np.array(want))
 
+    def test_bitwise_equal_to_four_rhs_calls(self):
+        # every output bit, signed zeros included, for scalars and arrays
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        zeros = st.sampled_from([0.0, -0.0])
+        states = st.one_of(zeros, st.floats(-1.0, 1.0))
+        steps = st.tuples(states, states, states, st.floats(1e-3, 5.0), st.floats(1e-3, 2.0),
+                          st.one_of(zeros, st.floats(0.0, 1.0)),
+                          st.one_of(zeros, st.floats(-1.0, 10.0)))
+
+        def bits(values) -> bytes:
+            return np.array(values, dtype=float).tobytes()
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(cases=st.lists(steps, min_size=1, max_size=8))
+        def check(cases):
+            expected = [self._four_rhs_calls(*c) for c in cases]
+            assert bits([_rk4_step(*c) for c in cases]) == bits(expected)
+            stepped = _rk4_step(*(np.array(col) for col in zip(*cases)))
+            assert bits(stepped) == bits(list(zip(*expected)))
+
+        check()
+
 
 class TestEulerStep:
     def test_no_infection_leaves_state_unchanged(self):
@@ -140,6 +163,19 @@ class TestIntegrate:
         init = SirState(t=0.0, s=0.9, i=0.1, r=0.0)
         with pytest.raises(NonFiniteDynamicsError):
             integrate(PARAMS_52, float("nan"), init, IntegratorConfig(step=0.1, horizon=1.0))
+
+    def test_first_nonfinite_node_reported(self):
+        # the state overflows within a few steps; the error names the time
+        # of the first node that holds inf or NaN
+        params = EpidemicParams(beta=1e300, gamma=0.1)
+        s, i, r, k = 0.5, 0.5, 0.0, 0
+        while all(map(math.isfinite, (s, i, r))):
+            s, i, r = _rk4_step(s, i, r, params.beta, params.gamma, 0.0, 0.1)
+            k += 1
+        assert 0 < k < 10
+        with pytest.raises(NonFiniteDynamicsError, match=rf"at t={0.1 * k}$"):
+            integrate(params, 0.0, SirState(t=0.0, s=0.5, i=0.5, r=0.0),
+                      IntegratorConfig(step=0.1, horizon=1.0))
 
     def test_out_of_range_policy_rejected(self):
         init = SirState(t=0.0, s=0.9, i=0.1, r=0.0)

@@ -48,12 +48,12 @@ from sirctl.estimation import (
     estimation_error_bound,
 )
 from sirctl.noise import (
-    MeasuredSeries,
     MeasurementNoise,
     NoiseConfig,
     derive_seed,
     inject_noise,
     measured_series_for,
+    standard_draws,
 )
 from sirctl.scenarios import (
     ConfigError,
@@ -125,7 +125,7 @@ class TestInjectNoise:
         NoiseConfig(kind="snr_db", snr_db=55.0),
         NoiseConfig(kind="scaled_variance", divisor=1e4),
     ], ids=lambda c: c.kind)
-    def test_series_equals_per_node_measure(self, noise_cfg):
+    def test_series_equals_per_node_measure(self, noise_cfg, monkeypatch, tmp_path):
         # the offline vector form reproduces the loop's online reads bitwise
         cfg = replace(preset("fig1"), noise=noise_cfg,
                       policies=("optimal", "robust", "misestimated"),
@@ -133,16 +133,19 @@ class TestInjectNoise:
         optimal, noise = scenarios._optimal_run(cfg)
         runs = scenarios._run_policies(cfg, optimal, noise).runs
         assert runs["robust"].result.trace.switching.t_b is not None
+        written: dict[str, np.ndarray] = {}
+        monkeypatch.setattr(csvio, "_write", lambda path, header, columns, kinds:
+                            written.update(zip(header, columns)))
         for name, run in runs.items():
             traj, trace = run.result.trajectory, run.result.trace
             reads = np.array([noise.measure(k, float(traj.s[k]), float(traj.i[k]))
                               for k in range(len(traj))])
             stds = np.array([noise.measure(k, float(traj.s[k]), float(traj.i[k]), std=True)[2:]
                              for k in range(len(traj))])
-            assert np.array_equal(run.measured.s_hat, reads[:, 0])
-            assert np.array_equal(run.measured.i_hat, reads[:, 1])
-            # a policy run keeps no sigma; the estimator's series does
-            assert run.measured.sigma_s is None and run.measured.sigma_i is None
+            # the columns the trajectory writer formats, signed zeros included
+            write_trajectory_csv(tmp_path / f"trajectory_{name}.csv", run)
+            assert written["S_meas"].tobytes() == reads[:, 0].tobytes()
+            assert written["I_meas"].tobytes() == reads[:, 1].tobytes()
             series = measured_series_for(noise, traj, sigma=True)
             assert np.array_equal(series.s_hat, reads[:, 0])
             assert np.array_equal(series.i_hat, reads[:, 1])
@@ -605,17 +608,19 @@ class TestCsvFormat:
         # the seen signals are written as trajectory columns only when they
         # are not the true S and I; a trace without switch rows is a header
         t = 1.0 / 3.0 + 0.01 * np.arange(n)
-        s, i, r, s_hat, i_hat, u, s_seen, i_seen = (self.floats(n, seed) for seed in range(8))
+        s, i, r, u, s_seen, i_seen = (self.floats(n, seed) for seed in range(6))
         stage = np.random.default_rng(8).integers(1, 4, n)
         traj = Trajectory(t=t, s=s, i=i, r=r, u=u, step=0.01,
                           params=EpidemicParams(beta=0.16, gamma=1.0 / 30.0))
-        meas = MeasuredSeries(t=t, s_hat=s_hat, i_hat=i_hat, u=u,
-                              sigma_s=np.zeros(n), sigma_i=np.zeros(n))
+        # unit-sigma snr_db noise: the measured columns are s and i plus the draws
+        z = standard_draws(n, seed=9)
+        noise = MeasurementNoise(NoiseConfig(kind="snr_db", snr_db=0.0), z, 1.0, 1.0)
+        s_hat, i_hat = s + z[:, 0], i + z[:, 1]
         trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s_seen=s_seen,
                             node_i_seen=i_seen, switch_rows=(), switching=SwitchingTimes(),
                             clamp_events=0, kind=PolicyKind.ROBUST)
         run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(traj, trace, self.REPORT),
-                        meas, assumed=None)
+                        noise, assumed=None)
         write_trajectory_csv(tmp_path / "trajectory.csv", run)
         write_trace_csv(tmp_path / "trace.csv", run)
         assert (tmp_path / "trajectory.csv").read_text().split("\n") == self.expected(
@@ -624,7 +629,7 @@ class TestCsvFormat:
 
         blind = replace(trace, node_s_seen=s, node_i_seen=i)
         run = PolicyRun(PolicyKind.OPTIMAL, ClosedLoopResult(traj, blind, self.REPORT),
-                        meas, assumed=None)
+                        noise, assumed=None)
         write_trajectory_csv(tmp_path / "blind.csv", run)
         assert (tmp_path / "blind.csv").read_text().split("\n") == self.expected(
             TRAJECTORY_HEADER, zip(t, s, i, r, s_hat, i_hat, u, stage)) + [""]

@@ -6,15 +6,15 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+from sirctl import csvio, noise
 from sirctl.core import IntegratorConfig
-from sirctl.noise import NoiseConfig
-from sirctl.scenarios import preset, run_scenario
+from sirctl.noise import MeasuredSeries, NoiseConfig
+from sirctl.scenarios import gap_table, preset, run_scenario
 
 
-def _arrays(obj) -> list[np.ndarray]:
-    """Every ndarray reachable from ``obj`` through dataclass fields, dicts and tuples."""
-    if isinstance(obj, np.ndarray):
-        return [obj]
+def _reachable(obj) -> list:
+    """``obj`` and everything reachable from it through dataclass fields, dicts
+    and tuples."""
     if is_dataclass(obj) and not isinstance(obj, type):
         children = [getattr(obj, f.name) for f in fields(obj)]
     elif isinstance(obj, dict):
@@ -22,8 +22,13 @@ def _arrays(obj) -> list[np.ndarray]:
     elif isinstance(obj, (tuple, list)):
         children = list(obj)
     else:
-        return []
-    return [a for child in children for a in _arrays(child)]
+        children = []
+    return [obj] + [x for child in children for x in _reachable(child)]
+
+
+def _arrays(obj) -> list[np.ndarray]:
+    """Every ndarray reachable from ``obj``."""
+    return [x for x in _reachable(obj) if isinstance(x, np.ndarray)]
 
 
 def _buffers(arrays: list[np.ndarray], nodes: int) -> list[np.ndarray]:
@@ -41,12 +46,12 @@ SHORT = IntegratorConfig(step=0.01, horizon=150.0)
 CASES = {
     # policy -> (distinct full-length buffers the run holds, of which its own)
     "fig1": (replace(preset("fig1"), integrator=SHORT),
-             {"optimal": (8, 8), "robust": (10, 9)}),
+             {"optimal": (6, 6), "robust": (8, 7)}),
     "fig1-noise-free": (replace(preset("fig1"), integrator=SHORT,
                                 noise=NoiseConfig(kind="none")),
                         {"optimal": (6, 6), "robust": (6, 5)}),
     "policy-compare": (replace(preset("policy-compare"), integrator=SHORT),
-                       {"optimal": (8, 8), "robust": (10, 9), "misestimated": (10, 9)}),
+                       {"optimal": (6, 6), "robust": (8, 7), "misestimated": (8, 7)}),
 }
 
 
@@ -58,9 +63,9 @@ def case(request):
 
 class TestRetention:
     def test_distinct_full_length_buffers_per_policy(self, case):
-        # optimal: t, s, i, r, u, stage and s_hat, i_hat (its signals are s
-        # and i); a policy that reads noise adds its two signals and takes the
-        # optimal run's time grid; noise-free, s_hat and i_hat are s and i
+        # optimal: t, s, i, r, u, stage (its signals are s and i); a policy
+        # that reads noise adds its two signals and takes the optimal run's
+        # time grid; no run holds its measured series
         art, expected = case
         earlier: list[np.ndarray] = []
         counts = {}
@@ -75,17 +80,13 @@ class TestRetention:
         art, _ = case
         optimal = art.runs["optimal"].result
         for name, run in art.runs.items():
-            traj, trace, meas = run.result.trajectory, run.result.trace, run.measured
-            assert meas.t is traj.t and meas.u is traj.u
-            assert meas.sigma_s is None and meas.sigma_i is None
+            traj, trace = run.result.trajectory, run.result.trace
             assert trace.node_t is traj.t and trace.node_u is traj.u
             assert trace.node_stage.dtype == np.int8
             assert np.shares_memory(traj.t, optimal.trajectory.t)
             reads = name != "optimal" and art.config.noise.kind != "none"
             assert (trace.node_s_seen is traj.s) is not reads
             assert (trace.node_i_seen is traj.i) is not reads
-            if art.config.noise.kind == "none":
-                assert meas.s_hat is traj.s and meas.i_hat is traj.i
 
     def test_full_rows_splice_the_switch_rows(self, case):
         art, _ = case
@@ -107,8 +108,31 @@ class TestReadOnly:
     def test_writing_to_a_shared_array_raises(self, case):
         art, _ = case
         for run in art.runs.values():
-            traj, trace, meas = run.result.trajectory, run.result.trace, run.measured
-            for a in (traj.t, traj.s, traj.i, traj.r, traj.u, meas.s_hat, meas.i_hat,
+            traj, trace = run.result.trajectory, run.result.trace
+            for a in (traj.t, traj.s, traj.i, traj.r, traj.u,
                       trace.node_stage, trace.node_s_seen, trace.node_i_seen):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.5
+
+
+class TestMeasuredSeries:
+    def test_built_only_where_written(self, case, monkeypatch, tmp_path):
+        # neither a scenario run nor a gap table builds or holds a measured
+        # series; the trajectory writer builds one per run
+        art, _ = case
+        assert not any(isinstance(x, MeasuredSeries) for x in _reachable(art))
+        built = []
+        original = noise.measured_series_for
+
+        def spy(*args, **kwargs):
+            built.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(noise, "measured_series_for", spy)
+        monkeypatch.setattr(csvio, "measured_series_for", spy)
+        art = run_scenario(art.config)
+        rows = gap_table(art.config, [(1.1, 0.9), (1.0, 1.0)])
+        assert len(rows) == 3 and built == []
+        assert not any(isinstance(x, MeasuredSeries) for x in _reachable(rows))
+        csvio.emit_csv(art, tmp_path)
+        assert [id(b) for b in built] == [id(run.result.trajectory) for run in art.runs.values()]
