@@ -12,7 +12,6 @@ which is how underestimation is shown to break feasibility.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -23,18 +22,19 @@ from .core import (
     ControlBounds,
     EpidemicParams,
     IntegratorConfig,
-    NonFiniteDynamicsError,
     SirState,
     Trajectory,
     _rk4_fill,
     _rk4_step,
     locate_event,
     read_only,
+    require_finite,
 )
 from .estimation import ParamIntervals
 from .noise import MeasurementNoise
 
 FEASIBILITY_SLACK = 1e-6
+EARLY_STOP_BLOCK = 512  # stage-3 nodes filled per early-stop test
 
 
 class PolicyKind(str, Enum):
@@ -237,6 +237,29 @@ def _shared_stage_one(prefix: ClosedLoopResult, params: EpidemicParams, init: Si
     return int(np.argmax(fires)) if fires.any() else m - 1
 
 
+def _stage_three(ss: np.ndarray, ii: np.ndarray, rr: np.ndarray, ts: np.ndarray, k: int,
+                 beta: float, gamma: float, h: float, early_stop: bool) -> int:
+    """Fill stage 3, the u = 0 epidemic, from its first node k; returns the run's length.
+
+    Stage 3 runs on ``integrate``'s stepper. With ``early_stop`` the run
+    ends at the first stage-3 node with I < 1e-8: stage 3 is filled
+    EARLY_STOP_BLOCK nodes at a time, up to the block that holds that node.
+    """
+    n_nodes = len(ss)
+    if not early_stop:
+        _rk4_fill(ss, ii, rr, ts, k, beta, gamma, 0.0, h)
+        return n_nodes
+    lo, end = k, k + 1  # nodes lo..end-1 are filled and not yet tested
+    while True:
+        below = ii[lo:end] < 1e-8
+        if below.any():
+            return lo + int(np.argmax(below)) + 1
+        if end == n_nodes:
+            return n_nodes
+        lo, end = end, min(end + EARLY_STOP_BLOCK, n_nodes)
+        _rk4_fill(ss, ii, rr, ts, lo - 1, beta, gamma, 0.0, h, end)
+
+
 def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                          assumed: Optional[AssumedRates],
                          init: SirState, noise: Optional[MeasurementNoise],
@@ -255,17 +278,21 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
 
     Only stage 2 needs feedback; stages 1 and 3 are the u = 0 epidemic.
     The loop takes RK4 steps of exactly h between grid nodes. It reads the
-    noise at each node and holds it over the step, and it tests the
+    noise at each node with the noise source's ``offset_reader``, built
+    once per run, and holds it over the step, and it tests the
     stage's event at each node and at the end of each step. A step in
     which the test fires is split at the switch that ``locate_event`` finds
     and then ends on the node. The loop stops at the first stage-3 node,
     from which ``integrate``'s stepper fills the run; ``early_stop`` cuts
-    the run at the first stage-3 node with I < 1e-8. With ``prefix`` (a
-    run with the same parameters, initial state and step, usually the
-    optimal run) the loop starts at the first node where this policy's
-    threshold can fire (``_shared_stage_one``). The stage-1 and stage-3
-    offsets are read as arrays, which ``measure`` makes bitwise equal to
-    per-node reads. Infeasibility is recorded in the report, never raised.
+    the run at the first stage-3 node with I < 1e-8 (``_stage_three``).
+    The loop steps on through inf and NaN and tests its nodes once it
+    ends: NonFiniteDynamicsError names the first non-finite node's time.
+    With ``prefix`` (a run with the same parameters, initial state and
+    step, usually the optimal run) the loop starts at the first node where
+    this policy's threshold can fire (``_shared_stage_one``). The stage-1
+    and stage-3 offsets are read as arrays with ``measure``, bitwise equal
+    to the per-node reader. Infeasibility is recorded in the report, never
+    raised.
 
     The loop writes each node's state, rate and offsets through
     memoryviews of the run's arrays; the stage column, which only rises, is
@@ -294,7 +321,6 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     margin = kind is PolicyKind.ROBUST
     u_max = bounds.u_max
     clamp = bounds.clamp
-    isfinite = math.isfinite
 
     s, i, r = init.s, init.i, init.r
     t0 = init.t
@@ -313,6 +339,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         off_s = np.zeros(n + 1)  # measurement offsets held over each step
         off_i = np.zeros(n + 1)
         off_s_w, off_i_w = memoryview(off_s), memoryview(off_i)
+        read = noise.offset_reader(margin)
     else:
         off_s = off_i = np.broadcast_to(0.0, n + 1)  # all zero, in no memory
     # switch rows: (trace position among the node rows, t, u, stage, s_seen, i_seen)
@@ -337,12 +364,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
 
     for k in range(start, n + 1):
         if reads:
-            s_hat, i_hat, d_s, d_i = noise.measure(k, s, i)
-            o_s = s_hat - s
-            o_i = i_hat - i
-            if margin:
-                o_s += d_s
-                o_i += d_i
+            o_s, o_i = read(k, s, i)
             off_s_w[k] = o_s
             off_i_w[k] = o_i
 
@@ -427,20 +449,14 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
             s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, dt)
             break
         s, i, r = s2, i2, r2
-        if not (isfinite(s) and isfinite(i) and isfinite(r)):
-            raise NonFiniteDynamicsError(f"state became non-finite near t={t_node}")
 
+    # the loop steps on through inf and NaN; its nodes are tested once here
+    require_finite(ts, ss, ii, rr, start, k + 1)
     # the stage only rises: 1 before node k_b, 2 from there to the last node k
     node_stage[:k_b], node_stage[k_b:k], node_stage[k] = 1, 2, stage
-    # stage 3 is the u = 0 epidemic from its first node k, on integrate's stepper
     m = n + 1
     if stage == 3:
-        _rk4_fill(ss, ii, rr, ts, k, beta, gamma, 0.0, h)
-        if early_stop:
-            # the run ends at the first stage-3 node where I < 1e-8
-            below = ii[k:] < 1e-8
-            if below.any():
-                m = k + int(np.argmax(below)) + 1
+        m = _stage_three(ss, ii, rr, ts, k, beta, gamma, h, early_stop)
         if reads and k + 1 < m:
             # stage 3 decides nothing; its offsets only feed the trace signals
             _read_offsets(noise, margin, slice(k + 1, m), ss, ii, off_s, off_i)

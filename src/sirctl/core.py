@@ -129,7 +129,8 @@ def _rk4_step(s, i, r, beta, gamma, u, h):
     operation runs in the order of ``_rhs``. A stage state is ``s - c*nk``,
     which is ``s + c*-nk`` bit for bit; the final sums keep their negations,
     since ``-(a + b)`` differs from ``-a + -b`` in the sign of an exact zero.
-    Works elementwise on numpy arrays too.
+    Works elementwise on numpy arrays too. The reference step: ``_rk4_fill``
+    runs the same operations inline.
     """
     g = gamma + u
     hh = 0.5 * h
@@ -275,24 +276,59 @@ def integrate(params: EpidemicParams, u: float, init: SirState,
     return Trajectory(t=ts, s=ss, i=ii, r=rr, u=np.full(n + 1, u), step=h, params=params)
 
 
-def _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h) -> None:
-    """Fill nodes k0+1.. of ss, ii, rr in place by RK4 steps of h from node k0.
+def _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end=None) -> None:
+    """Fill nodes k0+1 .. end-1 of ss, ii, rr in place by RK4 steps of h from node k0.
 
-    The one node-stepping loop: ``integrate`` runs it from node 0 and the
-    closed loop from its first stage-3 node. Nodes are written through
-    memoryviews, which take a float faster than numpy's scalar setitem.
-    Raises NonFiniteDynamicsError naming the time ``ts[k]`` of the first
-    non-finite node.
+    The one node-stepping loop: ``integrate`` runs it from node 0 to the end
+    of the arrays and the closed loop from its first stage-3 node. ``end``
+    (exclusive, the arrays' length by default) lets a caller fill in blocks.
+    Each step is ``_rk4_step`` written inline, with its operation order
+    kept, so the nodes are bitwise its repeated steps; the rate terms
+    ``gamma + u``, ``0.5*h`` and ``h/6`` are formed once. Nodes are written
+    through memoryviews, which take a float faster than numpy's scalar
+    setitem. Raises NonFiniteDynamicsError naming the time ``ts[k]`` of the
+    first non-finite node.
     """
+    if end is None:
+        end = len(ss)
     ss_w, ii_w, rr_w = memoryview(ss), memoryview(ii), memoryview(rr)
     s, i, r = ss_w[k0], ii_w[k0], rr_w[k0]
-    for k in range(k0 + 1, len(ss)):
-        s, i, r = _rk4_step(s, i, r, beta, gamma, u, h)
-        ss_w[k], ii_w[k], rr_w[k] = s, i, r
-    # float arithmetic carries inf and NaN on, so one test finds the first
-    ok = np.isfinite(ss[k0:]) & np.isfinite(ii[k0:]) & np.isfinite(rr[k0:])
+    g = gamma + u
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for k in range(k0 + 1, end):
+        n1 = beta * s * i
+        m1 = g * i
+        d1 = n1 - m1
+        s2 = s - hh * n1
+        i2 = i + hh * d1
+        n2 = beta * s2 * i2
+        m2 = g * i2
+        d2 = n2 - m2
+        s3 = s - hh * n2
+        i3 = i + hh * d2
+        n3 = beta * s3 * i3
+        m3 = g * i3
+        d3 = n3 - m3
+        s4 = s - h * n3
+        i4 = i + h * d3
+        n4 = beta * s4 * i4
+        m4 = g * i4
+        ss_w[k] = s = s + h6 * (-n1 + 2.0 * -n2 + 2.0 * -n3 + -n4)
+        ii_w[k] = i = i + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (n4 - m4))
+        rr_w[k] = r = r + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+    require_finite(ts, ss, ii, rr, k0, end)
+
+
+def require_finite(ts, ss, ii, rr, lo, end) -> None:
+    """Raise NonFiniteDynamicsError naming ``ts[k]`` of the first non-finite node in lo..end-1.
+
+    Float arithmetic carries inf and NaN on without raising, so a loop can
+    step on and test its nodes once at the end.
+    """
+    ok = np.isfinite(ss[lo:end]) & np.isfinite(ii[lo:end]) & np.isfinite(rr[lo:end])
     if not ok.all():
-        raise NonFiniteDynamicsError(f"state became non-finite at t={ts[k0 + np.argmin(ok)]}")
+        raise NonFiniteDynamicsError(f"state became non-finite at t={ts[lo + np.argmin(ok)]}")
 
 
 def peak_infection(params: EpidemicParams, start: SirState, u_fix: float) -> float:

@@ -17,15 +17,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .core import Trajectory, read_only
 
 TRUNCATION_SIGMAS = 3.0
-
-Value = Union[float, np.ndarray]  # a scalar, or an array of per-node values
 
 
 @dataclass(frozen=True)
@@ -59,18 +57,9 @@ def standard_draws(n_epochs: int, seed: int) -> np.ndarray:
                    TRUNCATION_SIGMAS)
 
 
-def _nonneg(x: float) -> float:
-    """``max(x, 0.0)`` as a comparison: same value, signed zeros and NaN included."""
-    return 0.0 if x < 0.0 else x
-
-
-def _nonneg_array(x: np.ndarray) -> np.ndarray:
-    """``_nonneg`` elementwise."""
+def _nonneg(x: np.ndarray) -> np.ndarray:
+    """``max(x, 0.0)`` elementwise as a comparison: same value, signed zeros and NaN included."""
     return np.where(x < 0.0, 0.0, x)
-
-
-_SCALAR_OPS = (math.sqrt, _nonneg)
-_ARRAY_OPS = (np.sqrt, _nonneg_array)
 
 
 class MeasurementNoise:
@@ -82,12 +71,7 @@ class MeasurementNoise:
         self.z = z
         self.sigma_s = sigma_s
         self.sigma_i = sigma_i
-        # read on every closed-loop call of ``measure``: plain attributes,
-        # and each draw column as a memoryview, which indexes to a float
         self.kind = config.kind
-        self.divisor = config.divisor
-        if z is not None:
-            self._zs, self._zi = memoryview(z[:, 0]), memoryview(z[:, 1])
 
     @classmethod
     def build(cls, config: NoiseConfig, n_epochs: int, seed: int,
@@ -105,43 +89,31 @@ class MeasurementNoise:
             return cls(config, z, sigma_s, sigma_i)
         return cls(config, z, 0.0, 0.0)  # scaled_variance: sigmas are per-state
 
-    def measure(self, k: Union[int, slice, np.ndarray], s_true: Value, i_true: Value,
-                std: bool = False) -> tuple[Value, Value, Value, Value]:
-        """Measured (s, i) at epoch k plus the amplitude bounds (delta_s, delta_i).
+    def measure(self, k: Union[slice, np.ndarray], s_true: np.ndarray,
+                i_true: np.ndarray, std: bool = False) -> tuple[np.ndarray, ...]:
+        """Measured (s, i) at epochs k plus the amplitude bounds (delta_s, delta_i).
 
-        Elementwise. ``k`` is either an int with float states (the closed
-        loop reads one grid node per call) or an index array or slice of
-        epochs with equal-length state arrays, and then every output is an
-        array of that length. Both forms evaluate the same expressions, with
-        ``math`` or numpy primitives, so they agree bitwise. The noise std is
-        sigma for snr_db and sqrt(max(x, 0)/divisor) for scaled_variance;
-        ``std=True`` returns it in place of delta = 3*std. Array outputs are
-        not copied where they hold one value or the input: the std of snr_db
-        and the zero deltas of kind "none" are read-only broadcasts, and kind
-        "none" returns the state arrays themselves.
+        Elementwise: ``k`` is an index array or slice of epochs with
+        equal-length state arrays, and every output is an array of that
+        length. The noise std is sigma for snr_db and sqrt(max(x, 0)/divisor)
+        for scaled_variance; ``std=True`` returns it in place of delta =
+        3*std. Outputs are not copied where they hold one value or the
+        input: the std of snr_db and the zero deltas of kind "none" are
+        read-only broadcasts, and kind "none" returns the state arrays
+        themselves. ``offset_reader`` is the same formula for one node.
         """
         kind = self.kind
-        scalar = isinstance(k, int)
         if kind == "none":
-            if scalar:
-                return s_true, i_true, 0.0, 0.0
             zero = np.broadcast_to(0.0, np.shape(s_true))
             return np.asarray(s_true, dtype=float), np.asarray(i_true, dtype=float), zero, zero
-        if scalar:
-            zs, zi = self._zs[k], self._zi[k]
-            sqrt, nonneg = _SCALAR_OPS
-        else:
-            zs, zi = self.z[k, 0], self.z[k, 1]
-            sqrt, nonneg = _ARRAY_OPS
-        div = self.divisor
+        zs, zi = self.z[k, 0], self.z[k, 1]
+        div = self.config.divisor
         if kind == "snr_db":
-            sd_s, sd_i = self.sigma_s, self.sigma_i
-            if not scalar:
-                sd_s = np.broadcast_to(sd_s, np.shape(s_true))
-                sd_i = np.broadcast_to(sd_i, np.shape(i_true))
+            sd_s = np.broadcast_to(self.sigma_s, np.shape(s_true))
+            sd_i = np.broadcast_to(self.sigma_i, np.shape(i_true))
         else:
-            sd_s = sqrt(nonneg(s_true) / div)
-            sd_i = sqrt(nonneg(i_true) / div)
+            sd_s = np.sqrt(_nonneg(s_true) / div)
+            sd_i = np.sqrt(_nonneg(i_true) / div)
         s_hat = s_true + zs * sd_s
         i_hat = i_true + zi * sd_i
         if std:
@@ -149,9 +121,44 @@ class MeasurementNoise:
         if kind == "scaled_variance":
             # amplitude bounds from the measured value: exact containment
             # would need the true state, which the controller does not have
-            sd_s = sqrt(nonneg(s_hat) / div)
-            sd_i = sqrt(nonneg(i_hat) / div)
+            sd_s = np.sqrt(_nonneg(s_hat) / div)
+            sd_i = np.sqrt(_nonneg(i_hat) / div)
         return s_hat, i_hat, TRUNCATION_SIGMAS * sd_s, TRUNCATION_SIGMAS * sd_i
+
+    def offset_reader(self, margin: bool) -> Callable[[int, float, float], tuple[float, float]]:
+        """The closed loop's read of one node: ``(k, s, i) -> (o_s, o_i)``.
+
+        The offsets are ``s_hat - s`` and ``i_hat - i`` of ``measure`` at
+        epoch k, plus delta when ``margin`` is set (the robust policy's
+        envelope). The reader is built once per run, bound to the noise kind
+        and ``margin``, and evaluates ``measure``'s expressions on floats:
+        ``math.sqrt`` for ``np.sqrt`` and inline comparisons for ``_nonneg``,
+        so it agrees with the array form bitwise.
+        """
+        kind = self.kind
+        if kind == "none":
+            # s_hat is s itself, and adding the zero delta changes no bit
+            return lambda k, s, i: (s - s, i - i)
+        # each draw column as a memoryview, which indexes to a float
+        zs, zi = memoryview(self.z[:, 0]), memoryview(self.z[:, 1])
+        three = TRUNCATION_SIGMAS
+        if kind == "snr_db":
+            sd_s, sd_i = self.sigma_s, self.sigma_i
+            if not margin:
+                return lambda k, s, i: (s + zs[k] * sd_s - s, i + zi[k] * sd_i - i)
+            d_s, d_i = three * sd_s, three * sd_i
+            return lambda k, s, i: (s + zs[k] * sd_s - s + d_s, i + zi[k] * sd_i - i + d_i)
+        div = self.config.divisor
+        sqrt = math.sqrt
+
+        def read(k: int, s: float, i: float) -> tuple[float, float]:
+            s_hat = s + zs[k] * sqrt((0.0 if s < 0.0 else s) / div)
+            i_hat = i + zi[k] * sqrt((0.0 if i < 0.0 else i) / div)
+            if not margin:
+                return s_hat - s, i_hat - i
+            return (s_hat - s + three * sqrt((0.0 if s_hat < 0.0 else s_hat) / div),
+                    i_hat - i + three * sqrt((0.0 if i_hat < 0.0 else i_hat) / div))
+        return read
 
 
 @dataclass(frozen=True)
@@ -193,8 +200,9 @@ def measured_series_for(noise: MeasurementNoise, traj: Trajectory,
                         sigma: bool = False) -> MeasuredSeries:
     """The per-node measurements a controller driven by this noise source saw.
 
-    One array call of ``noise.measure`` over every grid node, so bitwise
-    equal to ``noise.measure(k, s[k], i[k])`` at each node k. The series
+    One array call of ``noise.measure`` over every grid node, so
+    ``s_hat - s`` and ``i_hat - i`` are bitwise the offsets the loop's
+    ``offset_reader`` read at each node. The series
     holds the trajectory's ``t`` and ``u`` by reference. ``sigma=True``
     keeps the noise std of each sample as the sigma columns, which the
     estimator's amplitude bound reads; a policy run's series leaves them out.

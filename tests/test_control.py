@@ -1,9 +1,12 @@
 """Policies, state bounds, feasibility, and the closed loop."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from sirctl import control
 from sirctl.control import (
     AssumedRates,
     ControlBounds,
@@ -16,6 +19,7 @@ from sirctl.core import (
     EVENT_TOL,
     EpidemicParams,
     IntegratorConfig,
+    NonFiniteDynamicsError,
     SirState,
     _rk4_step,
     find_threshold_crossing,
@@ -243,6 +247,60 @@ class TestClosedLoop:
         assert res.trace.switching.t_h is not None
         assert len(res.trajectory) < 200001
         assert res.trajectory.i[-1] < 1e-8
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 512])
+    def test_early_stop_fills_only_up_to_the_cut_block(self, block, monkeypatch):
+        # the run is the full run cut at its first stage-3 node with
+        # I < 1e-8, and stage 3 is stepped no further than the block
+        # holding that node
+        params = EpidemicParams(beta=0.5, gamma=0.2)
+        init = SirState(t=0.0, s=0.99, i=0.01, r=0.0)
+        config = IntegratorConfig(step=0.1, horizon=400.0)
+        full = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None, config,
+                                    i_bar=0.1, bounds=ControlBounds(u_max=0.5))
+        k3 = int(np.argmax(full.node_stage == 3))
+        cut = k3 + int(np.argmax(full.trajectory.i[k3:] < 1e-8)) + 1
+        assert k3 > 0 and cut < len(full.trajectory)
+        filled = []
+        fill = control._rk4_fill
+
+        def counted_fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end):
+            filled.append(end - k0 - 1)
+            fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end)
+
+        monkeypatch.setattr(control, "_rk4_fill", counted_fill)
+        monkeypatch.setattr(control, "EARLY_STOP_BLOCK", block)
+        res = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None, config,
+                                   i_bar=0.1, bounds=ControlBounds(u_max=0.5), early_stop=True)
+        for col in ("t", "s", "i", "r", "u"):
+            want = getattr(full.trajectory, col)[:cut]
+            assert getattr(res.trajectory, col).tobytes() == want.tobytes()
+        assert res.trace.switching == full.trace.switching
+        assert cut - 1 - k3 <= sum(filled) < cut - 1 - k3 + block
+
+    def test_first_nonfinite_node_reported(self):
+        # RK4 at beta*h = 6 overflows in stage 1 before the infection reaches
+        # i_bar; the error names the time of the first node holding inf or
+        # NaN, also when the loop starts at a prefix run's last node
+        params = EpidemicParams(beta=6.0, gamma=0.1)
+        init = SirState(t=0.0, s=0.999, i=0.001, r=0.0)
+        x, k = (init.s, init.i, init.r), 0
+        while all(map(math.isfinite, x)):
+            x = _rk4_step(*x, params.beta, params.gamma, 0.0, 1.0)
+            k += 1
+        assert k == 6
+        prefix = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None,
+                                      IntegratorConfig(step=1.0, horizon=3.0), 0.95, BOUNDS)
+        assert prefix.node_stage.tolist() == [1, 1, 1, 1]
+        config = IntegratorConfig(step=1.0, horizon=20.0)
+        noise = MeasurementNoise.build(NoiseConfig(kind="scaled_variance", divisor=1e6),
+                                       config.n_steps + 1, seed=3)
+        for kind, source, start in ((PolicyKind.OPTIMAL, None, None),
+                                    (PolicyKind.OPTIMAL, None, prefix),
+                                    (PolicyKind.ROBUST, noise, prefix)):
+            with pytest.raises(NonFiniteDynamicsError, match=rf"at t={float(k)}$"):
+                simulate_closed_loop(kind, params, AssumedRates(params.beta, params.gamma),
+                                     init, source, config, 0.95, BOUNDS, prefix=start)
 
     def test_infeasibility_is_recorded_not_raised(self, compare_artifacts):
         # the misestimated run exceeded the cap without aborting the run

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sirctl.core import (
     peak_infection,
     rhs,
     _rhs,
+    _rk4_fill,
     _rk4_step,
 )
 
@@ -99,6 +101,42 @@ class TestRk4Step:
             assert bits([_rk4_step(*c) for c in cases]) == bits(expected)
             stepped = _rk4_step(*(np.array(col) for col in zip(*cases)))
             assert bits(stepped) == bits(list(zip(*expected)))
+
+        check()
+
+    def test_fill_bitwise_equal_to_repeated_steps(self):
+        # the inlined node loop is _rk4_step repeated, in every output bit;
+        # a run that overflows names the first non-finite node's time
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        zeros = st.sampled_from([0.0, -0.0])
+        states = st.one_of(zeros, st.floats(-1.0, 1.0))
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(state=st.tuples(states, states, states), beta=st.floats(1e-3, 5.0),
+                          gamma=st.floats(1e-3, 2.0), u=st.one_of(zeros, st.floats(0.0, 1.0)),
+                          h=st.floats(1e-3, 5.0), k0=st.integers(0, 4),
+                          steps=st.integers(0, 12), tail=st.integers(0, 3))
+        def check(state, beta, gamma, u, h, k0, steps, tail):
+            end = k0 + steps + 1
+            ss, ii, rr = (np.full(end + tail, np.nan) for _ in range(3))
+            ts = np.arange(end + tail) * h
+            ss[k0], ii[k0], rr[k0] = state
+            expected = [state]
+            for _ in range(steps):
+                expected.append(_rk4_step(*expected[-1], beta, gamma, u, h))
+            finite = [all(map(math.isfinite, x)) for x in expected]
+            if not all(finite):
+                first = ts[k0 + finite.index(False)]
+                with pytest.raises(NonFiniteDynamicsError, match=re.escape(f"at t={first}")):
+                    _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end)
+                return
+            _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end)
+            got = np.stack([ss[k0:end], ii[k0:end], rr[k0:end]], axis=1)
+            assert got.tobytes() == np.array(expected).tobytes()
+            # the nodes outside k0..end-1 are left as they were
+            outside = np.r_[ss[:k0], ii[:k0], rr[:k0], ss[end:], ii[end:], rr[end:]]
+            assert np.isnan(outside).all()
 
         check()
 

@@ -126,7 +126,8 @@ class TestInjectNoise:
         NoiseConfig(kind="scaled_variance", divisor=1e4),
     ], ids=lambda c: c.kind)
     def test_series_equals_per_node_measure(self, noise_cfg, monkeypatch, tmp_path):
-        # the offline vector form reproduces the loop's online reads bitwise
+        # the offline vector form reproduces the loop's online reads, the
+        # per-node offsets of ``offset_reader``, bitwise
         cfg = replace(preset("fig1"), noise=noise_cfg,
                       policies=("optimal", "robust", "misestimated"),
                       integrator=IntegratorConfig(step=0.01, horizon=150.0))
@@ -138,27 +139,29 @@ class TestInjectNoise:
                             written.update(zip(header, columns)))
         for name, run in runs.items():
             traj, trace = run.result.trajectory, run.result.trace
-            reads = np.array([noise.measure(k, float(traj.s[k]), float(traj.i[k]))
-                              for k in range(len(traj))])
-            stds = np.array([noise.measure(k, float(traj.s[k]), float(traj.i[k]), std=True)[2:]
-                             for k in range(len(traj))])
+            # the offsets without and with delta at every node
+            reads = {}
+            for margin in (False, True):
+                read = noise.offset_reader(margin)
+                reads[margin] = np.array([read(k, s, i) for k, (s, i)
+                                          in enumerate(zip(traj.s.tolist(), traj.i.tolist()))])
             # the columns the trajectory writer formats, signed zeros included
             write_trajectory_csv(tmp_path / f"trajectory_{name}.csv", run)
-            assert written["S_meas"].tobytes() == reads[:, 0].tobytes()
-            assert written["I_meas"].tobytes() == reads[:, 1].tobytes()
+            assert (written["S_meas"] - traj.s).tobytes() == reads[False][:, 0].tobytes()
+            assert (written["I_meas"] - traj.i).tobytes() == reads[False][:, 1].tobytes()
             series = measured_series_for(noise, traj, sigma=True)
-            assert np.array_equal(series.s_hat, reads[:, 0])
-            assert np.array_equal(series.i_hat, reads[:, 1])
-            assert np.array_equal(series.sigma_s, stds[:, 0])
-            assert np.array_equal(series.sigma_i, stds[:, 1])
+            assert series.s_hat.tobytes() == written["S_meas"].tobytes()
+            assert series.i_hat.tobytes() == written["I_meas"].tobytes()
+            # the sigma columns: a slice of epochs reads as their index array
+            stds = noise.measure(np.arange(len(traj)), traj.s, traj.i, std=True)[2:]
+            assert np.array_equal(series.sigma_s, stds[0])
+            assert np.array_equal(series.sigma_i, stds[1])
             # delta reaches the loop through the robust signals: the node rows
             # (the last trace row at each node time) hold min(x + offset, 1)
             if name == "optimal" or noise_cfg.kind == "none":
                 off_s = off_i = np.zeros(len(traj))
             else:
-                off_s, off_i = reads[:, 0] - traj.s, reads[:, 1] - traj.i
-                if name == "robust":
-                    off_s, off_i = off_s + reads[:, 2], off_i + reads[:, 3]
+                off_s, off_i = reads[name == "robust"].T
             rows = np.searchsorted(trace.t, traj.t, side="right") - 1
             assert np.minimum(traj.s + off_s, 1.0).tobytes() == trace.s_seen[rows].tobytes()
             assert np.minimum(traj.i + off_i, 1.0).tobytes() == trace.i_seen[rows].tobytes()
@@ -168,23 +171,66 @@ class TestInjectNoise:
         NoiseConfig(kind="snr_db", snr_db=20.0),
         NoiseConfig(kind="scaled_variance", divisor=10.0),
     ], ids=lambda c: c.kind)
-    @pytest.mark.parametrize("std", [False, True])
-    def test_array_measure_equals_scalar_measure(self, noise_cfg, std):
-        # every output bit, signed zeros and NaN included
+    @pytest.mark.parametrize("margin", [False, True])
+    def test_array_measure_equals_scalar_measure(self, noise_cfg, margin):
+        # the per-node reader is the array form's offsets in every output
+        # bit, signed zeros and NaN included
         s = np.array([0.0, -0.0, -1e-3, np.nan, 1.5, 0.5, 1e-320, -1e-320, 1.0, 0.25])
         i = np.array([-0.0, 0.0, np.nan, -2.0, 0.1, 1.2, 0.0, 3e-6, -1e-320, 1e-9])
-        reference = integrate(EpidemicParams(beta=0.16, gamma=0.063), 0.0,
-                              SirState(t=0.0, s=0.99, i=0.01, r=0.0),
-                              IntegratorConfig(step=0.1, horizon=1.0))
-        noise = MeasurementNoise.build(noise_cfg, len(s) + 3, seed=11, reference=reference)
-        k = np.arange(3, 3 + len(s))
-        for nodes in (k, slice(3, 3 + len(s))):
-            arrays = noise.measure(nodes, s, i, std=std)
+        noise = MeasurementNoise.build(noise_cfg, len(s) + 3, seed=11,
+                                       reference=self._reference())
+        read = noise.offset_reader(margin)
+        scalars = np.array([read(k, ss, ii) for k, ss, ii
+                            in zip(range(3, 3 + len(s)), s.tolist(), i.tolist())])
+        for nodes in (np.arange(3, 3 + len(s)), slice(3, 3 + len(s))):
+            arrays = noise.measure(nodes, s, i)
             assert all(isinstance(a, np.ndarray) and a.shape == s.shape for a in arrays)
-            scalars = np.array([noise.measure(int(kk), float(ss), float(ii), std=std)
-                                for kk, ss, ii in zip(k, s, i)])
-            for col, a in enumerate(arrays):
-                assert a.tobytes() == scalars[:, col].tobytes(), col
+            for col, off in enumerate(self._offsets(arrays, s, i, margin)):
+                assert off.tobytes() == scalars[:, col].tobytes(), col
+
+    @staticmethod
+    def _reference() -> Trajectory:
+        # the signal-power reference of snr_db noise
+        return integrate(EpidemicParams(beta=0.16, gamma=0.063), 0.0,
+                         SirState(t=0.0, s=0.99, i=0.01, r=0.0),
+                         IntegratorConfig(step=0.1, horizon=1.0))
+
+    @staticmethod
+    def _offsets(reads, s, i, margin):
+        # the closed loop's offsets from an array read, as it forms them
+        s_hat, i_hat, d_s, d_i = reads
+        off_s, off_i = s_hat - s, i_hat - i
+        if margin:
+            off_s += d_s
+            off_i += d_i
+        return off_s, off_i
+
+    def test_reader_bitwise_equal_to_array_measure(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0),
+                           st.floats(-1e-300, 1e-300))
+        configs = st.one_of(
+            st.just(NoiseConfig(kind="none")),
+            st.builds(lambda db: NoiseConfig(kind="snr_db", snr_db=db), st.floats(-20.0, 80.0)),
+            st.builds(lambda d: NoiseConfig(kind="scaled_variance", divisor=d),
+                      st.floats(1e-3, 1e6)))
+        reference = self._reference()
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(cfg=configs, margin=st.booleans(), seed=st.integers(0, 2**32),
+                          first=st.integers(0, 3),
+                          states=st.lists(st.tuples(values, values), min_size=1, max_size=10))
+        def check(cfg, margin, seed, first, states):
+            noise = MeasurementNoise.build(cfg, first + len(states), seed, reference=reference)
+            s, i = np.array(states).T
+            offsets = self._offsets(noise.measure(slice(first, None), s, i), s, i, margin)
+            read = noise.offset_reader(margin)
+            scalars = np.array([read(first + k, ss, ii) for k, (ss, ii) in enumerate(states)])
+            assert offsets[0].tobytes() == scalars[:, 0].tobytes()
+            assert offsets[1].tobytes() == scalars[:, 1].tobytes()
+
+        check()
 
     def test_vanishing_noise_recovers_noise_free_estimates(self):
         cfg = replace(preset("param-est"),
