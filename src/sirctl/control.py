@@ -34,7 +34,6 @@ from .estimation import ParamIntervals
 from .noise import MeasurementNoise
 
 FEASIBILITY_SLACK = 1e-6
-EARLY_STOP_BLOCK = 512  # stage-3 nodes filled per early-stop test
 
 
 class PolicyKind(str, Enum):
@@ -237,29 +236,6 @@ def _shared_stage_one(prefix: ClosedLoopResult, params: EpidemicParams, init: Si
     return int(np.argmax(fires)) if fires.any() else m - 1
 
 
-def _stage_three(ss: np.ndarray, ii: np.ndarray, rr: np.ndarray, ts: np.ndarray, k: int,
-                 beta: float, gamma: float, h: float, early_stop: bool) -> int:
-    """Fill stage 3, the u = 0 epidemic, from its first node k; returns the run's length.
-
-    Stage 3 runs on ``integrate``'s stepper. With ``early_stop`` the run
-    ends at the first stage-3 node with I < 1e-8: stage 3 is filled
-    EARLY_STOP_BLOCK nodes at a time, up to the block that holds that node.
-    """
-    n_nodes = len(ss)
-    if not early_stop:
-        _rk4_fill(ss, ii, rr, ts, k, beta, gamma, 0.0, h)
-        return n_nodes
-    lo, end = k, k + 1  # nodes lo..end-1 are filled and not yet tested
-    while True:
-        below = ii[lo:end] < 1e-8
-        if below.any():
-            return lo + int(np.argmax(below)) + 1
-        if end == n_nodes:
-            return n_nodes
-        lo, end = end, min(end + EARLY_STOP_BLOCK, n_nodes)
-        _rk4_fill(ss, ii, rr, ts, lo - 1, beta, gamma, 0.0, h, end)
-
-
 def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                          assumed: Optional[AssumedRates],
                          init: SirState, noise: Optional[MeasurementNoise],
@@ -284,14 +260,14 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     which the test fires is split at the switch that ``locate_event`` finds
     and then ends on the node. The loop stops at the first stage-3 node,
     from which ``integrate``'s stepper fills the run; ``early_stop`` cuts
-    the run at the first stage-3 node with I < 1e-8 (``_stage_three``).
-    The loop steps on through inf and NaN and tests its nodes once it
-    ends: NonFiniteDynamicsError names the first non-finite node's time.
-    With ``prefix`` (a run with the same parameters, initial state and
-    step, usually the optimal run) the loop starts at the first node where
-    this policy's threshold can fire (``_shared_stage_one``). The stage-1
-    and stage-3 offsets are read as arrays with ``measure``, bitwise equal
-    to the per-node reader. Infeasibility is recorded in the report, never
+    the run at the first stage-3 node with I < 1e-8. The loop steps on
+    through inf and NaN and tests its nodes once it ends:
+    NonFiniteDynamicsError names the first non-finite node's time. With
+    ``prefix`` (a run with the same parameters, initial state and step,
+    usually the optimal run) the loop starts at the first node where this
+    policy's threshold can fire (``_shared_stage_one``). The stage-1 and
+    stage-3 offsets are read as arrays with ``measure``, bitwise equal to
+    the per-node reader. Infeasibility is recorded in the report, never
     raised.
 
     The loop writes each node's state, rate and offsets through
@@ -454,9 +430,15 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     require_finite(ts, ss, ii, rr, start, k + 1)
     # the stage only rises: 1 before node k_b, 2 from there to the last node k
     node_stage[:k_b], node_stage[k_b:k], node_stage[k] = 1, 2, stage
+    # stage 3 is the u = 0 epidemic from its first node k, on integrate's stepper
     m = n + 1
     if stage == 3:
-        m = _stage_three(ss, ii, rr, ts, k, beta, gamma, h, early_stop)
+        _rk4_fill(ss, ii, rr, ts, k, beta, gamma, 0.0, h)
+        if early_stop:
+            # the run ends at the first stage-3 node where I < 1e-8
+            below = ii[k:] < 1e-8
+            if below.any():
+                m = k + int(np.argmax(below)) + 1
         if reads and k + 1 < m:
             # stage 3 decides nothing; its offsets only feed the trace signals
             _read_offsets(noise, margin, slice(k + 1, m), ss, ii, off_s, off_i)

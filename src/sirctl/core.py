@@ -276,27 +276,23 @@ def integrate(params: EpidemicParams, u: float, init: SirState,
     return Trajectory(t=ts, s=ss, i=ii, r=rr, u=np.full(n + 1, u), step=h, params=params)
 
 
-def _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end=None) -> None:
-    """Fill nodes k0+1 .. end-1 of ss, ii, rr in place by RK4 steps of h from node k0.
+def _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h) -> None:
+    """Fill nodes k0+1.. of ss, ii, rr in place by RK4 steps of h from node k0.
 
-    The one node-stepping loop: ``integrate`` runs it from node 0 to the end
-    of the arrays and the closed loop from its first stage-3 node. ``end``
-    (exclusive, the arrays' length by default) lets a caller fill in blocks.
-    Each step is ``_rk4_step`` written inline, with its operation order
-    kept, so the nodes are bitwise its repeated steps; the rate terms
-    ``gamma + u``, ``0.5*h`` and ``h/6`` are formed once. Nodes are written
-    through memoryviews, which take a float faster than numpy's scalar
-    setitem. Raises NonFiniteDynamicsError naming the time ``ts[k]`` of the
-    first non-finite node.
+    The one node-stepping loop: ``integrate`` runs it from node 0 and the
+    closed loop from its first stage-3 node. Each step is ``_rk4_step``
+    written inline, with its operation order kept, so the nodes are bitwise
+    its repeated steps; the rate terms ``gamma + u``, ``0.5*h`` and ``h/6``
+    are formed once. Nodes are written through memoryviews, which take a
+    float faster than numpy's scalar setitem. Raises NonFiniteDynamicsError
+    naming the time ``ts[k]`` of the first non-finite node.
     """
-    if end is None:
-        end = len(ss)
     ss_w, ii_w, rr_w = memoryview(ss), memoryview(ii), memoryview(rr)
     s, i, r = ss_w[k0], ii_w[k0], rr_w[k0]
     g = gamma + u
     hh = 0.5 * h
     h6 = h / 6.0
-    for k in range(k0 + 1, end):
+    for k in range(k0 + 1, len(ss)):
         n1 = beta * s * i
         m1 = g * i
         d1 = n1 - m1
@@ -317,7 +313,7 @@ def _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end=None) -> None:
         ss_w[k] = s = s + h6 * (-n1 + 2.0 * -n2 + 2.0 * -n3 + -n4)
         ii_w[k] = i = i + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (n4 - m4))
         rr_w[k] = r = r + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-    require_finite(ts, ss, ii, rr, k0, end)
+    require_finite(ts, ss, ii, rr, k0, len(ss))
 
 
 def require_finite(ts, ss, ii, rr, lo, end) -> None:

@@ -133,12 +133,12 @@ class MeasurementNoise:
         envelope). The reader is built once per run, bound to the noise kind
         and ``margin``, and evaluates ``measure``'s expressions on floats:
         ``math.sqrt`` for ``np.sqrt`` and inline comparisons for ``_nonneg``,
-        so it agrees with the array form bitwise.
+        so it agrees with the array form bitwise. Kind "none" has no reader:
+        a noise-free loop reads nothing.
         """
         kind = self.kind
         if kind == "none":
-            # s_hat is s itself, and adding the zero delta changes no bit
-            return lambda k, s, i: (s - s, i - i)
+            raise ValueError("noise kind 'none' has no offsets to read")
         # each draw column as a memoryview, which indexes to a float
         zs, zi = memoryview(self.z[:, 0]), memoryview(self.z[:, 1])
         three = TRUNCATION_SIGMAS

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from sirctl import control
 from sirctl.control import (
     AssumedRates,
     ControlBounds,
@@ -247,36 +246,6 @@ class TestClosedLoop:
         assert res.trace.switching.t_h is not None
         assert len(res.trajectory) < 200001
         assert res.trajectory.i[-1] < 1e-8
-
-    @pytest.mark.parametrize("block", [1, 2, 7, 512])
-    def test_early_stop_fills_only_up_to_the_cut_block(self, block, monkeypatch):
-        # the run is the full run cut at its first stage-3 node with
-        # I < 1e-8, and stage 3 is stepped no further than the block
-        # holding that node
-        params = EpidemicParams(beta=0.5, gamma=0.2)
-        init = SirState(t=0.0, s=0.99, i=0.01, r=0.0)
-        config = IntegratorConfig(step=0.1, horizon=400.0)
-        full = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None, config,
-                                    i_bar=0.1, bounds=ControlBounds(u_max=0.5))
-        k3 = int(np.argmax(full.node_stage == 3))
-        cut = k3 + int(np.argmax(full.trajectory.i[k3:] < 1e-8)) + 1
-        assert k3 > 0 and cut < len(full.trajectory)
-        filled = []
-        fill = control._rk4_fill
-
-        def counted_fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end):
-            filled.append(end - k0 - 1)
-            fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end)
-
-        monkeypatch.setattr(control, "_rk4_fill", counted_fill)
-        monkeypatch.setattr(control, "EARLY_STOP_BLOCK", block)
-        res = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None, config,
-                                   i_bar=0.1, bounds=ControlBounds(u_max=0.5), early_stop=True)
-        for col in ("t", "s", "i", "r", "u"):
-            want = getattr(full.trajectory, col)[:cut]
-            assert getattr(res.trajectory, col).tobytes() == want.tobytes()
-        assert res.trace.switching == full.trace.switching
-        assert cut - 1 - k3 <= sum(filled) < cut - 1 - k3 + block
 
     def test_first_nonfinite_node_reported(self):
         # RK4 at beta*h = 6 overflows in stage 1 before the infection reaches

@@ -116,11 +116,11 @@ class TestRk4Step:
         @hypothesis.given(state=st.tuples(states, states, states), beta=st.floats(1e-3, 5.0),
                           gamma=st.floats(1e-3, 2.0), u=st.one_of(zeros, st.floats(0.0, 1.0)),
                           h=st.floats(1e-3, 5.0), k0=st.integers(0, 4),
-                          steps=st.integers(0, 12), tail=st.integers(0, 3))
-        def check(state, beta, gamma, u, h, k0, steps, tail):
+                          steps=st.integers(0, 12))
+        def check(state, beta, gamma, u, h, k0, steps):
             end = k0 + steps + 1
-            ss, ii, rr = (np.full(end + tail, np.nan) for _ in range(3))
-            ts = np.arange(end + tail) * h
+            ss, ii, rr = (np.full(end, np.nan) for _ in range(3))
+            ts = np.arange(end) * h
             ss[k0], ii[k0], rr[k0] = state
             expected = [state]
             for _ in range(steps):
@@ -129,14 +129,13 @@ class TestRk4Step:
             if not all(finite):
                 first = ts[k0 + finite.index(False)]
                 with pytest.raises(NonFiniteDynamicsError, match=re.escape(f"at t={first}")):
-                    _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end)
+                    _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h)
                 return
-            _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h, end)
-            got = np.stack([ss[k0:end], ii[k0:end], rr[k0:end]], axis=1)
+            _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h)
+            got = np.stack([ss[k0:], ii[k0:], rr[k0:]], axis=1)
             assert got.tobytes() == np.array(expected).tobytes()
-            # the nodes outside k0..end-1 are left as they were
-            outside = np.r_[ss[:k0], ii[:k0], rr[:k0], ss[end:], ii[end:], rr[end:]]
-            assert np.isnan(outside).all()
+            # the nodes before k0 are left as they were
+            assert np.isnan(np.r_[ss[:k0], ii[:k0], rr[:k0]]).all()
 
         check()
 

@@ -139,16 +139,21 @@ class TestInjectNoise:
                             written.update(zip(header, columns)))
         for name, run in runs.items():
             traj, trace = run.result.trajectory, run.result.trace
-            # the offsets without and with delta at every node
-            reads = {}
-            for margin in (False, True):
-                read = noise.offset_reader(margin)
-                reads[margin] = np.array([read(k, s, i) for k, (s, i)
-                                          in enumerate(zip(traj.s.tolist(), traj.i.tolist()))])
             # the columns the trajectory writer formats, signed zeros included
             write_trajectory_csv(tmp_path / f"trajectory_{name}.csv", run)
-            assert (written["S_meas"] - traj.s).tobytes() == reads[False][:, 0].tobytes()
-            assert (written["I_meas"] - traj.i).tobytes() == reads[False][:, 1].tobytes()
+            if noise_cfg.kind == "none":
+                # a noise-free loop reads nothing: the measured columns are the nodes
+                assert written["S_meas"].tobytes() == traj.s.tobytes()
+                assert written["I_meas"].tobytes() == traj.i.tobytes()
+            else:
+                # the offsets without and with delta at every node
+                reads = {}
+                for margin in (False, True):
+                    read = noise.offset_reader(margin)
+                    reads[margin] = np.array([read(k, s, i) for k, (s, i) in
+                                              enumerate(zip(traj.s.tolist(), traj.i.tolist()))])
+                assert (written["S_meas"] - traj.s).tobytes() == reads[False][:, 0].tobytes()
+                assert (written["I_meas"] - traj.i).tobytes() == reads[False][:, 1].tobytes()
             series = measured_series_for(noise, traj, sigma=True)
             assert series.s_hat.tobytes() == written["S_meas"].tobytes()
             assert series.i_hat.tobytes() == written["I_meas"].tobytes()
@@ -179,11 +184,21 @@ class TestInjectNoise:
         i = np.array([-0.0, 0.0, np.nan, -2.0, 0.1, 1.2, 0.0, 3e-6, -1e-320, 1e-9])
         noise = MeasurementNoise.build(noise_cfg, len(s) + 3, seed=11,
                                        reference=self._reference())
+        nodes = (np.arange(3, 3 + len(s)), slice(3, 3 + len(s)))
+        if noise_cfg.kind == "none":
+            # no reader: the array form passes the states through with zero deltas
+            with pytest.raises(ValueError, match="none"):
+                noise.offset_reader(margin)
+            for k in nodes:
+                s_hat, i_hat, d_s, d_i = noise.measure(k, s, i)
+                assert s_hat.tobytes() == s.tobytes() and i_hat.tobytes() == i.tobytes()
+                assert not np.any(d_s) and not np.any(d_i)
+            return
         read = noise.offset_reader(margin)
         scalars = np.array([read(k, ss, ii) for k, ss, ii
                             in zip(range(3, 3 + len(s)), s.tolist(), i.tolist())])
-        for nodes in (np.arange(3, 3 + len(s)), slice(3, 3 + len(s))):
-            arrays = noise.measure(nodes, s, i)
+        for k in nodes:
+            arrays = noise.measure(k, s, i)
             assert all(isinstance(a, np.ndarray) and a.shape == s.shape for a in arrays)
             for col, off in enumerate(self._offsets(arrays, s, i, margin)):
                 assert off.tobytes() == scalars[:, col].tobytes(), col
@@ -211,7 +226,6 @@ class TestInjectNoise:
         values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0),
                            st.floats(-1e-300, 1e-300))
         configs = st.one_of(
-            st.just(NoiseConfig(kind="none")),
             st.builds(lambda db: NoiseConfig(kind="snr_db", snr_db=db), st.floats(-20.0, 80.0)),
             st.builds(lambda d: NoiseConfig(kind="scaled_variance", divisor=d),
                       st.floats(1e-3, 1e6)))
