@@ -81,18 +81,13 @@ def total_cost(trace: PolicyTrace, warn: bool = True) -> float:
 def grid_mismatch(trace_a: PolicyTrace, trace_b: PolicyTrace) -> str:
     """Why the rates of two traces cannot be compared; empty if they can.
 
-    The starts must agree. The ends may differ only when the trace that ends
-    first stopped in stage 3 at rate zero (an early stop): the rate stays
-    zero from there, so that trace adds nothing beyond its end. Only node
-    values are read: a switch row never comes last, and one that comes
-    first is at the first node's time.
+    The starts and the ends must agree. Only node values are read: a switch
+    row never comes last, and one that comes first is at the first node's
+    time.
     """
     t_a, t_b = trace_a.node_t, trace_b.node_t
-    shorter = trace_a if t_a[-1] < t_b[-1] else trace_b
-    stopped = shorter.node_stage[-1] == 3 and shorter.node_u[-1] == 0.0
     for a, b, what in ((t_a[0], t_b[0], "start"), (t_a[-1], t_b[-1], "end")):
-        differ = abs(a - b) > 1e-9 * max(1.0, abs(float(b)))
-        if differ and not (what == "end" and stopped):
+        if abs(a - b) > 1e-9 * max(1.0, abs(float(b))):
             return f"trace grids disagree at the {what}: {a} vs {b}"
     return ""
 
@@ -102,8 +97,8 @@ def gap_direct(trace_robust: PolicyTrace, trace_optimal: PolicyTrace) -> float:
 
     Both traces duplicate their switch nodes, so integrating each on its own
     grid and subtracting equals the integral of the difference exactly (the
-    rates are piecewise linear between duplicated nodes). A trace that
-    stopped early counts as zero-rate to the other's end (``grid_mismatch``).
+    rates are piecewise linear between duplicated nodes). The traces must
+    span the same horizon (``grid_mismatch``).
     """
     mismatch = grid_mismatch(trace_robust, trace_optimal)
     if mismatch:
@@ -201,11 +196,18 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
 
 def cumulative_infected_check(traj_robust: Trajectory, traj_optimal: Trajectory,
                               t_h_star: float, tol: float = 1e-6) -> CumulativeCheck:
-    """Verify I+R <= I*+R* (equivalently S >= S*) for all t up to t*_h."""
-    n = min(len(traj_robust), len(traj_optimal))
-    mask = traj_robust.t[:n] <= t_h_star + 1e-12
-    cum_robust = traj_robust.i[:n][mask] + traj_robust.r[:n][mask]
-    cum_optimal = traj_optimal.i[:n][mask] + traj_optimal.r[:n][mask]
+    """Verify I+R <= I*+R* (equivalently S >= S*) for all t up to t*_h.
+
+    The runs are compared node by node, so they must share one grid: a
+    different length or endpoint raises ValueError.
+    """
+    t_r, t_o = traj_robust.t, traj_optimal.t
+    if len(t_r) != len(t_o) or t_r[0] != t_o[0] or t_r[-1] != t_o[-1]:
+        raise ValueError(f"runs on different grids: {len(t_r)} nodes on [{t_r[0]}, "
+                         f"{t_r[-1]}] vs {len(t_o)} on [{t_o[0]}, {t_o[-1]}]")
+    mask = t_r <= t_h_star + 1e-12
+    cum_robust = traj_robust.i[mask] + traj_robust.r[mask]
+    cum_optimal = traj_optimal.i[mask] + traj_optimal.r[mask]
     worst = float(np.max(cum_robust - cum_optimal, initial=-math.inf))
     return CumulativeCheck(max_violation=worst, ok=bool(worst <= tol))
 
@@ -217,10 +219,10 @@ def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
     """Assemble the full cost/gap report for one matched pair of runs.
 
     ``gap_direct`` is exact and reported whenever ``grid_mismatch`` allows
-    it (same horizon, or the shorter run stopped early at rate zero); it is
-    NaN otherwise. The other gap formulas need all four switching times;
-    when a herd condition never fired within the horizon they are NaN, and
-    the total costs and ``gap_direct`` are integrals truncated at the horizon.
+    it (the same horizon); it is NaN otherwise. The other gap formulas need
+    all four switching times; when a herd condition never fired within the
+    horizon they are NaN, and the total costs and ``gap_direct`` are
+    integrals truncated at the horizon.
     The closed form and its bound (``gap_closed_form``, ``gap_upper``) also
     need Theorem 4's order t_b <= t*_b <= t*_h <= t_h (``theorem4_order``)
     and are NaN when the four times break it.

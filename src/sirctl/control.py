@@ -212,7 +212,7 @@ def _shared_stage_one(prefix: ClosedLoopResult, params: EpidemicParams, init: Si
     """The first node where this policy's threshold can fire, found on ``prefix``.
 
     The leading stage-1 nodes of any run with the same parameters, initial
-    state and step are the u = 0 epidemic, the same for every policy. This
+    state and grid are the u = 0 epidemic, the same for every policy. This
     policy's offsets there come from one array read into ``off_s`` and
     ``off_i`` (``noise`` is None when the policy reads none), and the loop's
     two stage-1 tests run as arrays: at each node, and at the end of each
@@ -220,7 +220,7 @@ def _shared_stage_one(prefix: ClosedLoopResult, params: EpidemicParams, init: Si
     fires, else the prefix's last stage-1 node (0 if it has none).
     """
     traj = prefix.trajectory
-    if not (traj.params == params and traj.step == h and len(traj) <= n + 1
+    if not (traj.params == params and traj.step == h and len(traj) == n + 1
             and (float(traj.t[0]), float(traj.s[0]), float(traj.i[0]), float(traj.r[0]))
             == (init.t, init.s, init.i, init.r)):
         raise ValueError("prefix run has other parameters, initial state or time grid")
@@ -241,7 +241,6 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                          init: SirState, noise: Optional[MeasurementNoise],
                          config: IntegratorConfig, i_bar: float,
                          bounds: ControlBounds,
-                         early_stop: bool = False,
                          prefix: Optional[ClosedLoopResult] = None) -> ClosedLoopResult:
     """Drive the true dynamics with a policy that sees only its own signals.
 
@@ -259,16 +258,15 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     stage's event at each node and at the end of each step. A step in
     which the test fires is split at the switch that ``locate_event`` finds
     and then ends on the node. The loop stops at the first stage-3 node,
-    from which ``integrate``'s stepper fills the run; ``early_stop`` cuts
-    the run at the first stage-3 node with I < 1e-8. The loop steps on
-    through inf and NaN and tests its nodes once it ends:
-    NonFiniteDynamicsError names the first non-finite node's time. With
-    ``prefix`` (a run with the same parameters, initial state and step,
-    usually the optimal run) the loop starts at the first node where this
-    policy's threshold can fire (``_shared_stage_one``). The stage-1 and
-    stage-3 offsets are read as arrays with ``measure``, bitwise equal to
-    the per-node reader. Infeasibility is recorded in the report, never
-    raised.
+    from which ``integrate``'s stepper fills the run to the horizon: every
+    run spans the grid's n + 1 nodes. The loop steps on through inf and NaN
+    and tests its nodes once it ends: NonFiniteDynamicsError names the
+    first non-finite node's time. With ``prefix`` (a run of the same
+    parameters, initial state and grid, usually the optimal run) the loop
+    starts at the first node where this policy's threshold can fire
+    (``_shared_stage_one``). The stage-1 and stage-3 offsets are read as
+    arrays with ``measure``, bitwise equal to the per-node reader.
+    Infeasibility is recorded in the report, never raised.
 
     The loop writes each node's state, rate and offsets through
     memoryviews of the run's arrays; the stage column, which only rises, is
@@ -300,7 +298,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
 
     s, i, r = init.s, init.i, init.r
     t0 = init.t
-    if prefix is not None and len(prefix.trajectory) == n + 1:
+    if prefix is not None:
         ts = prefix.trajectory.t  # the same grid, once _shared_stage_one accepts the prefix
     else:
         ts = t0 + np.arange(n + 1) * h
@@ -431,32 +429,25 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     # the stage only rises: 1 before node k_b, 2 from there to the last node k
     node_stage[:k_b], node_stage[k_b:k], node_stage[k] = 1, 2, stage
     # stage 3 is the u = 0 epidemic from its first node k, on integrate's stepper
-    m = n + 1
     if stage == 3:
         _rk4_fill(ss, ii, rr, ts, k, beta, gamma, 0.0, h)
-        if early_stop:
-            # the run ends at the first stage-3 node where I < 1e-8
-            below = ii[k:] < 1e-8
-            if below.any():
-                m = k + int(np.argmax(below)) + 1
-        if reads and k + 1 < m:
+        if reads and k < n:
             # stage 3 decides nothing; its offsets only feed the trace signals
-            _read_offsets(noise, margin, slice(k + 1, m), ss, ii, off_s, off_i)
-    max_i = max(float(np.max(ii[:m])), state_at_tb.i if state_at_tb is not None else 0.0)
-    traj = Trajectory(t=ts[:m], s=ss[:m], i=ii[:m], r=rr[:m], u=uu[:m], step=h,
-                      params=true_params)
+            _read_offsets(noise, margin, slice(k + 1, n + 1), ss, ii, off_s, off_i)
+    max_i = max(float(np.max(ii)), state_at_tb.i if state_at_tb is not None else 0.0)
+    traj = Trajectory(t=ts, s=ss, i=ii, r=rr, u=uu, step=h, params=true_params)
 
     def signal(node: np.ndarray, off: np.ndarray) -> np.ndarray:
         # min(node + offset, 1): formed in the offset buffer of a policy that
         # read noise; otherwise the node array itself if it has the same bits
         # (compared as bits: -0.0 + 0.0 is 0.0, which == does not see)
         if reads:
-            return np.minimum(np.add(node, off[:m], out=off[:m]), 1.0, out=off[:m])
+            return np.minimum(np.add(node, off, out=off), 1.0, out=off)
         seen = node + 0.0
         np.minimum(seen, 1.0, out=seen)
         return node if np.array_equal(seen.view(np.int64), node.view(np.int64)) else seen
 
-    trace = PolicyTrace(node_t=traj.t, node_u=traj.u, node_stage=node_stage[:m],
+    trace = PolicyTrace(node_t=traj.t, node_u=traj.u, node_stage=node_stage,
                         node_s_seen=signal(traj.s, off_s), node_i_seen=signal(traj.i, off_i),
                         switch_rows=tuple(switch_rows),
                         switching=SwitchingTimes(t_b=t_b, t_h=t_h),

@@ -135,7 +135,6 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
     policies: tuple[str, ...] = ("optimal", "robust", "misestimated")
     estimation: Optional[EstimationWindow] = None
-    early_stop: bool = False
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.init.t):
@@ -163,12 +162,12 @@ class ScenarioConfig:
 
         The field annotations are the schema. Each value must have the JSON
         type of its field, as in the example config: a number for a float
-        field, an integer for ``seed`` and the alphas, true or false for
-        ``early_stop``, a string, a list or an object; a bool is not a
-        number. Lists become tuples, and a missing field takes its default
-        (``init.t`` is 0). An unknown key or a missing required one, at any
-        depth, is a ``ConfigError``, and every error names the field's
-        dotted path. Range and cross-field checks are those of each class.
+        field, an integer for ``seed`` and the alphas, a string, a list or
+        an object; a bool is not a number. Lists become tuples, and a
+        missing field takes its default (``init.t`` is 0). An unknown key or
+        a missing required one, at any depth, is a ``ConfigError``, and every
+        error names the field's dotted path. Range and cross-field checks are
+        those of each class.
         """
         return _build(cls, raw, "")
 
@@ -178,7 +177,7 @@ class ScenarioConfig:
 
 
 _JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
-               bool: (bool, "true or false"), str: (str, "a string")}
+               str: (str, "a string")}
 
 
 @functools.cache
@@ -220,7 +219,7 @@ def _parse(annotation, value, path: str):
     if is_dataclass(annotation):
         return _build(annotation, value, path)
     accepted, noun = _JSON_TYPES[annotation]
-    if isinstance(value, bool) is not (annotation is bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}: expected {noun}, got {value!r}")
     return value
 
@@ -324,8 +323,7 @@ def _optimal_run(config: ScenarioConfig) -> tuple[ClosedLoopResult, MeasurementN
     """
     optimal = simulate_closed_loop(
         PolicyKind.OPTIMAL, config.params, None, config.init, None,
-        config.integrator, config.i_bar, ControlBounds(config.u_max),
-        early_stop=config.early_stop)
+        config.integrator, config.i_bar, ControlBounds(config.u_max))
     noise = MeasurementNoise.build(config.noise, config.integrator.n_steps + 1,
                                    derive_seed(config.seed, config.name),
                                    reference=optimal.trajectory)
@@ -345,7 +343,7 @@ def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
         assumed = _assumed_rates(config, inflation, optimal.trajectory)
         res = simulate_closed_loop(
             kind, config.params, assumed, config.init, noise, config.integrator,
-            config.i_bar, ControlBounds(config.u_max), config.early_stop, optimal)
+            config.i_bar, ControlBounds(config.u_max), prefix=optimal)
         runs[kind.value] = PolicyRun(kind, res, noise, assumed)
 
     report, cumulative = None, None
@@ -405,10 +403,14 @@ def _xnorm(traj: Trajectory, k: int) -> float:
                      + float(traj.r[k]) ** 2)
 
 
-def _grid_index(traj: Trajectory, time: float) -> int:
-    k = traj.index_at(time)
+def _grid_index(traj: Trajectory, time: float, name: str) -> int:
+    """The grid node at the estimation base time ``estimation.<name>``."""
+    try:
+        k = traj.index_at(time)
+    except ValueError as exc:
+        raise ConfigError(f"estimation.{name}: {exc}") from exc
     if abs(float(traj.t[k]) - time) > 1e-9 * max(1.0, abs(time)):
-        raise ConfigError(f"estimation time {time} is not on the trajectory grid")
+        raise ConfigError(f"estimation.{name}: time {time} is not on the trajectory grid")
     return k
 
 
@@ -437,7 +439,7 @@ def _sweep_rows(config: ScenarioConfig, traj: Trajectory,
     meas = inject_noise(traj, config.noise,
                         derive_seed(config.seed, config.name + ":sweep"))
     v_max = meas.v_max_bound
-    ki, kj = _grid_index(traj, est.i), _grid_index(traj, est.j)
+    ki, kj = _grid_index(traj, est.i, "i"), _grid_index(traj, est.j, "j")
     theta = np.array([config.params.beta, config.params.gamma])
     f_max = max(_fnorm(traj, ki), _fnorm(traj, kj))
     x_max = max(_xnorm(traj, ki), _xnorm(traj, kj))

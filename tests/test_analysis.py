@@ -123,13 +123,15 @@ class TestGapDirect:
         with pytest.raises(ValueError, match="grids disagree"):
             gap_direct(a, b)
 
-    def test_early_stop_counts_as_zero_rate_to_the_end(self):
-        # a trace that stopped in stage 3 at rate zero, against a longer one
+    def test_ends_differ_rejected_also_at_rate_zero_in_stage_three(self):
+        # a trace that ends in stage 3 at rate zero, against a longer one:
+        # every run spans its scenario's grid, so the horizons must agree
         a = make_trace([0.0, 5.0, 5.0, 8.0, 8.0, 10.0], [0.0, 0.0, 0.1, 0.1, 0.0, 0.0])
-        a = replace(a, node_stage=np.array([1, 1, 2, 2, 3, 3]))
+        a = replace(a, node_stage=np.array([1, 1, 2, 2, 3, 3], dtype=np.int8))
         b = make_trace([0.0, 12.0], [0.1, 0.1])
-        assert gap_direct(a, b) == pytest.approx(0.1 * 3 - 0.1 * 12, abs=1e-12)
-        assert gap_direct(b, a) == pytest.approx(0.1 * 12 - 0.1 * 3, abs=1e-12)
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="at the end: "):
+                gap_direct(*pair)
         with pytest.raises(ValueError, match="at the start"):
             gap_direct(replace(a, node_t=a.node_t + 1.0), b)
 
@@ -313,6 +315,18 @@ class TestCumulativeCheck:
         out = cumulative_infected_check(bad, good, t_h_star=8.0)
         assert out.max_violation == pytest.approx(0.02, abs=1e-12)
         assert not out.ok
+
+    @pytest.mark.parametrize("grid", [np.arange(0.0, 10.0, 0.1), np.arange(0.1, 10.15, 0.1),
+                                      np.arange(0.0, 10.25, 0.1)],
+                             ids=["shorter", "later-start", "longer"])
+    def test_rejects_runs_on_different_grids(self, grid):
+        # the check compares nodes one by one, so it never truncates a run
+        t = np.arange(0.0, 10.1, 0.1)
+        traj = make_traj(t, np.full_like(t, 0.9), np.full_like(t, 0.01))
+        other = make_traj(grid, np.full_like(grid, 0.9), np.full_like(grid, 0.01))
+        for pair in ((traj, other), (other, traj)):
+            with pytest.raises(ValueError, match="different grids"):
+                cumulative_infected_check(*pair, t_h_star=8.0)
 
 
 class TestClosedFormOptimum:

@@ -107,17 +107,23 @@ class TestStateBounds:
         assert np.all(trace.s_seen <= 1.0)
         assert trace.i_seen[0] == pytest.approx(1e-5 + 0.005, abs=1e-15)
 
-    def test_monte_carlo_containment_of_true_state(self):
-        # variance S/100 truncated at 3 sigma: amplitude 3*sigma from the true
-        # state must contain the truth at (well over) 99.7% of steps
-        rng = np.random.default_rng(11)
-        s_true = np.linspace(0.99, 0.4, 4000)
-        sigma = np.sqrt(s_true / 100.0)
-        v = np.clip(rng.standard_normal(4000), -3.0, 3.0) * sigma
-        s_meas = s_true + v
-        delta = 3.0 * sigma
-        inside = np.abs(s_true - s_meas) <= delta
-        assert np.mean(inside) >= 0.997
+    @pytest.mark.parametrize("fixture", [
+        "compare_artifacts",  # snr_db noise
+        # scaled_variance noise: delta is taken from the measured value, not
+        # the true one, so the envelope misses the truth at 60 S and 985 I
+        # nodes of 30,001 (a known defect, not fixed yet)
+        pytest.param("fig1_noisy_artifacts", marks=pytest.mark.xfail(
+            raises=AssertionError, strict=True,
+            reason="scaled_variance delta comes from the measured value")),
+    ], ids=["policy-compare", "fig1"])
+    def test_true_state_inside_the_robust_signals(self, request, fixture):
+        # count the nodes where the robust run's own signals fall below the
+        # true state they are meant to bound
+        res = request.getfixturevalue(fixture).runs["robust"].result
+        traj, trace = res.trajectory, res.trace
+        misses = {"s": int(np.count_nonzero(traj.s > trace.node_s_seen)),
+                  "i": int(np.count_nonzero(traj.i > trace.node_i_seen))}
+        assert misses == {"s": 0, "i": 0}
 
 
 class TestFeasibilityCheck:
@@ -237,20 +243,10 @@ class TestClosedLoop:
         assert np.array_equal(a.trajectory.i, b.trajectory.i)
         assert np.array_equal(a.trace.u, b.trace.u)
 
-    def test_early_stop_truncates_after_herd(self):
-        params = EpidemicParams(beta=0.3, gamma=0.05)
-        init = SirState(t=0.0, s=0.9, i=0.1, r=0.0)
-        res = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None,
-                                   IntegratorConfig(step=0.01, horizon=2000.0),
-                                   i_bar=0.3, bounds=BOUNDS, early_stop=True)
-        assert res.trace.switching.t_h is not None
-        assert len(res.trajectory) < 200001
-        assert res.trajectory.i[-1] < 1e-8
-
     def test_first_nonfinite_node_reported(self):
         # RK4 at beta*h = 6 overflows in stage 1 before the infection reaches
         # i_bar; the error names the time of the first node holding inf or
-        # NaN, also when the loop starts at a prefix run's last node
+        # NaN, also when the loop starts at a prefix run's last stage-1 node
         params = EpidemicParams(beta=6.0, gamma=0.1)
         init = SirState(t=0.0, s=0.999, i=0.001, r=0.0)
         x, k = (init.s, init.i, init.r), 0
@@ -258,10 +254,12 @@ class TestClosedLoop:
             x = _rk4_step(*x, params.beta, params.gamma, 0.0, 1.0)
             k += 1
         assert k == 6
-        prefix = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None,
-                                      IntegratorConfig(step=1.0, horizon=3.0), 0.95, BOUNDS)
-        assert prefix.node_stage.tolist() == [1, 1, 1, 1]
         config = IntegratorConfig(step=1.0, horizon=20.0)
+        # a prefix on the same grid that leaves stage 1 after node 1 and,
+        # isolating at up to u = 1, stays finite
+        prefix = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None,
+                                      config, 0.5, ControlBounds(u_max=1.0))
+        assert prefix.node_stage[:3].tolist() == [1, 1, 2]
         noise = MeasurementNoise.build(NoiseConfig(kind="scaled_variance", divisor=1e6),
                                        config.n_steps + 1, seed=3)
         for kind, source, start in ((PolicyKind.OPTIMAL, None, None),
@@ -284,7 +282,7 @@ class TestTraceLayout:
     @pytest.fixture(scope="class")
     def node_event_artifacts(self):
         # I(0) > i_bar fires the threshold at node 0; noisy signals move the
-        # herd condition onto nodes; every run stops early
+        # herd condition onto nodes; every run ends in stage 3
         from dataclasses import replace
 
         from sirctl.scenarios import preset, run_scenario
@@ -292,7 +290,7 @@ class TestTraceLayout:
         cfg = replace(preset("fig1"), name="node-events",
                       init=SirState(t=0.0, s=0.8, i=0.2, r=0.0),
                       params=EpidemicParams(beta=0.5, gamma=0.2), u_max=0.5,
-                      early_stop=True, policies=("optimal", "robust", "misestimated"),
+                      policies=("optimal", "robust", "misestimated"),
                       integrator=IntegratorConfig(step=0.1, horizon=400.0))
         return run_scenario(cfg)
 
@@ -310,7 +308,9 @@ class TestTraceLayout:
         kinds = [self._switch_kinds(run.result)
                  for run in node_event_artifacts.runs.values()]
         assert kinds == [["node", "step"], ["node", "node"], ["node", "node"]]
-        assert all(len(run.result.trajectory) < 4001
+        # every run spans the grid, however early it reaches stage 3
+        assert all(len(run.result.trajectory) == 4001
+                   and run.result.node_stage[-1] == 3
                    for run in node_event_artifacts.runs.values())
 
     def test_herd_fires_at_the_threshold_node(self, tmp_path):
@@ -391,8 +391,7 @@ class TestSharedStageOne:
         for kind, inflation in ((PolicyKind.ROBUST, cfg.inflation),
                                 (PolicyKind.MISESTIMATED, cfg.misestimation)):
             args = (kind, cfg.params, _assumed_rates(cfg, inflation, optimal.trajectory),
-                    cfg.init, noise, cfg.integrator, cfg.i_bar, ControlBounds(cfg.u_max),
-                    cfg.early_stop)
+                    cfg.init, noise, cfg.integrator, cfg.i_bar, ControlBounds(cfg.u_max))
             shared = simulate_closed_loop(*args, prefix=optimal)
             cls._assert_same_run(shared, simulate_closed_loop(*args))
             results.append(shared)
@@ -404,9 +403,9 @@ class TestSharedStageOne:
         {"i_bar": 0.3},  # no policy reaches the threshold
         {"noise": NoiseConfig(kind="snr_db", snr_db=30.0)},
         {"noise": NoiseConfig(kind="none")},
-        {"early_stop": True, "params": EpidemicParams(beta=0.5, gamma=0.2), "u_max": 0.5,
+        {"params": EpidemicParams(beta=0.5, gamma=0.2), "u_max": 0.5,
          "integrator": IntegratorConfig(step=0.1, horizon=400.0)},
-    ], ids=["fig1", "threshold-at-node-0", "never-fires", "snr", "noise-free", "early-stop"])
+    ], ids=["fig1", "threshold-at-node-0", "never-fires", "snr", "noise-free", "stage-three"])
     def test_fig1_runs_equal_the_runs_from_node_0(self, overrides):
         from dataclasses import replace
 
@@ -466,13 +465,12 @@ class TestSharedStageOne:
         @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
         @hypothesis.given(name=st.sampled_from(["fig1", "policy-compare"]), noise=noises,
                           inflation=mults, misestimation=mults,
-                          i_bar=st.floats(0.005, 0.3), early_stop=st.booleans(),
-                          seed=st.integers(0, 2**31))
-        def check(name, noise, inflation, misestimation, i_bar, early_stop, seed):
+                          i_bar=st.floats(0.005, 0.3), seed=st.integers(0, 2**31))
+        def check(name, noise, inflation, misestimation, i_bar, seed):
             horizon = 300.0 if name == "fig1" else 400.0
             self._check_policies(replace(
                 preset(name), noise=noise, inflation=inflation, misestimation=misestimation,
-                i_bar=i_bar, early_stop=early_stop, seed=seed,
+                i_bar=i_bar, seed=seed,
                 integrator=IntegratorConfig(step=0.1, horizon=horizon)))
 
         check()
@@ -519,9 +517,8 @@ class TestStageBoundaries:
         if k3 < n:
             tail = integrate(cfg.params, 0.0, traj.sample(k3),
                              IntegratorConfig(step=h, horizon=(n - k3) * h))
-            m3 = len(traj) - k3  # early_stop cuts the run after its stage-3 start
             for x, y in ((traj.s, tail.s), (traj.i, tail.i), (traj.r, tail.r)):
-                assert x[k3:].tobytes() == y[:m3].tobytes()
+                assert x[k3:].tobytes() == y.tobytes()
         return k3
 
     # the policy-compare runs end in stage 2 (the optimal t_h is 1027.5)
@@ -530,11 +527,11 @@ class TestStageBoundaries:
         ("policy-compare", {"integrator": IntegratorConfig(step=0.01, horizon=250.0)}, False),
         ("policy-compare", {"seed": 12, "noise": NoiseConfig(kind="snr_db", snr_db=40.0),
                             "integrator": IntegratorConfig(step=0.01, horizon=120.0)}, False),
-        ("fig1", {"early_stop": True, "params": EpidemicParams(beta=0.5, gamma=0.2),
+        ("fig1", {"params": EpidemicParams(beta=0.5, gamma=0.2),
                   "u_max": 0.5, "integrator": IntegratorConfig(step=0.1, horizon=400.0)}, True),
         ("fig1", {"init": SirState(t=0.0, s=0.8, i=0.2, r=0.0),
                   "integrator": IntegratorConfig(step=0.01, horizon=100.0)}, True),
-    ], ids=["fig1", "policy-compare-250", "late-threshold", "early-stop-fig1",
+    ], ids=["fig1", "policy-compare-250", "late-threshold", "stage-three-fig1",
             "threshold-at-start"])
     def test_stages_one_and_three_are_integrate(self, name, overrides, stage_three):
         from dataclasses import replace
@@ -563,9 +560,9 @@ class TestStageBoundaries:
             "threshold-at-start-fig1": replace(preset("fig1"), policies=self.THREE,
                                                init=SirState(t=0.0, s=0.8, i=0.2, r=0.0),
                                                integrator=short),
-            "early-stop-fig1": replace(preset("fig1"), policies=self.THREE, early_stop=True,
-                                       params=EpidemicParams(beta=0.5, gamma=0.2), u_max=0.5,
-                                       integrator=IntegratorConfig(step=0.1, horizon=400.0)),
+            "stage-three-fig1": replace(preset("fig1"), policies=self.THREE,
+                                        params=EpidemicParams(beta=0.5, gamma=0.2), u_max=0.5,
+                                        integrator=IntegratorConfig(step=0.1, horizon=400.0)),
             # beta*S(0) < gamma and I(0) > i_bar: both events at node 0
             "herd-at-threshold-node": replace(preset("fig1"), policies=self.THREE,
                                               init=SirState(t=0.0, s=0.3, i=0.2, r=0.5),

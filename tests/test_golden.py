@@ -44,13 +44,13 @@ CASES = {
                                       "--set", "seed=12", "--set", "noise.snr_db=40",
                                       "--set", "integrator.horizon=120",
                                       "--set", 'policies=["optimal","robust","misestimated"]'],
-    # closed-loop branches, all under measurement noise: every run stops
-    # early in stage 3 ...
-    "early-stop-fig1": ["simulate", "--preset", "fig1", "--set", "early_stop=true",
-                        "--set", "params.beta=0.5", "--set", "params.gamma=0.2",
-                        "--set", "u_max=0.5", "--set", "integrator.step=0.1",
-                        "--set", "integrator.horizon=400",
-                        "--set", 'policies=["optimal","robust","misestimated"]'],
+    # closed-loop branches, all under measurement noise: every run reaches
+    # stage 3 long before the horizon ...
+    "stage-three-fig1": ["simulate", "--preset", "fig1",
+                         "--set", "params.beta=0.5", "--set", "params.gamma=0.2",
+                         "--set", "u_max=0.5", "--set", "integrator.step=0.1",
+                         "--set", "integrator.horizon=400",
+                         "--set", 'policies=["optimal","robust","misestimated"]'],
     # ... the stage-2 rate saturates at u_max (clamp events, infeasible) ...
     "saturated-policy-compare": ["simulate", "--preset", "policy-compare",
                                  "--set", "u_max=0.05",
@@ -72,22 +72,6 @@ EXPECTED = {
             "75136a5354280d516d1f165406b7efb1fb5a78128cdccd654a06ce8467d62ab2",
         "bound-sweep/estimates_snr100.csv":
             "5ee60eae2bea6b934e6b542750b9d19f9f22b1cf76f529a15e0ae59f16a5b1bf",
-    },
-    "early-stop-fig1": {
-        "costs.csv":
-            "a1f8948c00aa831abc4d40e339c8b3d7eb53963ec2345e765361ebc79bcfcc04",
-        "policy_trace_misestimated.csv":
-            "15ff46f64ab3c026d622b90cd083d82b86eb50986558415525df606c05abdaf4",
-        "policy_trace_optimal.csv":
-            "76b50cb5fce5b73199114fb77c677aa7fd92667026f338ece3fa5083426945b1",
-        "policy_trace_robust.csv":
-            "a9b979adc86417392706027b90388c097bbf7a0845cd468e55d07625973620bc",
-        "trajectory_misestimated.csv":
-            "4a0b0fa583ffde7dcacf9a9a8ee773dee100e1a902b9adbf59bfb38ecd74788d",
-        "trajectory_optimal.csv":
-            "7c54188ce556a7b7692acf5715296c12f5dc4c7df45afb2bb3e9ac2359cb6d33",
-        "trajectory_robust.csv":
-            "eb1df848063b40d94fbb35cd3608dc675e73731a17c711635baaf7ffafd1a6d7",
     },
     "estimated-fig1": {
         "costs.csv":
@@ -173,6 +157,22 @@ EXPECTED = {
             "d463711ee05e6ee87084b121ebc25c032832c85ba7cfc870167442ba1f7b82b2",
         "trajectory_robust.csv":
             "ac32750aa53ece5ae6d2992d53c8e59f52d1865b0b66900402d368eed1e62cbc",
+    },
+    "stage-three-fig1": {
+        "costs.csv":
+            "a1f8948c00aa831abc4d40e339c8b3d7eb53963ec2345e765361ebc79bcfcc04",
+        "policy_trace_misestimated.csv":
+            "15ff46f64ab3c026d622b90cd083d82b86eb50986558415525df606c05abdaf4",
+        "policy_trace_optimal.csv":
+            "76b50cb5fce5b73199114fb77c677aa7fd92667026f338ece3fa5083426945b1",
+        "policy_trace_robust.csv":
+            "a9b979adc86417392706027b90388c097bbf7a0845cd468e55d07625973620bc",
+        "trajectory_misestimated.csv":
+            "b02b06661183aa4880ce3accc838be9fb486566df8429ae092e21abe46c1d132",
+        "trajectory_optimal.csv":
+            "bb451b7ff27d9a62bbb3bbb3cc9eaf0acc3ba398041c943f4aefc06c54e43cc4",
+        "trajectory_robust.csv":
+            "de6274f2c265f9ea6b4c9380533d789e4a192f2bf4679304a7b933069ead1c40",
     },
     "threshold-at-start-fig1": {
         "costs.csv":

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from sirctl import csvio, scenarios
-from sirctl.analysis import total_cost
 from sirctl.cli import main
 from sirctl.control import (
     ClosedLoopResult,
@@ -315,7 +314,7 @@ class TestRunScenario:
         @hypothesis.given(name=st.sampled_from(sorted(PRESETS)), noise=noises,
                           inflation=mults, misestimation=mults,
                           i_bar=st.floats(0.005, 0.3), u_max=st.floats(0.01, 1.0),
-                          early_stop=st.booleans(), seed=st.integers(0, 2**63))
+                          seed=st.integers(0, 2**63))
         def check(name, **changes):
             cfg = replace(preset(name), **changes)
             assert self._through_json(cfg) == cfg
@@ -336,25 +335,6 @@ class TestRunScenario:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ConfigError):
             replace(preset("fig1"), i_bar=0.0)
-
-    def test_early_stops_at_different_times_give_exact_gap_direct(self):
-        cfg = replace(preset("fig1"), name="early-stop",
-                      params=EpidemicParams(beta=0.5, gamma=0.2), u_max=0.5,
-                      noise=NoiseConfig(kind="none"), early_stop=True,
-                      policies=("optimal", "robust", "misestimated"),
-                      integrator=IntegratorConfig(step=0.1, horizon=400.0))
-        art = run_scenario(cfg)
-        ends = {name: run.result.trace.t[-1] for name, run in art.runs.items()}
-        assert ends["robust"] != ends["optimal"] != ends["misestimated"]
-        rows = {row.policy: row for row in art.cost_rows}
-        assert rows["optimal"].gap_direct == 0.0
-        optimal_cost = total_cost(art.runs["optimal"].result.trace)
-        for name in ("robust", "misestimated"):
-            # a stopped run is in stage 3, where u = 0, so it costs nothing more
-            assert art.runs[name].result.trace.u[-1] == 0.0
-            assert rows[name].gap_direct == \
-                total_cost(art.runs[name].result.trace) - optimal_cost
-        assert math.isfinite(rows["robust"].gap_lemma4)
 
 
 class TestGapTable:
@@ -790,9 +770,16 @@ class TestCli:
         ("estimation.r=Infinity", "estimation.r"),
         ("estimation.r=-1", "estimation.r"),
         ("estimation.i=NaN", "estimation.i"),
+        # an estimation base time before the grid start
+        pytest.param(("inflation.mode=estimated", "estimation.i=-5"), "estimation.i",
+                     id="estimation.i-before-the-grid"),
+        pytest.param(("inflation.mode=estimated", "estimation.j=-5"), "estimation.j",
+                     id="estimation.j-before-the-grid"),
         ("estimation.h_unit=NaN", "h_unit"),
         ("estimation.alphas=[1.5]", "alphas"),
-        ("early_stop=no", "early_stop"),  # a truthy string used to switch it on
+        # a removed knob: every run spans its scenario's grid
+        pytest.param("early_stop=no", "unknown config keys: early_stop",
+                     id="early_stop=no-early_stop"),
         ("seed=1.5", "seed"),
         ("seed=NaN", "seed"),
         # a value of the wrong JSON type; a bool is not a number
