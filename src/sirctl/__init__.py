@@ -23,14 +23,11 @@ from .control import (
 from .core import (
     ControlBounds,
     EpidemicParams,
-    HerdImmunityNotReached,
     IntegratorConfig,
     NonFiniteDynamicsError,
     SirState,
     Trajectory,
     euler_step,
-    find_herd_immunity,
-    find_threshold_crossing,
     integrate,
     peak_infection,
     rhs,

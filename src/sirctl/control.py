@@ -254,14 +254,17 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     Only stage 2 needs feedback; stages 1 and 3 are the u = 0 epidemic.
     The loop takes RK4 steps of exactly h between grid nodes. It reads the
     noise at each node with the noise source's ``offset_reader``, built
-    once per run, and holds it over the step, and it tests the
-    stage's event at each node and at the end of each step. A step in
-    which the test fires is split at the switch that ``locate_event`` finds
-    and then ends on the node. The loop stops at the first stage-3 node,
-    from which ``integrate``'s stepper fills the run to the horizon: every
-    run spans the grid's n + 1 nodes. The loop steps on through inf and NaN
-    and tests its nodes once it ends: NonFiniteDynamicsError names the
-    first non-finite node's time. With ``prefix`` (a run of the same
+    once per run, and holds it over the step, and it tests the stage's
+    event at each node and at the end of each step. A step in which the
+    test fires is split at the switch that ``locate_event`` finds and then
+    ends on the node. Stage 2's unsplit steps run in one inner loop, with
+    the RK4 step, the rate law and its clamp written inline; a policy that
+    reads no noise holds zero offsets, so its end-of-step rate is the next
+    node's rate and is computed once. The loop stops at the first stage-3
+    node, from which ``integrate``'s stepper fills the run to the horizon:
+    every run spans the grid's n + 1 nodes. The loop steps on through inf
+    and NaN and tests its nodes once it ends: NonFiniteDynamicsError names
+    the first non-finite node's time. With ``prefix`` (a run of the same
     parameters, initial state and grid, usually the optimal run) the loop
     starts at the first node where this policy's threshold can fire
     (``_shared_stage_one``). The stage-1 and stage-3 offsets are read as
@@ -334,9 +337,12 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         p = prefix.trajectory
         ss[:start], ii[:start], rr[:start] = p.s[:start], p.i[:start], p.r[:start]
         s, i, r = float(p.s[start]), float(p.i[start]), float(p.r[start])
-    t_node = float(ts[start])
+    hh = 0.5 * h
+    h6 = h / 6.0
 
-    for k in range(start, n + 1):
+    k = start
+    while True:
+        t_node = t0 + k * h
         if reads:
             o_s, o_i = read(k, s, i)
             off_s_w[k] = o_s
@@ -354,32 +360,80 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                                     min(i + o_i, 1.0)))
                 stage = 2
         if stage == 2:
+            # stage 2 from node k, one node per pass, with the rate law
+            # (``stage_two_rate``), its clamp (``ControlBounds.clamp``) and
+            # the RK4 step (``_rk4_step``, in its operation order) inline; the
+            # end-of-step herd test under the held offsets is the next node's
+            # rate unless a read changes them
             s_seen = s + o_s
-            raw = stage_two_rate(beta_plan, gamma_plan, 1.0 if s_seen > 1.0 else s_seen)
-            if raw > u_max:
-                clamp_events += 1
-            u = clamp(raw)
-            # the herd event may fire at the node where the threshold just
-            # did (t_h == t_b): the sub-step locator needs gap < 0 at t_node
-            if -raw >= 0.0:
-                t_h = t_node
-                switch_rows.append((k, t_node, u, 2, min(s + o_s, 1.0),
-                                    min(i + o_i, 1.0)))
-                stage = 3
-                u = 0.0
+            raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
+            while True:
+                ss_w[k] = s
+                ii_w[k] = i
+                rr_w[k] = r
+                if -raw >= 0.0:
+                    # the herd event fires at node k, also where the threshold
+                    # just did (t_h == t_b): the locator needs gap < 0 at a node
+                    t_h = t0 + k * h
+                    switch_rows.append((k, t_h, 0.0 if raw < 0.0 else raw, 2,
+                                        min(s + o_s, 1.0), min(i + o_i, 1.0)))
+                    stage = 3
+                    break
+                if raw > u_max:
+                    clamp_events += 1
+                    u = u_max
+                else:
+                    u = 0.0 if raw < 0.0 else raw
+                uu_w[k] = u
+                if k == n:
+                    break
+                g = gamma + u
+                n1 = beta * s * i
+                m1 = g * i
+                d1 = n1 - m1
+                s2 = s - hh * n1
+                i2 = i + hh * d1
+                n2 = beta * s2 * i2
+                m2 = g * i2
+                d2 = n2 - m2
+                s3 = s - hh * n2
+                i3 = i + hh * d2
+                n3 = beta * s3 * i3
+                m3 = g * i3
+                d3 = n3 - m3
+                s4 = s - h * n3
+                i4 = i + h * d3
+                n4 = beta * s4 * i4
+                m4 = g * i4
+                s = s + h6 * (-n1 + 2.0 * -n2 + 2.0 * -n3 + -n4)
+                i = i + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (n4 - m4))
+                r = r + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+                s_seen = s + o_s
+                raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
+                if -raw >= 0.0:
+                    # the herd event fires inside the step: back to node k,
+                    # whose step the split below takes again
+                    s, i, r = ss_w[k], ii_w[k], rr_w[k]
+                    break
+                k += 1
+                if reads:
+                    o_s, o_i = read(k, s, i)
+                    off_s_w[k] = o_s
+                    off_i_w[k] = o_i
+                    s_seen = s + o_s
+                    raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
         else:
             u = 0.0
-
-        ss_w[k] = s
-        ii_w[k] = i
-        rr_w[k] = r
-        uu_w[k] = u
+            ss_w[k] = s
+            ii_w[k] = i
+            rr_w[k] = r
         if stage == 3 or k == n:
             break
 
-        # advance by one step of h to the next node; a step in which the
-        # stage's event test fires is split at the located switch instant
-        sub_t = t_node
+        # advance by one step of h to the next node, in stage 1 or in a stage-2
+        # step whose end-of-step test fired; a step in which the stage's event
+        # test fires is split at the located switch instant
+        sub_t = t0 + k * h
         t_node = t0 + (k + 1) * h
         dt = h
         while True:
@@ -423,6 +477,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
             s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, dt)
             break
         s, i, r = s2, i2, r2
+        k += 1
 
     # the loop steps on through inf and NaN; its nodes are tested once here
     require_finite(ts, ss, ii, rr, start, k + 1)

@@ -9,15 +9,14 @@ removal rate gamma, and an isolation rate u acting on the infected group:
 
 This module provides the right-hand side, the fixed-step RK4 integrator of
 the ground truth, the one-step Euler map used by the sampled-data estimator,
-the closed-form peak-infection value, and the bisection event locator that
-both the closed loop and the trajectory event helpers (threshold crossing,
-herd immunity) use.
+the closed-form peak-infection value, and the bisection event locator of
+the closed loop.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -29,10 +28,6 @@ HORIZON_RTOL = 1e-9  # horizon / step may miss a whole number by this much
 
 class NonFiniteDynamicsError(RuntimeError):
     """The state or the isolation rate became NaN/inf during integration."""
-
-
-class HerdImmunityNotReached(RuntimeError):
-    """The susceptible series never crossed the herd-immunity level."""
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,7 @@ def _rk4_step(s, i, r, beta, gamma, u, h):
     which is ``s + c*-nk`` bit for bit; the final sums keep their negations,
     since ``-(a + b)`` differs from ``-a + -b`` in the sign of an exact zero.
     Works elementwise on numpy arrays too. The reference step: ``_rk4_fill``
-    runs the same operations inline.
+    and the closed loop's stage-2 loop run the same operations inline.
     """
     g = gamma + u
     hh = 0.5 * h
@@ -279,8 +274,9 @@ def integrate(params: EpidemicParams, u: float, init: SirState,
 def _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h) -> None:
     """Fill nodes k0+1.. of ss, ii, rr in place by RK4 steps of h from node k0.
 
-    The one node-stepping loop: ``integrate`` runs it from node 0 and the
-    closed loop from its first stage-3 node. Each step is ``_rk4_step``
+    The constant-rate node loop: ``integrate`` runs it from node 0 and the
+    closed loop from its first stage-3 node; the closed loop's stage-2 loop
+    is the one other inline copy of the step. Each step is ``_rk4_step``
     written inline, with its operation order kept, so the nodes are bitwise
     its repeated steps; the rate terms ``gamma + u``, ``0.5*h`` and ``h/6``
     are formed once. Nodes are written through memoryviews, which take a
@@ -366,54 +362,3 @@ def locate_event(gap: Callable[[float, float], float], s0: float, i0: float,
         if abs(g) <= EVENT_TOL:
             return mid
     return hi
-
-
-def _first_event(traj: Trajectory, gap: Callable[..., float]) -> Optional[float]:
-    """First time gap(S, I) >= 0 along a trajectory, or None if it never is.
-
-    ``gap`` must accept both grid arrays and scalars: the grid is scanned for
-    the first node at or past the event, then the crossing is located inside
-    the bracketing step.
-    """
-    hits = np.nonzero(gap(traj.s, traj.i) >= 0.0)[0]
-    if len(hits) == 0:
-        return None
-    k = int(hits[0])
-    if k == 0:
-        return float(traj.t[0])
-    k -= 1
-    return locate_event(gap, float(traj.s[k]), float(traj.i[k]), float(traj.r[k]),
-                        traj.params.beta, traj.params.gamma, float(traj.u[k]),
-                        float(traj.t[k]), float(traj.t[k + 1]))
-
-
-def find_threshold_crossing(traj: Trajectory, threshold: float,
-                            i_offset: float = 0.0) -> Optional[float]:
-    """First time the (possibly inflated) infection series reaches a threshold.
-
-    The series I(t) + i_offset is scanned on the grid and the crossing is
-    refined by bisection inside the bracketing step to |I + offset -
-    threshold| <= 1e-8. Returns None if the threshold is never reached.
-    """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must lie in (0, 1)")
-    return _first_event(traj, lambda s, i: i + i_offset - threshold)
-
-
-def find_herd_immunity(traj: Trajectory, beta_eff: float, gamma_eff: float,
-                       s_offset: float = 0.0) -> float:
-    """First time beta_eff * S(t) reaches gamma_eff, bisection-refined.
-
-    ``s_offset`` inflates the susceptible series (clipped at 1) so the same
-    event test serves overestimated envelopes. Raises HerdImmunityNotReached
-    if beta_eff * S stays above gamma_eff over the whole trajectory.
-    """
-    if not (beta_eff > 0.0 and gamma_eff > 0.0):
-        raise ValueError("effective rates must be positive")
-    t_h = _first_event(
-        traj, lambda s, i: gamma_eff - beta_eff * np.minimum(s + s_offset, 1.0))
-    if t_h is None:
-        raise HerdImmunityNotReached(
-            f"beta_eff*S never reached gamma_eff={gamma_eff} within the horizon"
-        )
-    return t_h

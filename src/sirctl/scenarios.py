@@ -504,14 +504,20 @@ def gap_table(config: ScenarioConfig,
     every pair keeps the config's seed and name, so its draws would be the
     same. Only the robust loop runs per pair. The rows are the optimal row,
     then one ``robust_bx<beta_mult>_gx<gamma_mult>`` row per pair, in order.
+    Two pairs with the same row name (``%g`` keeps 6 digits) are a
+    ConfigError.
     """
+    names = [f"robust_bx{bm:g}_gx{gm:g}" for bm, gm in inflations]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigError(f"inflation pairs repeat the row name {name}")
     base = replace(config, policies=("optimal", "robust"))
     optimal, noise = _optimal_run(base)
     rows: list[CostRow] = []
-    for bm, gm in inflations:
+    for (bm, gm), name in zip(inflations, names):
         cfg = replace(base, inflation=InflationConfig(beta_mult=bm, gamma_mult=gm))
         optimal_row, robust_row = _run_policies(cfg, optimal, noise).cost_rows
-        rows.append(replace(robust_row, policy=f"robust_bx{bm:g}_gx{gm:g}"))
+        rows.append(replace(robust_row, policy=name))
     return [optimal_row, *rows] if rows else []
 
 

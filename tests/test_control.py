@@ -15,13 +15,11 @@ from sirctl.control import (
     stage_two_rate,
 )
 from sirctl.core import (
-    EVENT_TOL,
     EpidemicParams,
     IntegratorConfig,
     NonFiniteDynamicsError,
     SirState,
     _rk4_step,
-    find_threshold_crossing,
     integrate,
     locate_event,
 )
@@ -147,15 +145,16 @@ class TestClosedLoop:
     CONFIG = IntegratorConfig(step=0.01, horizon=260.0)
     INIT = SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0)
 
-    def test_threshold_event_matches_trajectory_helper(self, wave_traj):
-        # stage one is uncontrolled, so the loop and the open-loop wave share
-        # the bracketing step and the event locator
+    def test_threshold_event_matches_the_open_loop_oracle(self, dop853):
+        # stage one is uncontrolled: the loop's threshold event is the u = 0
+        # wave's crossing of i_bar
+        params = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
         res = simulate_closed_loop(
-            PolicyKind.OPTIMAL, EpidemicParams(beta=0.16, gamma=1.0 / 30.0), None,
-            self.INIT, None, IntegratorConfig(step=0.01, horizon=60.0), 0.01,
-            ControlBounds(u_max=0.15))
+            PolicyKind.OPTIMAL, params, None, self.INIT, None,
+            IntegratorConfig(step=0.01, horizon=60.0), 0.01, ControlBounds(u_max=0.15))
         t_b = res.trace.switching.t_b
-        assert t_b == find_threshold_crossing(wave_traj, 0.01)
+        t_ref, bound = dop853.threshold_time(params, self.INIT, 0.01, 60.0)
+        assert abs(t_b - t_ref) <= bound
         assert t_b == 54.66169921875
 
     def test_collapse_with_exact_bounds(self, fig1_collapse_artifacts):
@@ -601,54 +600,96 @@ class TestStageBoundaries:
         assert firsts["optimal"] == cfg.integrator.n_steps
 
 
+class TestStageTwoLoop:
+    """Stage 2's inner loop, which writes the RK4 step, the rate law and its
+    clamp inline, against the reference forms: ``_rk4_step``,
+    ``stage_two_rate`` and ``ControlBounds.clamp``."""
+
+    @staticmethod
+    def _bits(*xs):
+        return np.array(xs, dtype=float).tobytes()
+
+    @classmethod
+    def _check_run(cls, res, cfg, assumed):
+        traj, trace, stage = res.trajectory, res.trace, res.node_stage
+        beta, gamma = cfg.params.beta, cfg.params.gamma
+        beta_plan, gamma_plan = (beta, gamma) if assumed is None else (assumed.beta,
+                                                                       assumed.gamma)
+        bounds, h = ControlBounds(cfg.u_max), cfg.integrator.step
+        ss, ii, rr, uu, s_seen = traj.s, traj.i, traj.r, traj.u, trace.node_s_seen
+        # a split step adds a pre- and a post-switch row at its end node, an
+        # event at a node one row
+        rows_at = np.bincount([row[0] for row in trace.switch_rows], minlength=len(traj))
+        clamps = 0
+        for k in np.flatnonzero(stage == 2):
+            raw = stage_two_rate(beta_plan, gamma_plan, float(s_seen[k]))
+            assert cls._bits(uu[k]) == cls._bits(bounds.clamp(raw))
+            clamps += raw > cfg.u_max
+            if k + 1 < len(traj) and rows_at[k + 1] < 2:
+                step = _rk4_step(float(ss[k]), float(ii[k]), float(rr[k]), beta, gamma,
+                                 float(uu[k]), h)
+                assert cls._bits(ss[k + 1], ii[k + 1], rr[k + 1]) == cls._bits(*step)
+        # the rate decided at a threshold switch: a stage-2 row at the instant
+        # of the threshold's row (inside a step; at a node it is the herd's)
+        rows = trace.switch_rows
+        for before, row in zip(rows, rows[1:]):
+            if before[3] == 1 and row[3] == 2 and row[1] == before[1]:
+                clamps += stage_two_rate(beta_plan, gamma_plan, row[4]) > cfg.u_max
+        assert trace.clamp_events == clamps
+        return clamps
+
+    def test_random_configs_match_the_reference_step_and_rate(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset, run_scenario
+
+        settings = {"fig1": ("fig1", 0.2, 300.0),
+                    "policy-compare": ("policy-compare", 0.15, 400.0),
+                    "saturated-policy-compare": ("policy-compare", 0.05, 150.0)}
+        clamped = []
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(name=st.sampled_from(sorted(settings)), noise=noises,
+                          inflation=mults, misestimation=mults,
+                          i_bar=st.floats(0.005, 0.3), seed=st.integers(0, 2**31))
+        def check(name, noise, inflation, misestimation, i_bar, seed):
+            base, u_max, horizon = settings[name]
+            cfg = replace(preset(base), noise=noise, inflation=inflation,
+                          misestimation=misestimation, i_bar=i_bar, seed=seed, u_max=u_max,
+                          policies=("optimal", "robust", "misestimated"),
+                          integrator=IntegratorConfig(step=0.1, horizon=horizon))
+            for run in run_scenario(cfg).runs.values():
+                clamped.append(self._check_run(run.result, cfg, run.assumed))
+
+        check()
+        assert sum(c > 0 for c in clamped) >= 10
+
+
 class TestOpenLoopOracle:
     """Stages 1 and 3 against scipy's DOP853 on the u = 0 epidemic."""
 
-    RTOL = 1e-12
-
-    @classmethod
-    def _solve(cls, params, t_span, y0, **kwargs):
-        integrate_ivp = pytest.importorskip("scipy.integrate")
-        beta, gamma = params.beta, params.gamma
-
-        def rhs(t, y):
-            return [-beta * y[0] * y[1], beta * y[0] * y[1] - gamma * y[1]]
-
-        return rhs, integrate_ivp.solve_ivp(rhs, t_span, y0, method="DOP853", rtol=cls.RTOL,
-                                            atol=1e-20, **kwargs)
-
-    def test_threshold_time(self, fig1_noisy_artifacts):
+    def test_threshold_time(self, fig1_noisy_artifacts, dop853):
         cfg = fig1_noisy_artifacts.config
-        i_bar = cfg.i_bar
-
-        def crossing(t, y):
-            return y[1] - i_bar
-
-        crossing.terminal, crossing.direction = True, 1
-        rhs, sol = self._solve(cfg.params, (cfg.init.t, cfg.integrator.horizon),
-                               [cfg.init.s, cfg.init.i], events=crossing)
-        t_b, y_b = sol.t_events[0][0], sol.y_events[0][0]
-        # the locator stops once |I - i_bar| <= EVENT_TOL, which moves the
-        # crossing by up to EVENT_TOL/(dI/dt); RK4's own error in I there
-        # (~3e-14 at h = 0.01) is far below EVENT_TOL
-        bound = EVENT_TOL / rhs(t_b, y_b)[1]
+        t_b, bound = dop853.threshold_time(cfg.params, cfg.init, cfg.i_bar,
+                                           cfg.integrator.horizon)
         assert abs(fig1_noisy_artifacts.runs["optimal"].result.trace.switching.t_b
                    - t_b) <= bound
 
     @pytest.mark.parametrize("policy", ["optimal", "robust"])
-    def test_stage_three_nodes(self, fig1_noisy_artifacts, policy):
+    def test_stage_three_nodes(self, fig1_noisy_artifacts, dop853, policy):
         res = fig1_noisy_artifacts.runs[policy].result
         traj = res.trajectory
         k3 = int(np.argmax(res.node_stage == 3))
         assert res.node_stage[k3] == 3
         t = traj.t[k3:]
-        _, sol = self._solve(traj.params, (t[0], t[-1]), [traj.s[k3], traj.i[k3]],
-                             dense_output=True)
+        _, sol = dop853.solve(traj.params, (t[0], t[-1]), [traj.s[k3], traj.i[k3]],
+                              dense_output=True)
         ref = sol.sol(t)
         # each integrator's error is at most its per-step error times its
         # number of steps, on fractions <= 1: rounding of ~eps per RK4 step
         # (RK4's truncation error at h = 0.01 is ~1e-16 here), and rtol per
         # DOP853 step
-        bound = (len(t) - 1) * np.finfo(float).eps + (len(sol.t) - 1) * self.RTOL
+        bound = (len(t) - 1) * np.finfo(float).eps + (len(sol.t) - 1) * dop853.RTOL
         assert np.max(np.abs(ref[0] - traj.s[k3:])) <= bound
         assert np.max(np.abs(ref[1] - traj.i[k3:])) <= bound

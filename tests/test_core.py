@@ -1,4 +1,4 @@
-"""Dynamics, integration, the peak formula, and event detection."""
+"""Dynamics, integration, the peak formula, and event location."""
 from __future__ import annotations
 
 import math
@@ -8,16 +8,16 @@ import re
 import numpy as np
 import pytest
 
+from sirctl.control import AssumedRates, PolicyKind, SwitchingTimes, simulate_closed_loop
 from sirctl.core import (
+    EVENT_TOL,
+    ControlBounds,
     EpidemicParams,
-    HerdImmunityNotReached,
     IntegratorConfig,
     NonFiniteDynamicsError,
     SirState,
     Trajectory,
     euler_step,
-    find_herd_immunity,
-    find_threshold_crossing,
     integrate,
     peak_infection,
     rhs,
@@ -25,6 +25,7 @@ from sirctl.core import (
     _rk4_fill,
     _rk4_step,
 )
+from sirctl.noise import MeasurementNoise, NoiseConfig
 
 PARAMS_52 = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 PARAMS_F1 = EpidemicParams(beta=0.16, gamma=0.063)
@@ -273,60 +274,97 @@ class TestIntegratorConfig:
         assert IntegratorConfig(step=0.1, horizon=0.3).n_steps == 3
 
 
+INIT_F1 = SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0)
+
+
+def _loop(kind=PolicyKind.OPTIMAL, assumed=None, noise=None, *, init=INIT_F1, i_bar=0.1,
+          horizon=200.0):
+    """A closed loop on the fig1 epidemic at h = 0.01 (t_b = 98.36, t*_h = 144.49)."""
+    return simulate_closed_loop(kind, PARAMS_F1, assumed, init, noise,
+                                IntegratorConfig(step=0.01, horizon=horizon), i_bar,
+                                ControlBounds(u_max=0.2))
+
+
+def _snr_noise(db, reference):
+    return MeasurementNoise.build(NoiseConfig(kind="snr_db", snr_db=db), len(reference), 1,
+                                  reference)
+
+
 class TestThresholdCrossing:
-    def test_never_reached_returns_none(self, wave_traj):
-        assert find_threshold_crossing(wave_traj, 0.9) is None
+    """The closed loop's threshold event (``locate_event`` in stage 1, the
+    u = 0 epidemic) against DOP853's crossing."""
 
-    def test_crossing_refined_to_tolerance(self, wave_traj):
-        t_b = find_threshold_crossing(wave_traj, 0.01)
-        assert t_b is not None
-        i_at = wave_traj.state_at(t_b)[1]
-        assert abs(i_at - 0.01) <= 1e-8
+    def test_never_reached_returns_none(self):
+        res = _loop(i_bar=0.9)
+        assert res.trace.switching == SwitchingTimes()
+        assert np.all(res.node_stage == 1) and not np.any(res.trajectory.u)
 
-    def test_inflated_series_crosses_earlier(self, wave_traj):
-        t_raw = find_threshold_crossing(wave_traj, 0.01)
-        t_inflated = find_threshold_crossing(wave_traj, 0.01, i_offset=0.002)
-        assert t_inflated <= t_raw
+    def test_crossing_refined_to_tolerance(self, dop853):
+        for i_bar in (0.01, 0.1, 0.2):
+            t_ref, bound = dop853.threshold_time(PARAMS_F1, INIT_F1, i_bar, 200.0)
+            assert abs(_loop(i_bar=i_bar).trace.switching.t_b - t_ref) <= bound
+
+    def test_inflated_series_crosses_earlier(self):
+        # the robust signal I + error + delta lies above I, so it reaches i_bar first
+        optimal = _loop()
+        robust = _loop(PolicyKind.ROBUST, AssumedRates(PARAMS_F1.beta, PARAMS_F1.gamma),
+                       _snr_noise(30.0, optimal.trajectory))
+        assert robust.trace.switching.t_b < optimal.trace.switching.t_b
 
     def test_already_above_at_start(self):
-        init = SirState(t=0.0, s=0.8, i=0.15, r=0.05)
-        traj = integrate(PARAMS_52, 0.0, init, IntegratorConfig(step=0.1, horizon=2.0))
-        assert find_threshold_crossing(traj, 0.1) == 0.0
+        res = _loop(init=SirState(t=0.0, s=0.8, i=0.15, r=0.05), horizon=2.0)
+        assert res.trace.switching.t_b == 0.0
 
-    def test_rejects_bad_threshold(self, wave_traj):
-        with pytest.raises(ValueError):
-            find_threshold_crossing(wave_traj, 1.5)
+    def test_rejects_bad_threshold(self):
+        with pytest.raises(ValueError, match="i_bar"):
+            _loop(i_bar=1.5)
 
 
 class TestHerdImmunity:
-    def test_crossing_refined_to_tolerance(self, wave_traj):
-        beta, gamma = PARAMS_52.beta, PARAMS_52.gamma
-        t_h = find_herd_immunity(wave_traj, beta, gamma)
-        s_at = wave_traj.state_at(t_h)[0]
-        assert abs(beta * s_at - gamma) <= 1e-8
+    """The closed loop's herd event against the stage-2 closed form: the
+    optimal rate beta*S - gamma holds I at i_bar, so S(t) = S_b*exp(-beta*
+    i_bar*(t - t_b)) and beta*S reaches gamma at t*_h = t_b + ln(beta*S_b/
+    gamma)/(beta*i_bar) (Miclo, Spiro & Weibull 2020)."""
+
+    def test_crossing_refined_to_tolerance(self):
+        res = _loop()
+        traj, (t_b, t_h) = res.trajectory, (res.trace.switching.t_b,
+                                            res.trace.switching.t_h)
+        beta, gamma = PARAMS_F1.beta, PARAMS_F1.gamma
+        t_star = t_b + math.log(beta * traj.state_at(t_b)[0] / gamma) / (beta * 0.1)
+        # the rate held over each step lags the closed form by less than a
+        # step (0.89 h at h = 0.005, 0.01 and 0.02); the locator stops once
+        # the planned gap is within EVENT_TOL
+        assert 0.0 < t_h - t_star <= traj.step
+        assert abs(beta * traj.state_at(t_h)[0] - gamma) <= EVENT_TOL
 
     def test_start_below_level_returns_start_time(self):
-        init = SirState(t=0.0, s=0.1, i=0.05, r=0.85)
-        traj = integrate(PARAMS_52, 0.0, init, IntegratorConfig(step=0.1, horizon=2.0))
-        assert find_herd_immunity(traj, PARAMS_52.beta, PARAMS_52.gamma) == 0.0
+        # I(0) is above i_bar and beta*S(0) below gamma: both events at node 0
+        res = _loop(init=SirState(t=0.0, s=0.1, i=0.15, r=0.75), horizon=2.0)
+        assert res.trace.switching == SwitchingTimes(t_b=0.0, t_h=0.0)
 
-    def test_overestimated_rates_cross_later(self, wave_traj):
-        beta, gamma = PARAMS_52.beta, PARAMS_52.gamma
-        t_h = find_herd_immunity(wave_traj, beta, gamma)
-        t_hat = find_herd_immunity(wave_traj, 1.05 * beta, 0.95 * gamma)
-        assert t_hat >= t_h
+    def test_overestimated_rates_cross_later(self):
+        beta, gamma = PARAMS_F1.beta, PARAMS_F1.gamma
+        optimal = _loop()
+        robust = _loop(PolicyKind.ROBUST, AssumedRates(1.05 * beta, 0.95 * gamma))
+        t_hat = robust.trace.switching.t_h
+        assert t_hat > optimal.trace.switching.t_h
+        # it fires where the planned condition does: S = gamma_hat/beta_hat
+        assert abs(1.05 * beta * robust.trajectory.state_at(t_hat)[0]
+                   - 0.95 * gamma) <= EVENT_TOL
 
-    def test_inflated_envelope_crosses_later(self, wave_traj):
-        beta, gamma = PARAMS_52.beta, PARAMS_52.gamma
-        t_h = find_herd_immunity(wave_traj, beta, gamma)
-        t_env = find_herd_immunity(wave_traj, beta, gamma, s_offset=0.01)
-        assert t_env >= t_h
+    def test_inflated_envelope_crosses_later(self):
+        # the robust signal S + error + delta lies above S, so beta*S_seen
+        # reaches gamma later
+        optimal = _loop()
+        robust = _loop(PolicyKind.ROBUST, AssumedRates(PARAMS_F1.beta, PARAMS_F1.gamma),
+                       _snr_noise(40.0, optimal.trajectory))
+        assert robust.trace.switching.t_h > optimal.trace.switching.t_h
 
-    def test_not_reached_raises(self):
-        init = SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0)
-        short = integrate(PARAMS_52, 0.0, init, IntegratorConfig(step=0.01, horizon=30.0))
-        with pytest.raises(HerdImmunityNotReached):
-            find_herd_immunity(short, PARAMS_52.beta, PARAMS_52.gamma)
+    def test_not_reached_leaves_t_h_unset(self):
+        res = _loop(horizon=120.0)
+        assert res.trace.switching.t_b == pytest.approx(98.36, abs=0.01)
+        assert res.trace.switching.t_h is None and res.node_stage[-1] == 2
 
 
 def _random_scenario(seed: int):

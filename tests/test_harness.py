@@ -867,6 +867,17 @@ class TestCli:
         gaps = [r.gap_direct for r in rows if r.policy != "optimal"]
         assert gaps == sorted(gaps)  # wider inflation costs more
 
+    @pytest.mark.parametrize("inflations", ["1.02:0.98,1.02:0.98",
+                                            "1.0200001:0.98,1.02:0.98"],
+                             ids=["same-pair", "same-name"])
+    def test_gap_rejects_a_repeated_row_name(self, tmp_path, capsys, inflations):
+        # %g keeps 6 digits, so 1.0200001 and 1.02 both name robust_bx1.02_gx0.98
+        code = main(["gap", "--preset", "fig1", "--inflations", inflations,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "robust_bx1.02_gx0.98" in capsys.readouterr().err
+        assert not (tmp_path / "costs.csv").exists()
+
     def test_reproduce_param_est(self, tmp_path):
         code = main(["reproduce", "param-est", "--out", str(tmp_path)])
         assert code == 0
