@@ -15,21 +15,21 @@ Schemas:
 
 Cells are floats as ``f"{v:.12g}"`` (``nan``, ``inf`` and ``-0`` as such;
 12 digits keep the cross-formula checks meaningful after a round trip),
-integers, ``true``/``false`` flags and unquoted text. Rows are written
-column-wise: each block of ``_CHUNK_ROWS`` rows is one ``%`` call applying
-the row format (``%.12g`` per float cell) repeated per row to the block's
-column slices as lists. ``%.12g`` is the CPython formatting of
-``f"{v:.12g}"``, so a fixed seed yields byte-identical files.
+integers, ``true``/``false`` flags and unquoted text.
+
+Rows are written in blocks of ``_CHUNK_ROWS``. A full block is formatted
+with numpy array operations (``blockfmt``), a shorter one by one ``%``
+call; both give, byte for byte, ``f"{v:.12g}"`` per float cell, so a fixed
+seed yields byte-identical files.
 """
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .noise import measured_series_for
 from .scenarios import CostRow, EstimateRow, PolicyRun, RunArtifacts
 
 TRAJECTORY_HEADER = ["t", "S_true", "I_true", "R_true", "S_meas", "I_meas",
@@ -41,8 +41,8 @@ COSTS_HEADER = ["policy", "total_cost", "gap_direct", "gap_lemma4", "gap_thm4",
 TRACE_HEADER = ["t", "u", "stage", "s_seen", "i_seen"]
 SEEN_HEADER = TRAJECTORY_HEADER + TRACE_HEADER[-2:]  # a run that read noise
 
-# Rows per format call. It bounds the objects alive at once: a trajectory
-# block takes ~0.5 MB at 1024 rows and ~1.9 MB at 4096, at the same speed.
+# Rows per block. It bounds the arrays alive at once: a trajectory block of
+# 1024 rows formats into ~0.4 MB of cell templates.
 _CHUNK_ROWS = 1024
 _ESTIMATES_KINDS = "dgggggb"  # one _KINDS key per column
 _COSTS_KINDS = "sgggggggb"
@@ -61,48 +61,74 @@ _KINDS = {"g": ("%.12g", float), "d": ("%d", int), "s": ("%s", str),
           "b": ("%s", _parse_bool)}
 
 
-def _write(path: Path, header: list[str], columns: Sequence[Sequence],
-           kinds: str) -> None:
-    """Write equal-length columns (arrays or lists) under ``header``; ``kinds``
-    holds one ``_KINDS`` key per column."""
-    n, width = len(columns[0]), len(columns)
-    if any(len(col) != n for col in columns):
-        raise ValueError(f"{path}: columns differ in length")
+def _format_block(columns: Sequence[Sequence], kinds: str) -> bytes:
+    """The rows of a block of equal-length column slices (arrays or lists).
+
+    A full block of ``_CHUNK_ROWS`` rows goes through ``blockfmt``. A
+    shorter one, a short table or the tail of a long one, is one ``%`` call
+    applying the row format, repeated per row, to the column slices as
+    lists: on a few hundred rows the array path saves nothing, and its code
+    and the numpy kernels it runs would add ~0.8 MB of resident memory to a
+    process that writes only short tables.
+    """
+    m, width = len(columns[0]), len(kinds)
+    if m == _CHUNK_ROWS:
+        from .blockfmt import format_block  # only a process that writes a full block loads it
+        return format_block(columns, kinds)
+    flat: list = [None] * (m * width)
+    for j, (col, kind) in enumerate(zip(columns, kinds)):
+        col = col.tolist() if isinstance(col, np.ndarray) else col
+        flat[j::width] = ["true" if v else "false" for v in col] if kind == "b" else col
     row = ",".join(_KINDS[k][0] for k in kinds) + "\n"
+    return (row * m % tuple(flat)).encode()
+
+
+def _slices(columns: Sequence[Sequence]) -> Iterator[list]:
+    """Blocks of ``_CHUNK_ROWS`` rows of equal-length columns (arrays or lists)."""
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValueError("columns differ in length")
+    return ([col[lo:lo + _CHUNK_ROWS] for col in columns] for lo in range(0, n, _CHUNK_ROWS))
+
+
+def _write(path: Path, header: list[str], kinds: str, blocks: Iterable[Sequence]) -> None:
+    """Write ``header`` and the rows of each block of column slices;
+    ``kinds`` holds one ``_KINDS`` key per column."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, n, _CHUNK_ROWS):
-            m = min(_CHUNK_ROWS, n - lo)
-            flat: list = [None] * (m * width)
-            for j, (col, kind) in enumerate(zip(columns, kinds)):
-                chunk = col[lo:lo + m]
-                chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
-                flat[j::width] = (["true" if v else "false" for v in chunk]
-                                  if kind == "b" else chunk)
-            fh.write(row * m % tuple(flat))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for columns in blocks:
+            fh.write(_format_block(columns, kinds))
 
 
 def write_trajectory_csv(path: Path, run: PolicyRun) -> None:
     """The node rows; the seen signals only where they are the run's own
     arrays (the trace holds ``S``/``I`` themselves for a run that read none).
-    ``S_meas``/``I_meas`` come from one ``measured_series_for`` call, built
-    here and let go once written."""
+    ``S_meas``/``I_meas`` are built per block by ``measure``, which works
+    element by element, so they are the bits of one whole-run call."""
     traj, tr = run.result.trajectory, run.result.trace
-    meas = measured_series_for(run.noise, traj)
-    columns = (traj.t, traj.s, traj.i, traj.r, meas.s_hat, meas.i_hat, traj.u,
-               run.result.node_stage)
-    if tr.node_s_seen is traj.s and tr.node_i_seen is traj.i:
-        _write(path, TRAJECTORY_HEADER, columns, "gggggggd")
+    blind = tr.node_s_seen is traj.s and tr.node_i_seen is traj.i
+    n = len(traj)
+
+    def blocks() -> Iterator[list]:
+        for lo in range(0, n, _CHUNK_ROWS):
+            k = slice(lo, min(lo + _CHUNK_ROWS, n))
+            s, i = traj.s[k], traj.i[k]
+            s_hat, i_hat = run.noise.measure(k, s, i, std=True)[:2]
+            columns = [traj.t[k], s, i, traj.r[k], s_hat, i_hat, traj.u[k],
+                       run.result.node_stage[k]]
+            yield columns if blind else columns + [tr.node_s_seen[k], tr.node_i_seen[k]]
+
+    if blind:
+        _write(path, TRAJECTORY_HEADER, "gggggggd", blocks())
     else:
-        _write(path, SEEN_HEADER, (*columns, tr.node_s_seen, tr.node_i_seen),
-               "gggggggdgg")
+        _write(path, SEEN_HEADER, "gggggggdgg", blocks())
 
 
 def write_trace_csv(path: Path, run: PolicyRun) -> None:
     """The switch rows; the node rows are in the trajectory file."""
     rows = run.result.trace.switch_rows
-    _write(path, TRACE_HEADER, [[row[k] for row in rows] for k in range(1, 6)], "ggdgg")
+    _write(path, TRACE_HEADER, "ggdgg", _slices([[row[k] for row in rows] for k in range(1, 6)]))
 
 
 def _row_columns(rows: Iterable, header: list[str]) -> list[list]:
@@ -112,12 +138,12 @@ def _row_columns(rows: Iterable, header: list[str]) -> list[list]:
 
 
 def write_estimates_csv(path: Path, rows: Iterable[EstimateRow]) -> None:
-    _write(path, ESTIMATES_HEADER, _row_columns(rows, ESTIMATES_HEADER),
-           _ESTIMATES_KINDS)
+    _write(path, ESTIMATES_HEADER, _ESTIMATES_KINDS,
+           _slices(_row_columns(rows, ESTIMATES_HEADER)))
 
 
 def write_costs_csv(path: Path, rows: Iterable[CostRow]) -> None:
-    _write(path, COSTS_HEADER, _row_columns(rows, COSTS_HEADER), _COSTS_KINDS)
+    _write(path, COSTS_HEADER, _COSTS_KINDS, _slices(_row_columns(rows, COSTS_HEADER)))
 
 
 def emit_csv(artifacts: RunArtifacts, out_dir: Union[str, Path]) -> list[Path]:

@@ -17,6 +17,9 @@ from sirctl.cli import main
 
 CASES = {
     "fig1": ["reproduce", "fig1"],
+    # the benchmark's large run: 120,001 rows per trajectory, I down to 7e-9
+    # and long zero-rate stretches, a mix of cells the short cases never hit
+    "policy-compare": ["reproduce", "policy-compare", "--seed", "1"],
     "policy-compare-250": ["simulate", "--preset", "policy-compare",
                            "--set", "integrator.horizon=250"],
     # the 1.1:0.9 robust run never reaches its herd condition
@@ -125,6 +128,22 @@ EXPECTED = {
     "param-est-1-10": {
         "estimates.csv":
             "3593a78c3f05aeb156046b17cfb3a8a78ebaa2a1e21522d969e0bb3d1f4e435e",
+    },
+    "policy-compare": {
+        "policy-compare/costs.csv":
+            "0fdeae0df5f5ce024b580da48a5891ad3e8b2642cd4c8a8180f8da6831a3db90",
+        "policy-compare/policy_trace_misestimated.csv":
+            "7c52f9535963a910df0bf51e45fb7b1d99120802cb1d655e95bfc2415da152f9",
+        "policy-compare/policy_trace_optimal.csv":
+            "05ec789b40fe6b6210c721cad06be579a8bbb9b0ea9d376b0a46b1069012d8c3",
+        "policy-compare/policy_trace_robust.csv":
+            "b5a08497ca4f682284f6e9a81436911e198b4d123e93c17868011abb7814e800",
+        "policy-compare/trajectory_misestimated.csv":
+            "ab0f8efc150c6bb184d029ccc7465c01db2af775990c2a71b0d9848fb7e002ff",
+        "policy-compare/trajectory_optimal.csv":
+            "ef2a4169ba37afda4a9e4144c86f55e0970b4c80464ebf2e90dc92fdf4c3e5f9",
+        "policy-compare/trajectory_robust.csv":
+            "cb4146e902de2ca59291a53ce79937e254f4fc8cec6868d7b4937bf62f666de7",
     },
     "policy-compare-250": {
         "costs.csv":

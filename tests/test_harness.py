@@ -134,8 +134,9 @@ class TestInjectNoise:
         runs = scenarios._run_policies(cfg, optimal, noise).runs
         assert runs["robust"].result.trace.switching.t_b is not None
         written: dict[str, np.ndarray] = {}
-        monkeypatch.setattr(csvio, "_write", lambda path, header, columns, kinds:
-                            written.update(zip(header, columns)))
+        # the writer's blocks of column slices, joined into whole columns
+        monkeypatch.setattr(csvio, "_write", lambda path, header, kinds, blocks:
+                            written.update(zip(header, map(np.concatenate, zip(*blocks)))))
         for name, run in runs.items():
             traj, trace = run.result.trajectory, run.result.trace
             # the columns the trajectory writer formats, signed zeros included
@@ -610,7 +611,13 @@ class TestCsvFormat:
     CHUNK = getattr(csvio, "_CHUNK_ROWS", 1024)  # rows the writer formats at once
     EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
              -1e300, 0.1 + 0.2, 1.0000000000005, 123456789012.5, 999999999999.5,
-             0.12345678901249999, 2.0 / 3.0, 1e-7, 1e16, 12345678901234567890.0]
+             0.12345678901249999, 2.0 / 3.0, 1e-7, 1e16, 12345678901234567890.0,
+             # a tie rounded to even (3.81469726562e-06), values at and next to
+             # a power of ten (9.9999999999996 rounds up to 10, past the
+             # exponent of its log10), and both ends of the block formatter's range
+             2.0**-18, 99999999999.95, 9.999999999995e-05, -1e-05,
+             9.9999999999996, -9.9999999999996e-07,
+             math.nextafter(1e-10, 0.0), math.nextafter(1e11, 0.0), 1e11]
 
     @staticmethod
     def cell(v) -> str:
@@ -712,6 +719,31 @@ class TestCsvFormat:
             COSTS_HEADER, ((r.policy, r.total_cost, r.gap_direct, r.gap_lemma4,
                             r.gap_thm4, r.gap_upper, r.t_b, r.t_h, r.feasible)
                            for r in costs)) + [""]
+
+    @staticmethod
+    def column(path, kind, values) -> list[str]:
+        """The cells of a one-column file written through the writer."""
+        csvio._write(path, ["x"], kind, csvio._slices([values]))
+        return path.read_text().split("\n")[1:-1]
+
+    def test_any_float_or_integer_matches_the_reference_rule(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # st.floats() draws nan, inf and subnormals too; the ranges are the
+        # array formatter's own cells, which a full block of rows goes through
+        floats = st.one_of(st.floats(), st.floats(1e-10, 1e11), st.floats(-1e11, -1e-10))
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(xs=st.lists(floats, min_size=1, max_size=20),
+                          ks=st.lists(st.integers(0, 10**6), min_size=1, max_size=20))
+        def check(xs, ks):
+            for kind, values, rule in (("g", xs, "{:.12g}"), ("d", ks, "{:d}")):
+                block = (values * self.CHUNK)[:self.CHUNK]
+                for column in (values, block):
+                    assert self.column(tmp_path / "x.csv", kind, column) == list(
+                        map(rule.format, column))
+
+        check()
 
 
 class TestCli:

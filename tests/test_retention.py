@@ -118,21 +118,30 @@ class TestReadOnly:
 class TestMeasuredSeries:
     def test_built_only_where_written(self, case, monkeypatch, tmp_path):
         # neither a scenario run nor a gap table builds or holds a measured
-        # series; the trajectory writer builds one per run
+        # series, and the trajectory writer builds none either: it measures
+        # each run's nodes block by block, one call per block of rows, in order
         art, _ = case
         assert not any(isinstance(x, MeasuredSeries) for x in _reachable(art))
-        built = []
-        original = noise.measured_series_for
+        built, measured = [], []
+        original, measure = noise.measured_series_for, noise.MeasurementNoise.measure
 
         def spy(*args, **kwargs):
             built.append(args[1])
             return original(*args, **kwargs)
 
+        def measure_spy(self, k, *args, **kwargs):
+            measured.append(k)
+            return measure(self, k, *args, **kwargs)
+
         monkeypatch.setattr(noise, "measured_series_for", spy)
-        monkeypatch.setattr(csvio, "measured_series_for", spy)
+        monkeypatch.setattr(noise.MeasurementNoise, "measure", measure_spy)
         art = run_scenario(art.config)
         rows = gap_table(art.config, [(1.1, 0.9), (1.0, 1.0)])
         assert len(rows) == 3 and built == []
         assert not any(isinstance(x, MeasuredSeries) for x in _reachable(rows))
+        measured.clear()
         csvio.emit_csv(art, tmp_path)
-        assert [id(b) for b in built] == [id(run.result.trajectory) for run in art.runs.values()]
+        n, chunk = len(art.runs["optimal"].result.trajectory), csvio._CHUNK_ROWS
+        assert built == []
+        assert measured == [slice(lo, min(lo + chunk, n))
+                            for lo in range(0, n, chunk)] * len(art.runs)
