@@ -11,7 +11,6 @@ envelope, which also yields an endpoint-only upper bound.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -44,27 +43,20 @@ class CumulativeCheck:
     ok: bool
 
 
-def total_cost(trace: PolicyTrace, warn: bool = True) -> float:
+def total_cost(trace: PolicyTrace) -> float:
     """Trapezoidal integral of the applied rate over the trace.
 
     Switch instants are duplicated rows in the trace, so the piecewise
     stage boundaries integrate exactly. The node columns are integrated
     segment by segment between the switch rows, and each group of switch
     rows adds the trapezoids that join it to its neighbouring nodes, so no
-    full-length row column is built (a switch row never comes last). Warns when the rate is still non-zero
-    at the end of the horizon (truncated, unconverged cost); internal table
-    assembly passes warn=False because the truncation is visible in the
-    switching-time columns.
+    full-length row column is built (a switch row never comes last). A rate
+    still non-zero at the end of the horizon gives an integral truncated
+    there; the run's ``t_h`` is then missing.
     """
     t, u = trace.node_t, trace.node_u
     if len(t) == 0:
         return 0.0
-    if warn and u[-1] > 0.0:
-        warnings.warn(
-            f"isolation rate is {u[-1]:.3e} at the end of the horizon; "
-            "the cost integral is truncated, not converged",
-            stacklevel=2,
-        )
     cost = 0.0
     lo = 0  # the first node row not yet integrated
     for at, rows in groupby(trace.switch_rows, key=itemgetter(0)):
@@ -103,15 +95,32 @@ def gap_direct(trace_robust: PolicyTrace, trace_optimal: PolicyTrace) -> float:
     mismatch = grid_mismatch(trace_robust, trace_optimal)
     if mismatch:
         raise ValueError(mismatch)
-    return total_cost(trace_robust, warn=False) - total_cost(trace_optimal, warn=False)
+    return total_cost(trace_robust) - total_cost(trace_optimal)
 
 
-def _segment_grid(lo: float, hi: float, step: float) -> np.ndarray:
+def _nodes_between(t: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, slice]:
+    """The times ``[lo, t[a:b], hi]`` and the slice a:b of the nodes strictly inside (lo, hi)."""
     if hi < lo:
         raise ValueError(f"inverted integration segment [{lo}, {hi}]")
-    inner = np.arange(math.ceil(lo / step) * step, hi, step)
-    inner = inner[(inner > lo) & (inner < hi)]
-    return np.concatenate(([lo], inner, [hi]))
+    inner = slice(int(np.searchsorted(t, lo, side="right")),
+                  int(np.searchsorted(t, hi, side="left")))
+    return np.concatenate(([lo], t[inner], [hi])), inner
+
+
+def _susceptible_on(traj: Trajectory, lo: float, hi: float,
+                    inner: slice) -> tuple[np.ndarray, float]:
+    """S at the times of ``_nodes_between``, and I at ``hi``: the nodes'
+    own values, and one ``state_at`` at each end."""
+    s_hi, i_hi, _ = traj.state_at(hi)
+    return np.concatenate(([traj.state_at(lo)[0]], traj.s[inner], [s_hi])), i_hi
+
+
+def _require_same_grid(traj_a: Trajectory, traj_b: Trajectory) -> None:
+    """Raise ValueError unless the runs have as many nodes and the same first and last times."""
+    t_a, t_b = traj_a.t, traj_b.t
+    if len(t_a) != len(t_b) or t_a[0] != t_b[0] or t_a[-1] != t_b[-1]:
+        raise ValueError(f"runs on different grids: {len(t_a)} nodes on [{t_a[0]}, "
+                         f"{t_a[-1]}] vs {len(t_b)} on [{t_b[0]}, {t_b[-1]}]")
 
 
 def gap_from_states(traj_robust: Trajectory, traj_optimal: Trajectory,
@@ -121,19 +130,22 @@ def gap_from_states(traj_robust: Trajectory, traj_optimal: Trajectory,
         beta * integral(S - S*) - log I(t_h) + log I*(t_h).
 
     Uses true states of both runs and the bisection-refined switch times.
+    The integral runs over the nodes inside [t_b, t_h], which the runs must
+    share (a different grid raises ValueError), and the states at t_b and
+    t_h.
     """
     if not times.complete:
         raise ValueError("gap_from_states needs both switching times of the robust run")
+    _require_same_grid(traj_robust, traj_optimal)
     t_lo, t_hi = times.t_b, times.t_h
-    grid = _segment_grid(t_lo, t_hi, traj_robust.step)
-    s_gap = traj_robust.state_at(grid)[0] - traj_optimal.state_at(grid)[0]
-    i_rob = traj_robust.state_at(t_hi)[1]
-    i_opt = traj_optimal.state_at(t_hi)[1]
+    grid, inner = _nodes_between(traj_robust.t, t_lo, t_hi)
+    s_rob, i_rob = _susceptible_on(traj_robust, t_lo, t_hi, inner)
+    s_opt, i_opt = _susceptible_on(traj_optimal, t_lo, t_hi, inner)
     if i_rob < _MIN_INFECTION or i_opt < _MIN_INFECTION:
         raise ValueError(
             f"infection at t_h too small for the log terms ({i_rob:.3e}, {i_opt:.3e})"
         )
-    return float(beta * np.trapezoid(s_gap, grid) - math.log(i_rob) + math.log(i_opt))
+    return float(beta * np.trapezoid(s_rob - s_opt, grid) - math.log(i_rob) + math.log(i_opt))
 
 
 def theorem4_order(times_robust: SwitchingTimes, times_optimal: SwitchingTimes) -> bool:
@@ -157,8 +169,8 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
     in time, and t_b, t_h are its switching times. C integrates the robust
     envelope rate beta_max*S_max - gamma_min over the three segments
     [t_b, t*_b], [t*_b, t*_h], [t*_h, t_h], subtracting the optimal rate on
-    the middle one. C_bar freezes S_max at t_b and S* at t*_h. Requires
-    t_b <= t*_b <= t*_h <= t_h.
+    the middle one, on the nodes of S* and the four times. C_bar freezes
+    S_max at t_b and S* at t*_h. Requires t_b <= t*_b <= t*_h <= t_h.
     """
     times_robust = robust.switching
     if not (times_robust.complete and times_optimal.complete):
@@ -169,17 +181,16 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
         raise ValueError(
             f"switching times out of order: {tb_h}, {tb_s}, {th_s}, {th_h}"
         )
-    step = s_star.step
-
-    g1 = _segment_grid(tb_h, tb_s, step)
-    g2 = _segment_grid(tb_s, th_s, step)
-    g3 = _segment_grid(th_s, min(th_h, float(s_star.t[-1])), step)
+    t_star = s_star.t
+    g1 = _nodes_between(t_star, tb_h, tb_s)[0]
+    g2, inner = _nodes_between(t_star, tb_s, th_s)
+    g3 = _nodes_between(t_star, th_s, min(th_h, float(t_star[-1])))[0]
 
     t_r, s_max = robust.t, robust.s_seen
     smax_1 = np.interp(g1, t_r, s_max)
     smax_2 = np.interp(g2, t_r, s_max)
     smax_3 = np.interp(g3, t_r, s_max)
-    sstar_2 = s_star.state_at(g2)[0]
+    sstar_2 = _susceptible_on(s_star, tb_s, th_s, inner)[0]
 
     c = (-gamma_min * (tb_s - tb_h + th_h - th_s)
          + (gamma - gamma_min) * (th_s - tb_s)
@@ -201,11 +212,8 @@ def cumulative_infected_check(traj_robust: Trajectory, traj_optimal: Trajectory,
     The runs are compared node by node, so they must share one grid: a
     different length or endpoint raises ValueError.
     """
-    t_r, t_o = traj_robust.t, traj_optimal.t
-    if len(t_r) != len(t_o) or t_r[0] != t_o[0] or t_r[-1] != t_o[-1]:
-        raise ValueError(f"runs on different grids: {len(t_r)} nodes on [{t_r[0]}, "
-                         f"{t_r[-1]}] vs {len(t_o)} on [{t_o[0]}, {t_o[-1]}]")
-    mask = t_r <= t_h_star + 1e-12
+    _require_same_grid(traj_robust, traj_optimal)
+    mask = traj_robust.t <= t_h_star + 1e-12
     cum_robust = traj_robust.i[mask] + traj_robust.r[mask]
     cum_optimal = traj_optimal.i[mask] + traj_optimal.r[mask]
     worst = float(np.max(cum_robust - cum_optimal, initial=-math.inf))
@@ -218,21 +226,23 @@ def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
                       gamma_min: float) -> CostReport:
     """Assemble the full cost/gap report for one matched pair of runs.
 
-    ``gap_direct`` is exact and reported whenever ``grid_mismatch`` allows
-    it (the same horizon); it is NaN otherwise. The other gap formulas need
-    all four switching times; when a herd condition never fired within the
-    horizon they are NaN, and the total costs and ``gap_direct`` are
-    integrals truncated at the horizon.
+    The runs must span the same horizon: traces whose grids disagree
+    (``grid_mismatch``) raise ValueError, as ``gap_direct`` does, and so do
+    trajectories on different grids. ``gap_direct`` is then exact. The
+    other gap formulas need all four switching times; when a herd condition
+    never fired within the horizon they are NaN, and the total costs and
+    ``gap_direct`` are integrals truncated at the horizon.
     The closed form and its bound (``gap_closed_form``, ``gap_upper``) also
     need Theorem 4's order t_b <= t*_b <= t*_h <= t_h (``theorem4_order``)
     and are NaN when the four times break it.
     """
-    cost_r = total_cost(robust_trace, warn=False)
-    cost_o = total_cost(optimal_trace, warn=False)
+    mismatch = grid_mismatch(robust_trace, optimal_trace)
+    if mismatch:
+        raise ValueError(mismatch)
+    cost_r = total_cost(robust_trace)
+    cost_o = total_cost(optimal_trace)
     nan = float("nan")
-    direct = l4 = c = c_bar = nan
-    if not grid_mismatch(robust_trace, optimal_trace):
-        direct = cost_r - cost_o  # gap_direct, from the costs already integrated
+    l4 = c = c_bar = nan
     if robust_trace.switching.complete and optimal_trace.switching.complete:
         l4 = gap_from_states(robust_traj, optimal_traj, true_params.beta,
                         robust_trace.switching)
@@ -240,5 +250,5 @@ def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
             c, c_bar = gap_closed_form(robust_trace, beta_max, gamma_min,
                                 true_params.beta, true_params.gamma, optimal_traj,
                                 optimal_trace.switching)
-    return CostReport(total_cost=cost_r, optimal_cost=cost_o, gap_direct=direct,
+    return CostReport(total_cost=cost_r, optimal_cost=cost_o, gap_direct=cost_r - cost_o,
                       gap_from_states=l4, gap_closed_form=c, gap_upper=c_bar)

@@ -1,10 +1,9 @@
 """Format full blocks of CSV rows with numpy array operations.
 
 ``format_block`` writes, byte for byte, what one ``%`` call per cell
-gives: ``%.12g`` for a float cell and ``%d`` for an integer one, flags as
-``true``/``false`` and text as is. Each cell becomes a fixed-width
-template, NUL where it has no character, and the block is joined with its
-NULs dropped.
+gives: ``%.12g`` for a float cell and ``%d`` for an integer one. Each cell
+becomes a fixed-width template, NUL where it has no character, and the
+block is joined with its NULs dropped.
 
 A number of magnitude in ``[1e-10, 1e11)`` is rounded to 12 significant
 digits exactly: Dekker's two-product gives ``|v| * 10**k`` as an exact sum
@@ -24,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-_FORMATS = {"g": "%.12g", "d": "%d"}  # the number kinds; "b" is a flag, "s" text
+_FORMATS = {"g": "%.12g", "d": "%d"}
 
 # A number cell's template, NUL where the cell has no character, as five
 # 8-byte words: the sign and a "0." lead with up to three zeros; 12 digits,
@@ -59,7 +58,6 @@ _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_FLAGS = np.array([b"false", b"true"])
 
 
 def _scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -137,33 +135,20 @@ def _numbers(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def format_block(columns: Sequence[Sequence], kinds: str) -> bytes:
-    """The rows of equal-length column slices, one kind letter of
-    ``_FORMATS``, "b" or "s" per column: one template per cell, a number's
-    or a text's padded with NUL, and the NULs dropped."""
+    """The rows of equal-length number column slices, one kind letter of
+    ``_FORMATS`` per column: one template per cell, and the NULs dropped.
+    A cell left blank by ``_numbers`` takes its ``%`` text, at most 20
+    bytes (``%.12g`` writes at most 19, ``%d`` of an int64 20)."""
     m, width = len(columns[0]), len(kinds)
-    numeric = [j for j, k in enumerate(kinds) if k in _FORMATS]
-    values = np.empty((m, len(numeric)))
-    for c, j in enumerate(numeric):
-        values[:, c] = columns[j]
+    values = np.empty((m, width))
+    for j, col in enumerate(columns):
+        values[:, j] = col
     cells, blank = _numbers(values.reshape(-1))
-    texts = {j: (_FLAGS[np.asarray(columns[j], dtype=bool).view(np.int8)] if k == "b"
-                 else np.array([str(v).encode() for v in columns[j]], dtype=bytes))
-             for j, k in enumerate(kinds) if k not in _FORMATS}
-    rest = []
     for f in blank.tolist():
-        r, j = f // len(numeric), numeric[f % len(numeric)]
-        rest.append((r, j, (_FORMATS[kinds[j]] % columns[j][r]).encode()))
-    size = max([_CELL] + [t.itemsize + 1 for t in texts.values()] +
-               [len(b) + 1 for *_, b in rest])
-    if size == _CELL and not texts:
-        big = cells.reshape(m, width, size)
-    else:
-        big = np.zeros((m, width, size), np.uint8)
-        big[:, numeric, :_CELL] = cells.reshape(m, len(numeric), _CELL)
-        for j, t in texts.items():
-            big[:, j, :t.itemsize] = t.view(np.uint8).reshape(m, t.itemsize)
-    for r, j, b in rest:
-        big[r, j, :len(b)] = np.frombuffer(b, np.uint8)
+        r, j = divmod(f, width)
+        b = (_FORMATS[kinds[j]] % columns[j][r]).encode()
+        cells[f, :len(b)] = np.frombuffer(b, np.uint8)
+    big = cells.reshape(m, width, _CELL)
     big[:, :, -1] = ord(",")
     big[:, -1, -1] = ord("\n")
     return big.tobytes().translate(None, b"\0")

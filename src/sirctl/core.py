@@ -214,34 +214,28 @@ class Trajectory:
         return SirState(t=float(self.t[k]), s=float(self.s[k]), i=float(self.i[k]),
                         r=float(self.r[k]))
 
-    def index_at(self, time):
+    def index_at(self, time: float) -> int:
         """Index of the last grid node with t[k] <= time (to 1e-12).
 
-        Elementwise: a float gives an int, an array of times an index array.
-        A time outside the grid, or NaN, raises ValueError naming the first.
+        A time outside the grid, or NaN, raises ValueError.
         """
-        k = np.searchsorted(self.t, np.add(time, 1e-12), side="right") - 1
-        outside = (k < 0) | ~(np.asarray(time) <= self.t[-1] + 1e-9)
-        if np.any(outside):
-            first = np.asarray(time).flat[np.argmax(outside)]
-            raise ValueError(f"time {float(first)} outside trajectory range")
-        return int(k) if np.ndim(k) == 0 else k
+        k = int(np.searchsorted(self.t, time + 1e-12, side="right")) - 1
+        if k < 0 or not time <= self.t[-1] + 1e-9:
+            raise ValueError(f"time {float(time)} outside trajectory range")
+        return k
 
-    def state_at(self, time):
-        """(S, I, R) at a time: the node values on a node, else one RK4 sub-step.
+    def state_at(self, time: float) -> tuple[float, float, float]:
+        """(S, I, R) at one time: the node values on a node, else one RK4 sub-step.
 
-        The sub-step runs from the last node at or before the time under that
-        node's held rate. Elementwise: a float gives three floats, an array
-        of times three arrays.
+        The sub-step runs from the last node before the time under that
+        node's held rate.
         """
         k = self.index_at(time)
-        dt = time - self.t[k]
-        sub = _rk4_step(self.s[k], self.i[k], self.r[k], self.params.beta,
-                        self.params.gamma, self.u[k], dt)
-        on_node = dt <= 0.0
-        s, i, r = (np.where(on_node, node[k], x) for node, x in
-                   zip((self.s, self.i, self.r), sub))
-        return (float(s), float(i), float(r)) if np.ndim(time) == 0 else (s, i, r)
+        s, i, r = float(self.s[k]), float(self.i[k]), float(self.r[k])
+        dt = time - float(self.t[k])
+        if dt <= 0.0:
+            return s, i, r
+        return _rk4_step(s, i, r, self.params.beta, self.params.gamma, float(self.u[k]), dt)
 
     def max_conservation_error(self) -> float:
         return float(np.max(np.abs(self.s + self.i + self.r - 1.0)))

@@ -17,10 +17,10 @@ Cells are floats as ``f"{v:.12g}"`` (``nan``, ``inf`` and ``-0`` as such;
 12 digits keep the cross-formula checks meaningful after a round trip),
 integers, ``true``/``false`` flags and unquoted text.
 
-Rows are written in blocks of ``_CHUNK_ROWS``. A full block is formatted
-with numpy array operations (``blockfmt``), a shorter one by one ``%``
-call; both give, byte for byte, ``f"{v:.12g}"`` per float cell, so a fixed
-seed yields byte-identical files.
+Rows are written in blocks of ``_CHUNK_ROWS``. A full block of number
+columns is formatted with numpy array operations (``blockfmt``), any other
+block by one ``%`` call; both give, byte for byte, ``f"{v:.12g}"`` per
+float cell, so a fixed seed yields byte-identical files.
 """
 from __future__ import annotations
 
@@ -64,15 +64,16 @@ _KINDS = {"g": ("%.12g", float), "d": ("%d", int), "s": ("%s", str),
 def _format_block(columns: Sequence[Sequence], kinds: str) -> bytes:
     """The rows of a block of equal-length column slices (arrays or lists).
 
-    A full block of ``_CHUNK_ROWS`` rows goes through ``blockfmt``. A
-    shorter one, a short table or the tail of a long one, is one ``%`` call
-    applying the row format, repeated per row, to the column slices as
-    lists: on a few hundred rows the array path saves nothing, and its code
-    and the numpy kernels it runs would add ~0.8 MB of resident memory to a
-    process that writes only short tables.
+    A full block of ``_CHUNK_ROWS`` rows whose columns are all numbers
+    (kinds "g" and "d") goes through ``blockfmt``. Any other block, a short
+    table, the tail of a long one or a block with a flag or text column, is
+    one ``%`` call applying the row format, repeated per row, to the column
+    slices as lists: on a few hundred rows the array path saves nothing, and
+    its code and the numpy kernels it runs would add ~0.8 MB of resident
+    memory to a process that writes only short tables.
     """
     m, width = len(columns[0]), len(kinds)
-    if m == _CHUNK_ROWS:
+    if m == _CHUNK_ROWS and set(kinds) <= {"g", "d"}:
         from .blockfmt import format_block  # only a process that writes a full block loads it
         return format_block(columns, kinds)
     flat: list = [None] * (m * width)

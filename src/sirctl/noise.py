@@ -169,16 +169,15 @@ class MeasuredSeries:
     copies); ``s_hat`` and ``i_hat`` are arrays of their own, or the
     trajectory's ``s`` and ``i`` when the noise kind is "none". The sigma
     columns are the per-sample noise std (zero when noise-free, a read-only
-    broadcast of one value for snr_db), or None when the series was built
-    without them. Every array is read-only.
+    broadcast of one value for snr_db). Every array is read-only.
     """
 
     t: np.ndarray
     s_hat: np.ndarray
     i_hat: np.ndarray
     u: np.ndarray
-    sigma_s: Optional[np.ndarray] = None
-    sigma_i: Optional[np.ndarray] = None
+    sigma_s: np.ndarray
+    sigma_i: np.ndarray
 
     def __post_init__(self) -> None:
         read_only(self.t, self.s_hat, self.i_hat, self.u, self.sigma_s, self.sigma_i)
@@ -189,28 +188,22 @@ class MeasuredSeries:
     @property
     def v_max_bound(self) -> float:
         """Truncation-based amplitude bound on every noise sample."""
-        if self.sigma_s is None or self.sigma_i is None:
-            raise ValueError("the amplitude bound needs the sigma columns")
         big = max(float(np.max(self.sigma_s, initial=0.0)),
                   float(np.max(self.sigma_i, initial=0.0)))
         return TRUNCATION_SIGMAS * big
 
 
-def measured_series_for(noise: MeasurementNoise, traj: Trajectory,
-                        sigma: bool = False) -> MeasuredSeries:
+def measured_series_for(noise: MeasurementNoise, traj: Trajectory) -> MeasuredSeries:
     """The per-node measurements a controller driven by this noise source saw.
 
     One array call of ``noise.measure`` over every grid node, so
     ``s_hat - s`` and ``i_hat - i`` are bitwise the offsets the loop's
-    ``offset_reader`` read at each node. The series
-    holds the trajectory's ``t`` and ``u`` by reference. ``sigma=True``
-    keeps the noise std of each sample as the sigma columns, which the
-    estimator's amplitude bound reads; a policy run's series leaves them out.
+    ``offset_reader`` read at each node. The series holds the trajectory's
+    ``t`` and ``u`` by reference, and the noise std of each sample as the
+    sigma columns, which the estimator's amplitude bound reads.
     """
     s_hat, i_hat, sigma_s, sigma_i = noise.measure(slice(0, len(traj)), traj.s, traj.i,
                                                    std=True)
-    if not sigma:
-        sigma_s = sigma_i = None
     return MeasuredSeries(t=traj.t, s_hat=s_hat, i_hat=i_hat, u=traj.u,
                           sigma_s=sigma_s, sigma_i=sigma_i)
 
@@ -219,4 +212,4 @@ def inject_noise(traj: Trajectory, config: NoiseConfig, seed: int) -> MeasuredSe
     """Sample a trajectory at every grid node under a noise model; the
     trajectory itself is the reference for SNR-mode signal power."""
     return measured_series_for(
-        MeasurementNoise.build(config, len(traj), seed, reference=traj), traj, sigma=True)
+        MeasurementNoise.build(config, len(traj), seed, reference=traj), traj)

@@ -25,7 +25,6 @@ from .analysis import (
     CumulativeCheck,
     build_cost_report,
     cumulative_infected_check,
-    grid_mismatch,
     total_cost,
 )
 from .control import (
@@ -361,32 +360,24 @@ def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
 
 
 def _cost_rows(runs: dict[str, PolicyRun], report: Optional[CostReport]) -> list[CostRow]:
-    """One row per run; the robust and optimal costs come from the report.
+    """One row per run.
 
-    Each trace is integrated once: the optimal run comes first, and a later
-    run's ``gap_direct`` is its cost minus the optimal one.
+    Each trace is integrated once by ``total_cost``; a run's ``gap_direct``
+    is its cost minus the optimal run's, NaN without an optimal run. The
+    robust row takes the three formula gaps from the report.
     """
     nan = math.nan
+    costs = {name: total_cost(run.result.trace) for name, run in runs.items()}
+    opt_cost = costs.get("optimal", nan)
     rows = []
-    opt = runs.get("optimal")
     for name, run in runs.items():
-        trace = run.result.trace
         l4 = c = c_bar = nan
         if name == "robust" and report is not None:
-            cost, direct = report.total_cost, report.gap_direct
             l4, c, c_bar = report.gap_from_states, report.gap_closed_form, report.gap_upper
-        elif name == "optimal":
-            cost = opt_cost = (total_cost(trace, warn=False) if report is None
-                               else report.optimal_cost)
-            direct = 0.0
-        else:
-            cost = total_cost(trace, warn=False)
-            aligned = opt is not None and not grid_mismatch(trace, opt.result.trace)
-            direct = cost - opt_cost if aligned else nan
-        sw = trace.switching
+        sw = run.result.trace.switching
         rows.append(CostRow(
-            policy=name, total_cost=cost, gap_direct=direct, gap_lemma4=l4,
-            gap_thm4=c, gap_upper=c_bar,
+            policy=name, total_cost=costs[name], gap_direct=costs[name] - opt_cost,
+            gap_lemma4=l4, gap_thm4=c, gap_upper=c_bar,
             t_b=nan if sw.t_b is None else sw.t_b,
             t_h=nan if sw.t_h is None else sw.t_h,
             feasible=run.result.report.feasible))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sirctl.analysis import (
+    build_cost_report,
     cumulative_infected_check,
     gap_direct,
     gap_from_states,
@@ -25,7 +26,8 @@ from sirctl.control import (
     PolicyTrace,
     SwitchingTimes,
 )
-from sirctl.core import EpidemicParams, IntegratorConfig, SirState, Trajectory, integrate
+from sirctl.core import (EpidemicParams, IntegratorConfig, SirState, Trajectory, _rk4_step,
+                         integrate)
 from sirctl.scenarios import preset, run_scenario
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
@@ -63,11 +65,6 @@ class TestTotalCost:
         u = [0.0, 0.0, 0.1, 0.1, 0.0, 0.0]
         assert total_cost(make_trace(t, u)) == pytest.approx(1.0, abs=1e-15)
 
-    def test_warns_when_unconverged_at_horizon(self):
-        trace = make_trace([0.0, 10.0], [0.1, 0.1])
-        with pytest.warns(UserWarning, match="truncated"):
-            assert total_cost(trace) == pytest.approx(1.0)
-
     @pytest.mark.parametrize("fixture", ["compare_artifacts", "fig1_noisy_artifacts",
                                          "fig1_noise_free_artifacts"])
     def test_within_ulps_of_the_spliced_rows(self, request, fixture):
@@ -75,7 +72,7 @@ class TestTotalCost:
         for run in request.getfixturevalue(fixture).runs.values():
             trace = run.result.trace
             ref = float(np.trapezoid(trace.u, trace.t))
-            assert abs(total_cost(trace, warn=False) - ref) <= 4 * np.spacing(ref)
+            assert abs(total_cost(trace) - ref) <= 4 * np.spacing(ref)
 
     def test_switch_row_groups_and_first_row(self):
         # switch rows before node 0, a group of three between two nodes and a
@@ -86,7 +83,7 @@ class TestTotalCost:
                                      (5, 4.5, 0.0, 1, 0.0, 0.0), (5, 4.5, 0.2, 2, 0.0, 0.0),
                                      (5, 4.5, 0.1, 2, 0.0, 0.0), (8, 7.5, 0.3, 2, 0.0, 0.0)))
         assert len(trace.t) == 16
-        assert total_cost(trace, warn=False) == pytest.approx(
+        assert total_cost(trace) == pytest.approx(
             float(np.trapezoid(trace.u, trace.t)), rel=1e-15)
 
     def test_allocates_less_than_two_columns(self):
@@ -98,7 +95,7 @@ class TestTotalCost:
                                      (500, 4.995, 0.0, 3, 0.0, 0.0)))
         tracemalloc.start()
         try:
-            total_cost(trace, warn=False)
+            total_cost(trace)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -134,6 +131,15 @@ class TestGapDirect:
                 gap_direct(*pair)
         with pytest.raises(ValueError, match="at the start"):
             gap_direct(replace(a, node_t=a.node_t + 1.0), b)
+
+    @pytest.mark.parametrize("t_other, where", [([0.0, 12.0], "end"), ([1.0, 10.0], "start")])
+    def test_cost_report_rejects_traces_on_different_grids(self, t_other, where):
+        # the report writes gap_direct, so it raises where gap_direct does
+        a, b = make_trace([0.0, 10.0], [0.0, 0.0]), make_trace(t_other, [0.0, 0.0])
+        traj = make_traj([0.0, 10.0], [0.9, 0.9], [0.01, 0.01])
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match=f"grids disagree at the {where}"):
+                build_cost_report(pair[0], traj, pair[1], traj, PARAMS, 0.168, 0.03)
 
 
 class TestGridMismatch:
@@ -173,26 +179,34 @@ class TestStateOnGrid:
                                   + [getattr(parts[-1], c)]) for c in "tsiru"}
         return Trajectory(**cols, step=0.01, params=PARAMS)
 
-    def test_equals_state_at_per_time(self, traj):
+    def test_node_values_on_a_node_one_sub_step_between(self, traj):
+        # a time within 1e-12 below a node reads that node; any later time
+        # before the next node is one RK4 step from the node, bit for bit
+        def bits(state):
+            return np.array(state, dtype=float).tobytes()
+
+        beta, gamma = PARAMS.beta, PARAMS.gamma
+        assert traj.u[3500] == 0.1
         rng = np.random.default_rng(0)
-        grid = np.concatenate([rng.uniform(0.0, 150.0, 2000), traj.t[::7],
-                               traj.t[::11] + 1e-13, traj.t[1::13] - 1e-13,
-                               traj.t[2::17] + 9e-13, traj.t[3::19] - 9e-13,
-                               [150.0 + 5e-10]])
-        expected = np.array([traj.state_at(float(tq)) for tq in grid]).T
-        got = traj.state_at(grid)
-        assert traj.u[3500] == 0.1 and len(got) == 3
-        for column, want in zip(got, expected):
-            assert np.array_equal(column.view(np.int64), want.view(np.int64))
+        for k in [0, 3500, len(traj) - 1, *rng.integers(0, len(traj) - 1, 300).tolist()]:
+            t_k, node = float(traj.t[k]), (float(traj.s[k]), float(traj.i[k]),
+                                           float(traj.r[k]))
+            for time in (t_k, t_k - 9e-13):
+                assert bits(traj.state_at(time)) == bits(node)
+            after = [t_k + 5e-10] if k == len(traj) - 1 else [
+                t_k + 1e-13, t_k + rng.uniform(0.001, 0.009)]
+            for time in after:
+                step = _rk4_step(*node, beta, gamma, float(traj.u[k]), time - t_k)
+                assert bits(traj.state_at(time)) == bits(step)
 
     @pytest.mark.parametrize("times, first", [([-1.0], "-1.0"),
                                               ([10.0, 150.1, 151.0], "150.1"),
                                               ([10.0, math.nan, 151.0], "nan")])
     def test_time_outside_range_names_the_first(self, traj, times, first):
+        # looked up one at a time, the first time outside the grid raises
         with pytest.raises(ValueError, match=f"time {first} outside trajectory range"):
-            traj.state_at(np.array(times))
-        with pytest.raises(ValueError, match=f"time {first} outside trajectory range"):
-            traj.state_at(times[0] if len(times) == 1 else times[1])
+            for time in times:
+                traj.state_at(time)
 
 
 class TestGapFromStates:
@@ -210,6 +224,40 @@ class TestGapFromStates:
         opt = make_traj(t, np.full_like(t, 0.89), np.full_like(t, 0.01))
         times = SwitchingTimes(t_b=5.0, t_h=15.0)
         assert gap_from_states(rob, opt, 0.16, times) == pytest.approx(0.016, abs=1e-12)
+
+    @pytest.mark.parametrize("on_nodes", [False, True], ids=["between", "on"])
+    def test_integrates_the_run_nodes(self, on_nodes):
+        # beta*trapezoid of S - S* over [t_b, the nodes inside, t_h], bit for
+        # bit, with the run's own node values and one state_at at each end;
+        # the nodes are off the multiples of the step
+        t = 0.05 + 0.1 * np.arange(201)
+        t_b, t_h = (float(t[50]), float(t[150])) if on_nodes else (5.03, 14.97)
+        rob = make_traj(t, 0.9 - 0.01 * np.sin(t), 0.01 + 0.001 * np.cos(t))
+        opt = make_traj(t, 0.89 - 0.02 * np.sin(t), 0.012 + 0.001 * np.sin(t))
+        inside = (t > t_b) & (t < t_h)
+        grid = np.concatenate(([t_b], t[inside], [t_h]))
+
+        def susceptible(traj):
+            return np.concatenate(([traj.state_at(t_b)[0]], traj.s[inside],
+                                   [traj.state_at(t_h)[0]]))
+
+        want = float(0.16 * np.trapezoid(susceptible(rob) - susceptible(opt), grid)
+                     - math.log(rob.state_at(t_h)[1]) + math.log(opt.state_at(t_h)[1]))
+        assert len(grid) == (101 if on_nodes else 102)
+        got = gap_from_states(rob, opt, 0.16, SwitchingTimes(t_b=t_b, t_h=t_h))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("grid", [np.arange(0.0, 20.0, 0.1), np.arange(0.1, 20.15, 0.1),
+                                      np.arange(0.0, 20.25, 0.1)],
+                             ids=["shorter", "later-start", "longer"])
+    def test_rejects_runs_on_different_grids(self, grid):
+        t = np.arange(0.0, 20.1, 0.1)
+        traj = make_traj(t, np.full_like(t, 0.9), np.full_like(t, 0.01))
+        other = make_traj(grid, np.full_like(grid, 0.9), np.full_like(grid, 0.01))
+        times = SwitchingTimes(t_b=5.0, t_h=15.0)
+        for pair in ((traj, other), (other, traj)):
+            with pytest.raises(ValueError, match="different grids"):
+                gap_from_states(*pair, 0.16, times)
 
     def test_rejects_vanishing_infection(self):
         t = np.arange(0.0, 20.1, 0.1)

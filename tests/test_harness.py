@@ -154,7 +154,7 @@ class TestInjectNoise:
                                               enumerate(zip(traj.s.tolist(), traj.i.tolist()))])
                 assert (written["S_meas"] - traj.s).tobytes() == reads[False][:, 0].tobytes()
                 assert (written["I_meas"] - traj.i).tobytes() == reads[False][:, 1].tobytes()
-            series = measured_series_for(noise, traj, sigma=True)
+            series = measured_series_for(noise, traj)
             assert series.s_hat.tobytes() == written["S_meas"].tobytes()
             assert series.i_hat.tobytes() == written["I_meas"].tobytes()
             # the sigma columns: a slice of epochs reads as their index array
