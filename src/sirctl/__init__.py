@@ -5,7 +5,6 @@ from .analysis import (
     CumulativeCheck,
     build_cost_report,
     cumulative_infected_check,
-    gap_direct,
     gap_from_states,
     gap_closed_form,
     total_cost,

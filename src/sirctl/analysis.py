@@ -1,11 +1,12 @@
 """Cost functionals and optimality-gap accounting for matched policy runs.
 
-The objective is the cumulative isolation rate, the integral of u over time.
-The extra cost of a robust run over the matched optimal run can be computed
-three ways that must agree: directly as the integral of the rate difference,
-through the state-based identity (the rate inversion u = -(1/I) dI/dt +
-beta*S - gamma integrates to a susceptible-gap term plus log-infection
-terms), and through the piecewise closed form built from the robust
+The objective is the cumulative isolation rate, the integral of u over time
+(``total_cost``). The extra cost of a robust run over the matched optimal run,
+``gap_direct``, is the difference of the two integrals; the cost rows
+(``scenarios._cost_rows``) integrate each run once and form it. Two formulas
+here must agree with it: the state-based identity (the rate inversion
+u = -(1/I) dI/dt + beta*S - gamma integrates to a susceptible-gap term plus
+log-infection terms), and the piecewise closed form built from the robust
 envelope, which also yields an endpoint-only upper bound.
 """
 from __future__ import annotations
@@ -18,18 +19,19 @@ from operator import itemgetter
 import numpy as np
 
 from .core import EpidemicParams, Trajectory
-from .control import PolicyTrace, SwitchingTimes
+from .control import AssumedRates, ClosedLoopResult, PolicyTrace, SwitchingTimes
 
 _MIN_INFECTION = 1e-12
+_CUMULATIVE_TOL = 1e-6  # I+R may exceed I*+R* by this much
 
 
 @dataclass(frozen=True)
 class CostReport:
-    """Costs and cross-checked optimality gaps for a robust/optimal pair."""
+    """The formula gaps of a robust/optimal pair, which check its ``gap_direct``.
 
-    total_cost: float  # robust run
-    optimal_cost: float
-    gap_direct: float
+    NaN where ``build_cost_report`` says a formula does not apply.
+    """
+
     gap_from_states: float
     gap_closed_form: float
     gap_upper: float
@@ -68,34 +70,6 @@ def total_cost(trace: PolicyTrace) -> float:
                     for (t0, u0), (t1, u1) in zip(pts, pts[1:]))
         lo = at
     return float(cost + np.trapezoid(u[lo:], t[lo:]))
-
-
-def grid_mismatch(trace_a: PolicyTrace, trace_b: PolicyTrace) -> str:
-    """Why the rates of two traces cannot be compared; empty if they can.
-
-    The starts and the ends must agree. Only node values are read: a switch
-    row never comes last, and one that comes first is at the first node's
-    time.
-    """
-    t_a, t_b = trace_a.node_t, trace_b.node_t
-    for a, b, what in ((t_a[0], t_b[0], "start"), (t_a[-1], t_b[-1], "end")):
-        if abs(a - b) > 1e-9 * max(1.0, abs(float(b))):
-            return f"trace grids disagree at the {what}: {a} vs {b}"
-    return ""
-
-
-def gap_direct(trace_robust: PolicyTrace, trace_optimal: PolicyTrace) -> float:
-    """Integral of the pointwise rate difference over the common horizon.
-
-    Both traces duplicate their switch nodes, so integrating each on its own
-    grid and subtracting equals the integral of the difference exactly (the
-    rates are piecewise linear between duplicated nodes). The traces must
-    span the same horizon (``grid_mismatch``).
-    """
-    mismatch = grid_mismatch(trace_robust, trace_optimal)
-    if mismatch:
-        raise ValueError(mismatch)
-    return total_cost(trace_robust) - total_cost(trace_optimal)
 
 
 def _nodes_between(t: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, slice]:
@@ -149,7 +123,7 @@ def gap_from_states(traj_robust: Trajectory, traj_optimal: Trajectory,
 
 
 def theorem4_order(times_robust: SwitchingTimes, times_optimal: SwitchingTimes) -> bool:
-    """Whether t_b <= t*_b <= t*_h <= t_h (to 1e-9), the order Theorem 4 assumes.
+    """Whether t_b <= t*_b <= t*_h <= t_h, the order Theorem 4 assumes.
 
     It holds when the robust plan overestimates the epidemic; with a
     planned gamma above the truth or a beta below it, the robust run can,
@@ -157,7 +131,7 @@ def theorem4_order(times_robust: SwitchingTimes, times_optimal: SwitchingTimes) 
     """
     tb_h, th_h = times_robust.t_b, times_robust.t_h
     tb_s, th_s = times_optimal.t_b, times_optimal.t_h
-    return tb_h <= tb_s + 1e-9 and tb_s <= th_s and th_s <= th_h + 1e-9
+    return tb_h <= tb_s <= th_s <= th_h
 
 
 def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
@@ -206,7 +180,7 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
 
 
 def cumulative_infected_check(traj_robust: Trajectory, traj_optimal: Trajectory,
-                              t_h_star: float, tol: float = 1e-6) -> CumulativeCheck:
+                              t_h_star: float) -> CumulativeCheck:
     """Verify I+R <= I*+R* (equivalently S >= S*) for all t up to t*_h.
 
     The runs are compared node by node, so they must share one grid: a
@@ -217,38 +191,27 @@ def cumulative_infected_check(traj_robust: Trajectory, traj_optimal: Trajectory,
     cum_robust = traj_robust.i[mask] + traj_robust.r[mask]
     cum_optimal = traj_optimal.i[mask] + traj_optimal.r[mask]
     worst = float(np.max(cum_robust - cum_optimal, initial=-math.inf))
-    return CumulativeCheck(max_violation=worst, ok=bool(worst <= tol))
+    return CumulativeCheck(max_violation=worst, ok=bool(worst <= _CUMULATIVE_TOL))
 
 
-def build_cost_report(robust_trace: PolicyTrace, robust_traj: Trajectory,
-                      optimal_trace: PolicyTrace, optimal_traj: Trajectory,
-                      true_params: EpidemicParams, beta_max: float,
-                      gamma_min: float) -> CostReport:
-    """Assemble the full cost/gap report for one matched pair of runs.
+def build_cost_report(robust: ClosedLoopResult, optimal: ClosedLoopResult,
+                      true_params: EpidemicParams, assumed: AssumedRates) -> CostReport:
+    """The formula gaps of one matched pair of runs, planned with ``assumed``.
 
-    The runs must span the same horizon: traces whose grids disagree
-    (``grid_mismatch``) raise ValueError, as ``gap_direct`` does, and so do
-    trajectories on different grids. ``gap_direct`` is then exact. The
-    other gap formulas need all four switching times; when a herd condition
-    never fired within the horizon they are NaN, and the total costs and
-    ``gap_direct`` are integrals truncated at the horizon.
-    The closed form and its bound (``gap_closed_form``, ``gap_upper``) also
-    need Theorem 4's order t_b <= t*_b <= t*_h <= t_h (``theorem4_order``)
-    and are NaN when the four times break it.
+    The runs must share one grid (a different one raises ValueError). The
+    formulas need all four switching times; when a herd condition never
+    fired within the horizon they are NaN. The closed form and its bound
+    (``gap_closed_form``, ``gap_upper``) also need Theorem 4's order
+    t_b <= t*_b <= t*_h <= t_h (``theorem4_order``) and are NaN when the
+    four times break it.
     """
-    mismatch = grid_mismatch(robust_trace, optimal_trace)
-    if mismatch:
-        raise ValueError(mismatch)
-    cost_r = total_cost(robust_trace)
-    cost_o = total_cost(optimal_trace)
-    nan = float("nan")
-    l4 = c = c_bar = nan
-    if robust_trace.switching.complete and optimal_trace.switching.complete:
-        l4 = gap_from_states(robust_traj, optimal_traj, true_params.beta,
-                        robust_trace.switching)
-        if theorem4_order(robust_trace.switching, optimal_trace.switching):
-            c, c_bar = gap_closed_form(robust_trace, beta_max, gamma_min,
-                                true_params.beta, true_params.gamma, optimal_traj,
-                                optimal_trace.switching)
-    return CostReport(total_cost=cost_r, optimal_cost=cost_o, gap_direct=cost_r - cost_o,
-                      gap_from_states=l4, gap_closed_form=c, gap_upper=c_bar)
+    _require_same_grid(robust.trajectory, optimal.trajectory)
+    times_r, times_o = robust.trace.switching, optimal.trace.switching
+    l4 = c = c_bar = math.nan
+    if times_r.complete and times_o.complete:
+        l4 = gap_from_states(robust.trajectory, optimal.trajectory, true_params.beta, times_r)
+        if theorem4_order(times_r, times_o):
+            c, c_bar = gap_closed_form(robust.trace, assumed.beta, assumed.gamma,
+                                       true_params.beta, true_params.gamma,
+                                       optimal.trajectory, times_o)
+    return CostReport(gap_from_states=l4, gap_closed_form=c, gap_upper=c_bar)

@@ -348,9 +348,7 @@ def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
     report, cumulative = None, None
     if "robust" in runs and "optimal" in runs:
         rob, opt = runs["robust"], runs["optimal"]
-        report = build_cost_report(
-            rob.result.trace, rob.result.trajectory, opt.result.trace,
-            opt.result.trajectory, config.params, rob.assumed.beta, rob.assumed.gamma)
+        report = build_cost_report(rob.result, opt.result, config.params, rob.assumed)
         if opt.result.trace.switching.t_h is not None:
             cumulative = cumulative_infected_check(
                 rob.result.trajectory, opt.result.trajectory,
@@ -360,11 +358,13 @@ def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
 
 
 def _cost_rows(runs: dict[str, PolicyRun], report: Optional[CostReport]) -> list[CostRow]:
-    """One row per run.
+    """One row per run; the one place that integrates costs and forms ``gap_direct``.
 
     Each trace is integrated once by ``total_cost``; a run's ``gap_direct``
-    is its cost minus the optimal run's, NaN without an optimal run. The
-    robust row takes the three formula gaps from the report.
+    is its cost minus the optimal run's, NaN without an optimal run. Every
+    run spans the optimal run's grid (``_shared_stage_one`` raises
+    otherwise), so the difference needs no grid check. The robust row takes
+    the three formula gaps from the report.
     """
     nan = math.nan
     costs = {name: total_cost(run.result.trace) for name, run in runs.items()}

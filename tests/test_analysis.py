@@ -5,23 +5,25 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sirctl import analysis, scenarios
 from sirctl.analysis import (
     build_cost_report,
     cumulative_infected_check,
-    gap_direct,
     gap_from_states,
     gap_closed_form,
-    grid_mismatch,
     total_cost,
 )
 from sirctl.control import (
     AssumedRates,
+    ClosedLoopResult,
+    FeasibilityReport,
     PolicyKind,
     PolicyTrace,
     SwitchingTimes,
@@ -31,6 +33,8 @@ from sirctl.core import (EpidemicParams, IntegratorConfig, SirState, Trajectory,
 from sirctl.scenarios import preset, run_scenario
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
+REPORT = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan, u_max=0.2,
+                           max_infection_attained=0.01, clamp_events=0, i_bar=0.01)
 
 
 def make_trace(t, u, kind=PolicyKind.OPTIMAL, switching=SwitchingTimes(),
@@ -54,16 +58,28 @@ def make_traj(t, s, i, u=None):
                       step=float(t[1] - t[0]), params=PARAMS)
 
 
+def make_run(t, s, i, switching=SwitchingTimes()):
+    """A run at rate zero whose consumed susceptible signal is its true S."""
+    trace = make_trace(t, np.zeros(len(t)), switching=switching, s_seen=s)
+    return ClosedLoopResult(make_traj(t, s, i), trace, REPORT)
+
+
+def robust_and_optimal_rows(art):
+    rows = {row.policy: row for row in art.cost_rows}
+    return rows["robust"], rows["optimal"]
+
+
 class TestTotalCost:
     def test_zero_rate_costs_nothing(self):
         trace = make_trace([0.0, 10.0, 20.0], [0.0, 0.0, 0.0])
         assert total_cost(trace) == 0.0
 
     def test_rectangle_pulse(self):
-        # piecewise-constant 0.1 on [10, 20]: stage switches are duplicated nodes
-        t = [0.0, 10.0, 10.0, 20.0, 20.0, 30.0]
-        u = [0.0, 0.0, 0.1, 0.1, 0.0, 0.0]
-        assert total_cost(make_trace(t, u)) == pytest.approx(1.0, abs=1e-15)
+        # piecewise-constant pulses: stage switches are duplicated nodes
+        for (on, off), rate in (((10.0, 20.0), 0.1), ((10.0, 20.0), 0.2), ((12.0, 18.0), 0.1)):
+            t = [0.0, on, on, off, off, 30.0]
+            u = [0.0, 0.0, rate, rate, 0.0, 0.0]
+            assert total_cost(make_trace(t, u)) == pytest.approx(rate * (off - on), abs=1e-15)
 
     @pytest.mark.parametrize("fixture", ["compare_artifacts", "fig1_noisy_artifacts",
                                          "fig1_noise_free_artifacts"])
@@ -103,68 +119,70 @@ class TestTotalCost:
 
 
 class TestGapDirect:
-    def test_identical_traces_have_zero_gap(self):
-        trace = make_trace([0.0, 5.0, 10.0], [0.0, 0.1, 0.0])
-        assert gap_direct(trace, trace) == 0.0
+    def test_formed_once_from_one_cost_per_run(self, monkeypatch):
+        # one cost path: each run's trace is integrated once, by the cost
+        # rows, and the analysis module integrates none
+        calls = Counter()
 
-    def test_rectangle_difference(self):
-        a = make_trace([0.0, 10.0, 10.0, 20.0, 20.0, 30.0],
-                       [0.0, 0.0, 0.2, 0.2, 0.0, 0.0])
-        b = make_trace([0.0, 12.0, 12.0, 18.0, 18.0, 30.0],
-                       [0.0, 0.0, 0.1, 0.1, 0.0, 0.0])
-        assert gap_direct(a, b) == pytest.approx(0.2 * 10 - 0.1 * 6, abs=1e-12)
+        def spy(module):
+            real = module.total_cost
 
-    def test_grid_mismatch_rejected(self):
-        a = make_trace([0.0, 10.0], [0.0, 0.0])
-        b = make_trace([0.0, 12.0], [0.0, 0.0])
-        with pytest.raises(ValueError, match="grids disagree"):
-            gap_direct(a, b)
+            def counting(trace):
+                calls[module.__name__] += 1
+                return real(trace)
 
-    def test_ends_differ_rejected_also_at_rate_zero_in_stage_three(self):
-        # a trace that ends in stage 3 at rate zero, against a longer one:
-        # every run spans its scenario's grid, so the horizons must agree
-        a = make_trace([0.0, 5.0, 5.0, 8.0, 8.0, 10.0], [0.0, 0.0, 0.1, 0.1, 0.0, 0.0])
-        a = replace(a, node_stage=np.array([1, 1, 2, 2, 3, 3], dtype=np.int8))
-        b = make_trace([0.0, 12.0], [0.1, 0.1])
-        for pair in ((a, b), (b, a)):
-            with pytest.raises(ValueError, match="at the end: "):
-                gap_direct(*pair)
-        with pytest.raises(ValueError, match="at the start"):
-            gap_direct(replace(a, node_t=a.node_t + 1.0), b)
+            monkeypatch.setattr(module, "total_cost", counting)
+
+        spy(scenarios)
+        spy(analysis)
+        cfg = replace(preset("policy-compare"), name="compare-small",
+                      integrator=IntegratorConfig(step=0.01, horizon=250.0))
+        art = run_scenario(cfg)
+        assert set(art.runs) == {"optimal", "robust", "misestimated"}
+        assert calls == {"sirctl.scenarios": 3}
+        opt_cost = robust_and_optimal_rows(art)[1].total_cost
+        for row in art.cost_rows:
+            assert row.gap_direct == row.total_cost - opt_cost
 
     @pytest.mark.parametrize("t_other, where", [([0.0, 12.0], "end"), ([1.0, 10.0], "start")])
     def test_cost_report_rejects_traces_on_different_grids(self, t_other, where):
-        # the report writes gap_direct, so it raises where gap_direct does
-        a, b = make_trace([0.0, 10.0], [0.0, 0.0]), make_trace(t_other, [0.0, 0.0])
-        traj = make_traj([0.0, 10.0], [0.9, 0.9], [0.01, 0.01])
+        # gap_direct is formed without a check of its own, since the runs of
+        # a scenario share one grid; the report of the pair is where runs
+        # whose grids differ at the start or the end raise
+        a = make_run([0.0, 10.0], [0.9, 0.9], [0.01, 0.01])
+        b = make_run(t_other, [0.9, 0.9], [0.01, 0.01])
         for pair in ((a, b), (b, a)):
-            with pytest.raises(ValueError, match=f"grids disagree at the {where}"):
-                build_cost_report(pair[0], traj, pair[1], traj, PARAMS, 0.168, 0.03)
+            with pytest.raises(ValueError, match="runs on different grids"):
+                build_cost_report(*pair, PARAMS, AssumedRates(0.168, 0.03))
 
 
-class TestGridMismatch:
+class TestTraceEnds:
     @pytest.mark.parametrize("fixture", ["compare_artifacts", "fig1_noisy_artifacts"])
     def test_node_ends_are_the_row_ends(self, request, fixture):
-        # grid_mismatch reads only node columns: a switch row is never the
-        # last row, and one at position 0 has the first node's time
+        # total_cost relies on this: a switch row is never the last row, and
+        # one at position 0 has the first node's time
         for run in request.getfixturevalue(fixture).runs.values():
             trace = run.result.trace
             assert trace.switch_rows
             assert (trace.t[0], trace.t[-1]) == (trace.node_t[0], trace.node_t[-1])
             assert (trace.u[-1], trace.stage[-1]) == (trace.node_u[-1], trace.node_stage[-1])
 
-    def test_allocates_less_than_one_column(self):
-        n = 120_000
-        a = replace(make_trace(np.arange(n) * 0.01, np.zeros(n)),
-                    switch_rows=((0, 0.0, 0.0, 1, 0.0, 0.0), (500, 4.995, 0.1, 2, 0.0, 0.0)))
-        b = replace(a, switch_rows=((700, 6.995, 0.1, 2, 0.0, 0.0),))
-        tracemalloc.start()
-        try:
-            assert grid_mismatch(a, b) == ""
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < a.node_t.nbytes
+
+class TestBuildCostReport:
+    @pytest.mark.parametrize("robust_times", [SwitchingTimes(t_b=5.0 + 5e-10, t_h=15.0),
+                                              SwitchingTimes(t_b=5.0, t_h=15.0 - 5e-10)],
+                             ids=["t_b-after-optimal", "t_h-before-optimal"])
+    def test_order_broken_by_half_a_nanosecond_gives_nan(self, robust_times):
+        # Theorem 4's order is tested exactly, as the closed form integrates
+        # it: a robust t_b just after t*_b, or t_h just before t*_h, makes
+        # the closed form and its bound NaN, not an inverted segment
+        t = np.arange(0.0, 20.1, 0.1)
+        s, i = np.full_like(t, 0.9), np.full_like(t, 0.01)
+        robust = make_run(t, s, i, robust_times)
+        optimal = make_run(t, s, i, SwitchingTimes(t_b=5.0, t_h=15.0))
+        report = build_cost_report(robust, optimal, PARAMS, AssumedRates(0.168, 0.03))
+        assert math.isnan(report.gap_closed_form) and math.isnan(report.gap_upper)
+        assert math.isfinite(report.gap_from_states)
 
 
 class TestStateOnGrid:
@@ -313,20 +331,22 @@ class TestGapClosedForm:
 class TestCrossFormulaConsistency:
     def test_three_way_agreement_noise_free(self, fig1_noise_free_artifacts):
         cr = fig1_noise_free_artifacts.cost_report
-        assert cr.gap_direct > 0.0
-        assert abs(cr.gap_direct - cr.gap_from_states) / cr.gap_direct <= 1e-3
-        assert abs(cr.gap_direct - cr.gap_closed_form) / cr.gap_direct <= 1e-3
+        direct = robust_and_optimal_rows(fig1_noise_free_artifacts)[0].gap_direct
+        assert direct > 0.0
+        assert abs(direct - cr.gap_from_states) / direct <= 1e-3
+        assert abs(direct - cr.gap_closed_form) / direct <= 1e-3
         assert cr.gap_closed_form <= cr.gap_upper + 1e-6
 
     def test_three_way_agreement_with_noise(self, fig1_noisy_artifacts):
         cr = fig1_noisy_artifacts.cost_report
-        assert abs(cr.gap_direct - cr.gap_from_states) / cr.gap_direct <= 1e-3
-        assert abs(cr.gap_direct - cr.gap_closed_form) / cr.gap_direct <= 1e-3
+        direct = robust_and_optimal_rows(fig1_noisy_artifacts)[0].gap_direct
+        assert abs(direct - cr.gap_from_states) / direct <= 1e-3
+        assert abs(direct - cr.gap_closed_form) / direct <= 1e-3
 
     def test_costs_ordered(self, fig1_noisy_artifacts):
-        cr = fig1_noisy_artifacts.cost_report
-        assert cr.total_cost >= cr.optimal_cost
-        assert cr.gap_direct >= -1e-6
+        robust, optimal = robust_and_optimal_rows(fig1_noisy_artifacts)
+        assert robust.total_cost >= optimal.total_cost
+        assert robust.gap_direct >= -1e-6
 
     def test_robust_envelope_feeds_closed_form(self, fig1_noisy_artifacts):
         art = fig1_noisy_artifacts
@@ -363,6 +383,16 @@ class TestCumulativeCheck:
         out = cumulative_infected_check(bad, good, t_h_star=8.0)
         assert out.max_violation == pytest.approx(0.02, abs=1e-12)
         assert not out.ok
+
+    @pytest.mark.parametrize("excess, ok", [(5e-7, True), (2e-6, False)],
+                             ids=["below-1e-6", "above-1e-6"])
+    def test_tolerance_is_1e_6(self, excess, ok):
+        t = np.arange(0.0, 10.1, 0.1)
+        good = make_traj(t, np.full_like(t, 0.9), np.full_like(t, 0.01))
+        bad = make_traj(t, np.full_like(t, 0.9 - excess), np.full_like(t, 0.01))
+        out = cumulative_infected_check(bad, good, t_h_star=8.0)
+        assert out.max_violation == pytest.approx(excess, rel=1e-9)
+        assert out.ok is ok
 
     @pytest.mark.parametrize("grid", [np.arange(0.0, 10.0, 0.1), np.arange(0.1, 10.15, 0.1),
                                       np.arange(0.0, 10.25, 0.1)],

@@ -337,6 +337,17 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             replace(preset("fig1"), i_bar=0.0)
 
+    def test_readme_library_use_runs(self, fig1_noisy_artifacts, capsys):
+        # the README's "Library use" block runs as written and prints the
+        # fig1 robust run's gap_direct and gap_upper
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        section = text[text.index("## Library use"):]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        exec(compile(code, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        robust = next(row for row in fig1_noisy_artifacts.cost_rows if row.policy == "robust")
+        assert printed[-1] == f"{robust.gap_direct} {fig1_noisy_artifacts.cost_report.gap_upper}"
+
 
 class TestGapTable:
     PAIRS = [(1.02, 0.98), (1.1, 0.9)]  # the second never reaches its herd condition
