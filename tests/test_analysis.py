@@ -30,7 +30,7 @@ from sirctl.control import (
 )
 from sirctl.core import (EpidemicParams, IntegratorConfig, SirState, Trajectory, _rk4_step,
                          integrate)
-from sirctl.scenarios import preset, run_scenario
+from sirctl.scenarios import PolicyRun, preset, run_scenario
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 REPORT = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan, u_max=0.2,
@@ -143,6 +143,19 @@ class TestGapDirect:
         opt_cost = robust_and_optimal_rows(art)[1].total_cost
         for row in art.cost_rows:
             assert row.gap_direct == row.total_cost - opt_cost
+
+    def test_rectangle_difference(self):
+        # gap_direct is the difference of the two cost integrals, the
+        # optimal run's taken from each row's own
+        a = make_trace([0.0, 10.0, 10.0, 20.0, 20.0, 30.0],
+                       [0.0, 0.0, 0.2, 0.2, 0.0, 0.0], kind=PolicyKind.ROBUST)
+        b = make_trace([0.0, 12.0, 12.0, 18.0, 18.0, 30.0],
+                       [0.0, 0.0, 0.1, 0.1, 0.0, 0.0])
+        runs = {name: PolicyRun(trace.kind, ClosedLoopResult(None, trace, REPORT), None, None)
+                for name, trace in (("robust", a), ("optimal", b))}
+        rows = {row.policy: row for row in scenarios._cost_rows(runs, None)}
+        assert rows["robust"].gap_direct == pytest.approx(0.2 * 10 - 0.1 * 6, abs=1e-12)
+        assert rows["optimal"].gap_direct == 0.0
 
     @pytest.mark.parametrize("t_other, where", [([0.0, 12.0], "end"), ([1.0, 10.0], "start")])
     def test_cost_report_rejects_traces_on_different_grids(self, t_other, where):
