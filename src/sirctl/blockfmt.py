@@ -6,16 +6,20 @@ becomes a fixed-width template, NUL where it has no character, and the
 block is joined with its NULs dropped.
 
 A number of magnitude in ``[1e-10, 1e11)`` is rounded to 12 significant
-digits exactly: Dekker's two-product gives ``|v| * 10**k`` as an exact sum
-of two doubles, so its rounding to an integer, ties to even, is the
-correctly rounded decimal that CPython's ``%.12g`` prints (Gay's
-conversion). Its digits come from a table of digit pairs, and the notation
-follows ``%g``: fixed for exponents -4 to 11 (a value just under 1e11 may
-round up to 100000000000), else ``d.ddde-XX``, with trailing zeros and a
-bare point dropped. Zeros, ``-0`` among them, are written by the same pass;
-other numbers (nan, inf and magnitudes outside the range) take one ``%``
-call each. An integer cell below 1e11 takes the float path: such an
-integer is an exact double, which ``%.12g`` prints as ``%d`` does.
+digits exactly, ties to even: the correctly rounded decimal that CPython's
+``%.12g`` prints (Gay's conversion). The one product ``hi = |v| * 10**k``
+decides the rounding of every cell whose ``hi`` is not a half-integer,
+since rounding to nearest cannot carry a product across a half-integer
+that is itself a double (``_scaled``). A cell whose ``hi`` is one, an exact
+or a near tie, is decided by Dekker's two-product, which gives the exact
+product as the sum of two doubles. The 12 digits come four at a time from
+a table of "d.d.d.d." words, and the notation follows ``%g``: fixed for
+exponents -4 to 11 (a value just under 1e11 may round up to
+100000000000), else ``d.ddde-XX``, with trailing zeros and a bare point
+dropped. Zeros, ``-0`` among them, are written by the same pass; other
+numbers (nan, inf and magnitudes outside the range) take one ``%`` call
+each. An integer cell below 1e11 takes the float path: such an integer is
+an exact double, which ``%.12g`` prints as ``%d`` does.
 """
 from __future__ import annotations
 
@@ -41,19 +45,41 @@ _LEAD = _table([(sign + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")).ljust
                 for sign in (b"\0", b"-") for x in range(-10, 12)], np.uint64)
 _EXPONENT = _table([b"e-%02d" % -x if x < -4 else b"\0" * 4 for x in range(-10, 12)],
                    np.uint32)  # by x + 10
-_PAIRS = _table([bytes([48 + k // 10, 46, 48 + k % 10, 46]) for k in range(100)], np.uint32)
-# by (pair h, the pair): 1 + the place of the pair's last nonzero digit, 0 if none
-_LAST = np.array([[0] + [2 * h + 1 + (k % 10 != 0) for k in range(1, 100)]
-                  for h in range(6)], np.int8)
-# by x + 10: the place of the digit the point may follow, -1 where the
-# lead holds the point
-_PLACE = np.array([0] * 6 + [-1] * 4 + list(range(12)))
-# by word and 13 * (the last digit kept) + (1 + the digit the point follows,
-# 0 if none): the digit words' mask
-_KEEP = _table([bytes(255 * (j % 2 == 0 and j // 2 <= k or j == 2 * p - 1) for j in range(24))
-                for k in range(12) for p in range(13)], np.uint64).reshape(-1, 3).T.copy()
 _ZERO = _table([(sign + b"\0" * 7 + b"0").ljust(_CELL, b"\0") for sign in (b"\0", b"-")],
                np.uint64).reshape(2, 5)  # "0" and "-0"
+
+
+def _groups() -> tuple[np.ndarray, np.ndarray]:
+    """By a group g of four digits: its word "d.d.d.d.", and, by (the
+    group's place h in N, g), where ``_KEEP``'s row for the place in N of
+    the group's last nonzero digit starts, 0 if it has none (N's first
+    group has one)."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # g's, first to last
+    text = np.full((10**4, 8), ord("."), np.uint8)
+    text[:, ::2] = digits + ord("0")
+    last = np.max((digits != 0) * np.arange(1, 5, dtype=np.int16), axis=1)  # 0 if none
+    place = np.where(last > 0, last - 1 + 4 * np.arange(3, dtype=np.int16)[:, None], 0)
+    return text.view(np.uint64)[:, 0], 22 * place
+
+
+def _keep() -> np.ndarray:
+    """By word and 22 * (the place of N's last nonzero digit) + x + 10: the
+    digit words' mask. N's digits are kept up to its last nonzero one or
+    to the one at place 10**0, whichever is later; the point follows that
+    one if a digit is kept after it."""
+    x = np.arange(-10, 12)
+    # the place of the digit the point may follow; -1 where the lead holds it
+    place = np.where(x < -4, 0, np.where(x < 0, -1, x))
+    last = np.arange(12)[:, None]
+    kept = np.maximum(last, place)
+    point = np.where(place < last, 2 * place + 1, -1)  # the byte of the point
+    j = np.arange(24)
+    mask = (j % 2 == 0) & (j // 2 <= kept[..., None]) | (j == point[..., None])
+    return (mask * np.uint8(255)).view(np.uint64).reshape(-1, 3).T.copy()
+
+
+_QUADS, _LAST_ROW = _groups()
+_KEEP = _keep()
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
@@ -63,22 +89,32 @@ _POW10_LO = _POW10 - _POW10_HI
 def _scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a * 10**(11 - x)`` rounded to an integer, ties to even, exactly.
 
-    ``hi + lo`` is the exact product (Dekker's two-product; ``10**k`` is
-    exact for k <= 22), so the sign of ``(hi - floor(hi) - 0.5) + lo``
-    decides the rounding: that sum is exact when its first term is 0 and
-    has the first term's sign otherwise.
+    The exact product p and its rounding ``hi`` are below 10**13 < 2**44
+    (x is at most one off the exponent of a), so every half-integer
+    m + 0.5 up to them is a double. Rounding to nearest is monotonic and
+    leaves a double where it is, so it cannot carry p across one: ``hi`` is
+    above m + 0.5 only where p is, and below it only where p is. With m =
+    ``floor(hi)``, p therefore rounds to m + 1 where ``hi - m - 0.5 > 0``
+    and to m where it is below 0 (both subtractions are exact). Where it is
+    exactly 0, ``hi`` is the half-integer and p is ``hi + lo`` (Dekker's
+    two-product; ``10**k`` is exact for k <= 22): p rounds up where lo > 0,
+    or lo == 0 and m is odd.
     """
     k = 11 - x
     hi = a * _POW10[k]
-    c = a * _SPLIT
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     floor = np.floor(hi)
-    r = (hi - floor - 0.5) + lo
-    n = floor.astype(np.int64)
-    return n + ((r > 0) | ((r == 0) & (n & 1 == 1)))
+    r = hi - floor - 0.5
+    n = floor.astype(np.int64) + (r > 0)
+    tie = np.flatnonzero(r == 0)
+    if tie.size:
+        a, k, hi, m = a[tie], k[tie], hi[tie], n[tie]
+        c = a * _SPLIT
+        a_hi = c - (c - a)
+        a_lo = a - a_hi
+        p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+        n[tie] = m + ((lo > 0) | ((lo == 0) & (m & 1 == 1)))
+    return n
 
 
 def _round12(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +126,9 @@ def _round12(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = _scaled(a, x)
     step = (n >= 10**12).astype(np.int64) - (n < 10**11)
     redo = np.flatnonzero(step)
-    x[redo] += step[redo]
-    n[redo] = _scaled(a[redo], x[redo])
+    if redo.size:
+        x[redo] += step[redo]
+        n[redo] = _scaled(a[redo], x[redo])
     return n, x
 
 
@@ -101,30 +138,26 @@ def _numbers(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``[1e-10, 1e11)`` in magnitude other than zeros (nan and inf among them).
 
     x in [-4, 11] is fixed notation, else N's first digit, a fraction and
-    the exponent. N's digits are kept up to its last nonzero one or to the
-    one at place 10**0, whichever is later; the point follows that one if
-    a digit is kept after it.
+    the exponent; ``_KEEP`` masks the digits and the point dropped.
     """
     m = len(v)
     a = np.abs(v)
     ok = (a >= 1e-10) & (a < 1e11)
     n, x = _round12(np.where(ok, a, 1.0))
+    x += 10
     cells = np.empty((m, _CELL), np.uint8)
     words, halves = cells.view(np.uint64), cells.view(np.uint32)
-    words[:, 0] = _LEAD[x + 10 + 22 * (v < 0)]
-    last = np.zeros(m, np.int8)  # 1 + the place of N's last nonzero digit
+    words[:, 0] = _LEAD[x + 22 * (v < 0)]
     low = n // 10**4
     high = low // 10**4
-    for h, quad in enumerate((high, low - high * 10**4, n - low * 10**4)):
-        pair = quad // 100
-        for p, g in ((2 * h, pair), (2 * h + 1, quad - pair * 100)):
-            halves[:, 2 + p] = _PAIRS[g]
-            np.maximum(last, _LAST[p][g], out=last)
-    place = _PLACE[x + 10]
-    keep = 13 * np.maximum(last - 1, place) + np.where(place < last - 1, place + 1, 0)
+    keep = np.zeros(m, np.int16)  # where _KEEP's row of N's last nonzero digit starts
+    for h, g in enumerate((high, low - high * 10**4, n - low * 10**4)):
+        words[:, 1 + h] = _QUADS[g]
+        np.maximum(keep, _LAST_ROW[h][g], out=keep)
+    keep = keep + x
     for w in range(3):
         words[:, 1 + w] &= _KEEP[w][keep]
-    halves[:, 8] = _EXPONENT[x + 10]
+    halves[:, 8] = _EXPONENT[x]
     halves[:, 9] = 0
     special = np.flatnonzero(~ok)
     zero = v[special] == 0

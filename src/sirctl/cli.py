@@ -9,8 +9,9 @@ Subcommands:
   policy-compare.
 
 Configs are single JSON documents; ``--set path.to.field=value`` overrides
-individual fields. Exit codes: 0 success, 2 config error, 3 the robust run
-was infeasible.
+individual fields. Exit codes: 0 success, 2 config error (an ``--out`` that
+names an existing file among them, refused before any run), 3 the robust
+run was infeasible.
 """
 from __future__ import annotations
 
@@ -189,6 +190,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every subcommand writes under --out: refuse a file there before any run
+        out = Path(args.out)
+        if out.exists() and not out.is_dir():
+            raise ConfigError(f"--out {args.out} exists and is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

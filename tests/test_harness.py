@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -742,7 +745,19 @@ class TestCsvFormat:
         st = hypothesis.strategies
         # st.floats() draws nan, inf and subnormals too; the ranges are the
         # array formatter's own cells, which a full block of rows goes through
-        floats = st.one_of(st.floats(), st.floats(1e-10, 1e11), st.floats(-1e11, -1e-10))
+        def near_tie(n, x, ulps, sign):
+            # the double nearest (n + 0.5) * 10**(x - 11), ulps steps away: its
+            # product by 10**(11 - x) lands on or next to the half-integer,
+            # where the one rounded product no longer decides the digits
+            v = float(f"{n}5e{x - 12}")
+            for _ in range(abs(ulps)):
+                v = math.nextafter(v, math.copysign(math.inf, ulps))
+            return sign * v
+
+        ties = st.builds(near_tie, st.integers(10**11, 10**12 - 1), st.integers(-10, 10),
+                         st.integers(-3, 3), st.sampled_from([1.0, -1.0]))
+        floats = st.one_of(st.floats(), st.floats(1e-10, 1e11), st.floats(-1e11, -1e-10),
+                           ties)
 
         @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
         @hypothesis.given(xs=st.lists(floats, min_size=1, max_size=20),
@@ -943,6 +958,43 @@ class TestCli:
         assert np.all(table["u_applied"] == 0.0)
         assert np.all(table["stage"] == 1)
         assert table["I_true"].max() == pytest.approx(0.4649, abs=1e-3)
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--preset", "fig1", "--set", "integrator.horizon=20"],
+        ["estimate", "--preset", "param-est"],
+        ["gap", "--preset", "fig1"],
+        ["reproduce", "fig1"],
+    ], ids=["simulate", "estimate", "gap", "reproduce"])
+    def test_out_naming_a_file_is_refused_before_the_run(self, tmp_path, capsys,
+                                                         monkeypatch, command):
+        # this ran the whole scenario, then raised FileExistsError (or
+        # NotADirectoryError for reproduce) on writing
+        def run(*args):
+            raise AssertionError("ran with --out naming a file")
+
+        for name in ("run_scenario", "sweep_h", "sweep_trajectory", "gap_table"):
+            monkeypatch.setattr(f"sirctl.cli.{name}", run)
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main([*command, "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", [["gap", "--preset", "fig1"],
+                                         ["reproduce", "bound-sweep"]],
+                             ids=["gap", "bound-sweep"])
+    def test_short_tables_never_load_the_block_formatter(self, tmp_path, command):
+        # their tables are shorter than one block, so csvio formats them with
+        # one % call per block and a fresh process never imports blockfmt
+        code = ("import sys; from sirctl.cli import main; "
+                f"assert main({[*command, '--out', str(tmp_path)]!r}) == 0; "
+                "print('sirctl.blockfmt' in sys.modules)")
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_reproduce_unknown_name_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
