@@ -125,6 +125,9 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     name = args.name
     out = Path(args.out) / name
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {args.out} holds a file {name}, where reproduce writes "
+                          "its directory")
     if name in ("param-est", "bound-sweep"):
         config = preset(name, args.seed)
         epidemic = sweep_trajectory(config)

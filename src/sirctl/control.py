@@ -34,6 +34,8 @@ from .estimation import ParamIntervals
 from .noise import MeasurementNoise
 
 FEASIBILITY_SLACK = 1e-6
+_READ = 8192  # nodes per array read of the noise
+_FILL = 1024  # nodes per stage-1 fill block, which may step this far past the crossing
 
 
 class PolicyKind(str, Enum):
@@ -207,33 +209,47 @@ def _read_offsets(noise: MeasurementNoise, margin: bool, nodes: slice, ss: np.nd
 
 
 def _shared_stage_one(prefix: ClosedLoopResult, params: EpidemicParams, init: SirState,
-                      h: float, n: int, noise: Optional[MeasurementNoise], margin: bool,
-                      i_bar: float, off_s: np.ndarray, off_i: np.ndarray) -> int:
-    """The first node where this policy's threshold can fire, found on ``prefix``.
+                      h: float, n: int, ss: np.ndarray, ii: np.ndarray,
+                      rr: np.ndarray) -> int:
+    """Copy the leading stage-1 nodes of ``prefix`` into ss, ii, rr; returns the last one.
 
-    The leading stage-1 nodes of any run with the same parameters, initial
-    state and grid are the u = 0 epidemic, the same for every policy. This
-    policy's offsets there come from one array read into ``off_s`` and
-    ``off_i`` (``noise`` is None when the policy reads none), and the loop's
-    two stage-1 tests run as arrays: at each node, and at the end of each
-    step the prefix took unsplit. Returns the first node where either test
-    fires, else the prefix's last stage-1 node (0 if it has none).
+    They are the u = 0 epidemic of every run with the same parameters,
+    initial state and grid, so a run tests them for its own threshold
+    (``_threshold_node``) in place of integrating them again. The last is
+    the node before the prefix's first stage-2 node (at least node 0), or
+    node n if it has none.
     """
     traj = prefix.trajectory
     if not (traj.params == params and traj.step == h and len(traj) == n + 1
             and (float(traj.t[0]), float(traj.s[0]), float(traj.i[0]), float(traj.r[0]))
             == (init.t, init.s, init.i, init.r)):
         raise ValueError("prefix run has other parameters, initial state or time grid")
-    later = prefix.node_stage != 1
-    m = int(np.argmax(later)) if later.any() else len(traj)
-    if m == 0:
-        return 0
-    if noise is not None:
-        _read_offsets(noise, margin, slice(0, m), traj.s, traj.i, off_s, off_i)
-    i_open, o_i = traj.i[:m], off_i[:m]
-    fires = np.minimum(i_open + o_i, 1.0) - i_bar >= 0.0
-    fires[:-1] |= np.minimum(i_open[1:] + o_i[:-1], 1.0) - i_bar >= 0.0
-    return int(np.argmax(fires)) if fires.any() else m - 1
+    stage = prefix.node_stage  # it only rises
+    known = n if stage[-1] == 1 else max(int(np.argmax(stage != 1)) - 1, 0)
+    nodes = slice(0, known + 1)
+    ss[nodes], ii[nodes], rr[nodes] = traj.s[nodes], traj.i[nodes], traj.r[nodes]
+    return known
+
+
+def _threshold_node(ss: np.ndarray, ii: np.ndarray, lo: int, end: int,
+                    noise: Optional[MeasurementNoise], margin: bool, i_bar: float,
+                    off_s: np.ndarray, off_i: np.ndarray) -> int:
+    """The first node in lo..end-1 where the threshold fires, else ``end``.
+
+    Nodes lo..end hold the u = 0 epidemic. This policy's offsets at
+    lo..end-1 come from one array read into ``off_s`` and ``off_i``
+    (``noise`` is None when the policy reads none), and the loop's two
+    stage-1 tests run as arrays: at each node, and at the end of its step.
+    A fill may have stepped on into inf or NaN, which the run reports once
+    it ends, so the arithmetic here warns of neither.
+    """
+    with np.errstate(all="ignore"):
+        if noise is not None:
+            _read_offsets(noise, margin, slice(lo, end), ss, ii, off_s, off_i)
+        i_open, o_i = ii[lo:end + 1], off_i[lo:end]
+        fires = np.minimum(i_open[:-1] + o_i, 1.0) - i_bar >= 0.0
+        fires |= np.minimum(i_open[1:] + o_i, 1.0) - i_bar >= 0.0
+    return lo + int(np.argmax(fires)) if fires.any() else end
 
 
 def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
@@ -252,30 +268,35 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     signals are capped at 1.
 
     Only stage 2 needs feedback; stages 1 and 3 are the u = 0 epidemic.
-    The loop takes RK4 steps of exactly h between grid nodes. It reads the
-    noise at each node with the noise source's ``offset_reader``, built
-    once per run, and holds it over the step, and it tests the stage's
-    event at each node and at the end of each step. A step in which the
-    test fires is split at the switch that ``locate_event`` finds and then
-    ends on the node. Stage 2's unsplit steps run in one inner loop, with
-    the RK4 step, the rate law and its clamp written inline; a policy that
-    reads no noise holds zero offsets, so its end-of-step rate is the next
-    node's rate and is computed once. The loop stops at the first stage-3
-    node, from which ``integrate``'s stepper fills the run to the horizon:
-    every run spans the grid's n + 1 nodes. The loop steps on through inf
-    and NaN and tests its nodes once it ends: NonFiniteDynamicsError names
-    the first non-finite node's time. With ``prefix`` (a run of the same
-    parameters, initial state and grid, usually the optimal run) the loop
-    starts at the first node where this policy's threshold can fire
-    (``_shared_stage_one``). The stage-1 and stage-3 offsets are read as
-    arrays with ``measure``, bitwise equal to the per-node reader.
-    Infeasibility is recorded in the report, never raised.
+    Stage 1 is the prefix's (a run of the same parameters, initial state
+    and grid, usually the optimal run; see ``_shared_stage_one``) as far as
+    it goes and ``integrate``'s stepper beyond, tested in blocks as arrays
+    by ``_threshold_node``. The loop starts at the first node where this
+    policy's threshold can fire and takes RK4 steps of exactly h between
+    grid nodes, testing the stage's event at each node and at the end of
+    each step. A step in which the test fires is split at the switch that
+    ``locate_event`` finds and then ends on the node. Stage 2's unsplit
+    steps run in one inner loop, with the RK4 step, the rate law and its
+    clamp written inline. The law reads the susceptible signal alone, so
+    the loop reads the S offset at each node with the noise source's
+    ``offset_reader`` and holds it over the step; it reads the I offset
+    only at its first node and at a herd event, for the switch rows. A
+    policy that reads no noise holds zero offsets, so its end-of-step rate
+    is the next node's rate and is computed once. The loop stops at the
+    first stage-3 node, from which ``integrate``'s stepper fills the run to
+    the horizon: every run spans the grid's n + 1 nodes. The steps run on
+    through inf and NaN, and the nodes are tested once at the end:
+    NonFiniteDynamicsError names the first non-finite node's time. The
+    trace signals' offsets are read as arrays with ``measure``, bitwise
+    equal to the per-node readers: with each stage-1 block, and from the
+    loop's first node on once it ends. Infeasibility is recorded in the
+    report, never raised.
 
-    The loop writes each node's state, rate and offsets through
-    memoryviews of the run's arrays; the stage column, which only rises, is
-    filled from its first stage-2 node and the loop's last node once the
-    loop ends. The trace's node columns are the run's own read-only arrays
-    (see ``PolicyTrace``); a policy that reads no noise allocates no offsets. A
+    The loop writes each node's state and rate through memoryviews of the
+    run's arrays; the stage column, which only rises, is filled from its
+    first stage-2 node and the loop's last node once the loop ends. The
+    trace's node columns are the run's own read-only arrays (see
+    ``PolicyTrace``); a policy that reads no noise allocates no offsets. A
     switch adds rows at its instant: one (the pre-switch stage at rate 0
     for a threshold, the stage-2 rate for a herd event) before the node row
     when it fires at a node, and a pre- and a post-switch row after the
@@ -299,7 +320,6 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     u_max = bounds.u_max
     clamp = bounds.clamp
 
-    s, i, r = init.s, init.i, init.r
     t0 = init.t
     if prefix is not None:
         ts = prefix.trajectory.t  # the same grid, once _shared_stage_one accepts the prefix
@@ -315,8 +335,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     if reads:
         off_s = np.zeros(n + 1)  # measurement offsets held over each step
         off_i = np.zeros(n + 1)
-        off_s_w, off_i_w = memoryview(off_s), memoryview(off_i)
-        read = noise.offset_reader(margin)
+        read_s, read_i = noise.offset_reader(0, margin), noise.offset_reader(1, margin)
     else:
         off_s = off_i = np.broadcast_to(0.0, n + 1)  # all zero, in no memory
     # switch rows: (trace position among the node rows, t, u, stage, s_seen, i_seen)
@@ -328,25 +347,32 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     t_b: Optional[float] = None
     t_h: Optional[float] = None
     state_at_tb: Optional[SirState] = None
-    start = 0
     k_b = n + 1  # the first node of stage 2 or later
+    # stage 1: nodes 0..known hold the u = 0 epidemic, the prefix's or the
+    # initial state; blocks of them, filled past the known ones, are tested
+    # up to the first node where the threshold can fire, where the loop starts
     if prefix is not None:
-        # the nodes before start are the prefix's, at rate 0 in stage 1
-        start = _shared_stage_one(prefix, true_params, init, h, n, noise if reads else None,
-                                  margin, i_bar, off_s, off_i)
-        p = prefix.trajectory
-        ss[:start], ii[:start], rr[:start] = p.s[:start], p.i[:start], p.r[:start]
-        s, i, r = float(p.s[start]), float(p.i[start]), float(p.r[start])
+        known = _shared_stage_one(prefix, true_params, init, h, n, ss, ii, rr)
+    else:
+        known = 0
+        ss[0], ii[0], rr[0] = init.s, init.i, init.r
+    k = end = 0
+    while k == end < n:
+        end = min(k + _READ, known) if k < known else min(k + _FILL, n)
+        if end > known:
+            _rk4_fill(ss, ii, rr, known, end + 1, beta, gamma, 0.0, h)
+            known = end
+        k = _threshold_node(ss, ii, k, end, noise if reads else None, margin, i_bar,
+                            off_s, off_i)
+    start = k
+    s, i, r = ss_w[k], ii_w[k], rr_w[k]
     hh = 0.5 * h
     h6 = h / 6.0
 
-    k = start
     while True:
         t_node = t0 + k * h
         if reads:
-            o_s, o_i = read(k, s, i)
-            off_s_w[k] = o_s
-            off_i_w[k] = o_i
+            o_s, o_i = read_s(k, s), read_i(k, i)
 
         # an event can fire exactly at a node (including k == 0); the signals
         # are capped at 1 (``1.0 if x > 1.0 else x`` is ``min(x, 1.0)``)
@@ -375,6 +401,8 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                     # the herd event fires at node k, also where the threshold
                     # just did (t_h == t_b): the locator needs gap < 0 at a node
                     t_h = t0 + k * h
+                    if reads:
+                        o_i = read_i(k, i)  # for the switch row: stage 2 reads S alone
                     switch_rows.append((k, t_h, 0.0 if raw < 0.0 else raw, 2,
                                         min(s + o_s, 1.0), min(i + o_i, 1.0)))
                     stage = 3
@@ -414,12 +442,12 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                     # the herd event fires inside the step: back to node k,
                     # whose step the split below takes again
                     s, i, r = ss_w[k], ii_w[k], rr_w[k]
+                    if reads:
+                        o_i = read_i(k, i)
                     break
                 k += 1
                 if reads:
-                    o_s, o_i = read(k, s, i)
-                    off_s_w[k] = o_s
-                    off_i_w[k] = o_i
+                    o_s = read_s(k, s)
                     s_seen = s + o_s
                     raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
         else:
@@ -479,16 +507,20 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         s, i, r = s2, i2, r2
         k += 1
 
-    # the loop steps on through inf and NaN; its nodes are tested once here
-    require_finite(ts, ss, ii, rr, start, k + 1)
+    # stage 3 is the u = 0 epidemic from its first node k, on integrate's
+    # stepper; the fills and the loop step on through inf and NaN, and the
+    # nodes are tested once here
+    if stage == 3:
+        _rk4_fill(ss, ii, rr, k, n + 1, beta, gamma, 0.0, h)
+    require_finite(ts, ss, ii, rr, 0, n + 1)
     # the stage only rises: 1 before node k_b, 2 from there to the last node k
     node_stage[:k_b], node_stage[k_b:k], node_stage[k] = 1, 2, stage
-    # stage 3 is the u = 0 epidemic from its first node k, on integrate's stepper
-    if stage == 3:
-        _rk4_fill(ss, ii, rr, ts, k, beta, gamma, 0.0, h)
-        if reads and k < n:
-            # stage 3 decides nothing; its offsets only feed the trace signals
-            _read_offsets(noise, margin, slice(k + 1, n + 1), ss, ii, off_s, off_i)
+    if reads:
+        # the trace signals' offsets from the loop's first node on, where it
+        # read only what it decided on
+        for lo in range(start, n + 1, _READ):
+            _read_offsets(noise, margin, slice(lo, min(lo + _READ, n + 1)), ss, ii,
+                          off_s, off_i)
     max_i = max(float(np.max(ii)), state_at_tb.i if state_at_tb is not None else 0.0)
     traj = Trajectory(t=ts, s=ss, i=ii, r=rr, u=uu, step=h, params=true_params)
 

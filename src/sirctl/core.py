@@ -261,28 +261,30 @@ def integrate(params: EpidemicParams, u: float, init: SirState,
     ii = np.empty(n + 1)
     rr = np.empty(n + 1)
     ss[0], ii[0], rr[0] = init.s, init.i, init.r
-    _rk4_fill(ss, ii, rr, ts, 0, params.beta, params.gamma, u, h)
+    _rk4_fill(ss, ii, rr, 0, n + 1, params.beta, params.gamma, u, h)
+    require_finite(ts, ss, ii, rr, 0, n + 1)
     return Trajectory(t=ts, s=ss, i=ii, r=rr, u=np.full(n + 1, u), step=h, params=params)
 
 
-def _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h) -> None:
-    """Fill nodes k0+1.. of ss, ii, rr in place by RK4 steps of h from node k0.
+def _rk4_fill(ss, ii, rr, k0, end, beta, gamma, u, h) -> None:
+    """Fill nodes k0+1..end-1 of ss, ii, rr in place by RK4 steps of h from node k0.
 
-    The constant-rate node loop: ``integrate`` runs it from node 0 and the
-    closed loop from its first stage-3 node; the closed loop's stage-2 loop
-    is the one other inline copy of the step. Each step is ``_rk4_step``
-    written inline, with its operation order kept, so the nodes are bitwise
-    its repeated steps; the rate terms ``gamma + u``, ``0.5*h`` and ``h/6``
-    are formed once. Nodes are written through memoryviews, which take a
-    float faster than numpy's scalar setitem. Raises NonFiniteDynamicsError
-    naming the time ``ts[k]`` of the first non-finite node.
+    The constant-rate node loop: ``integrate`` runs it from node 0, and the
+    closed loop runs it over blocks of stage 1 and from its first stage-3
+    node; the closed loop's stage-2 loop is the one other inline copy of the
+    step. Each step is ``_rk4_step`` written inline, with its operation
+    order kept, so the nodes are bitwise its repeated steps; the rate terms
+    ``gamma + u``, ``0.5*h`` and ``h/6`` are formed once. Nodes are written
+    through memoryviews, which take a float faster than numpy's scalar
+    setitem. The steps carry inf and NaN on without raising: the caller
+    tests the nodes it keeps with ``require_finite``.
     """
     ss_w, ii_w, rr_w = memoryview(ss), memoryview(ii), memoryview(rr)
     s, i, r = ss_w[k0], ii_w[k0], rr_w[k0]
     g = gamma + u
     hh = 0.5 * h
     h6 = h / 6.0
-    for k in range(k0 + 1, len(ss)):
+    for k in range(k0 + 1, end):
         n1 = beta * s * i
         m1 = g * i
         d1 = n1 - m1
@@ -303,7 +305,6 @@ def _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h) -> None:
         ss_w[k] = s = s + h6 * (-n1 + 2.0 * -n2 + 2.0 * -n3 + -n4)
         ii_w[k] = i = i + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (n4 - m4))
         rr_w[k] = r = r + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-    require_finite(ts, ss, ii, rr, k0, len(ss))
 
 
 def require_finite(ts, ss, ii, rr, lo, end) -> None:

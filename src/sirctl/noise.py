@@ -69,8 +69,7 @@ class MeasurementNoise:
                  sigma_s: float, sigma_i: float):
         self.config = config
         self.z = z
-        self.sigma_s = sigma_s
-        self.sigma_i = sigma_i
+        self.sigmas = (sigma_s, sigma_i)  # per draw column: S, I
         self.kind = config.kind
 
     @classmethod
@@ -100,64 +99,63 @@ class MeasurementNoise:
         3*std. Outputs are not copied where they hold one value or the
         input: the std of snr_db and the zero deltas of kind "none" are
         read-only broadcasts, and kind "none" returns the state arrays
-        themselves. ``offset_reader`` is the same formula for one node.
+        themselves. S and I are one formula on their own draw column, and
+        ``offset_reader`` is that formula for one node of one series.
         """
-        kind = self.kind
-        if kind == "none":
+        if self.kind == "none":
             zero = np.broadcast_to(0.0, np.shape(s_true))
             return np.asarray(s_true, dtype=float), np.asarray(i_true, dtype=float), zero, zero
-        zs, zi = self.z[k, 0], self.z[k, 1]
+        (s_hat, d_s), (i_hat, d_i) = (self._series(col, k, x, std)
+                                      for col, x in ((0, s_true), (1, i_true)))
+        return s_hat, i_hat, d_s, d_i
+
+    def _series(self, col: int, k: Union[slice, np.ndarray], x: np.ndarray,
+                std: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``measure`` of one series: its measured values and std or delta."""
         div = self.config.divisor
-        if kind == "snr_db":
-            sd_s = np.broadcast_to(self.sigma_s, np.shape(s_true))
-            sd_i = np.broadcast_to(self.sigma_i, np.shape(i_true))
+        if self.kind == "snr_db":
+            sd = np.broadcast_to(self.sigmas[col], np.shape(x))
         else:
-            sd_s = np.sqrt(_nonneg(s_true) / div)
-            sd_i = np.sqrt(_nonneg(i_true) / div)
-        s_hat = s_true + zs * sd_s
-        i_hat = i_true + zi * sd_i
+            sd = np.sqrt(_nonneg(x) / div)
+        x_hat = x + self.z[k, col] * sd
         if std:
-            return s_hat, i_hat, sd_s, sd_i
-        if kind == "scaled_variance":
+            return x_hat, sd
+        if self.kind == "scaled_variance":
             # amplitude bounds from the measured value: exact containment
             # would need the true state, which the controller does not have
-            sd_s = np.sqrt(_nonneg(s_hat) / div)
-            sd_i = np.sqrt(_nonneg(i_hat) / div)
-        return s_hat, i_hat, TRUNCATION_SIGMAS * sd_s, TRUNCATION_SIGMAS * sd_i
+            sd = np.sqrt(_nonneg(x_hat) / div)
+        return x_hat, TRUNCATION_SIGMAS * sd
 
-    def offset_reader(self, margin: bool) -> Callable[[int, float, float], tuple[float, float]]:
-        """The closed loop's read of one node: ``(k, s, i) -> (o_s, o_i)``.
+    def offset_reader(self, col: int, margin: bool) -> Callable[[int, float], float]:
+        """The closed loop's read of one series at one node: ``(k, x) -> offset``.
 
-        The offsets are ``s_hat - s`` and ``i_hat - i`` of ``measure`` at
-        epoch k, plus delta when ``margin`` is set (the robust policy's
-        envelope). The reader is built once per run, bound to the noise kind
-        and ``margin``, and evaluates ``measure``'s expressions on floats:
-        ``math.sqrt`` for ``np.sqrt`` and inline comparisons for ``_nonneg``,
-        so it agrees with the array form bitwise. Kind "none" has no reader:
-        a noise-free loop reads nothing.
+        ``col`` is the series' column of the draws, 0 for S and 1 for I.
+        The offset is ``x_hat - x`` of ``measure`` at epoch k, plus delta
+        when ``margin`` is set (the robust policy's envelope). The reader is
+        built once per run and series, bound to the noise kind and
+        ``margin``, and evaluates ``measure``'s expressions on floats:
+        ``math.sqrt`` for ``np.sqrt`` and inline comparisons for
+        ``_nonneg``, so it agrees with the array form bitwise. Kind "none"
+        has no reader: a noise-free loop reads nothing.
         """
-        kind = self.kind
-        if kind == "none":
+        if self.kind == "none":
             raise ValueError("noise kind 'none' has no offsets to read")
-        # each draw column as a memoryview, which indexes to a float
-        zs, zi = memoryview(self.z[:, 0]), memoryview(self.z[:, 1])
+        z = memoryview(self.z[:, col])  # indexes to a float
         three = TRUNCATION_SIGMAS
-        if kind == "snr_db":
-            sd_s, sd_i = self.sigma_s, self.sigma_i
+        if self.kind == "snr_db":
+            sd = self.sigmas[col]
             if not margin:
-                return lambda k, s, i: (s + zs[k] * sd_s - s, i + zi[k] * sd_i - i)
-            d_s, d_i = three * sd_s, three * sd_i
-            return lambda k, s, i: (s + zs[k] * sd_s - s + d_s, i + zi[k] * sd_i - i + d_i)
+                return lambda k, x: x + z[k] * sd - x
+            d = three * sd
+            return lambda k, x: x + z[k] * sd - x + d
         div = self.config.divisor
         sqrt = math.sqrt
+        if not margin:
+            return lambda k, x: x + z[k] * sqrt((0.0 if x < 0.0 else x) / div) - x
 
-        def read(k: int, s: float, i: float) -> tuple[float, float]:
-            s_hat = s + zs[k] * sqrt((0.0 if s < 0.0 else s) / div)
-            i_hat = i + zi[k] * sqrt((0.0 if i < 0.0 else i) / div)
-            if not margin:
-                return s_hat - s, i_hat - i
-            return (s_hat - s + three * sqrt((0.0 if s_hat < 0.0 else s_hat) / div),
-                    i_hat - i + three * sqrt((0.0 if i_hat < 0.0 else i_hat) / div))
+        def read(k: int, x: float) -> float:
+            x_hat = x + z[k] * sqrt((0.0 if x < 0.0 else x) / div)
+            return x_hat - x + three * sqrt((0.0 if x_hat < 0.0 else x_hat) / div)
         return read
 
 
@@ -198,7 +196,7 @@ def measured_series_for(noise: MeasurementNoise, traj: Trajectory) -> MeasuredSe
 
     One array call of ``noise.measure`` over every grid node, so
     ``s_hat - s`` and ``i_hat - i`` are bitwise the offsets the loop's
-    ``offset_reader`` read at each node. The series holds the trajectory's
+    ``offset_reader`` reads at a node. The series holds the trajectory's
     ``t`` and ``u`` by reference, and the noise std of each sample as the
     sigma columns, which the estimator's amplitude bound reads.
     """

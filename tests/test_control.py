@@ -435,25 +435,39 @@ class TestSharedStageOne:
         from dataclasses import replace
 
         from sirctl import control
+        from sirctl.core import _rk4_fill
         from sirctl.scenarios import _optimal_run, preset
 
         cfg = replace(preset("fig1"), policies=("optimal", "robust"))
         optimal, noise = _optimal_run(cfg)
-        steps = []
+        steps, fills = [], []
         monkeypatch.setattr(control, "_rk4_step",
                             lambda *a: steps.append(1) or _rk4_step(*a))
+        monkeypatch.setattr(control, "_rk4_fill", lambda ss, ii, rr, k0, end, *a: (
+            fills.append((k0, end)) or _rk4_fill(ss, ii, rr, k0, end, *a)))
         args = (PolicyKind.ROBUST, cfg.params, AssumedRates(0.168, 0.05985), cfg.init,
                 noise, cfg.integrator, cfg.i_bar, BOUNDS)
         simulate_closed_loop(*args)
-        from_zero = len(steps)
+        from_zero, from_zero_fills = len(steps), fills[:]
         steps.clear()
+        fills.clear()
         result = simulate_closed_loop(*args, prefix=optimal)
         # the loop starts at the node where the threshold fires, or at the
         # start of the step in which it does
         t, t_b = result.trajectory.t, result.trace.switching.t_b
         start = int(np.searchsorted(t, t_b))
         start -= t[start] != t_b
-        assert from_zero - len(steps) == start > 9000
+        assert start > 9000
+        # from node 0, stage 1 is filled in consecutive blocks up to the one
+        # whose tests fire at start; given the prefix, no stage-1 node is
+        # integrated again: both runs fill only stage 3 from its first node
+        # and take the same steps from start on
+        *blocks, stage_three = from_zero_fills
+        assert [b[0] for b in blocks] == [0] + [b[1] - 1 for b in blocks[:-1]]
+        assert blocks[-1][0] <= start < blocks[-1][1] - 1
+        k3 = int(np.argmax(result.node_stage == 3))
+        assert fills == [stage_three] == [(k3, cfg.integrator.n_steps + 1)]
+        assert len(steps) == from_zero
 
     def test_random_configs_equal_the_runs_from_node_0(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -492,6 +506,144 @@ class TestSharedStageOne:
         with pytest.raises(ValueError, match="prefix"):
             simulate_closed_loop(PolicyKind.ROBUST, params, AssumedRates(0.17, 0.06),
                                  other_init, None, other_grid, 0.1, BOUNDS, prefix=prefix)
+
+
+class TestStageOneFill:
+    """A run fills stage 1 by ``integrate``'s stepper in blocks and tests
+    each block as arrays; the loop takes over at the node where its
+    threshold fires. Where the blocks fall changes no bit of the run."""
+
+    PARAMS = EpidemicParams(beta=0.5, gamma=0.1)
+    INIT = SirState(t=0.0, s=0.999, i=0.001, r=0.0)
+    GRID = IntegratorConfig(step=0.1, horizon=30.0)
+
+    @classmethod
+    def _first_firing(cls, noise, i_bar):
+        """(node, test) where the threshold first fires on the u = 0 epidemic,
+        by the loop's per-node tests under the unenveloped offsets."""
+        free = integrate(cls.PARAMS, 0.0, cls.INIT, cls.GRID)
+        read_i, i = noise.offset_reader(1, False), free.i.tolist()
+        for k in range(len(i)):
+            o_i = read_i(k, i[k])
+            if min(i[k] + o_i, 1.0) - i_bar >= 0.0:
+                return k, "node"
+            if k + 1 < len(i) and min(i[k + 1] + o_i, 1.0) - i_bar >= 0.0:
+                return k, "end-of-step"
+        return None
+
+    def test_optimal_stage_one_is_integrate(self):
+        # the optimal run has no prefix: its nodes up to the threshold node
+        # are integrate's bitwise, for every preset grid
+        from sirctl.scenarios import preset
+
+        for name in ("fig1", "policy-compare"):
+            cfg = preset(name)
+            res = simulate_closed_loop(PolicyKind.OPTIMAL, cfg.params, None, cfg.init, None,
+                                       cfg.integrator, cfg.i_bar, ControlBounds(cfg.u_max))
+            free = integrate(cfg.params, 0.0, cfg.init, cfg.integrator)
+            m1 = int(np.argmax(res.node_stage != 1))
+            assert m1 > 1000
+            for x, y in ((res.trajectory.s, free.s), (res.trajectory.i, free.i),
+                         (res.trajectory.r, free.r)):
+                assert x[:m1].tobytes() == y[:m1].tobytes()
+
+    def test_threshold_at_the_edges_of_a_block(self, monkeypatch):
+        # the node test and the end-of-step test fire at the first and at
+        # the last node of a block; the end-of-step test of a block's last
+        # node reads the first node of the next block
+        from sirctl import control
+
+        free = integrate(self.PARAMS, 0.0, self.INIT, self.GRID)
+        noise = MeasurementNoise.build(NoiseConfig(kind="snr_db", snr_db=20.0),
+                                       self.GRID.n_steps + 1, seed=4, reference=free)
+        bounds = ControlBounds(u_max=0.5)
+        cases = {}
+        for i_bar in np.linspace(0.05, 0.45, 81).tolist():
+            first = self._first_firing(noise, i_bar)
+            if first is not None and first[0] >= 40:
+                cases.setdefault(first, i_bar)
+        seen = set()
+        for (f, test), i_bar in sorted(cases.items())[:12]:
+            args = (PolicyKind.MISESTIMATED, self.PARAMS, AssumedRates(0.5, 0.1), self.INIT,
+                    noise, self.GRID, i_bar, bounds)
+            one_block = simulate_closed_loop(*args)
+            for size in range(1, 9):
+                monkeypatch.setattr(control, "_FILL", size)
+                res = simulate_closed_loop(*args)
+                TestSharedStageOne._assert_same_run(res, one_block)
+                if f % size == 0:
+                    seen.add((test, "first"))
+                if f % size == size - 1:
+                    seen.add((test, "last"))
+            monkeypatch.undo()
+            t, t_b = one_block.trajectory.t, one_block.trace.switching.t_b
+            if test == "node":
+                assert t_b == t[f]
+            else:
+                assert t[f] < t_b <= t[f + 1]
+            for x, y in ((one_block.trajectory.s, free.s), (one_block.trajectory.i, free.i)):
+                assert x[:f + 1].tobytes() == y[:f + 1].tobytes()
+        assert seen == {(test, edge) for test in ("node", "end-of-step")
+                        for edge in ("first", "last")}
+
+    def test_prefix_and_own_blocks_share_one_test(self, monkeypatch):
+        # the misestimated threshold fires after the optimal run's last
+        # stage-1 node: the prefix's nodes are tested in blocks, then the
+        # run fills its own from there, with and without the prefix
+        from dataclasses import replace
+
+        from sirctl import control
+        from sirctl.scenarios import preset
+
+        cfg = replace(preset("policy-compare"), seed=12,
+                      noise=NoiseConfig(kind="snr_db", snr_db=40.0),
+                      integrator=IntegratorConfig(step=0.01, horizon=120.0))
+        optimal, runs = TestSharedStageOne._check_policies(cfg)
+        last_open = int(np.argmax(optimal.node_stage != 1)) - 1
+        assert runs[1].trace.switching.t_b >= optimal.trajectory.t[last_open + 1]
+        monkeypatch.setattr(control, "_READ", 1000)
+        monkeypatch.setattr(control, "_FILL", 3)
+        for res, small in zip(runs, TestSharedStageOne._check_policies(cfg)[1]):
+            TestSharedStageOne._assert_same_run(res, small)
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 1024])
+    def test_overflow_after_the_crossing_does_not_raise(self, monkeypatch, size):
+        # RK4 at beta*h = 6 overflows the u = 0 epidemic at node 6; a run
+        # that crosses at node 1 and isolates stays finite, though its fill
+        # block may step the u = 0 epidemic past the overflow
+        from sirctl import control
+
+        params = EpidemicParams(beta=6.0, gamma=0.1)
+        init = SirState(t=0.0, s=0.999, i=0.001, r=0.0)
+        config = IntegratorConfig(step=1.0, horizon=20.0)
+        with pytest.raises(NonFiniteDynamicsError, match=r"at t=6\.0$"):
+            integrate(params, 0.0, init, config)
+        monkeypatch.setattr(control, "_FILL", size)
+        noise = MeasurementNoise.build(NoiseConfig(kind="scaled_variance", divisor=1e6),
+                                       config.n_steps + 1, seed=3)
+        for kind, source in ((PolicyKind.OPTIMAL, None), (PolicyKind.ROBUST, noise)):
+            res = simulate_closed_loop(kind, params, AssumedRates(6.0, 0.1), init, source,
+                                       config, 0.5, ControlBounds(u_max=1.0))
+            assert res.node_stage[:3].tolist() == [1, 1, 2]
+            assert np.isfinite(res.trajectory.i).all()
+            assert np.isfinite(res.trace.node_i_seen).all()
+
+    def test_inf_in_a_block_raises_only_the_run_error(self):
+        # at beta*h = 50 the u = 0 epidemic reaches S = inf at node 3 without
+        # crossing; reading the noise over the block warns of nothing, and
+        # the run names the node
+        import warnings
+
+        params = EpidemicParams(beta=50.0, gamma=0.1)
+        init = SirState(t=0.0, s=0.999, i=0.001, r=0.0)
+        config = IntegratorConfig(step=1.0, horizon=20.0)
+        noise = MeasurementNoise.build(NoiseConfig(kind="scaled_variance", divisor=1e6),
+                                       config.n_steps + 1, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDynamicsError, match=r"at t=3\.0$"):
+                simulate_closed_loop(PolicyKind.ROBUST, params, AssumedRates(50.0, 0.1), init,
+                                     noise, config, 0.5, ControlBounds(u_max=1.0))
 
 
 class TestStageBoundaries:
@@ -664,6 +816,35 @@ class TestStageTwoLoop:
 
         check()
         assert sum(c > 0 for c in clamped) >= 10
+
+
+    def test_switch_rows_hold_the_offsets_of_their_step(self):
+        # a switch row's signals are the state at its instant plus the
+        # offsets held over its step, read at the step's first node (the
+        # node itself for an event at a node); the loop reads the I offset
+        # of a herd event apart, since stage 2 decides on S alone
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset, run_scenario
+
+        herd_inside = 0
+        for noise in (NoiseConfig(kind="scaled_variance", divisor=1e12),
+                      NoiseConfig(kind="snr_db", snr_db=60.0)):
+            cfg = replace(preset("fig1"), noise=noise, policies=("robust", "misestimated"),
+                          integrator=IntegratorConfig(step=0.1, horizon=300.0))
+            for name, run in run_scenario(cfg).runs.items():
+                traj, rows = run.result.trajectory, run.result.trace.switch_rows
+                read_s, read_i = (run.noise.offset_reader(col, name == "robust")
+                                  for col in (0, 1))
+                for pos, tau, _, stage, s_seen, i_seen in rows:
+                    if len({row[1] for row in rows if row[0] == pos}) > 1:
+                        continue  # a second split of one step starts off the node
+                    k = pos if tau == traj.t[pos] else pos - 1
+                    herd_inside += k < pos and stage == 2
+                    s, i, _ = traj.state_at(tau)
+                    o_s, o_i = read_s(k, float(traj.s[k])), read_i(k, float(traj.i[k]))
+                    assert (s_seen, i_seen) == (min(s + o_s, 1.0), min(i + o_i, 1.0))
+        assert herd_inside >= 2
 
 
 class TestOpenLoopOracle:

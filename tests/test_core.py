@@ -24,6 +24,7 @@ from sirctl.core import (
     _rhs,
     _rk4_fill,
     _rk4_step,
+    require_finite,
 )
 from sirctl.noise import MeasurementNoise, NoiseConfig
 
@@ -106,8 +107,9 @@ class TestRk4Step:
         check()
 
     def test_fill_bitwise_equal_to_repeated_steps(self):
-        # the inlined node loop is _rk4_step repeated, in every output bit;
-        # a run that overflows names the first non-finite node's time
+        # the inlined node loop is _rk4_step repeated, in every output bit,
+        # on nodes k0..end-1 only; a fill steps on through an overflow, and
+        # require_finite names the first non-finite node's time
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         zeros = st.sampled_from([0.0, -0.0])
@@ -117,26 +119,27 @@ class TestRk4Step:
         @hypothesis.given(state=st.tuples(states, states, states), beta=st.floats(1e-3, 5.0),
                           gamma=st.floats(1e-3, 2.0), u=st.one_of(zeros, st.floats(0.0, 1.0)),
                           h=st.floats(1e-3, 5.0), k0=st.integers(0, 4),
-                          steps=st.integers(0, 12))
-        def check(state, beta, gamma, u, h, k0, steps):
+                          steps=st.integers(0, 12), tail=st.integers(0, 3))
+        def check(state, beta, gamma, u, h, k0, steps, tail):
             end = k0 + steps + 1
-            ss, ii, rr = (np.full(end, np.nan) for _ in range(3))
-            ts = np.arange(end) * h
+            ss, ii, rr = (np.full(end + tail, np.nan) for _ in range(3))
+            ts = np.arange(end + tail) * h
             ss[k0], ii[k0], rr[k0] = state
             expected = [state]
             for _ in range(steps):
                 expected.append(_rk4_step(*expected[-1], beta, gamma, u, h))
+            _rk4_fill(ss, ii, rr, k0, end, beta, gamma, u, h)
+            # the nodes outside k0..end-1 are left as they were
+            assert np.isnan(np.r_[ss[:k0], ii[:k0], rr[:k0], ss[end:], ii[end:], rr[end:]]).all()
             finite = [all(map(math.isfinite, x)) for x in expected]
             if not all(finite):
                 first = ts[k0 + finite.index(False)]
                 with pytest.raises(NonFiniteDynamicsError, match=re.escape(f"at t={first}")):
-                    _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h)
+                    require_finite(ts, ss, ii, rr, k0, end)
                 return
-            _rk4_fill(ss, ii, rr, ts, k0, beta, gamma, u, h)
-            got = np.stack([ss[k0:], ii[k0:], rr[k0:]], axis=1)
+            require_finite(ts, ss, ii, rr, k0, end)
+            got = np.stack([ss[k0:end], ii[k0:end], rr[k0:end]], axis=1)
             assert got.tobytes() == np.array(expected).tobytes()
-            # the nodes before k0 are left as they were
-            assert np.isnan(np.r_[ss[:k0], ii[:k0], rr[:k0]]).all()
 
         check()
 

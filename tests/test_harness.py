@@ -129,7 +129,7 @@ class TestInjectNoise:
     ], ids=lambda c: c.kind)
     def test_series_equals_per_node_measure(self, noise_cfg, monkeypatch, tmp_path):
         # the offline vector form reproduces the loop's online reads, the
-        # per-node offsets of ``offset_reader``, bitwise
+        # per-node offsets of the per-series ``offset_reader``, bitwise
         cfg = replace(preset("fig1"), noise=noise_cfg,
                       policies=("optimal", "robust", "misestimated"),
                       integrator=IntegratorConfig(step=0.01, horizon=150.0))
@@ -150,11 +150,9 @@ class TestInjectNoise:
                 assert written["I_meas"].tobytes() == traj.i.tobytes()
             else:
                 # the offsets without and with delta at every node
-                reads = {}
-                for margin in (False, True):
-                    read = noise.offset_reader(margin)
-                    reads[margin] = np.array([read(k, s, i) for k, (s, i) in
-                                              enumerate(zip(traj.s.tolist(), traj.i.tolist()))])
+                reads = {margin: self._reader_offsets(noise, margin, 0, traj.s.tolist(),
+                                                      traj.i.tolist())
+                         for margin in (False, True)}
                 assert (written["S_meas"] - traj.s).tobytes() == reads[False][:, 0].tobytes()
                 assert (written["I_meas"] - traj.i).tobytes() == reads[False][:, 1].tobytes()
             series = measured_series_for(noise, traj)
@@ -181,8 +179,8 @@ class TestInjectNoise:
     ], ids=lambda c: c.kind)
     @pytest.mark.parametrize("margin", [False, True])
     def test_array_measure_equals_scalar_measure(self, noise_cfg, margin):
-        # the per-node reader is the array form's offsets in every output
-        # bit, signed zeros and NaN included
+        # the per-series readers are the array form's offsets in every
+        # output bit, signed zeros and NaN included
         s = np.array([0.0, -0.0, -1e-3, np.nan, 1.5, 0.5, 1e-320, -1e-320, 1.0, 0.25])
         i = np.array([-0.0, 0.0, np.nan, -2.0, 0.1, 1.2, 0.0, 3e-6, -1e-320, 1e-9])
         noise = MeasurementNoise.build(noise_cfg, len(s) + 3, seed=11,
@@ -190,16 +188,15 @@ class TestInjectNoise:
         nodes = (np.arange(3, 3 + len(s)), slice(3, 3 + len(s)))
         if noise_cfg.kind == "none":
             # no reader: the array form passes the states through with zero deltas
-            with pytest.raises(ValueError, match="none"):
-                noise.offset_reader(margin)
+            for col in (0, 1):
+                with pytest.raises(ValueError, match="none"):
+                    noise.offset_reader(col, margin)
             for k in nodes:
                 s_hat, i_hat, d_s, d_i = noise.measure(k, s, i)
                 assert s_hat.tobytes() == s.tobytes() and i_hat.tobytes() == i.tobytes()
                 assert not np.any(d_s) and not np.any(d_i)
             return
-        read = noise.offset_reader(margin)
-        scalars = np.array([read(k, ss, ii) for k, ss, ii
-                            in zip(range(3, 3 + len(s)), s.tolist(), i.tolist())])
+        scalars = self._reader_offsets(noise, margin, 3, s.tolist(), i.tolist())
         for k in nodes:
             arrays = noise.measure(k, s, i)
             assert all(isinstance(a, np.ndarray) and a.shape == s.shape for a in arrays)
@@ -212,6 +209,13 @@ class TestInjectNoise:
         return integrate(EpidemicParams(beta=0.16, gamma=0.063), 0.0,
                          SirState(t=0.0, s=0.99, i=0.01, r=0.0),
                          IntegratorConfig(step=0.1, horizon=1.0))
+
+    @staticmethod
+    def _reader_offsets(noise, margin, first, s, i):
+        # the loop's per-node reads of epochs first.., one column per series
+        read_s, read_i = noise.offset_reader(0, margin), noise.offset_reader(1, margin)
+        return np.array([(read_s(k, x), read_i(k, y))
+                         for k, (x, y) in enumerate(zip(s, i), first)])
 
     @staticmethod
     def _offsets(reads, s, i, margin):
@@ -242,8 +246,7 @@ class TestInjectNoise:
             noise = MeasurementNoise.build(cfg, first + len(states), seed, reference=reference)
             s, i = np.array(states).T
             offsets = self._offsets(noise.measure(slice(first, None), s, i), s, i, margin)
-            read = noise.offset_reader(margin)
-            scalars = np.array([read(first + k, ss, ii) for k, (ss, ii) in enumerate(states)])
+            scalars = self._reader_offsets(noise, margin, first, *zip(*states))
             assert offsets[0].tobytes() == scalars[:, 0].tobytes()
             assert offsets[1].tobytes() == scalars[:, 1].tobytes()
 
@@ -959,26 +962,29 @@ class TestCli:
         assert np.all(table["stage"] == 1)
         assert table["I_true"].max() == pytest.approx(0.4649, abs=1e-3)
 
-    @pytest.mark.parametrize("command", [
-        ["simulate", "--preset", "fig1", "--set", "integrator.horizon=20"],
-        ["estimate", "--preset", "param-est"],
-        ["gap", "--preset", "fig1"],
-        ["reproduce", "fig1"],
-    ], ids=["simulate", "estimate", "gap", "reproduce"])
+    @pytest.mark.parametrize("command, taken", [
+        (["simulate", "--preset", "fig1", "--set", "integrator.horizon=20"], "taken"),
+        (["estimate", "--preset", "param-est"], "taken"),
+        (["gap", "--preset", "fig1"], "taken"),
+        (["reproduce", "fig1"], "taken"),
+        (["reproduce", "fig1"], "taken/fig1"),
+    ], ids=["simulate", "estimate", "gap", "reproduce", "reproduce-name"])
     def test_out_naming_a_file_is_refused_before_the_run(self, tmp_path, capsys,
-                                                         monkeypatch, command):
+                                                         monkeypatch, command, taken):
         # this ran the whole scenario, then raised FileExistsError (or
-        # NotADirectoryError for reproduce) on writing
+        # NotADirectoryError for reproduce) on writing; reproduce writes in
+        # the directory --out/NAME, so a file there is refused as well
         def run(*args):
             raise AssertionError("ran with --out naming a file")
 
         for name in ("run_scenario", "sweep_h", "sweep_trajectory", "gap_table"):
             monkeypatch.setattr(f"sirctl.cli.{name}", run)
-        out = tmp_path / "taken"
-        out.write_text("kept\n")
+        out, file = tmp_path / "taken", tmp_path / taken
+        file.parent.mkdir(exist_ok=True)
+        file.write_text("kept\n")
         assert main([*command, "--out", str(out)]) == 2
         assert "--out" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
+        assert sorted(tmp_path.rglob("*")) == sorted({out, file}) and file.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", [["gap", "--preset", "fig1"],
                                          ["reproduce", "bound-sweep"]],
