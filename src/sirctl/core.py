@@ -241,6 +241,9 @@ class Trajectory:
         return float(np.max(np.abs(self.s + self.i + self.r - 1.0)))
 
 
+_memo: dict = {}  # integrate's last result by its exact inputs; rebound whole, so one entry
+
+
 def integrate(params: EpidemicParams, u: float, init: SirState,
               config: IntegratorConfig) -> Trajectory:
     """Integrate the SIR dynamics by RK4 on a fixed grid under the constant rate u.
@@ -248,12 +251,23 @@ def integrate(params: EpidemicParams, u: float, init: SirState,
     The grid is ``init.t + k*step``, as in the closed loop. Raises
     NonFiniteDynamicsError if u or the state becomes NaN/inf, and
     ValueError if u lies outside [0, 1].
+
+    The last result is kept, and a repeat call returns that read-only
+    Trajectory. The key is the type and bits of every number the steps read
+    (beta, gamma, u, the initial t, s, i, r, the step and the step count), not
+    ``==``: 0.0 == -0.0, but the two write different bits. A failed call stores nothing.
     """
+    global _memo
     u = float(u)
     if not math.isfinite(u):
         raise NonFiniteDynamicsError(f"isolation rate {u} is not finite")
     if u < 0.0 or u > 1.0:
         raise ValueError(f"isolation rate {u} outside [0, 1]")
+    key = tuple((type(x), float(x).hex()) for x in (params.beta, params.gamma, u, init.t,
+                init.s, init.i, init.r, config.step, config.n_steps))
+    traj = _memo.get(key)
+    if traj is not None:
+        return traj
     h = config.step
     n = config.n_steps
     ts = init.t + np.arange(n + 1) * h
@@ -263,7 +277,9 @@ def integrate(params: EpidemicParams, u: float, init: SirState,
     ss[0], ii[0], rr[0] = init.s, init.i, init.r
     _rk4_fill(ss, ii, rr, 0, n + 1, params.beta, params.gamma, u, h)
     require_finite(ts, ss, ii, rr, 0, n + 1)
-    return Trajectory(t=ts, s=ss, i=ii, r=rr, u=np.full(n + 1, u), step=h, params=params)
+    traj = Trajectory(t=ts, s=ss, i=ii, r=rr, u=np.full(n + 1, u), step=h, params=params)
+    _memo = {key: traj}
+    return traj
 
 
 def _rk4_fill(ss, ii, rr, k0, end, beta, gamma, u, h) -> None:

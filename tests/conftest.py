@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from sirctl import core
 from sirctl.core import EVENT_TOL, EpidemicParams, IntegratorConfig, SirState, integrate
 from sirctl.scenarios import InflationConfig, NoiseConfig, preset, run_scenario
 
@@ -41,6 +42,13 @@ class OpenLoopOracle:
         rhs, sol = self.solve(params, (init.t, t_end), [init.s, init.i], events=crossing)
         t_b, y_b = sol.t_events[0][0], sol.y_events[0][0]
         return t_b, EVENT_TOL / rhs(t_b, y_b)[1]
+
+
+@pytest.fixture(autouse=True)
+def empty_integrate_memo():
+    """Each test starts with ``integrate``'s memo empty, so no test depends on
+    the order the tests run in."""
+    core._memo.clear()
 
 
 @pytest.fixture(scope="session")

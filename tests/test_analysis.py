@@ -442,6 +442,20 @@ class TestClosedFormOptimum:
         assert fine > 0.0
         assert 1.9 <= coarse / fine <= 2.1
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+        "the stage-2 rate is sampled at each node and held over the step, so "
+        "the run over-isolates: 1.392814079 against 1.392635498"))
+    def test_optimal_cost_matches_stage_two_closed_form(self, fig1_noise_free_artifacts):
+        # holding I at i_bar from t_b costs (S_b - S_h)/i_bar -
+        # gamma/(beta*i_bar)*ln(S_b/S_h) until beta*S reaches gamma at S_h
+        art = fig1_noise_free_artifacts
+        beta, gamma, i_bar = art.config.params.beta, art.config.params.gamma, art.config.i_bar
+        optimal = art.runs["optimal"].result
+        s_b = optimal.trajectory.state_at(optimal.trace.switching.t_b)[0]
+        s_h = gamma / beta
+        closed = (s_b - s_h) / i_bar - gamma / (beta * i_bar) * math.log(s_b / s_h)
+        assert abs(robust_and_optimal_rows(art)[1].total_cost - closed) <= 1e-6
+
     def test_stage_two_errors_halve_with_the_step(self):
         # in stage 2 the optimal rate beta*S - gamma holds I at i_bar, so
         # S(t) = S_b*exp(-beta*i_bar*(t - t_b)) and beta*S reaches gamma at

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from sirctl import core
 from sirctl.control import AssumedRates, PolicyKind, SwitchingTimes, simulate_closed_loop
 from sirctl.core import (
     EVENT_TOL,
@@ -222,6 +223,104 @@ class TestIntegrate:
         init = SirState(t=0.0, s=0.9, i=0.1, r=0.0)
         with pytest.raises(ValueError):
             integrate(PARAMS_52, 1.5, init, IntegratorConfig(step=0.1, horizon=1.0))
+
+
+def _bits(traj: Trajectory) -> tuple:
+    """Every value a Trajectory holds, as bytes: -0.0 and 0.0 differ here."""
+    return (tuple(getattr(traj, name).tobytes() for name in "tsiru"),
+            (type(traj.step), float(traj.step).hex()), traj.params)
+
+
+class TestIntegrateMemo:
+    """integrate keeps its last result under the exact bits of its inputs."""
+
+    INIT = SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0)
+    GRID = IntegratorConfig(step=0.01, horizon=20.0)
+    CALL = (PARAMS_52, 0.0, INIT, GRID)
+
+    @pytest.fixture
+    def fills(self, monkeypatch):
+        """The node ranges of every ``_rk4_fill`` call that integrate makes."""
+        calls = []
+        monkeypatch.setattr(core, "_rk4_fill", lambda ss, ii, rr, k0, end, *a: (
+            calls.append((k0, end)) or _rk4_fill(ss, ii, rr, k0, end, *a)))
+        return calls
+
+    @staticmethod
+    def _fresh(*call) -> Trajectory:
+        core._memo.clear()
+        return integrate(*call)
+
+    def test_hit_is_bitwise_a_fresh_integration(self):
+        first = integrate(*self.CALL)
+        hit = integrate(*self.CALL)
+        assert hit is first
+        fresh = self._fresh(*self.CALL)
+        assert fresh is not first and _bits(fresh) == _bits(hit)
+
+    def test_repeat_call_does_not_step(self, fills):
+        integrate(*self.CALL)
+        integrate(*self.CALL)
+        assert fills == [(0, self.GRID.n_steps + 1)]
+
+    @pytest.mark.parametrize("call", [
+        (EpidemicParams(beta=math.nextafter(PARAMS_52.beta, 1.0), gamma=PARAMS_52.gamma),
+         0.0, INIT, GRID),
+        (PARAMS_52, 0.0, SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=-0.0), GRID),
+        (PARAMS_52, -0.0, INIT, GRID),
+        (PARAMS_52, 0.0, INIT, IntegratorConfig(step=0.02, horizon=20.0)),
+        (PARAMS_52, 0.0, INIT, IntegratorConfig(step=0.01, horizon=30.0)),
+    ], ids=["beta-one-ulp", "r-minus-zero", "u-minus-zero", "step", "horizon"])
+    def test_changed_input_misses(self, fills, call):
+        # 0.0 == -0.0, so a memo keyed on the inputs' == would return the
+        # first call's +0 in node 0 of r, or in the whole u column
+        first = integrate(*self.CALL)
+        other = integrate(*call)
+        assert len(fills) == 2 and other is not first
+        assert _bits(other) == _bits(self._fresh(*call)) != _bits(first)
+
+    def test_number_types_are_part_of_the_key(self):
+        # an int start time and step give an int time grid, float ones a float grid
+        ints = integrate(PARAMS_52, 0.0, SirState(t=0, s=0.9, i=0.1, r=0.0),
+                         IntegratorConfig(step=1, horizon=10))
+        floats = (PARAMS_52, 0.0, SirState(t=0.0, s=0.9, i=0.1, r=0.0),
+                  IntegratorConfig(step=1.0, horizon=10.0))
+        assert np.issubdtype(ints.t.dtype, np.integer)
+        assert integrate(*floats).t.dtype == np.float64
+        assert _bits(integrate(*floats)) == _bits(self._fresh(*floats))
+
+    def test_alternating_calls_recompute(self, fills):
+        other = (PARAMS_F1,) + self.CALL[1:]
+        a = integrate(*self.CALL)
+        integrate(*other)
+        again = integrate(*self.CALL)
+        assert len(fills) == 3 and again is not a and _bits(again) == _bits(a)
+        assert list(core._memo.values()) == [again]
+
+    @pytest.mark.parametrize("call, error", [
+        ((PARAMS_52, float("nan"), INIT, GRID), NonFiniteDynamicsError),
+        ((PARAMS_52, 1.5, INIT, GRID), ValueError),
+        ((EpidemicParams(beta=1e300, gamma=0.1), 0.0, SirState(t=0.0, s=0.5, i=0.5, r=0.0),
+          GRID), NonFiniteDynamicsError),
+    ], ids=["nan-rate", "rate-above-one", "overflow"])
+    def test_failed_call_raises_every_time_and_stores_nothing(self, call, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                integrate(*call)
+            assert core._memo == {}
+        kept = integrate(*self.CALL)
+        with pytest.raises(error):
+            integrate(*call)
+        assert list(core._memo.values()) == [kept]
+        assert integrate(*self.CALL) is kept
+
+    def test_shared_result_is_read_only(self):
+        integrate(*self.CALL)
+        hit = integrate(*self.CALL)
+        assert hit.params == PARAMS_52
+        for name in "tsiru":
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(hit, name)[0] = 0.5
 
 
 class TestPeakInfection:

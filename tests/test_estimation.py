@@ -20,6 +20,7 @@ from sirctl.estimation import (
     measurement_error_term,
     param_intervals,
 )
+from sirctl.scenarios import PRESETS, bound_sweep_noisy_config, preset, sweep_trajectory
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 
@@ -174,6 +175,69 @@ class TestLipschitzAndDiscretization:
                 gap = math.sqrt((pred.s - truth.s) ** 2 + (pred.i - truth.i) ** 2
                                 + (pred.r - truth.r) ** 2)
                 assert gap <= discretization_error_bound(h, zeta, f_norm)
+
+
+def _jacobian(beta, gamma, u, s, i) -> np.ndarray:
+    """The Jacobian of (dS, dI, dR) in (S, I, R) under the rate u."""
+    g = gamma + u
+    return np.array([[-beta * i, -beta * s, 0.0], [beta * i, beta * s - g, 0.0],
+                     [0.0, g, 0.0]])
+
+
+def _jacobian_box_bound(beta, gamma, u, s, i, r) -> float:
+    """An upper bound on ||J||_2 over the box [s - r, s + r] x [i - r, i + r].
+
+    J does not depend on R, so the box holds the r-ball around (s, i, R).
+    With M the entrywise maxima of |J| over the box, ||J||_2 <= || |J| ||_2
+    <= ||M||_2 <= ||M||_F. Each entry is affine in one coordinate, so its
+    largest magnitude lies at an end of that interval.
+    """
+    g = gamma + u
+    beta_i, beta_s = beta * (abs(i) + r), beta * (abs(s) + r)
+    net = max(abs(beta * (s - r) - g), abs(beta * (s + r) - g))
+    return math.sqrt(2.0 * beta_i * beta_i + beta_s * beta_s + net * net + g * g)
+
+
+# every scenario that runs the estimator: the presets with an estimation block
+# and the 100 dB half of bound-sweep
+ESTIMATION_CONFIGS = [cfg for cfg in map(preset, sorted(PRESETS)) if cfg.estimation] + [
+    bound_sweep_noisy_config()]
+
+
+def _base_balls(cfg):
+    """Each base time of the sweep and (beta, gamma, u, S, I, r) of the ball around its sample."""
+    est, traj = cfg.estimation, sweep_trajectory(cfg)
+    for time in (est.i, est.j):
+        k = traj.index_at(time)
+        yield time, (cfg.params.beta, cfg.params.gamma, float(traj.u[k]), float(traj.s[k]),
+                     float(traj.i[k]), est.r)
+
+
+class TestPresetLipschitz:
+    """The error bound takes estimation.zeta as a Lipschitz constant of the
+    dynamics over the r-balls around the two base samples."""
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+        "the hand-set zeta = 0.055 is below the sup of ||J||_2 over the balls "
+        "(bounded by 0.188 at t = 80 and 0.158 at t = 90 on the u = 0 wave)"))
+    def test_zeta_bounds_the_jacobian_norm(self):
+        short = {(cfg.name, time): bound for cfg in ESTIMATION_CONFIGS
+                 for time, ball in _base_balls(cfg)
+                 if (bound := _jacobian_box_bound(*ball)) > cfg.estimation.zeta}
+        assert short == {}
+
+    @pytest.mark.parametrize("cfg", ESTIMATION_CONFIGS, ids=lambda cfg: cfg.name)
+    def test_box_bound_exceeds_the_norm_inside_each_ball(self, cfg):
+        rng = np.random.default_rng(11)
+        for _, (beta, gamma, u, s, i, r) in _base_balls(cfg):
+            bound = _jacobian_box_bound(beta, gamma, u, s, i, r)
+            # uniform points of the 3-ball; R is free, since J does not read it
+            step = rng.normal(size=(500, 3))
+            step *= r * rng.random((500, 1)) ** (1.0 / 3.0) / np.linalg.norm(
+                step, axis=1, keepdims=True)
+            norms = [np.linalg.norm(_jacobian(beta, gamma, u, s + ds, i + di), 2)
+                     for ds, di, _ in step]
+            assert max(norms) <= bound
 
 
 class TestErrorBound:

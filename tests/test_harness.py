@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sirctl import csvio, scenarios
+from sirctl import core, csvio, scenarios
 from sirctl.cli import main
 from sirctl.control import (
     ClosedLoopResult,
@@ -485,6 +485,27 @@ class TestSweep:
         assert main(["reproduce", "bound-sweep", "--out", str(tmp_path)]) == 0
         assert calls["integrate"] == 1
         assert len(read_estimates_csv(tmp_path / "bound-sweep" / "estimates_snr100.csv")) == 200
+
+    def test_seed_sweep_in_one_process_writes_fresh_bytes(self, tmp_path, monkeypatch):
+        # the seeds share one epidemic, which integrate's memo keeps; each
+        # call must write the bytes of a call that integrates anew
+        fills, fill = [], core._rk4_fill
+        monkeypatch.setattr(core, "_rk4_fill", lambda *a: fills.append(1) or fill(*a))
+
+        def sweep(side, clear):
+            for seed in ("3", "4", "5"):
+                if clear:
+                    core._memo.clear()
+                out = tmp_path / side / seed
+                assert main(["reproduce", "bound-sweep", "--seed", seed, "--out", str(out)]) == 0
+            return {p.relative_to(tmp_path / side): p.read_bytes()
+                    for p in sorted((tmp_path / side).rglob("*.csv"))}
+
+        shared = sweep("shared", clear=False)
+        assert len(fills) == 1
+        fresh = sweep("fresh", clear=True)
+        assert len(fills) == 4
+        assert len(shared) == 6 and shared == fresh
 
     def test_single_alpha_single_row(self):
         cfg = replace(preset("param-est"), estimation=EstimationWindow(alphas=(1,)))
