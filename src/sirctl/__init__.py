@@ -59,7 +59,6 @@ from .scenarios import (
     preset,
     run_scenario,
     sweep_h,
-    sweep_trajectory,
 )
 
 __version__ = "0.1.0"

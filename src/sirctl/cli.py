@@ -31,7 +31,6 @@ from .scenarios import (
     preset,
     run_scenario,
     sweep_h,
-    sweep_trajectory,
 )
 
 EXIT_OK = 0
@@ -130,14 +129,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                           "its directory")
     if name in ("param-est", "bound-sweep"):
         config = preset(name, args.seed)
-        epidemic = sweep_trajectory(config)
-        write_estimates_csv(out / "estimates.csv", sweep_h(config, epidemic))
+        write_estimates_csv(out / "estimates.csv", sweep_h(config))
         if name == "bound-sweep":
             # the 100 dB table samples the same epidemic under other noise
             noisy = bound_sweep_noisy_config()
             if args.seed is not None:
                 noisy = replace(noisy, seed=args.seed)
-            write_estimates_csv(out / "estimates_snr100.csv", sweep_h(noisy, epidemic))
+            write_estimates_csv(out / "estimates_snr100.csv", sweep_h(noisy))
         print(out)
         return EXIT_OK
     config = preset(name, args.seed)

@@ -465,19 +465,11 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
         t_node = t0 + (k + 1) * h
         dt = h
         while True:
-            s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, dt)
-            if stage == 1:
-                i_seen = i2 + o_i
-                fired = (1.0 if i_seen > 1.0 else i_seen) - i_bar >= 0.0
-            else:
-                s_seen = s2 + o_s
-                fired = -stage_two_rate(beta_plan, gamma_plan,
-                                        1.0 if s_seen > 1.0 else s_seen) >= 0.0
-            if not fired:
-                break
-
             gap = (_threshold_gap(i_bar, o_i) if stage == 1
                    else _herd_gap(beta_plan, gamma_plan, o_s))
+            s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, dt)
+            if not gap(s2, i2) >= 0.0:
+                break
             tau = locate_event(gap, s, i, r, beta, gamma, u, sub_t, t_node)
             s, i, r = _rk4_step(s, i, r, beta, gamma, u, tau - sub_t)
             sub_t, dt = tau, t_node - tau

@@ -46,7 +46,7 @@ class EpidemicParams:
 
 @dataclass(frozen=True)
 class SirState:
-    """Population fractions at time t (keyword-only, 0 by default); s + i + r must equal 1."""
+    """Population fractions at a finite time t (keyword-only, default 0); s + i + r is 1."""
 
     t: float = field(default=0.0, kw_only=True)
     s: float
@@ -54,6 +54,8 @@ class SirState:
     r: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         for name, v in (("s", self.s), ("i", self.i), ("r", self.r)):
             if not math.isfinite(v):
                 raise NonFiniteDynamicsError(f"{name} is not finite at t={self.t}")
@@ -204,7 +206,7 @@ class Trajectory:
         read_only(self.t, self.s, self.i, self.r, self.u)
         if len(self.t) == 0:
             return
-        if np.any(np.diff(self.t) <= 0.0):
+        if not np.all(np.diff(self.t) > 0.0):  # NaN fails too
             raise ValueError("time stamps must be strictly increasing")
 
     def __len__(self) -> int:

@@ -71,17 +71,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EstimationWindow:
-    """Two-sample estimation settings: base times, unit step, step multiples."""
+    """Two-sample estimation settings: base times, multiples alpha of integrator.step."""
 
     i: float = 80.0
     j: float = 90.0
-    h_unit: float = 0.01
     alphas: tuple[int, ...] = tuple(range(1, 201))
     zeta: float = 0.055  # working Lipschitz constant for the error bound
     r: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("i", "j", "h_unit", "zeta", "r"):
+        for name in ("i", "j", "zeta", "r"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"estimation.{name} must be finite, got {value}")
@@ -89,13 +88,10 @@ class EstimationWindow:
                 raise ConfigError(f"estimation.{name} must be >= 0, got {value}")
         if self.i == self.j:
             raise ConfigError("estimation base times must differ")
-        if self.h_unit <= 0.0 or not self.alphas:
-            raise ConfigError("estimation needs a positive h_unit and alphas")
+        if not self.alphas:
+            raise ConfigError("estimation needs alphas")
         if min(self.alphas) < 1:
             raise ConfigError(f"estimation.alphas must be >= 1, got {min(self.alphas)}")
-        if self.zeta * self.h_unit * max(self.alphas) >= 1.0:
-            raise ConfigError("estimation.zeta times the largest step h must be < 1, "
-                              f"got {self.zeta * self.h_unit * max(self.alphas)}")
 
 
 @dataclass(frozen=True)
@@ -136,8 +132,6 @@ class ScenarioConfig:
     estimation: Optional[EstimationWindow] = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.init.t):
-            raise ConfigError(f"init.t must be finite, got {self.init.t}")
         # grid times t0 + k*step are strictly increasing when the step exceeds
         # the rounding of k*step plus that of the sum: twice the spacing of
         # doubles at the largest magnitude on the grid
@@ -417,12 +411,11 @@ def _sample(meas: MeasuredSeries, k) -> MeasuredSample:
 def _sweep_rows(config: ScenarioConfig, traj: Trajectory,
                 alphas: Optional[tuple[int, ...]] = None):
     est = config.estimation
-    if est is None:
-        raise ConfigError("sweep_h needs an estimation block in the config")
     alphas = est.alphas if alphas is None else alphas
-    if abs(traj.step - est.h_unit) > 1e-12:
-        raise ConfigError("trajectory step must equal the estimation h_unit")
-    needed = max(est.i, est.j) + max(alphas) * est.h_unit
+    if est.zeta * traj.step * max(est.alphas) >= 1.0:
+        raise ConfigError("estimation.zeta times the largest step h must be < 1, "
+                          f"got {est.zeta * traj.step * max(est.alphas)}")
+    needed = max(est.i, est.j) + max(alphas) * traj.step
     if float(traj.t[-1]) + 1e-9 < needed:
         raise ConfigError(
             f"horizon {traj.t[-1]} too short for the sweep (needs {needed})")
@@ -439,7 +432,7 @@ def _sweep_rows(config: ScenarioConfig, traj: Trajectory,
     # every alpha at once: the ahead samples are stacked, the base samples
     # (and so Z Z') are shared
     steps = np.asarray(alphas)
-    h = steps * est.h_unit
+    h = steps * traj.step
     batch = build_regressor_batch(_sample(meas, ki), _sample(meas, ki + steps),
                                   _sample(meas, kj), _sample(meas, kj + steps), h)
     try:
@@ -461,30 +454,20 @@ def _sweep_rows(config: ScenarioConfig, traj: Trajectory,
         h, point.beta_hat, point.gamma_hat, err, bound.value, err <= bound.value)))]
 
 
-def sweep_trajectory(config: ScenarioConfig) -> Trajectory:
-    """The uncontrolled epidemic at the estimation unit step, which ``sweep_h`` samples."""
-    if config.estimation is None:
-        raise ConfigError("sweep_h needs an estimation block in the config")
-    try:
-        integrator = replace(config.integrator, step=config.estimation.h_unit)
-    except ValueError as exc:
-        raise ConfigError(f"estimation h_unit does not fit the horizon: {exc}") from exc
-    return integrate(config.params, 0.0, config.init, integrator)
-
-
-def sweep_h(config: ScenarioConfig,
-            trajectory: Optional[Trajectory] = None) -> list[EstimateRow]:
+def sweep_h(config: ScenarioConfig) -> list[EstimateRow]:
     """Estimate (beta, gamma) and the error bound for every step multiple.
 
-    Samples ``trajectory``, the uncontrolled epidemic at the unit step
-    (integrated from the config by ``sweep_trajectory`` when omitted, and
-    passed in to share one integration between configs that differ only in
-    noise), under the configured noise. Then all alphas are estimated in one
-    array pass: Z Z' depends only on the base times i and j, so its
-    eigenvalues, the singular test and the bound's lambda_min are computed
-    once. A singular window makes every row NaN, flagged as not contained.
+    Samples the uncontrolled epidemic on the config's integrator grid, so
+    alpha's step is alpha times ``integrator.step``, under the configured
+    noise. Configs that differ only in noise or seed share one integration
+    through ``integrate``'s memo. All alphas are estimated in one array
+    pass: Z Z' depends only on the base times i and j, so its eigenvalues,
+    the singular test and the bound's lambda_min are computed once. A
+    singular window makes every row NaN, flagged as not contained.
     """
-    return _sweep_rows(config, sweep_trajectory(config) if trajectory is None else trajectory)
+    if config.estimation is None:
+        raise ConfigError("sweep_h needs an estimation block in the config")
+    return _sweep_rows(config, integrate(config.params, 0.0, config.init, config.integrator))
 
 
 def gap_table(config: ScenarioConfig,

@@ -224,6 +224,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(PARAMS_52, 1.5, init, IntegratorConfig(step=0.1, horizon=1.0))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("run", [
+        lambda init: integrate(PARAMS_52, 0.0, init, IntegratorConfig(step=0.1, horizon=1.0)),
+        lambda init: _loop(init=init, horizon=1.0),
+    ], ids=["integrate", "closed-loop"])
+    def test_nonfinite_initial_time_rejected(self, run, t):
+        # a NaN start gave an all-NaN time grid, an infinite one a numpy
+        # warning, and the closed loop called the finite state non-finite
+        with pytest.raises(ValueError, match="t must be finite"):
+            run(SirState(t=t, s=0.9, i=0.1, r=0.0))
+        assert core._memo == {}
+
 
 def _bits(traj: Trajectory) -> tuple:
     """Every value a Trajectory holds, as bytes: -0.0 and 0.0 differ here."""
@@ -513,7 +525,8 @@ def test_trajectory_invariants_on_random_scenarios(seed):
 
 
 def test_trajectory_requires_increasing_times():
-    with pytest.raises(ValueError):
-        Trajectory(t=np.array([0.0, 0.0]), s=np.array([0.5, 0.5]),
-                   i=np.array([0.1, 0.1]), r=np.array([0.4, 0.4]),
-                   u=np.array([0.0, 0.0]), step=0.1, params=PARAMS_52)
+    for t in ([0.0, 0.0], [math.nan, math.nan]):
+        with pytest.raises(ValueError):
+            Trajectory(t=np.array(t), s=np.array([0.5, 0.5]),
+                       i=np.array([0.1, 0.1]), r=np.array([0.4, 0.4]),
+                       u=np.array([0.0, 0.0]), step=0.1, params=PARAMS_52)

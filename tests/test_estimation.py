@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sirctl.core import EpidemicParams, SirState, euler_step, rhs
+from sirctl.core import EpidemicParams, SirState, euler_step, integrate, rhs
 from sirctl.estimation import (
     BoundInputs,
     MeasuredSample,
@@ -20,7 +20,7 @@ from sirctl.estimation import (
     measurement_error_term,
     param_intervals,
 )
-from sirctl.scenarios import PRESETS, bound_sweep_noisy_config, preset, sweep_trajectory
+from sirctl.scenarios import PRESETS, bound_sweep_noisy_config, preset
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 
@@ -206,7 +206,7 @@ ESTIMATION_CONFIGS = [cfg for cfg in map(preset, sorted(PRESETS)) if cfg.estimat
 
 def _base_balls(cfg):
     """Each base time of the sweep and (beta, gamma, u, S, I, r) of the ball around its sample."""
-    est, traj = cfg.estimation, sweep_trajectory(cfg)
+    est, traj = cfg.estimation, integrate(cfg.params, 0.0, cfg.init, cfg.integrator)
     for time in (est.i, est.j):
         k = traj.index_at(time)
         yield time, (cfg.params.beta, cfg.params.gamma, float(traj.u[k]), float(traj.s[k]),

@@ -30,6 +30,9 @@ CASES = {
                       "1.05:0.95,1.1:0.9"],
     "param-est-1-10": ["estimate", "--preset", "param-est",
                        "--set", "estimation.alphas=[1,10]"],
+    # the sweep samples the integrator grid: alpha's step is alpha * 0.02
+    "param-est-step-0.02": ["estimate", "--preset", "param-est",
+                            "--set", "integrator.step=0.02"],
     # both 200-row sweep tables, clean and 100 dB
     "bound-sweep": ["reproduce", "bound-sweep"],
     # the robust run's bounds come from one alpha of the estimator: here they
@@ -128,6 +131,10 @@ EXPECTED = {
     "param-est-1-10": {
         "estimates.csv":
             "3593a78c3f05aeb156046b17cfb3a8a78ebaa2a1e21522d969e0bb3d1f4e435e",
+    },
+    "param-est-step-0.02": {
+        "estimates.csv":
+            "d4071c52bd273adabbe0093670a81e6d9122673de6c9ffc3852dbdfb6c2ca2fd",
     },
     "policy-compare": {
         "policy-compare/costs.csv":

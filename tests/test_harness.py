@@ -71,7 +71,6 @@ from sirctl.scenarios import (
     preset,
     run_scenario,
     sweep_h,
-    sweep_trajectory,
 )
 
 
@@ -328,6 +327,14 @@ class TestRunScenario:
 
         check()
 
+    def test_readme_config_example_loads(self):
+        # the JSON block under the README's "Config format" is a valid config
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        section = text[text.index("## Config format"):]
+        raw = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        cfg = ScenarioConfig.from_dict(raw)
+        assert self._through_json(cfg) == cfg
+
     def test_dict_edits_leave_the_config_untouched(self):
         # --set edits this dict; fig1 shares the class-level misestimation default
         raw = preset("fig1").to_dict()
@@ -416,7 +423,7 @@ def per_alpha_rows(config: ScenarioConfig, traj: Trajectory) -> list[EstimateRow
     nan = float("nan")
     rows = []
     for a in est.alphas:
-        h = a * est.h_unit
+        h = a * traj.step
         batch = build_regressor_batch(sample(ki), sample(ki + a), sample(kj),
                                       sample(kj + a), h)
         try:
@@ -445,9 +452,9 @@ class TestSweep:
     @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
     def test_rows_equal_per_alpha_calls(self, name, seed):
         cfg = SWEEP_CONFIGS[name](seed)
-        traj = sweep_trajectory(cfg)
+        traj = integrate(cfg.params, 0.0, cfg.init, cfg.integrator)
         # repr compares NaN rows too, and every bit of each float
-        assert [repr(r) for r in sweep_h(cfg, traj)] == \
+        assert [repr(r) for r in sweep_h(cfg)] == \
             [repr(r) for r in per_alpha_rows(cfg, traj)]
 
     def test_rows_equal_per_alpha_calls_on_random_windows(self):
@@ -455,7 +462,7 @@ class TestSweep:
         st = hypothesis.strategies
         base = replace(preset("param-est"),
                        integrator=IntegratorConfig(step=0.01, horizon=60.0))
-        traj = sweep_trajectory(base)
+        traj = integrate(base.params, 0.0, base.init, base.integrator)
         last = base.integrator.n_steps - 200  # room for the largest alpha
         noises = st.builds(
             lambda noisy, db: NoiseConfig(kind="snr_db", snr_db=db) if noisy else NoiseConfig(),
@@ -469,21 +476,18 @@ class TestSweep:
         def check(ks, alphas, noise, seed):
             cfg = replace(base, noise=noise, seed=seed, estimation=EstimationWindow(
                 i=float(traj.t[ks[0]]), j=float(traj.t[ks[1]]), alphas=tuple(alphas)))
-            assert [repr(r) for r in sweep_h(cfg, traj)] == \
+            assert [repr(r) for r in sweep_h(cfg)] == \
                 [repr(r) for r in per_alpha_rows(cfg, traj)]
 
         check()
 
     def test_reproduce_bound_sweep_integrates_once(self, tmp_path, monkeypatch):
-        calls = Counter()
-
-        def counted(*args, **kwargs):
-            calls["integrate"] += 1
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(scenarios, "integrate", counted)
+        # each table calls integrate; the second gets the first's epidemic
+        # from the memo, so the steps are filled once
+        fills, fill = [], core._rk4_fill
+        monkeypatch.setattr(core, "_rk4_fill", lambda *a: fills.append(1) or fill(*a))
         assert main(["reproduce", "bound-sweep", "--out", str(tmp_path)]) == 0
-        assert calls["integrate"] == 1
+        assert len(fills) == 1
         assert len(read_estimates_csv(tmp_path / "bound-sweep" / "estimates_snr100.csv")) == 200
 
     def test_seed_sweep_in_one_process_writes_fresh_bytes(self, tmp_path, monkeypatch):
@@ -530,12 +534,6 @@ class TestSweep:
     def test_missing_estimation_block_rejected(self):
         cfg = replace(preset("param-est"), estimation=None)
         with pytest.raises(ConfigError):
-            sweep_h(cfg)
-
-    def test_h_unit_off_the_horizon_grid_is_config_error(self):
-        cfg = replace(preset("param-est"),
-                      estimation=EstimationWindow(h_unit=0.03, alphas=(1,)))
-        with pytest.raises(ConfigError, match="h_unit"):
             sweep_h(cfg)
 
 
@@ -840,7 +838,7 @@ class TestCli:
         ("measurement_interval=0.5", "measurement_interval"),  # removed knob
         ("init.sx=0.5", "sx"),
         ("init.s=NaN", "not finite"),
-        ("init.t=Infinity", "init.t"),
+        pytest.param("init.t=Infinity", "init: t must be finite", id="init.t=Infinity-init.t"),
         ("inflation.beta_mult=NaN", "beta_mult"),
         ("inflation.beta_mult=-1", "beta_mult"),
         ("misestimation.gamma_mult=Infinity", "gamma_mult"),
@@ -848,7 +846,6 @@ class TestCli:
         ("integrator.method=euler", "method"),  # removed knob: one RK4 integrator
         ("estimation.zeta=NaN", "zeta"),
         ("estimation.zeta=-1", "zeta"),
-        ("estimation.zeta=1", "zeta"),  # zeta * h >= 1 at the largest alpha
         ("estimation.r=Infinity", "estimation.r"),
         ("estimation.r=-1", "estimation.r"),
         ("estimation.i=NaN", "estimation.i"),
@@ -857,7 +854,9 @@ class TestCli:
                      id="estimation.i-before-the-grid"),
         pytest.param(("inflation.mode=estimated", "estimation.j=-5"), "estimation.j",
                      id="estimation.j-before-the-grid"),
-        ("estimation.h_unit=NaN", "h_unit"),
+        # a removed knob: the sweep's unit step is integrator.step
+        pytest.param("estimation.h_unit=0.01", "unknown config keys: estimation.h_unit",
+                     id="estimation.h_unit=0.01-estimation.h_unit"),
         ("estimation.alphas=[1.5]", "alphas"),
         # a removed knob: every run spans its scenario's grid
         pytest.param("early_stop=no", "unknown config keys: early_stop",
@@ -891,6 +890,25 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "name: expected a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        # the estimator's samples are the closed loop's grid nodes, 0.02 apart
+        ["simulate", "--preset", "fig1", "--set", "inflation.mode=estimated",
+         "--set", "noise.kind=none", "--set", "estimation.alphas=[1]",
+         "--set", "integrator.step=0.02"],
+        # an estimation block the run never uses is not checked against the grid
+        ["simulate", "--preset", "sir-wave", "--set", "integrator.step=0.1"],
+    ], ids=["estimated-inflation", "unused-block"])
+    def test_estimation_runs_on_the_integrator_step(self, tmp_path, command):
+        assert main([*command, "--out", str(tmp_path)]) == 0
+
+    def test_estimate_rejects_zeta_h_at_one(self, tmp_path, capsys):
+        # zeta * h >= 1 at the largest alpha; the check runs with the sweep,
+        # on its grid, so simulate with an unused estimation block skips it
+        code = main(["estimate", "--preset", "param-est", "--set", "estimation.zeta=1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "estimation.zeta times the largest step h" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["estimate", "--preset", "param-est"],
@@ -998,7 +1016,7 @@ class TestCli:
         def run(*args):
             raise AssertionError("ran with --out naming a file")
 
-        for name in ("run_scenario", "sweep_h", "sweep_trajectory", "gap_table"):
+        for name in ("run_scenario", "sweep_h", "gap_table"):
             monkeypatch.setattr(f"sirctl.cli.{name}", run)
         out, file = tmp_path / "taken", tmp_path / taken
         file.parent.mkdir(exist_ok=True)
