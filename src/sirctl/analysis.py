@@ -18,8 +18,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import EpidemicParams, Trajectory
-from .control import AssumedRates, ClosedLoopResult, PolicyTrace, SwitchingTimes
+from .core import Trajectory
+from .control import ClosedLoopResult, PolicyTrace, SwitchingTimes
 
 _MIN_INFECTION = 1e-12
 _CUMULATIVE_TOL = 1e-6  # I+R may exceed I*+R* by this much
@@ -89,28 +89,33 @@ def _susceptible_on(traj: Trajectory, lo: float, hi: float,
     return np.concatenate(([traj.state_at(lo)[0]], traj.s[inner], [s_hi])), i_hi
 
 
-def _require_same_grid(traj_a: Trajectory, traj_b: Trajectory) -> None:
-    """Raise ValueError unless the runs have as many nodes and the same first and last times."""
+def _require_same_grid(robust: ClosedLoopResult, optimal: ClosedLoopResult) -> None:
+    """The pair rule: raise ValueError unless the runs have as many nodes,
+    the same first and last times and the same true rates."""
+    traj_a, traj_b = robust.trajectory, optimal.trajectory
     t_a, t_b = traj_a.t, traj_b.t
     if len(t_a) != len(t_b) or t_a[0] != t_b[0] or t_a[-1] != t_b[-1]:
         raise ValueError(f"runs on different grids: {len(t_a)} nodes on [{t_a[0]}, "
                          f"{t_a[-1]}] vs {len(t_b)} on [{t_b[0]}, {t_b[-1]}]")
+    if traj_a.params != traj_b.params:
+        raise ValueError(f"runs of different epidemics: {traj_a.params} vs {traj_b.params}")
 
 
-def gap_from_states(traj_robust: Trajectory, traj_optimal: Trajectory,
-               beta: float, times: SwitchingTimes) -> float:
+def gap_from_states(robust: ClosedLoopResult, optimal: ClosedLoopResult) -> float:
     """State-based gap over [t_b, t_h] of the robust run:
 
         beta * integral(S - S*) - log I(t_h) + log I*(t_h).
 
-    Uses true states of both runs and the bisection-refined switch times.
-    The integral runs over the nodes inside [t_b, t_h], which the runs must
-    share (a different grid raises ValueError), and the states at t_b and
-    t_h.
+    Uses true states and the true beta of both runs and the robust run's
+    bisection-refined switch times. The integral runs over the nodes inside
+    [t_b, t_h], which the runs must share (``_require_same_grid``), and the
+    states at t_b and t_h.
     """
+    times = robust.trace.switching
     if not times.complete:
         raise ValueError("gap_from_states needs both switching times of the robust run")
-    _require_same_grid(traj_robust, traj_optimal)
+    _require_same_grid(robust, optimal)
+    traj_robust, traj_optimal = robust.trajectory, optimal.trajectory
     t_lo, t_hi = times.t_b, times.t_h
     grid, inner = _nodes_between(traj_robust.t, t_lo, t_hi)
     s_rob, i_rob = _susceptible_on(traj_robust, t_lo, t_hi, inner)
@@ -119,6 +124,7 @@ def gap_from_states(traj_robust: Trajectory, traj_optimal: Trajectory,
         raise ValueError(
             f"infection at t_h too small for the log terms ({i_rob:.3e}, {i_opt:.3e})"
         )
+    beta = traj_robust.params.beta
     return float(beta * np.trapezoid(s_rob - s_opt, grid) - math.log(i_rob) + math.log(i_opt))
 
 
@@ -134,19 +140,20 @@ def theorem4_order(times_robust: SwitchingTimes, times_optimal: SwitchingTimes) 
     return tb_h <= tb_s <= th_s <= th_h
 
 
-def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
-             beta: float, gamma: float, s_star: Trajectory,
-             times_optimal: SwitchingTimes) -> tuple[float, float]:
+def gap_closed_form(robust: ClosedLoopResult, optimal: ClosedLoopResult) -> tuple[float, float]:
     """Closed-form gap C and its endpoint upper bound C_bar.
 
     The robust trace is the envelope: S_max is its ``s_seen``, interpolated
-    in time, and t_b, t_h are its switching times. C integrates the robust
-    envelope rate beta_max*S_max - gamma_min over the three segments
-    [t_b, t*_b], [t*_b, t*_h], [t*_h, t_h], subtracting the optimal rate on
-    the middle one, on the nodes of S* and the four times. C_bar freezes
-    S_max at t_b and S* at t*_h. Requires t_b <= t*_b <= t*_h <= t_h.
+    in time, t_b and t_h are its switching times, and (beta_max, gamma_min)
+    is its ``plan``. C integrates the robust envelope rate
+    beta_max*S_max - gamma_min over the three segments [t_b, t*_b],
+    [t*_b, t*_h], [t*_h, t_h], subtracting the optimal rate (the true
+    beta, gamma) on the middle one, on the nodes of S* and the four times.
+    C_bar freezes S_max at t_b and S* at t*_h. Requires
+    t_b <= t*_b <= t*_h <= t_h and runs that ``_require_same_grid`` accepts.
     """
-    times_robust = robust.switching
+    _require_same_grid(robust, optimal)
+    times_robust, times_optimal = robust.trace.switching, optimal.trace.switching
     if not (times_robust.complete and times_optimal.complete):
         raise ValueError("gap_closed_form needs all four switching times")
     tb_h, th_h = times_robust.t_b, times_robust.t_h
@@ -155,12 +162,15 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
         raise ValueError(
             f"switching times out of order: {tb_h}, {tb_s}, {th_s}, {th_h}"
         )
+    beta_max, gamma_min = robust.trace.plan.beta, robust.trace.plan.gamma
+    s_star = optimal.trajectory
+    beta, gamma = s_star.params.beta, s_star.params.gamma
     t_star = s_star.t
     g1 = _nodes_between(t_star, tb_h, tb_s)[0]
     g2, inner = _nodes_between(t_star, tb_s, th_s)
     g3 = _nodes_between(t_star, th_s, min(th_h, float(t_star[-1])))[0]
 
-    t_r, s_max = robust.t, robust.s_seen
+    t_r, s_max = robust.trace.t, robust.trace.s_seen
     smax_1 = np.interp(g1, t_r, s_max)
     smax_2 = np.interp(g2, t_r, s_max)
     smax_3 = np.interp(g3, t_r, s_max)
@@ -179,14 +189,19 @@ def gap_closed_form(robust: PolicyTrace, beta_max: float, gamma_min: float,
     return c, c_bar
 
 
-def cumulative_infected_check(traj_robust: Trajectory, traj_optimal: Trajectory,
-                              t_h_star: float) -> CumulativeCheck:
+def cumulative_infected_check(robust: ClosedLoopResult,
+                              optimal: ClosedLoopResult) -> CumulativeCheck:
     """Verify I+R <= I*+R* (equivalently S >= S*) for all t up to t*_h.
 
-    The runs are compared node by node, so they must share one grid: a
-    different length or endpoint raises ValueError.
+    The runs are compared node by node, so ``_require_same_grid`` must
+    accept them; an optimal run without a herd-immunity time t*_h raises
+    ValueError.
     """
-    _require_same_grid(traj_robust, traj_optimal)
+    _require_same_grid(robust, optimal)
+    t_h_star = optimal.trace.switching.t_h
+    if t_h_star is None:
+        raise ValueError("cumulative_infected_check needs the optimal run's t_h")
+    traj_robust, traj_optimal = robust.trajectory, optimal.trajectory
     mask = traj_robust.t <= t_h_star + 1e-12
     cum_robust = traj_robust.i[mask] + traj_robust.r[mask]
     cum_optimal = traj_optimal.i[mask] + traj_optimal.r[mask]
@@ -194,24 +209,21 @@ def cumulative_infected_check(traj_robust: Trajectory, traj_optimal: Trajectory,
     return CumulativeCheck(max_violation=worst, ok=bool(worst <= _CUMULATIVE_TOL))
 
 
-def build_cost_report(robust: ClosedLoopResult, optimal: ClosedLoopResult,
-                      true_params: EpidemicParams, assumed: AssumedRates) -> CostReport:
-    """The formula gaps of one matched pair of runs, planned with ``assumed``.
+def build_cost_report(robust: ClosedLoopResult, optimal: ClosedLoopResult) -> CostReport:
+    """The formula gaps of one matched pair of runs.
 
-    The runs must share one grid (a different one raises ValueError). The
+    The runs must pass ``_require_same_grid`` (else ValueError). The
     formulas need all four switching times; when a herd condition never
     fired within the horizon they are NaN. The closed form and its bound
     (``gap_closed_form``, ``gap_upper``) also need Theorem 4's order
     t_b <= t*_b <= t*_h <= t_h (``theorem4_order``) and are NaN when the
     four times break it.
     """
-    _require_same_grid(robust.trajectory, optimal.trajectory)
+    _require_same_grid(robust, optimal)
     times_r, times_o = robust.trace.switching, optimal.trace.switching
     l4 = c = c_bar = math.nan
     if times_r.complete and times_o.complete:
-        l4 = gap_from_states(robust.trajectory, optimal.trajectory, true_params.beta, times_r)
+        l4 = gap_from_states(robust, optimal)
         if theorem4_order(times_r, times_o):
-            c, c_bar = gap_closed_form(robust.trace, assumed.beta, assumed.gamma,
-                                       true_params.beta, true_params.gamma,
-                                       optimal.trajectory, times_o)
+            c, c_bar = gap_closed_form(robust, optimal)
     return CostReport(gap_from_states=l4, gap_closed_form=c, gap_upper=c_bar)

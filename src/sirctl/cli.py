@@ -79,10 +79,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for p in paths:
         print(p)
     for name, run in artifacts.runs.items():
-        rep = run.result.report
+        rep = run.report
         print(f"{name}: feasible={rep.feasible} "
               f"max_I={rep.max_infection_attained:.6g} "
-              f"clamps={rep.clamp_events}")
+              f"clamps={run.trace.clamp_events}")
     if artifacts.robust_feasible is False:
         return EXIT_INFEASIBLE
     return EXIT_OK

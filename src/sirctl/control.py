@@ -30,7 +30,6 @@ from .core import (
     read_only,
     require_finite,
 )
-from .estimation import ParamIntervals
 from .noise import MeasurementNoise
 
 FEASIBILITY_SLACK = 1e-6
@@ -55,10 +54,6 @@ class AssumedRates:
 
     beta: float
     gamma: float
-
-    @classmethod
-    def from_intervals(cls, intervals: ParamIntervals) -> "AssumedRates":
-        return cls(beta=intervals.beta_max, gamma=intervals.gamma_min)
 
     @classmethod
     def from_multipliers(cls, params: EpidemicParams, beta_mult: float,
@@ -88,10 +83,7 @@ class FeasibilityReport:
 
     feasible: bool
     required_rate_at_tb: float  # beta*S(t_b) - gamma from true states; nan if no t_b
-    u_max: float
     max_infection_attained: float
-    clamp_events: int
-    i_bar: float
 
 
 @dataclass(frozen=True)
@@ -110,6 +102,9 @@ class PolicyTrace:
     order; the row comes right before node row ``position``. All node
     arrays are read-only.
 
+    ``plan`` is the (beta, gamma) the policy planned with: the true rates
+    for the optimal policy, the assumed ones otherwise.
+
     ``t``, ``u``, ``stage``, ``s_seen`` and ``i_seen`` are the full-row
     columns. Each access splices the switch rows into a new array, so
     take a column once and let it go when done.
@@ -124,6 +119,7 @@ class PolicyTrace:
     switching: SwitchingTimes
     clamp_events: int
     kind: PolicyKind
+    plan: AssumedRates
 
     def __post_init__(self) -> None:
         read_only(self.node_t, self.node_u, self.node_stage, self.node_s_seen,
@@ -160,11 +156,6 @@ class ClosedLoopResult:
     trajectory: Trajectory
     trace: PolicyTrace
     report: FeasibilityReport
-
-    @property
-    def node_stage(self) -> np.ndarray:
-        """The int8 stage in effect at each grid node (the trace's node column)."""
-        return self.trace.node_stage
 
 
 def stage_two_rate(beta: float, gamma: float, s_seen: float) -> float:
@@ -224,7 +215,7 @@ def _shared_stage_one(prefix: ClosedLoopResult, params: EpidemicParams, init: Si
             and (float(traj.t[0]), float(traj.s[0]), float(traj.i[0]), float(traj.r[0]))
             == (init.t, init.s, init.i, init.r)):
         raise ValueError("prefix run has other parameters, initial state or time grid")
-    stage = prefix.node_stage  # it only rises
+    stage = prefix.trace.node_stage  # it only rises
     known = n if stage[-1] == 1 else max(int(np.argmax(stage != 1)) - 1, 0)
     nodes = slice(0, known + 1)
     ss[nodes], ii[nodes], rr[nodes] = traj.s[nodes], traj.i[nodes], traj.r[nodes]
@@ -261,7 +252,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     """Drive the true dynamics with a policy that sees only its own signals.
 
     A policy plans with the true (beta, gamma) if it is optimal and with
-    ``assumed`` otherwise. Its signals are the true states plus offsets
+    ``assumed`` otherwise, and its trace records them as ``plan``. Its signals are the true states plus offsets
     held over each step: zero for the optimal policy, the measurement error
     for the misestimated one, and that error plus the amplitude bound delta
     for the robust one, whose signals are thus upper envelopes. Both
@@ -309,11 +300,12 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     n = config.n_steps
     beta, gamma = true_params.beta, true_params.gamma
     if kind is PolicyKind.OPTIMAL:
-        beta_plan, gamma_plan = beta, gamma
+        plan = AssumedRates(beta, gamma)
     elif assumed is None:
         raise ValueError(f"{kind.value} policy needs assumed rates")
     else:
-        beta_plan, gamma_plan = assumed.beta, assumed.gamma
+        plan = assumed
+    beta_plan, gamma_plan = plan.beta, plan.gamma
     # noise-free measurements leave every offset at zero
     reads = kind is not PolicyKind.OPTIMAL and noise is not None and noise.kind != "none"
     margin = kind is PolicyKind.ROBUST
@@ -530,14 +522,12 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                         node_s_seen=signal(traj.s, off_s), node_i_seen=signal(traj.i, off_i),
                         switch_rows=tuple(switch_rows),
                         switching=SwitchingTimes(t_b=t_b, t_h=t_h),
-                        clamp_events=clamp_events, kind=kind)
+                        clamp_events=clamp_events, kind=kind, plan=plan)
     if state_at_tb is not None:
         required, _ = feasibility_check(true_params, state_at_tb, u_max)
     else:
         required = float("nan")
     report = FeasibilityReport(
         feasible=bool(max_i <= i_bar + FEASIBILITY_SLACK),
-        required_rate_at_tb=required, u_max=u_max,
-        max_infection_attained=max_i, clamp_events=clamp_events, i_bar=i_bar,
-    )
+        required_rate_at_tb=required, max_infection_attained=max_i)
     return ClosedLoopResult(trajectory=traj, trace=trace, report=report)

@@ -206,8 +206,9 @@ class Trajectory:
         read_only(self.t, self.s, self.i, self.r, self.u)
         if len(self.t) == 0:
             return
-        if not np.all(np.diff(self.t) > 0.0):  # NaN fails too
-            raise ValueError("time stamps must be strictly increasing")
+        # finite first: the differences of infinite times are NaN or warn
+        if not (np.all(np.isfinite(self.t)) and np.all(np.diff(self.t) > 0.0)):
+            raise ValueError("time stamps must be finite and strictly increasing")
 
     def __len__(self) -> int:
         return len(self.t)

@@ -30,7 +30,9 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .scenarios import CostRow, EstimateRow, PolicyRun, RunArtifacts
+from .control import ClosedLoopResult
+from .noise import MeasurementNoise
+from .scenarios import CostRow, EstimateRow, RunArtifacts
 
 TRAJECTORY_HEADER = ["t", "S_true", "I_true", "R_true", "S_meas", "I_meas",
                      "u_applied", "stage"]
@@ -103,12 +105,12 @@ def _write(path: Path, header: list[str], kinds: str, blocks: Iterable[Sequence]
             fh.write(_format_block(columns, kinds))
 
 
-def write_trajectory_csv(path: Path, run: PolicyRun) -> None:
+def write_trajectory_csv(path: Path, run: ClosedLoopResult, noise: MeasurementNoise) -> None:
     """The node rows; the seen signals only where they are the run's own
     arrays (the trace holds ``S``/``I`` themselves for a run that read none).
-    ``S_meas``/``I_meas`` are built per block by ``measure``, which works
-    element by element, so they are the bits of one whole-run call."""
-    traj, tr = run.result.trajectory, run.result.trace
+    ``S_meas``/``I_meas`` are built per block by ``noise.measure``, which
+    works element by element, so they are the bits of one whole-run call."""
+    traj, tr = run.trajectory, run.trace
     blind = tr.node_s_seen is traj.s and tr.node_i_seen is traj.i
     n = len(traj)
 
@@ -116,9 +118,8 @@ def write_trajectory_csv(path: Path, run: PolicyRun) -> None:
         for lo in range(0, n, _CHUNK_ROWS):
             k = slice(lo, min(lo + _CHUNK_ROWS, n))
             s, i = traj.s[k], traj.i[k]
-            s_hat, i_hat = run.noise.measure(k, s, i, std=True)[:2]
-            columns = [traj.t[k], s, i, traj.r[k], s_hat, i_hat, traj.u[k],
-                       run.result.node_stage[k]]
+            s_hat, i_hat = noise.measure(k, s, i, std=True)[:2]
+            columns = [traj.t[k], s, i, traj.r[k], s_hat, i_hat, traj.u[k], tr.node_stage[k]]
             yield columns if blind else columns + [tr.node_s_seen[k], tr.node_i_seen[k]]
 
     if blind:
@@ -127,9 +128,9 @@ def write_trajectory_csv(path: Path, run: PolicyRun) -> None:
         _write(path, SEEN_HEADER, "gggggggdgg", blocks())
 
 
-def write_trace_csv(path: Path, run: PolicyRun) -> None:
+def write_trace_csv(path: Path, run: ClosedLoopResult) -> None:
     """The switch rows; the node rows are in the trajectory file."""
-    rows = run.result.trace.switch_rows
+    rows = run.trace.switch_rows
     _write(path, TRACE_HEADER, "ggdgg", _slices([[row[k] for row in rows] for k in range(1, 6)]))
 
 
@@ -154,7 +155,7 @@ def emit_csv(artifacts: RunArtifacts, out_dir: Union[str, Path]) -> list[Path]:
     written: list[Path] = []
     for name, run in artifacts.runs.items():
         p = out / f"trajectory_{name}.csv"
-        write_trajectory_csv(p, run)
+        write_trajectory_csv(p, run, artifacts.noise)
         written.append(p)
         p = out / f"policy_trace_{name}.csv"
         write_trace_csv(p, run)

@@ -177,16 +177,6 @@ class ParamIntervals:
     gamma_lo: float
     gamma_hi: float
 
-    @property
-    def beta_max(self) -> float:
-        """Upper parameter bound fed to the robust policy."""
-        return self.beta_hi
-
-    @property
-    def gamma_min(self) -> float:
-        """Lower parameter bound fed to the robust policy."""
-        return self.gamma_lo
-
 
 def build_regressor_batch(sample_i: MeasuredSample, sample_i_plus_h: MeasuredSample,
                           sample_j: MeasuredSample, sample_j_plus_h: MeasuredSample,

@@ -226,21 +226,6 @@ def _to_json(value):
 
 
 @dataclass(frozen=True)
-class PolicyRun:
-    """One policy's closed loop and the scenario's noise source.
-
-    Each full-length array is held once, read-only: the trace shares the
-    node columns (``PolicyTrace``). The measured series is not held; its
-    writer builds it from ``noise`` (``measured_series_for``).
-    """
-
-    kind: PolicyKind
-    result: ClosedLoopResult
-    noise: MeasurementNoise
-    assumed: Optional[AssumedRates]
-
-
-@dataclass(frozen=True)
 class CostRow:
     """One costs.csv row."""
 
@@ -270,16 +255,23 @@ class EstimateRow:
 
 @dataclass(frozen=True)
 class RunArtifacts:
+    """Each policy's closed loop, by name, and the scenario's one noise source.
+
+    Each full-length array is held once, read-only: a run's trace shares
+    its node columns (``PolicyTrace``). The measured series is not held;
+    the trajectory writer builds it from ``noise``.
+    """
+
     config: ScenarioConfig
-    runs: dict[str, PolicyRun]
-    cost_report: Optional[CostReport]
+    runs: dict[str, ClosedLoopResult]
+    noise: MeasurementNoise
     cumulative: Optional[CumulativeCheck]
     cost_rows: tuple[CostRow, ...]
 
     @property
     def robust_feasible(self) -> Optional[bool]:
         run = self.runs.get("robust")
-        return None if run is None else run.result.report.feasible
+        return None if run is None else run.report.feasible
 
 
 def _assumed_rates(config: ScenarioConfig, inflation: InflationConfig,
@@ -290,8 +282,8 @@ def _assumed_rates(config: ScenarioConfig, inflation: InflationConfig,
     if config.estimation is None:
         raise ConfigError("inflation mode 'estimated' needs an estimation block")
     row, = _sweep_rows(config, reference, alphas=(config.estimation.alphas[0],))
-    rates = AssumedRates.from_intervals(
-        param_intervals(ParamEstimate(row.beta_hat, row.gamma_hat), row.bound_b))
+    iv = param_intervals(ParamEstimate(row.beta_hat, row.gamma_hat), row.bound_b)
+    rates = AssumedRates(iv.beta_hi, iv.gamma_lo)
     if not (rates.beta > 0.0 and rates.gamma > 0.0):  # NaN: singular regressors
         raise ConfigError(f"estimation gives beta_max={rates.beta:.6g}, gamma_min="
                           f"{rates.gamma:.6g}; the robust policy needs both positive")
@@ -326,32 +318,30 @@ def _optimal_run(config: ScenarioConfig) -> tuple[ClosedLoopResult, MeasurementN
 def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
                   noise: MeasurementNoise) -> RunArtifacts:
     """``run_scenario`` given the scenario's ``_optimal_run``."""
-    runs: dict[str, PolicyRun] = {}
+    runs: dict[str, ClosedLoopResult] = {}
     if "optimal" in config.policies:
-        runs["optimal"] = PolicyRun(PolicyKind.OPTIMAL, optimal, noise, assumed=None)
+        runs["optimal"] = optimal
     for kind, inflation in ((PolicyKind.ROBUST, config.inflation),
                             (PolicyKind.MISESTIMATED, config.misestimation)):
         if kind.value not in config.policies:
             continue
         assumed = _assumed_rates(config, inflation, optimal.trajectory)
-        res = simulate_closed_loop(
+        runs[kind.value] = simulate_closed_loop(
             kind, config.params, assumed, config.init, noise, config.integrator,
             config.i_bar, ControlBounds(config.u_max), prefix=optimal)
-        runs[kind.value] = PolicyRun(kind, res, noise, assumed)
 
     report, cumulative = None, None
     if "robust" in runs and "optimal" in runs:
         rob, opt = runs["robust"], runs["optimal"]
-        report = build_cost_report(rob.result, opt.result, config.params, rob.assumed)
-        if opt.result.trace.switching.t_h is not None:
-            cumulative = cumulative_infected_check(
-                rob.result.trajectory, opt.result.trajectory,
-                opt.result.trace.switching.t_h)
-    return RunArtifacts(config=config, runs=runs, cost_report=report,
-                        cumulative=cumulative, cost_rows=tuple(_cost_rows(runs, report)))
+        report = build_cost_report(rob, opt)
+        if opt.trace.switching.t_h is not None:
+            cumulative = cumulative_infected_check(rob, opt)
+    return RunArtifacts(config=config, runs=runs, noise=noise, cumulative=cumulative,
+                        cost_rows=tuple(_cost_rows(runs, report)))
 
 
-def _cost_rows(runs: dict[str, PolicyRun], report: Optional[CostReport]) -> list[CostRow]:
+def _cost_rows(runs: dict[str, ClosedLoopResult],
+               report: Optional[CostReport]) -> list[CostRow]:
     """One row per run; the one place that integrates costs and forms ``gap_direct``.
 
     Each trace is integrated once by ``total_cost``; a run's ``gap_direct``
@@ -361,20 +351,20 @@ def _cost_rows(runs: dict[str, PolicyRun], report: Optional[CostReport]) -> list
     the three formula gaps from the report.
     """
     nan = math.nan
-    costs = {name: total_cost(run.result.trace) for name, run in runs.items()}
+    costs = {name: total_cost(run.trace) for name, run in runs.items()}
     opt_cost = costs.get("optimal", nan)
     rows = []
     for name, run in runs.items():
         l4 = c = c_bar = nan
         if name == "robust" and report is not None:
             l4, c, c_bar = report.gap_from_states, report.gap_closed_form, report.gap_upper
-        sw = run.result.trace.switching
+        sw = run.trace.switching
         rows.append(CostRow(
             policy=name, total_cost=costs[name], gap_direct=costs[name] - opt_cost,
             gap_lemma4=l4, gap_thm4=c, gap_upper=c_bar,
             t_b=nan if sw.t_b is None else sw.t_b,
             t_h=nan if sw.t_h is None else sw.t_h,
-            feasible=run.result.report.feasible))
+            feasible=run.report.feasible))
     return rows
 
 
@@ -412,9 +402,9 @@ def _sweep_rows(config: ScenarioConfig, traj: Trajectory,
                 alphas: Optional[tuple[int, ...]] = None):
     est = config.estimation
     alphas = est.alphas if alphas is None else alphas
-    if est.zeta * traj.step * max(est.alphas) >= 1.0:
-        raise ConfigError("estimation.zeta times the largest step h must be < 1, "
-                          f"got {est.zeta * traj.step * max(est.alphas)}")
+    zeta_h = est.zeta * traj.step * max(alphas)  # at the largest step this call samples
+    if zeta_h >= 1.0:
+        raise ConfigError(f"estimation.zeta times the largest step h must be < 1, got {zeta_h}")
     needed = max(est.i, est.j) + max(alphas) * traj.step
     if float(traj.t[-1]) + 1e-9 < needed:
         raise ConfigError(

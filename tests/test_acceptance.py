@@ -100,8 +100,8 @@ def test_criterion_03_bound_validity_sweeps():
 def test_criterion_04_feasibility_dichotomy(request):
     t0 = time.perf_counter()
     art = request.getfixturevalue("compare_artifacts")
-    rob = art.runs["robust"].result.report
-    mis = art.runs["misestimated"].result.report
+    rob = art.runs["robust"].report
+    mis = art.runs["misestimated"].report
     robust_ok = rob.max_infection_attained <= 0.01 + 1e-6
     misest_breaks = mis.max_infection_attained > 0.01 + 1e-3
     elapsed = time.perf_counter() - t0
@@ -117,7 +117,7 @@ def test_criterion_05_dominance_and_switch_ordering(request):
     fig1 = request.getfixturevalue("fig1_noisy_artifacts")
 
     def min_gap(art):
-        rob, opt = art.runs["robust"].result.trace, art.runs["optimal"].result.trace
+        rob, opt = art.runs["robust"].trace, art.runs["optimal"].trace
         grid = np.union1d(rob.t, opt.t)
         return float(np.min(np.interp(grid, rob.t, rob.u)
                             - np.interp(grid, opt.t, opt.u)))
@@ -125,13 +125,13 @@ def test_criterion_05_dominance_and_switch_ordering(request):
     gaps = (min_gap(compare), min_gap(fig1))
     dominance = all(g >= -1e-9 for g in gaps)
 
-    rob = fig1.runs["robust"].result.trace.switching
-    opt = fig1.runs["optimal"].result.trace.switching
+    rob = fig1.runs["robust"].trace.switching
+    opt = fig1.runs["optimal"].trace.switching
     ordering = rob.t_b <= opt.t_b <= opt.t_h <= rob.t_h
     # the robust herd condition did not fire within the horizon on the
     # policy-compare scenario, which satisfies t_h_hat >= t_h_star vacuously
-    rob_cmp = compare.runs["robust"].result.trace.switching
-    opt_cmp = compare.runs["optimal"].result.trace.switching
+    rob_cmp = compare.runs["robust"].trace.switching
+    opt_cmp = compare.runs["optimal"].trace.switching
     ordering_cmp = rob_cmp.t_b <= opt_cmp.t_b and (rob_cmp.t_h is None
                                              or rob_cmp.t_h >= opt_cmp.t_h)
     _report(5, dominance and ordering and ordering_cmp,
@@ -142,7 +142,7 @@ def test_criterion_05_dominance_and_switch_ordering(request):
 
 def test_criterion_06_stage_two_pinning(request):
     art = request.getfixturevalue("compare_artifacts")
-    opt = art.runs["optimal"].result
+    opt = art.runs["optimal"]
     sw = opt.trace.switching
     traj = opt.trajectory
     mask = (traj.t >= sw.t_b) & (traj.t <= sw.t_h)
@@ -155,28 +155,27 @@ def test_criterion_06_stage_two_pinning(request):
 def test_criterion_07_gap_consistency(request):
     t0 = time.perf_counter()
     art = request.getfixturevalue("fig1_noise_free_artifacts")
-    cr = art.cost_report
-    direct = _robust_row(art).gap_direct
-    rel_states = abs(direct - cr.gap_from_states) / direct
-    rel_closed = abs(direct - cr.gap_closed_form) / direct
-    bounded = cr.gap_closed_form <= cr.gap_upper + 1e-6
+    cr = _robust_row(art)
+    direct = cr.gap_direct
+    rel_states = abs(direct - cr.gap_lemma4) / direct
+    rel_closed = abs(direct - cr.gap_thm4) / direct
+    bounded = cr.gap_thm4 <= cr.gap_upper + 1e-6
     elapsed = time.perf_counter() - t0
     _report(7, rel_states <= 1e-3 and rel_closed <= 1e-3 and bounded,
             f"gap_direct = {direct:.6f}; state-identity gap off by "
             f"{rel_states:.2e} rel, closed-form gap off by {rel_closed:.2e} rel "
             f"(tol 1e-3); "
-            f"C = {cr.gap_closed_form:.4f} <= C_bar = {cr.gap_upper:.4f}; {elapsed:.2f}s")
+            f"C = {cr.gap_thm4:.4f} <= C_bar = {cr.gap_upper:.4f}; {elapsed:.2f}s")
 
 
 def test_criterion_08_zero_at_truth_collapse(request):
     art = request.getfixturevalue("fig1_collapse_artifacts")
-    opt = art.runs["optimal"].result.trajectory
-    rob = art.runs["robust"].result.trajectory
+    opt = art.runs["optimal"].trajectory
+    rob = art.runs["robust"].trajectory
     worst_state = max(float(np.max(np.abs(rob.i - opt.i))),
                       float(np.max(np.abs(rob.s - opt.s))))
-    cr = art.cost_report
-    worst_gap = max(abs(_robust_row(art).gap_direct), abs(cr.gap_from_states),
-                    abs(cr.gap_closed_form))
+    cr = _robust_row(art)
+    worst_gap = max(abs(cr.gap_direct), abs(cr.gap_lemma4), abs(cr.gap_thm4))
     _report(8, worst_state <= 1e-8 and worst_gap <= 1e-6,
             f"with b=0, delta=0: max trace difference = {worst_state:.2e} "
             f"(tol 1e-8), max |gap| = {worst_gap:.2e} (tol 1e-6)")
@@ -195,7 +194,7 @@ def test_criterion_10_conservation_and_determinism(request, tmp_path):
     arts = [request.getfixturevalue(name) for name in
             ("compare_artifacts", "fig1_noisy_artifacts",
              "fig1_noise_free_artifacts", "fig1_collapse_artifacts")]
-    worst = max(run.result.trajectory.max_conservation_error()
+    worst = max(run.trajectory.max_conservation_error()
                 for art in arts for run in art.runs.values())
 
     cfg = replace(preset("policy-compare"), name="determinism-check",

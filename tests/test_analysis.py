@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import math
 import sys
 import tracemalloc
@@ -30,15 +31,17 @@ from sirctl.control import (
 )
 from sirctl.core import (EpidemicParams, IntegratorConfig, SirState, Trajectory, _rk4_step,
                          integrate)
-from sirctl.scenarios import PolicyRun, preset, run_scenario
+from sirctl.scenarios import preset, run_scenario
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
-REPORT = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan, u_max=0.2,
-                           max_infection_attained=0.01, clamp_events=0, i_bar=0.01)
+TRUTH = AssumedRates(PARAMS.beta, PARAMS.gamma)  # the optimal policy's plan
+REPORT = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan,
+                           max_infection_attained=0.01)
+TIMES = SwitchingTimes(t_b=5.0, t_h=15.0)
 
 
 def make_trace(t, u, kind=PolicyKind.OPTIMAL, switching=SwitchingTimes(),
-               s_seen=None):
+               s_seen=None, plan=TRUTH):
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
     filler = np.zeros_like(t)
@@ -46,22 +49,28 @@ def make_trace(t, u, kind=PolicyKind.OPTIMAL, switching=SwitchingTimes(),
     # every row a node row: the duplicated switch instants are given as nodes
     return PolicyTrace(node_t=t, node_u=u, node_stage=np.ones_like(t, dtype=np.int8),
                        node_s_seen=s_seen, node_i_seen=filler, switch_rows=(),
-                       switching=switching, clamp_events=0, kind=kind)
+                       switching=switching, clamp_events=0, kind=kind, plan=plan)
 
 
-def make_traj(t, s, i, u=None):
+def make_traj(t, s, i, u=None, params=PARAMS):
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     i = np.asarray(i, dtype=float)
     u = np.zeros_like(t) if u is None else np.asarray(u, dtype=float)
     return Trajectory(t=t, s=s, i=i, r=1.0 - s - i, u=u,
-                      step=float(t[1] - t[0]), params=PARAMS)
+                      step=float(t[1] - t[0]), params=params)
 
 
-def make_run(t, s, i, switching=SwitchingTimes()):
+def make_run(t, s, i, switching=SwitchingTimes(), plan=TRUTH, params=PARAMS):
     """A run at rate zero whose consumed susceptible signal is its true S."""
-    trace = make_trace(t, np.zeros(len(t)), switching=switching, s_seen=s)
-    return ClosedLoopResult(make_traj(t, s, i), trace, REPORT)
+    trace = make_trace(t, np.zeros(len(t)), switching=switching, s_seen=s, plan=plan)
+    return ClosedLoopResult(make_traj(t, s, i, params=params), trace, REPORT)
+
+
+def flat_run(t, s=0.9, i=0.01, switching=TIMES, **kwargs):
+    """``make_run`` with constant S and I."""
+    t = np.asarray(t, dtype=float)
+    return make_run(t, np.full_like(t, s), np.full_like(t, i), switching, **kwargs)
 
 
 def robust_and_optimal_rows(art):
@@ -86,7 +95,7 @@ class TestTotalCost:
     def test_within_ulps_of_the_spliced_rows(self, request, fixture):
         # the segment sums round differently from one trapezoid over all rows
         for run in request.getfixturevalue(fixture).runs.values():
-            trace = run.result.trace
+            trace = run.trace
             ref = float(np.trapezoid(trace.u, trace.t))
             assert abs(total_cost(trace) - ref) <= 4 * np.spacing(ref)
 
@@ -151,7 +160,7 @@ class TestGapDirect:
                        [0.0, 0.0, 0.2, 0.2, 0.0, 0.0], kind=PolicyKind.ROBUST)
         b = make_trace([0.0, 12.0, 12.0, 18.0, 18.0, 30.0],
                        [0.0, 0.0, 0.1, 0.1, 0.0, 0.0])
-        runs = {name: PolicyRun(trace.kind, ClosedLoopResult(None, trace, REPORT), None, None)
+        runs = {name: ClosedLoopResult(None, trace, REPORT)
                 for name, trace in (("robust", a), ("optimal", b))}
         rows = {row.policy: row for row in scenarios._cost_rows(runs, None)}
         assert rows["robust"].gap_direct == pytest.approx(0.2 * 10 - 0.1 * 6, abs=1e-12)
@@ -166,7 +175,7 @@ class TestGapDirect:
         b = make_run(t_other, [0.9, 0.9], [0.01, 0.01])
         for pair in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="runs on different grids"):
-                build_cost_report(*pair, PARAMS, AssumedRates(0.168, 0.03))
+                build_cost_report(*pair)
 
 
 class TestTraceEnds:
@@ -175,7 +184,7 @@ class TestTraceEnds:
         # total_cost relies on this: a switch row is never the last row, and
         # one at position 0 has the first node's time
         for run in request.getfixturevalue(fixture).runs.values():
-            trace = run.result.trace
+            trace = run.trace
             assert trace.switch_rows
             assert (trace.t[0], trace.t[-1]) == (trace.node_t[0], trace.node_t[-1])
             assert (trace.u[-1], trace.stage[-1]) == (trace.node_u[-1], trace.node_stage[-1])
@@ -191,9 +200,9 @@ class TestBuildCostReport:
         # the closed form and its bound NaN, not an inverted segment
         t = np.arange(0.0, 20.1, 0.1)
         s, i = np.full_like(t, 0.9), np.full_like(t, 0.01)
-        robust = make_run(t, s, i, robust_times)
-        optimal = make_run(t, s, i, SwitchingTimes(t_b=5.0, t_h=15.0))
-        report = build_cost_report(robust, optimal, PARAMS, AssumedRates(0.168, 0.03))
+        robust = make_run(t, s, i, robust_times, plan=AssumedRates(0.168, 0.03))
+        optimal = make_run(t, s, i, TIMES)
+        report = build_cost_report(robust, optimal)
         assert math.isnan(report.gap_closed_form) and math.isnan(report.gap_upper)
         assert math.isfinite(report.gap_from_states)
 
@@ -242,19 +251,15 @@ class TestStateOnGrid:
 
 class TestGapFromStates:
     def test_identical_runs_give_zero(self):
-        t = np.arange(0.0, 20.1, 0.1)
-        traj = make_traj(t, np.full_like(t, 0.9), np.full_like(t, 0.01))
-        times = SwitchingTimes(t_b=5.0, t_h=15.0)
-        assert gap_from_states(traj, traj, PARAMS.beta, times) == pytest.approx(0.0, abs=1e-14)
+        run = flat_run(np.arange(0.0, 20.1, 0.1))
+        assert gap_from_states(run, run) == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_built_susceptible_gap(self):
         # S gap of 0.01 over 10 time units, equal terminal infection:
         # beta * 0.01 * 10 = 0.016
         t = np.arange(0.0, 20.1, 0.1)
-        rob = make_traj(t, np.full_like(t, 0.90), np.full_like(t, 0.01))
-        opt = make_traj(t, np.full_like(t, 0.89), np.full_like(t, 0.01))
-        times = SwitchingTimes(t_b=5.0, t_h=15.0)
-        assert gap_from_states(rob, opt, 0.16, times) == pytest.approx(0.016, abs=1e-12)
+        rob, opt = flat_run(t, s=0.90), flat_run(t, s=0.89)
+        assert gap_from_states(rob, opt) == pytest.approx(0.016, abs=1e-12)
 
     @pytest.mark.parametrize("on_nodes", [False, True], ids=["between", "on"])
     def test_integrates_the_run_nodes(self, on_nodes):
@@ -263,8 +268,9 @@ class TestGapFromStates:
         # the nodes are off the multiples of the step
         t = 0.05 + 0.1 * np.arange(201)
         t_b, t_h = (float(t[50]), float(t[150])) if on_nodes else (5.03, 14.97)
-        rob = make_traj(t, 0.9 - 0.01 * np.sin(t), 0.01 + 0.001 * np.cos(t))
-        opt = make_traj(t, 0.89 - 0.02 * np.sin(t), 0.012 + 0.001 * np.sin(t))
+        times = SwitchingTimes(t_b=t_b, t_h=t_h)
+        rob = make_run(t, 0.9 - 0.01 * np.sin(t), 0.01 + 0.001 * np.cos(t), times)
+        opt = make_run(t, 0.89 - 0.02 * np.sin(t), 0.012 + 0.001 * np.sin(t))
         inside = (t > t_b) & (t < t_h)
         grid = np.concatenate(([t_b], t[inside], [t_h]))
 
@@ -272,61 +278,47 @@ class TestGapFromStates:
             return np.concatenate(([traj.state_at(t_b)[0]], traj.s[inside],
                                    [traj.state_at(t_h)[0]]))
 
-        want = float(0.16 * np.trapezoid(susceptible(rob) - susceptible(opt), grid)
-                     - math.log(rob.state_at(t_h)[1]) + math.log(opt.state_at(t_h)[1]))
+        r_traj, o_traj = rob.trajectory, opt.trajectory
+        want = float(0.16 * np.trapezoid(susceptible(r_traj) - susceptible(o_traj), grid)
+                     - math.log(r_traj.state_at(t_h)[1]) + math.log(o_traj.state_at(t_h)[1]))
         assert len(grid) == (101 if on_nodes else 102)
-        got = gap_from_states(rob, opt, 0.16, SwitchingTimes(t_b=t_b, t_h=t_h))
+        got = gap_from_states(rob, opt)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("grid", [np.arange(0.0, 20.0, 0.1), np.arange(0.1, 20.15, 0.1),
                                       np.arange(0.0, 20.25, 0.1)],
                              ids=["shorter", "later-start", "longer"])
     def test_rejects_runs_on_different_grids(self, grid):
-        t = np.arange(0.0, 20.1, 0.1)
-        traj = make_traj(t, np.full_like(t, 0.9), np.full_like(t, 0.01))
-        other = make_traj(grid, np.full_like(grid, 0.9), np.full_like(grid, 0.01))
-        times = SwitchingTimes(t_b=5.0, t_h=15.0)
-        for pair in ((traj, other), (other, traj)):
+        run, other = flat_run(np.arange(0.0, 20.1, 0.1)), flat_run(grid)
+        for pair in ((run, other), (other, run)):
             with pytest.raises(ValueError, match="different grids"):
-                gap_from_states(*pair, 0.16, times)
+                gap_from_states(*pair)
 
     def test_rejects_vanishing_infection(self):
-        t = np.arange(0.0, 20.1, 0.1)
-        rob = make_traj(t, np.full_like(t, 0.9), np.full_like(t, 1e-13))
-        times = SwitchingTimes(t_b=5.0, t_h=15.0)
+        rob = flat_run(np.arange(0.0, 20.1, 0.1), i=1e-13)
         with pytest.raises(ValueError, match="too small"):
-            gap_from_states(rob, rob, 0.16, times)
+            gap_from_states(rob, rob)
 
     def test_requires_complete_switching_times(self):
-        t = np.arange(0.0, 20.1, 0.1)
-        traj = make_traj(t, np.full_like(t, 0.9), np.full_like(t, 0.01))
+        run = flat_run(np.arange(0.0, 20.1, 0.1), switching=SwitchingTimes(t_b=5.0, t_h=None))
         with pytest.raises(ValueError):
-            gap_from_states(traj, traj, 0.16, SwitchingTimes(t_b=5.0, t_h=None))
+            gap_from_states(run, run)
 
 
 class TestGapClosedForm:
-    def _robust(self, t, s, switching):
-        """A robust trace whose consumed susceptible signal is ``s``."""
-        return make_trace(t, np.zeros_like(t), kind=PolicyKind.ROBUST,
-                          switching=switching, s_seen=s)
-
     def test_collapse_gives_zero_gap(self):
-        t = np.arange(0.0, 20.1, 0.1)
-        s = np.full_like(t, 0.9)
-        traj = make_traj(t, s, np.full_like(t, 0.01))
-        times = SwitchingTimes(t_b=5.0, t_h=15.0)
-        c, c_bar = gap_closed_form(self._robust(t, s, times), PARAMS.beta, PARAMS.gamma,
-                            PARAMS.beta, PARAMS.gamma, traj, times)
+        # a robust run that plans with the true rates on the true states
+        run = flat_run(np.arange(0.0, 20.1, 0.1))
+        c, c_bar = gap_closed_form(run, run)
         assert c == pytest.approx(0.0, abs=1e-12)
         assert c <= c_bar + 1e-12
 
     def test_rejects_inverted_ordering(self):
         t = np.arange(0.0, 20.1, 0.1)
-        s = np.full_like(t, 0.9)
-        traj = make_traj(t, s, np.full_like(t, 0.01))
+        robust = flat_run(t, switching=SwitchingTimes(t_b=6.0, t_h=14.0),
+                          plan=AssumedRates(0.168, 0.03))
         with pytest.raises(ValueError, match="out of order"):
-            gap_closed_form(self._robust(t, s, SwitchingTimes(t_b=6.0, t_h=14.0)),
-                     0.168, 0.06, 0.16, 0.063, traj, SwitchingTimes(t_b=5.0, t_h=15.0))
+            gap_closed_form(robust, flat_run(t))
 
     def test_wider_beta_inflation_raises_both_values(self, fig1_noise_free_artifacts):
         from sirctl.scenarios import InflationConfig, preset, run_scenario
@@ -336,25 +328,26 @@ class TestGapClosedForm:
         wide_cfg = replace(preset("fig1"), name="fig1-wide",
                            noise=NoiseConfig(kind="none"),
                            inflation=InflationConfig(beta_mult=1.10, gamma_mult=0.95))
-        wide = run_scenario(wide_cfg)
-        assert wide.cost_report.gap_closed_form > base.cost_report.gap_closed_form
-        assert wide.cost_report.gap_upper > base.cost_report.gap_upper
+        wide = robust_and_optimal_rows(run_scenario(wide_cfg))[0]
+        narrow = robust_and_optimal_rows(base)[0]
+        assert wide.gap_thm4 > narrow.gap_thm4
+        assert wide.gap_upper > narrow.gap_upper
 
 
 class TestCrossFormulaConsistency:
     def test_three_way_agreement_noise_free(self, fig1_noise_free_artifacts):
-        cr = fig1_noise_free_artifacts.cost_report
-        direct = robust_and_optimal_rows(fig1_noise_free_artifacts)[0].gap_direct
+        cr = robust_and_optimal_rows(fig1_noise_free_artifacts)[0]
+        direct = cr.gap_direct
         assert direct > 0.0
-        assert abs(direct - cr.gap_from_states) / direct <= 1e-3
-        assert abs(direct - cr.gap_closed_form) / direct <= 1e-3
-        assert cr.gap_closed_form <= cr.gap_upper + 1e-6
+        assert abs(direct - cr.gap_lemma4) / direct <= 1e-3
+        assert abs(direct - cr.gap_thm4) / direct <= 1e-3
+        assert cr.gap_thm4 <= cr.gap_upper + 1e-6
 
     def test_three_way_agreement_with_noise(self, fig1_noisy_artifacts):
-        cr = fig1_noisy_artifacts.cost_report
-        direct = robust_and_optimal_rows(fig1_noisy_artifacts)[0].gap_direct
-        assert abs(direct - cr.gap_from_states) / direct <= 1e-3
-        assert abs(direct - cr.gap_closed_form) / direct <= 1e-3
+        cr = robust_and_optimal_rows(fig1_noisy_artifacts)[0]
+        direct = cr.gap_direct
+        assert abs(direct - cr.gap_lemma4) / direct <= 1e-3
+        assert abs(direct - cr.gap_thm4) / direct <= 1e-3
 
     def test_costs_ordered(self, fig1_noisy_artifacts):
         robust, optimal = robust_and_optimal_rows(fig1_noisy_artifacts)
@@ -363,47 +356,43 @@ class TestCrossFormulaConsistency:
 
     def test_robust_envelope_feeds_closed_form(self, fig1_noisy_artifacts):
         art = fig1_noisy_artifacts
-        rob, opt = art.runs["robust"], art.runs["optimal"].result
-        params = art.config.params
+        rob, opt = art.runs["robust"], art.runs["optimal"]
 
         def closed_form(trace):
-            return gap_closed_form(trace, rob.assumed.beta, rob.assumed.gamma,
-                                   params.beta, params.gamma, opt.trajectory,
-                                   opt.trace.switching)
+            return gap_closed_form(replace(rob, trace=trace), opt)
 
-        trace = rob.result.trace
-        cr = art.cost_report
-        assert closed_form(trace) == (cr.gap_closed_form, cr.gap_upper)
+        trace = rob.trace
+        cr = robust_and_optimal_rows(art)[0]
+        assert closed_form(trace) == (cr.gap_thm4, cr.gap_upper)
         wider = replace(trace, node_s_seen=np.minimum(trace.node_s_seen + 0.01, 1.0),
                         switch_rows=tuple((*row[:4], min(row[4] + 0.01, 1.0), row[5])
                                           for row in trace.switch_rows))
         assert np.array_equal(wider.s_seen, np.minimum(trace.s_seen + 0.01, 1.0))
-        assert closed_form(wider)[0] > cr.gap_closed_form
+        assert closed_form(wider)[0] > cr.gap_thm4
 
 
 class TestCumulativeCheck:
+    T = np.arange(0.0, 10.1, 0.1)
+    T_H = SwitchingTimes(t_b=2.0, t_h=8.0)  # the optimal run's t*_h is 8
+
     def test_identical_runs_zero_margin(self):
-        t = np.arange(0.0, 10.1, 0.1)
-        traj = make_traj(t, np.linspace(0.9, 0.5, len(t)), np.full_like(t, 0.01))
-        out = cumulative_infected_check(traj, traj, t_h_star=8.0)
+        t = self.T
+        run = make_run(t, np.linspace(0.9, 0.5, len(t)), np.full_like(t, 0.01), self.T_H)
+        out = cumulative_infected_check(run, run)
         assert out.max_violation == 0.0
         assert out.ok
 
     def test_flags_violation(self):
-        t = np.arange(0.0, 10.1, 0.1)
-        good = make_traj(t, np.full_like(t, 0.9), np.full_like(t, 0.01))
-        bad = make_traj(t, np.full_like(t, 0.88), np.full_like(t, 0.01))
-        out = cumulative_infected_check(bad, good, t_h_star=8.0)
+        good, bad = flat_run(self.T, switching=self.T_H), flat_run(self.T, s=0.88)
+        out = cumulative_infected_check(bad, good)
         assert out.max_violation == pytest.approx(0.02, abs=1e-12)
         assert not out.ok
 
     @pytest.mark.parametrize("excess, ok", [(5e-7, True), (2e-6, False)],
                              ids=["below-1e-6", "above-1e-6"])
     def test_tolerance_is_1e_6(self, excess, ok):
-        t = np.arange(0.0, 10.1, 0.1)
-        good = make_traj(t, np.full_like(t, 0.9), np.full_like(t, 0.01))
-        bad = make_traj(t, np.full_like(t, 0.9 - excess), np.full_like(t, 0.01))
-        out = cumulative_infected_check(bad, good, t_h_star=8.0)
+        good, bad = flat_run(self.T, switching=self.T_H), flat_run(self.T, s=0.9 - excess)
+        out = cumulative_infected_check(bad, good)
         assert out.max_violation == pytest.approx(excess, rel=1e-9)
         assert out.ok is ok
 
@@ -412,12 +401,37 @@ class TestCumulativeCheck:
                              ids=["shorter", "later-start", "longer"])
     def test_rejects_runs_on_different_grids(self, grid):
         # the check compares nodes one by one, so it never truncates a run
-        t = np.arange(0.0, 10.1, 0.1)
-        traj = make_traj(t, np.full_like(t, 0.9), np.full_like(t, 0.01))
-        other = make_traj(grid, np.full_like(grid, 0.9), np.full_like(grid, 0.01))
-        for pair in ((traj, other), (other, traj)):
+        run, other = flat_run(self.T, switching=self.T_H), flat_run(grid, switching=self.T_H)
+        for pair in ((run, other), (other, run)):
             with pytest.raises(ValueError, match="different grids"):
-                cumulative_infected_check(*pair, t_h_star=8.0)
+                cumulative_infected_check(*pair)
+
+    def test_requires_the_optimal_herd_time(self):
+        # t*_h bounds the comparison; the robust run's own t_h is not read
+        robust = flat_run(self.T, switching=self.T_H)
+        optimal = flat_run(self.T, switching=SwitchingTimes(t_b=2.0))
+        with pytest.raises(ValueError, match="optimal run's t_h"):
+            cumulative_infected_check(robust, optimal)
+
+
+class TestPairRule:
+    FORMULAS = [build_cost_report, gap_from_states, gap_closed_form, cumulative_infected_check]
+
+    @pytest.mark.parametrize("formula", FORMULAS, ids=lambda f: f.__name__)
+    def test_reads_only_the_two_runs(self, formula):
+        # rates and switching times come from the runs, not from the caller
+        assert list(inspect.signature(formula).parameters) == ["robust", "optimal"]
+
+    @pytest.mark.parametrize("formula", FORMULAS, ids=lambda f: f.__name__)
+    def test_rejects_runs_of_another_epidemic(self, formula):
+        # a pair whose true beta differs by one ulp is not a matched pair
+        t = np.arange(0.0, 20.1, 0.1)
+        off = EpidemicParams(beta=math.nextafter(PARAMS.beta, 1.0), gamma=PARAMS.gamma)
+        robust, optimal = flat_run(t, params=off), flat_run(t)
+        formula(optimal, optimal)  # the same pair on equal rates is accepted
+        for pair in ((robust, optimal), (optimal, robust)):
+            with pytest.raises(ValueError, match="runs of different epidemics"):
+                formula(*pair)
 
 
 class TestClosedFormOptimum:
@@ -450,7 +464,7 @@ class TestClosedFormOptimum:
         # gamma/(beta*i_bar)*ln(S_b/S_h) until beta*S reaches gamma at S_h
         art = fig1_noise_free_artifacts
         beta, gamma, i_bar = art.config.params.beta, art.config.params.gamma, art.config.i_bar
-        optimal = art.runs["optimal"].result
+        optimal = art.runs["optimal"]
         s_b = optimal.trajectory.state_at(optimal.trace.switching.t_b)[0]
         s_h = gamma / beta
         closed = (s_b - s_h) / i_bar - gamma / (beta * i_bar) * math.log(s_b / s_h)
@@ -466,11 +480,11 @@ class TestClosedFormOptimum:
 
         def errors(step):
             run = replace(cfg, integrator=IntegratorConfig(step=step, horizon=300.0))
-            res = run_scenario(run).runs["optimal"].result
+            res = run_scenario(run).runs["optimal"]
             traj, (t_b, t_h) = res.trajectory, (res.trace.switching.t_b,
                                                 res.trace.switching.t_h)
             s_b = traj.state_at(t_b)[0]
-            held = res.node_stage == 2
+            held = res.trace.node_stage == 2
             s_cf = s_b * np.exp(-beta * i_bar * (traj.t[held] - t_b))
             return np.array([abs(t_h - (t_b + math.log(beta * s_b / gamma) / (beta * i_bar))),
                              np.max(np.abs(traj.s[held] - s_cf)),

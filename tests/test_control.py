@@ -117,7 +117,7 @@ class TestStateBounds:
     def test_true_state_inside_the_robust_signals(self, request, fixture):
         # count the nodes where the robust run's own signals fall below the
         # true state they are meant to bound
-        res = request.getfixturevalue(fixture).runs["robust"].result
+        res = request.getfixturevalue(fixture).runs["robust"]
         traj, trace = res.trajectory, res.trace
         misses = {"s": int(np.count_nonzero(traj.s > trace.node_s_seen)),
                   "i": int(np.count_nonzero(traj.i > trace.node_i_seen))}
@@ -159,7 +159,7 @@ class TestClosedLoop:
 
     def test_collapse_with_exact_bounds(self, fig1_collapse_artifacts):
         runs = fig1_collapse_artifacts.runs
-        opt, rob = runs["optimal"].result, runs["robust"].result
+        opt, rob = runs["optimal"], runs["robust"]
         assert np.max(np.abs(rob.trajectory.i - opt.trajectory.i)) <= 1e-8
         assert np.max(np.abs(rob.trajectory.s - opt.trajectory.s)) <= 1e-8
         assert rob.trace.switching.t_b == opt.trace.switching.t_b
@@ -175,40 +175,40 @@ class TestClosedLoop:
         assert res.report.feasible
 
     def test_optimal_pins_infection_at_threshold(self, fig1_noise_free_artifacts):
-        opt = fig1_noise_free_artifacts.runs["optimal"].result
+        opt = fig1_noise_free_artifacts.runs["optimal"]
         sw = opt.trace.switching
         traj = opt.trajectory
         stage2 = (traj.t >= sw.t_b) & (traj.t <= sw.t_h)
         assert np.max(np.abs(traj.i[stage2] - 0.1)) <= 1e-4
 
     def test_switching_time_ordering_under_inflation(self, fig1_noisy_artifacts):
-        opt = fig1_noisy_artifacts.runs["optimal"].result.trace.switching
-        rob = fig1_noisy_artifacts.runs["robust"].result.trace.switching
+        opt = fig1_noisy_artifacts.runs["optimal"].trace.switching
+        rob = fig1_noisy_artifacts.runs["robust"].trace.switching
         assert rob.t_b <= opt.t_b <= opt.t_h <= rob.t_h
 
     def test_robust_dominates_optimal_pointwise(self, fig1_noisy_artifacts):
-        opt = fig1_noisy_artifacts.runs["optimal"].result.trace
-        rob = fig1_noisy_artifacts.runs["robust"].result.trace
+        opt = fig1_noisy_artifacts.runs["optimal"].trace
+        rob = fig1_noisy_artifacts.runs["robust"].trace
         grid = np.union1d(opt.t, rob.t)
         gap = np.interp(grid, rob.t, rob.u) - np.interp(grid, opt.t, opt.u)
         assert np.min(gap) >= -1e-9
 
     def test_robust_feasible_under_bracketing_bounds(self, fig1_noisy_artifacts):
-        rep = fig1_noisy_artifacts.runs["robust"].result.report
+        rep = fig1_noisy_artifacts.runs["robust"].report
         assert rep.feasible
         assert rep.max_infection_attained <= 0.1 + 1e-6
 
     def test_misestimated_run_breaks_threshold(self, compare_artifacts):
-        rep = compare_artifacts.runs["misestimated"].result.report
+        rep = compare_artifacts.runs["misestimated"].report
         assert not rep.feasible
         assert rep.max_infection_attained > 0.01 + 1e-3
 
     def test_required_rate_reported_at_crossing(self, compare_artifacts):
-        rep = compare_artifacts.runs["optimal"].result.report
+        rep = compare_artifacts.runs["optimal"].report
         # S barely declines before the crossing, so the required rate is
         # close to beta - gamma
         assert 0.1 < rep.required_rate_at_tb < 0.13
-        assert rep.required_rate_at_tb <= rep.u_max
+        assert rep.required_rate_at_tb <= compare_artifacts.config.u_max
 
     def test_saturated_budget_recorded_and_infeasible(self):
         params = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
@@ -217,7 +217,7 @@ class TestClosedLoop:
             AssumedRates.from_multipliers(params, 1.05, 0.95), self.INIT, None,
             IntegratorConfig(step=0.01, horizon=150.0), i_bar=0.01,
             bounds=ControlBounds(u_max=0.05))
-        assert res.report.clamp_events == 5866
+        assert res.trace.clamp_events == 5866
         assert len(res.trace.t) == 15003
         assert not res.report.feasible
 
@@ -258,7 +258,7 @@ class TestClosedLoop:
         # isolating at up to u = 1, stays finite
         prefix = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None,
                                       config, 0.5, ControlBounds(u_max=1.0))
-        assert prefix.node_stage[:3].tolist() == [1, 1, 2]
+        assert prefix.trace.node_stage[:3].tolist() == [1, 1, 2]
         noise = MeasurementNoise.build(NoiseConfig(kind="scaled_variance", divisor=1e6),
                                        config.n_steps + 1, seed=3)
         for kind, source, start in ((PolicyKind.OPTIMAL, None, None),
@@ -270,7 +270,7 @@ class TestClosedLoop:
 
     def test_infeasibility_is_recorded_not_raised(self, compare_artifacts):
         # the misestimated run exceeded the cap without aborting the run
-        traj = compare_artifacts.runs["misestimated"].result.trajectory
+        traj = compare_artifacts.runs["misestimated"].trajectory
         assert len(traj) == 120001
 
 
@@ -304,12 +304,12 @@ class TestTraceLayout:
         return kinds
 
     def test_node_switches(self, node_event_artifacts):
-        kinds = [self._switch_kinds(run.result)
+        kinds = [self._switch_kinds(run)
                  for run in node_event_artifacts.runs.values()]
         assert kinds == [["node", "step"], ["node", "node"], ["node", "node"]]
         # every run spans the grid, however early it reaches stage 3
-        assert all(len(run.result.trajectory) == 4001
-                   and run.result.node_stage[-1] == 3
+        assert all(len(run.trajectory) == 4001
+                   and run.trace.node_stage[-1] == 3
                    for run in node_event_artifacts.runs.values())
 
     def test_herd_fires_at_the_threshold_node(self, tmp_path):
@@ -343,21 +343,21 @@ class TestTraceLayout:
         cfg = replace(preset("fig1"), i_bar=0.238, noise=NoiseConfig(kind="none"),
                       policies=("optimal", "misestimated"),
                       integrator=IntegratorConfig(step=0.01, horizon=130.0))
-        result = run_scenario(cfg).runs["misestimated"].result
+        result = run_scenario(cfg).runs["misestimated"]
         switching = result.trace.switching
         assert switching.t_b is not None and switching.t_h == switching.t_b
         assert self._switch_kinds(result) == ["step", "step"]
 
     def test_headline_runs(self, fig1_noisy_artifacts, compare_artifacts):
         kinds = [kind for art in (fig1_noisy_artifacts, compare_artifacts)
-                 for run in art.runs.values() for kind in self._switch_kinds(run.result)]
+                 for run in art.runs.values() for kind in self._switch_kinds(run)]
         assert kinds.count("step") == 6 and kinds.count("node") == 3
 
 
 class TestCumulativeOrdering:
     def test_robust_keeps_more_susceptibles(self, fig1_noisy_artifacts):
-        opt = fig1_noisy_artifacts.runs["optimal"].result
-        rob = fig1_noisy_artifacts.runs["robust"].result
+        opt = fig1_noisy_artifacts.runs["optimal"]
+        rob = fig1_noisy_artifacts.runs["robust"]
         t_h_star = opt.trace.switching.t_h
         mask = opt.trajectory.t <= t_h_star
         assert np.all(rob.trajectory.s[mask] >= opt.trajectory.s[mask] - 1e-9)
@@ -371,7 +371,7 @@ class TestSharedStageOne:
     def _assert_same_run(a, b):
         ta, tb = a.trajectory, b.trajectory
         for x, y in ((ta.t, tb.t), (ta.s, tb.s), (ta.i, tb.i), (ta.r, tb.r), (ta.u, tb.u),
-                     (a.node_stage, b.node_stage), (a.trace.t, b.trace.t),
+                     (a.trace.node_stage, b.trace.node_stage), (a.trace.t, b.trace.t),
                      (a.trace.u, b.trace.u), (a.trace.stage, b.trace.stage),
                      (a.trace.s_seen, b.trace.s_seen), (a.trace.i_seen, b.trace.i_seen)):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
@@ -428,7 +428,7 @@ class TestSharedStageOne:
             replace(preset("policy-compare"), **overrides))
         if "seed" in overrides:
             assert misestimated.trace.switching.t_b == 54.67
-            last_open = int(np.argmax(optimal.node_stage != 1)) - 1
+            last_open = int(np.argmax(optimal.trace.node_stage != 1)) - 1
             assert optimal.trajectory.t[last_open] < 54.67 < optimal.trajectory.t[last_open + 2]
 
     def test_stage_one_is_not_integrated_again(self, monkeypatch):
@@ -465,7 +465,7 @@ class TestSharedStageOne:
         *blocks, stage_three = from_zero_fills
         assert [b[0] for b in blocks] == [0] + [b[1] - 1 for b in blocks[:-1]]
         assert blocks[-1][0] <= start < blocks[-1][1] - 1
-        k3 = int(np.argmax(result.node_stage == 3))
+        k3 = int(np.argmax(result.trace.node_stage == 3))
         assert fills == [stage_three] == [(k3, cfg.integrator.n_steps + 1)]
         assert len(steps) == from_zero
 
@@ -541,7 +541,7 @@ class TestStageOneFill:
             res = simulate_closed_loop(PolicyKind.OPTIMAL, cfg.params, None, cfg.init, None,
                                        cfg.integrator, cfg.i_bar, ControlBounds(cfg.u_max))
             free = integrate(cfg.params, 0.0, cfg.init, cfg.integrator)
-            m1 = int(np.argmax(res.node_stage != 1))
+            m1 = int(np.argmax(res.trace.node_stage != 1))
             assert m1 > 1000
             for x, y in ((res.trajectory.s, free.s), (res.trajectory.i, free.i),
                          (res.trajectory.r, free.r)):
@@ -599,7 +599,7 @@ class TestStageOneFill:
                       noise=NoiseConfig(kind="snr_db", snr_db=40.0),
                       integrator=IntegratorConfig(step=0.01, horizon=120.0))
         optimal, runs = TestSharedStageOne._check_policies(cfg)
-        last_open = int(np.argmax(optimal.node_stage != 1)) - 1
+        last_open = int(np.argmax(optimal.trace.node_stage != 1)) - 1
         assert runs[1].trace.switching.t_b >= optimal.trajectory.t[last_open + 1]
         monkeypatch.setattr(control, "_READ", 1000)
         monkeypatch.setattr(control, "_FILL", 3)
@@ -624,7 +624,7 @@ class TestStageOneFill:
         for kind, source in ((PolicyKind.OPTIMAL, None), (PolicyKind.ROBUST, noise)):
             res = simulate_closed_loop(kind, params, AssumedRates(6.0, 0.1), init, source,
                                        config, 0.5, ControlBounds(u_max=1.0))
-            assert res.node_stage[:3].tolist() == [1, 1, 2]
+            assert res.trace.node_stage[:3].tolist() == [1, 1, 2]
             assert np.isfinite(res.trajectory.i).all()
             assert np.isfinite(res.trace.node_i_seen).all()
 
@@ -655,7 +655,7 @@ class TestStageBoundaries:
 
     @staticmethod
     def _assert_open_loop_stages(cfg, res):
-        traj, stage = res.trajectory, res.node_stage
+        traj, stage = res.trajectory, res.trace.node_stage
         h, n = cfg.integrator.step, cfg.integrator.n_steps
         free = integrate(cfg.params, 0.0, cfg.init, cfg.integrator)
         m1 = int(np.argmax(stage != 1)) if np.any(stage != 1) else len(traj)
@@ -691,7 +691,7 @@ class TestStageBoundaries:
 
         cfg = replace(preset(name), policies=self.THREE, **overrides)
         art = run_scenario(cfg)
-        firsts = [self._assert_open_loop_stages(cfg, run.result) for run in art.runs.values()]
+        firsts = [self._assert_open_loop_stages(cfg, run) for run in art.runs.values()]
         assert any(k3 is not None for k3 in firsts) == stage_three
 
     def test_stage_column_follows_the_switching_times(self):
@@ -723,14 +723,13 @@ class TestStageBoundaries:
         }
         switches = []
         for cfg in cases.values():
-            for run in run_scenario(cfg).runs.values():
-                res = run.result
+            for res in run_scenario(cfg).runs.values():
                 t, sw = res.trajectory.t, res.trace.switching
                 t_b = np.inf if sw.t_b is None else sw.t_b
                 t_h = np.inf if sw.t_h is None else sw.t_h
                 expected = 1 + (t >= t_b).astype(int) + (t >= t_h).astype(int)
-                assert res.node_stage.dtype == np.int8
-                assert res.node_stage.tolist() == expected.tolist()
+                assert res.trace.node_stage.dtype == np.int8
+                assert res.trace.node_stage.tolist() == expected.tolist()
                 switches.append((sw.t_b, sw.t_h))
         assert (0.0, 0.0) in switches  # the herd event at the threshold node, node 0
         assert any(t_b == 0.0 and t_h is not None and t_h > 0.0 for t_b, t_h in switches)
@@ -746,8 +745,8 @@ class TestStageBoundaries:
         cfg = replace(preset("fig1"), policies=self.THREE,
                       integrator=IntegratorConfig(step=0.01, horizon=144.5))
         art = run_scenario(cfg)
-        assert 144.49 < art.runs["optimal"].result.trace.switching.t_h < 144.5
-        firsts = {name: self._assert_open_loop_stages(cfg, run.result)
+        assert 144.49 < art.runs["optimal"].trace.switching.t_h < 144.5
+        firsts = {name: self._assert_open_loop_stages(cfg, run)
                   for name, run in art.runs.items()}
         assert firsts["optimal"] == cfg.integrator.n_steps
 
@@ -762,11 +761,10 @@ class TestStageTwoLoop:
         return np.array(xs, dtype=float).tobytes()
 
     @classmethod
-    def _check_run(cls, res, cfg, assumed):
-        traj, trace, stage = res.trajectory, res.trace, res.node_stage
+    def _check_run(cls, res, cfg, plan):
+        traj, trace, stage = res.trajectory, res.trace, res.trace.node_stage
         beta, gamma = cfg.params.beta, cfg.params.gamma
-        beta_plan, gamma_plan = (beta, gamma) if assumed is None else (assumed.beta,
-                                                                       assumed.gamma)
+        beta_plan, gamma_plan = plan.beta, plan.gamma
         bounds, h = ControlBounds(cfg.u_max), cfg.integrator.step
         ss, ii, rr, uu, s_seen = traj.s, traj.i, traj.r, traj.u, trace.node_s_seen
         # a split step adds a pre- and a post-switch row at its end node, an
@@ -812,7 +810,7 @@ class TestStageTwoLoop:
                           policies=("optimal", "robust", "misestimated"),
                           integrator=IntegratorConfig(step=0.1, horizon=horizon))
             for run in run_scenario(cfg).runs.values():
-                clamped.append(self._check_run(run.result, cfg, run.assumed))
+                clamped.append(self._check_run(run, cfg, run.trace.plan))
 
         check()
         assert sum(c > 0 for c in clamped) >= 10
@@ -832,9 +830,10 @@ class TestStageTwoLoop:
                       NoiseConfig(kind="snr_db", snr_db=60.0)):
             cfg = replace(preset("fig1"), noise=noise, policies=("robust", "misestimated"),
                           integrator=IntegratorConfig(step=0.1, horizon=300.0))
-            for name, run in run_scenario(cfg).runs.items():
-                traj, rows = run.result.trajectory, run.result.trace.switch_rows
-                read_s, read_i = (run.noise.offset_reader(col, name == "robust")
+            art = run_scenario(cfg)
+            for name, run in art.runs.items():
+                traj, rows = run.trajectory, run.trace.switch_rows
+                read_s, read_i = (art.noise.offset_reader(col, name == "robust")
                                   for col in (0, 1))
                 for pos, tau, _, stage, s_seen, i_seen in rows:
                     if len({row[1] for row in rows if row[0] == pos}) > 1:
@@ -854,15 +853,15 @@ class TestOpenLoopOracle:
         cfg = fig1_noisy_artifacts.config
         t_b, bound = dop853.threshold_time(cfg.params, cfg.init, cfg.i_bar,
                                            cfg.integrator.horizon)
-        assert abs(fig1_noisy_artifacts.runs["optimal"].result.trace.switching.t_b
+        assert abs(fig1_noisy_artifacts.runs["optimal"].trace.switching.t_b
                    - t_b) <= bound
 
     @pytest.mark.parametrize("policy", ["optimal", "robust"])
     def test_stage_three_nodes(self, fig1_noisy_artifacts, dop853, policy):
-        res = fig1_noisy_artifacts.runs[policy].result
+        res = fig1_noisy_artifacts.runs[policy]
         traj = res.trajectory
-        k3 = int(np.argmax(res.node_stage == 3))
-        assert res.node_stage[k3] == 3
+        k3 = int(np.argmax(res.trace.node_stage == 3))
+        assert res.trace.node_stage[k3] == 3
         t = traj.t[k3:]
         _, sol = dop853.solve(traj.params, (t[0], t[-1]), [traj.s[k3], traj.i[k3]],
                               dense_output=True)

@@ -411,7 +411,7 @@ class TestThresholdCrossing:
     def test_never_reached_returns_none(self):
         res = _loop(i_bar=0.9)
         assert res.trace.switching == SwitchingTimes()
-        assert np.all(res.node_stage == 1) and not np.any(res.trajectory.u)
+        assert np.all(res.trace.node_stage == 1) and not np.any(res.trajectory.u)
 
     def test_crossing_refined_to_tolerance(self, dop853):
         for i_bar in (0.01, 0.1, 0.2):
@@ -478,7 +478,7 @@ class TestHerdImmunity:
     def test_not_reached_leaves_t_h_unset(self):
         res = _loop(horizon=120.0)
         assert res.trace.switching.t_b == pytest.approx(98.36, abs=0.01)
-        assert res.trace.switching.t_h is None and res.node_stage[-1] == 2
+        assert res.trace.switching.t_h is None and res.trace.node_stage[-1] == 2
 
 
 def _random_scenario(seed: int):
@@ -524,9 +524,12 @@ def test_trajectory_invariants_on_random_scenarios(seed):
     assert np.all(traj.i >= -1e-15)
 
 
+@pytest.mark.filterwarnings("error")
 def test_trajectory_requires_increasing_times():
-    for t in ([0.0, 0.0], [math.nan, math.nan]):
-        with pytest.raises(ValueError):
+    # finite times first: the difference inf - inf would warn, not raise
+    for t in ([0.0, 0.0], [math.nan, math.nan], [math.nan, 1.0], [0.0, math.inf],
+              [-math.inf, 0.0], [math.inf, math.inf]):
+        with pytest.raises(ValueError, match="strictly increasing"):
             Trajectory(t=np.array(t), s=np.array([0.5, 0.5]),
                        i=np.array([0.1, 0.1]), r=np.array([0.4, 0.4]),
                        u=np.array([0.0, 0.0]), step=0.1, params=PARAMS_52)

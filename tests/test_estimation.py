@@ -308,8 +308,6 @@ class TestParamIntervals:
         assert iv.beta_lo == pytest.approx(0.15) and iv.beta_hi == pytest.approx(0.17)
         assert iv.gamma_lo == pytest.approx(0.0233333, abs=1e-6)
         assert iv.gamma_hi == pytest.approx(0.0433333, abs=1e-6)
-        assert iv.beta_max == iv.beta_hi
-        assert iv.gamma_min == iv.gamma_lo
 
     def test_widths_match_twice_bound(self):
         from sirctl.estimation import ParamEstimate

@@ -65,6 +65,11 @@ CASES = {
     "threshold-at-start-fig1": ["simulate", "--preset", "fig1", "--set", "init.s=0.8",
                                 "--set", "init.i=0.2", "--set", "integrator.horizon=100",
                                 "--set", 'policies=["optimal","robust","misestimated"]'],
+    # no optimal run among the runs: no cost report, gap_direct is nan, and
+    # the scenario's one noise source still gives both files their S_meas
+    "no-optimal-fig1": ["simulate", "--preset", "fig1",
+                        "--set", 'policies=["robust","misestimated"]',
+                        "--set", "integrator.horizon=150"],
 }
 
 # cases whose robust run is infeasible exit 3 after writing their CSVs; a
@@ -127,6 +132,18 @@ EXPECTED = {
             "8a446a1609b1964143938a6bdef43f8c14399cc29fb060cef88d7264286bd681",
         "trajectory_robust.csv":
             "6bb79a44a27492fc540be86dc0e86aa1fd27eb15c0fe2f0473896994e661a362",
+    },
+    "no-optimal-fig1": {
+        "costs.csv":
+            "2532f82ef5c85a44da4d08334de31acd6c29c298abc57da6d92a81e7c786ce97",
+        "policy_trace_misestimated.csv":
+            "ae79cf2d8629b4bcb034cd55735e98f35a7b5f6ff603534dc3abf62098404544",
+        "policy_trace_robust.csv":
+            "9c2c893005788a3b1070b79eee7d802050e83e98fc9a946036ffa4845d898235",
+        "trajectory_misestimated.csv":
+            "a5cd41ab9526381ff31d5388bb2ed8f3910eeca41d4c983349bfd34b25daef5d",
+        "trajectory_robust.csv":
+            "0f5b6fa3eca08ee40aa252104a47eac277b7ca64889d2f2e6db710659ec37745",
     },
     "param-est-1-10": {
         "estimates.csv":

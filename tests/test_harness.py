@@ -17,6 +17,7 @@ import pytest
 from sirctl import core, csvio, scenarios
 from sirctl.cli import main
 from sirctl.control import (
+    AssumedRates,
     ClosedLoopResult,
     FeasibilityReport,
     PolicyKind,
@@ -64,7 +65,6 @@ from sirctl.scenarios import (
     EstimationWindow,
     InflationConfig,
     PRESETS,
-    PolicyRun,
     ScenarioConfig,
     bound_sweep_noisy_config,
     gap_table,
@@ -134,15 +134,15 @@ class TestInjectNoise:
                       integrator=IntegratorConfig(step=0.01, horizon=150.0))
         optimal, noise = scenarios._optimal_run(cfg)
         runs = scenarios._run_policies(cfg, optimal, noise).runs
-        assert runs["robust"].result.trace.switching.t_b is not None
+        assert runs["robust"].trace.switching.t_b is not None
         written: dict[str, np.ndarray] = {}
         # the writer's blocks of column slices, joined into whole columns
         monkeypatch.setattr(csvio, "_write", lambda path, header, kinds, blocks:
                             written.update(zip(header, map(np.concatenate, zip(*blocks)))))
         for name, run in runs.items():
-            traj, trace = run.result.trajectory, run.result.trace
+            traj, trace = run.trajectory, run.trace
             # the columns the trajectory writer formats, signed zeros included
-            write_trajectory_csv(tmp_path / f"trajectory_{name}.csv", run)
+            write_trajectory_csv(tmp_path / f"trajectory_{name}.csv", run, noise)
             if noise_cfg.kind == "none":
                 # a noise-free loop reads nothing: the measured columns are the nodes
                 assert written["S_meas"].tobytes() == traj.s.tobytes()
@@ -270,9 +270,9 @@ class TestRunScenario:
                       inflation=InflationConfig(beta_mult=1.0, gamma_mult=1.0),
                       misestimation=InflationConfig(beta_mult=1.0, gamma_mult=1.0))
         art = run_scenario(cfg)
-        i_opt = art.runs["optimal"].result.trajectory.i
+        i_opt = art.runs["optimal"].trajectory.i
         for name in ("robust", "misestimated"):
-            assert np.array_equal(art.runs[name].result.trajectory.i, i_opt)
+            assert np.array_equal(art.runs[name].trajectory.i, i_opt)
 
     def test_estimation_derived_bounds_bracket_truth(self):
         cfg = replace(
@@ -283,10 +283,38 @@ class TestRunScenario:
             estimation=EstimationWindow(i=80.0, j=90.0, alphas=(1,)),
             policies=("optimal", "robust"))
         art = run_scenario(cfg)
-        assumed = art.runs["robust"].assumed
+        assumed = art.runs["robust"].trace.plan
         assert 0.0 < cfg.params.beta <= assumed.beta
         assert 0.0 < assumed.gamma <= cfg.params.gamma
-        assert art.runs["robust"].result.report.feasible
+        assert art.runs["robust"].report.feasible
+
+    @pytest.mark.parametrize("mode", ["multipliers", "estimated"])
+    def test_each_run_records_its_plan(self, mode):
+        # the optimal run plans with the true rates, the others with what
+        # _assumed_rates gives: the multipliers, or the estimated interval's
+        # endpoints (beta_hi, gamma_lo), here about (0.1733, 0.0501)
+        cfg = replace(preset("fig1"), policies=("optimal", "robust", "misestimated"),
+                      noise=NoiseConfig(kind="none"),
+                      inflation=InflationConfig(mode=mode),
+                      estimation=EstimationWindow(alphas=(1,)),
+                      integrator=IntegratorConfig(step=0.01, horizon=150.0))
+        runs = run_scenario(cfg).runs
+        truth, reference = cfg.params, runs["optimal"].trajectory
+        assert runs["optimal"].trace.plan == AssumedRates(truth.beta, truth.gamma)
+        assert runs["misestimated"].trace.plan == AssumedRates(truth.beta * 0.95,
+                                                               truth.gamma * 1.05)
+        robust = runs["robust"].trace.plan
+        if mode == "multipliers":
+            assert robust == AssumedRates(truth.beta * 1.05, truth.gamma * 0.95)
+        else:
+            row, = scenarios._sweep_rows(cfg, reference, alphas=(1,))
+            b = row.bound_b
+            assert robust == AssumedRates(row.beta_hat + b, row.gamma_hat - b)
+            assert robust.beta == pytest.approx(0.1733, abs=1e-4)
+            assert robust.gamma == pytest.approx(0.0501, abs=1e-4)
+        for kind, inflation in (("robust", cfg.inflation),
+                                ("misestimated", cfg.misestimation)):
+            assert runs[kind].trace.plan == scenarios._assumed_rates(cfg, inflation, reference)
 
     def test_nonphysical_estimated_interval_is_config_error(self):
         # the default window (80, 90), inside the optimal run's stage 2, gives
@@ -359,7 +387,7 @@ class TestRunScenario:
         exec(compile(code, "README.md", "exec"), {})
         printed = capsys.readouterr().out.splitlines()
         robust = next(row for row in fig1_noisy_artifacts.cost_rows if row.policy == "robust")
-        assert printed[-1] == f"{robust.gap_direct} {fig1_noisy_artifacts.cost_report.gap_upper}"
+        assert printed[-1] == f"{robust.gap_direct} {robust.gap_upper}"
 
 
 class TestGapTable:
@@ -569,7 +597,7 @@ class TestCsv:
         art = request.getfixturevalue(fixture)
         emit_csv(art, tmp_path)
         for name, run in art.runs.items():
-            traj, trace = run.result.trajectory, run.result.trace
+            traj, trace = run.trajectory, run.trace
             rows = trace.switch_rows
             own = trace.node_s_seen is not traj.s
             assert own is (trace.node_i_seen is not traj.i)
@@ -580,7 +608,7 @@ class TestCsv:
             at = np.searchsorted(traj.t, [row[1] for row in rows], side="left")
             s_seen, i_seen = (trace.node_s_seen, trace.node_i_seen) if own else (traj.s, traj.i)
             for k, (node, full) in enumerate(((traj.t, trace.t), (traj.u, trace.u),
-                                              (run.result.node_stage, trace.stage),
+                                              (run.trace.node_stage, trace.stage),
                                               (s_seen, trace.s_seen), (i_seen, trace.i_seen))):
                 rebuilt = np.insert(node, at, [row[k + 1] for row in rows])
                 assert rebuilt.dtype == full.dtype and rebuilt.tobytes() == full.tobytes()
@@ -684,8 +712,9 @@ class TestCsvFormat:
         return {"empty": 0, "one row": 1, "one chunk": self.CHUNK,
                 "one chunk plus one row": self.CHUNK + 1}[request.param]
 
-    REPORT = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan, u_max=0.1,
-                               max_infection_attained=0.0, clamp_events=0, i_bar=0.1)
+    REPORT = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan,
+                               max_infection_attained=0.0)
+    PLAN = AssumedRates(beta=0.168, gamma=0.03)
 
     def test_trajectory_and_trace(self, tmp_path, n):
         # the seen signals are written as trajectory columns only when they
@@ -701,19 +730,17 @@ class TestCsvFormat:
         s_hat, i_hat = s + z[:, 0], i + z[:, 1]
         trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s_seen=s_seen,
                             node_i_seen=i_seen, switch_rows=(), switching=SwitchingTimes(),
-                            clamp_events=0, kind=PolicyKind.ROBUST)
-        run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(traj, trace, self.REPORT),
-                        noise, assumed=None)
-        write_trajectory_csv(tmp_path / "trajectory.csv", run)
+                            clamp_events=0, kind=PolicyKind.ROBUST, plan=self.PLAN)
+        run = ClosedLoopResult(traj, trace, self.REPORT)
+        write_trajectory_csv(tmp_path / "trajectory.csv", run, noise)
         write_trace_csv(tmp_path / "trace.csv", run)
         assert (tmp_path / "trajectory.csv").read_text().split("\n") == self.expected(
             SEEN_HEADER, zip(t, s, i, r, s_hat, i_hat, u, stage, s_seen, i_seen)) + [""]
         assert (tmp_path / "trace.csv").read_text() == ",".join(TRACE_HEADER) + "\n"
 
         blind = replace(trace, node_s_seen=s, node_i_seen=i)
-        run = PolicyRun(PolicyKind.OPTIMAL, ClosedLoopResult(traj, blind, self.REPORT),
-                        noise, assumed=None)
-        write_trajectory_csv(tmp_path / "blind.csv", run)
+        run = ClosedLoopResult(traj, blind, self.REPORT)
+        write_trajectory_csv(tmp_path / "blind.csv", run, noise)
         assert (tmp_path / "blind.csv").read_text().split("\n") == self.expected(
             TRAJECTORY_HEADER, zip(t, s, i, r, s_hat, i_hat, u, stage)) + [""]
 
@@ -728,9 +755,8 @@ class TestCsvFormat:
         trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s_seen=s_seen,
                             node_i_seen=i_seen, switch_rows=switch_rows,
                             switching=SwitchingTimes(), clamp_events=0,
-                            kind=PolicyKind.ROBUST)
-        run = PolicyRun(PolicyKind.ROBUST, ClosedLoopResult(None, trace, self.REPORT),
-                        None, assumed=None)
+                            kind=PolicyKind.ROBUST, plan=self.PLAN)
+        run = ClosedLoopResult(None, trace, self.REPORT)
         write_trace_csv(tmp_path / "trace.csv", run)
         assert (tmp_path / "trace.csv").read_text().split("\n") == self.expected(
             TRACE_HEADER, (row[1:] for row in switch_rows)) + [""]
@@ -909,6 +935,37 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "estimation.zeta times the largest step h" in capsys.readouterr().err
+
+    def test_estimated_inflation_rejects_zeta_h_at_one(self, tmp_path, capsys):
+        # the robust policy's interval samples the first alpha: here 200 steps
+        code = main(["simulate", "--preset", "fig1", "--set", "inflation.mode=estimated",
+                     "--set", "noise.kind=none", "--set", "estimation.alphas=[200]",
+                     "--set", "estimation.zeta=1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "estimation.zeta times the largest step h" in capsys.readouterr().err
+
+    def test_zeta_h_is_checked_at_the_alphas_sampled(self, tmp_path, capsys):
+        # the robust policy's interval samples the first alpha alone, so a
+        # later alpha with zeta * h = 0.055 * 0.01 * 2000 = 1.1 is not checked:
+        # the run is the one of alphas [1], byte for byte
+        command = ["simulate", "--preset", "fig1", "--set", "inflation.mode=estimated",
+                   "--set", "noise.kind=none"]
+        for alphas in ("[1,2000]", "[1]"):
+            out = tmp_path / alphas
+            assert main([*command, "--set", f"estimation.alphas={alphas}",
+                         "--out", str(out)]) == 0
+        files = sorted(p.name for p in (tmp_path / "[1]").iterdir())
+        assert len(files) == 5
+        for name in files:
+            assert (tmp_path / "[1,2000]" / name).read_bytes() == \
+                (tmp_path / "[1]" / name).read_bytes()
+        # at step 0.1 the default alphas reach zeta * h = 1.1 too; the first
+        # gives an interval with gamma_min < 0, refused on its own terms
+        capsys.readouterr()
+        assert main([*command, "--set", "estimation.i=80", "--set", "integrator.step=0.1",
+                     "--out", str(tmp_path / "coarse")]) == 2
+        err = capsys.readouterr().err
+        assert "estimation gives" in err and "zeta" not in err
 
     @pytest.mark.parametrize("command", [
         ["estimate", "--preset", "param-est"],

@@ -70,7 +70,7 @@ class TestRetention:
         earlier: list[np.ndarray] = []
         counts = {}
         for name, run in art.runs.items():
-            held = _buffers(_arrays(run), len(run.result.trajectory))
+            held = _buffers(_arrays(run), len(run.trajectory))
             own = [b for b in held if not any(np.shares_memory(b, e) for e in earlier)]
             counts[name] = (len(held), len(own))
             earlier += own
@@ -78,9 +78,9 @@ class TestRetention:
 
     def test_views_shared_with_the_trajectory(self, case):
         art, _ = case
-        optimal = art.runs["optimal"].result
+        optimal = art.runs["optimal"]
         for name, run in art.runs.items():
-            traj, trace = run.result.trajectory, run.result.trace
+            traj, trace = run.trajectory, run.trace
             assert trace.node_t is traj.t and trace.node_u is traj.u
             assert trace.node_stage.dtype == np.int8
             assert np.shares_memory(traj.t, optimal.trajectory.t)
@@ -91,7 +91,7 @@ class TestRetention:
     def test_full_rows_splice_the_switch_rows(self, case):
         art, _ = case
         for run in art.runs.values():
-            trace = run.result.trace
+            trace = run.trace
             t = trace.t
             assert len(t) == len(trace.node_t) + len(trace.switch_rows)
             assert np.all(np.diff(t) >= 0.0)
@@ -108,7 +108,7 @@ class TestReadOnly:
     def test_writing_to_a_shared_array_raises(self, case):
         art, _ = case
         for run in art.runs.values():
-            traj, trace = run.result.trajectory, run.result.trace
+            traj, trace = run.trajectory, run.trace
             for a in (traj.t, traj.s, traj.i, traj.r, traj.u,
                       trace.node_stage, trace.node_s_seen, trace.node_i_seen):
                 with pytest.raises(ValueError, match="read-only"):
@@ -141,7 +141,7 @@ class TestMeasuredSeries:
         assert not any(isinstance(x, MeasuredSeries) for x in _reachable(rows))
         measured.clear()
         csvio.emit_csv(art, tmp_path)
-        n, chunk = len(art.runs["optimal"].result.trajectory), csvio._CHUNK_ROWS
+        n, chunk = len(art.runs["optimal"].trajectory), csvio._CHUNK_ROWS
         assert built == []
         assert measured == [slice(lo, min(lo + chunk, n))
                             for lo in range(0, n, chunk)] * len(art.runs)
