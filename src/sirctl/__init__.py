@@ -1,7 +1,6 @@
 """SIR epidemic isolation control under parameter and measurement uncertainty."""
 
 from .analysis import (
-    CostReport,
     CumulativeCheck,
     build_cost_report,
     cumulative_infected_check,

@@ -2,8 +2,8 @@
 
 The objective is the cumulative isolation rate, the integral of u over time
 (``total_cost``). The extra cost of a robust run over the matched optimal run,
-``gap_direct``, is the difference of the two integrals; the cost rows
-(``scenarios._cost_rows``) integrate each run once and form it. Two formulas
+``gap_direct``, is the difference of the two integrals; the cost row
+(``scenarios._cost_row``) integrates each run once and forms it. Two formulas
 here must agree with it: the state-based identity (the rate inversion
 u = -(1/I) dI/dt + beta*S - gamma integrates to a susceptible-gap term plus
 log-infection terms), and the piecewise closed form built from the robust
@@ -23,18 +23,6 @@ from .control import ClosedLoopResult, PolicyTrace, SwitchingTimes
 
 _MIN_INFECTION = 1e-12
 _CUMULATIVE_TOL = 1e-6  # I+R may exceed I*+R* by this much
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """The formula gaps of a robust/optimal pair, which check its ``gap_direct``.
-
-    NaN where ``build_cost_report`` says a formula does not apply.
-    """
-
-    gap_from_states: float
-    gap_closed_form: float
-    gap_upper: float
 
 
 @dataclass(frozen=True)
@@ -209,8 +197,10 @@ def cumulative_infected_check(robust: ClosedLoopResult,
     return CumulativeCheck(max_violation=worst, ok=bool(worst <= _CUMULATIVE_TOL))
 
 
-def build_cost_report(robust: ClosedLoopResult, optimal: ClosedLoopResult) -> CostReport:
-    """The formula gaps of one matched pair of runs.
+def build_cost_report(robust: ClosedLoopResult,
+                      optimal: ClosedLoopResult) -> tuple[float, float, float]:
+    """The formula gaps of one matched pair of runs, which check its
+    ``gap_direct``: ``(gap_from_states, gap_closed_form, gap_upper)``.
 
     The runs must pass ``_require_same_grid`` (else ValueError). The
     formulas need all four switching times; when a herd condition never
@@ -226,4 +216,4 @@ def build_cost_report(robust: ClosedLoopResult, optimal: ClosedLoopResult) -> Co
         l4 = gap_from_states(robust, optimal)
         if theorem4_order(times_r, times_o):
             c, c_bar = gap_closed_form(robust, optimal)
-    return CostReport(gap_from_states=l4, gap_closed_form=c, gap_upper=c_bar)
+    return l4, c, c_bar

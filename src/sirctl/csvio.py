@@ -168,13 +168,23 @@ def emit_csv(artifacts: RunArtifacts, out_dir: Union[str, Path]) -> list[Path]:
 
 
 def _read(path: Path, *headers: list[str]) -> tuple[list[str], list[list[str]]]:
-    """The header, one of ``headers``, and the rows of a CSV file."""
+    """The header, one of ``headers``, and the rows of a CSV file; a file
+    without a header line, or a row with other than the header's field
+    count, is a ValueError naming the path (and the row's line)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header line")
         if header not in headers:
             raise ValueError(f"{path}: unexpected header {header}")
-        return header, [row for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} fields "
+                                 f"under a header of {len(header)}")
+            rows.append(row)
+        return header, rows
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:

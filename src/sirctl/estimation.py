@@ -84,7 +84,6 @@ class RegressionBatch:
     L: np.ndarray
     Z: np.ndarray
     h: Value
-    indices: tuple[float, float]  # the two base times (i, j)
 
     def zzt(self) -> np.ndarray:
         return self.Z @ self.Z.T
@@ -211,7 +210,7 @@ def build_regressor_batch(sample_i: MeasuredSample, sample_i_plus_h: MeasuredSam
     L = np.stack([l_of(sample_i, sample_i_plus_h), l_of(sample_j, sample_j_plus_h)],
                  axis=-1).reshape(-1, 2)
     Z = np.array([[zi[0], zj[0]], [zi[1], zj[1]]])
-    return RegressionBatch(L=L, Z=Z, h=h, indices=(sample_i.t, sample_j.t))
+    return RegressionBatch(L=L, Z=Z, h=h)
 
 
 def estimate_params(batch: RegressionBatch) -> ParamEstimate:

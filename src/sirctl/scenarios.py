@@ -21,7 +21,6 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .analysis import (
-    CostReport,
     CumulativeCheck,
     build_cost_report,
     cumulative_infected_check,
@@ -296,7 +295,23 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     All policies share the same per-epoch noise draws, making the comparison
     matched and the artifacts deterministic under a fixed seed.
     """
-    return _run_policies(config, *_optimal_run(config))
+    optimal, noise = _optimal_run(config)
+    runs: dict[str, ClosedLoopResult] = {}
+    if "optimal" in config.policies:
+        runs["optimal"] = optimal
+    for kind, inflation in ((PolicyKind.ROBUST, config.inflation),
+                            (PolicyKind.MISESTIMATED, config.misestimation)):
+        if kind.value in config.policies:
+            runs[kind.value] = _policy_run(config, kind, inflation, optimal, noise)
+
+    paired = runs.get("optimal")
+    opt_cost = math.nan if paired is None else total_cost(paired.trace)
+    cumulative = None
+    if "robust" in runs and paired is not None and paired.trace.switching.t_h is not None:
+        cumulative = cumulative_infected_check(runs["robust"], paired)
+    return RunArtifacts(config=config, runs=runs, noise=noise, cumulative=cumulative,
+                        cost_rows=tuple(_cost_row(name, run, paired, opt_cost)
+                                        for name, run in runs.items()))
 
 
 def _optimal_run(config: ScenarioConfig) -> tuple[ClosedLoopResult, MeasurementNoise]:
@@ -315,57 +330,39 @@ def _optimal_run(config: ScenarioConfig) -> tuple[ClosedLoopResult, MeasurementN
     return optimal, noise
 
 
-def _run_policies(config: ScenarioConfig, optimal: ClosedLoopResult,
-                  noise: MeasurementNoise) -> RunArtifacts:
-    """``run_scenario`` given the scenario's ``_optimal_run``."""
-    runs: dict[str, ClosedLoopResult] = {}
-    if "optimal" in config.policies:
-        runs["optimal"] = optimal
-    for kind, inflation in ((PolicyKind.ROBUST, config.inflation),
-                            (PolicyKind.MISESTIMATED, config.misestimation)):
-        if kind.value not in config.policies:
-            continue
-        assumed = _assumed_rates(config, inflation, optimal.trajectory)
-        runs[kind.value] = simulate_closed_loop(
-            kind, config.params, assumed, config.init, noise, config.integrator,
-            config.i_bar, ControlBounds(config.u_max), prefix=optimal)
-
-    report, cumulative = None, None
-    if "robust" in runs and "optimal" in runs:
-        rob, opt = runs["robust"], runs["optimal"]
-        report = build_cost_report(rob, opt)
-        if opt.trace.switching.t_h is not None:
-            cumulative = cumulative_infected_check(rob, opt)
-    return RunArtifacts(config=config, runs=runs, noise=noise, cumulative=cumulative,
-                        cost_rows=tuple(_cost_rows(runs, report)))
+def _policy_run(config: ScenarioConfig, kind: PolicyKind, inflation: InflationConfig,
+                optimal: ClosedLoopResult, noise: MeasurementNoise) -> ClosedLoopResult:
+    """The robust or misestimated closed loop of ``inflation``'s assumed
+    rates, on the scenario's ``_optimal_run`` and noise."""
+    return simulate_closed_loop(
+        kind, config.params, _assumed_rates(config, inflation, optimal.trajectory),
+        config.init, noise, config.integrator, config.i_bar, ControlBounds(config.u_max),
+        prefix=optimal)
 
 
-def _cost_rows(runs: dict[str, ClosedLoopResult],
-               report: Optional[CostReport]) -> list[CostRow]:
-    """One row per run; the one place that integrates costs and forms ``gap_direct``.
+def _cost_row(name: str, run: ClosedLoopResult, optimal: Optional[ClosedLoopResult],
+              opt_cost: float) -> CostRow:
+    """A run's costs.csv row; the one place that integrates costs and forms ``gap_direct``.
 
-    Each trace is integrated once by ``total_cost``; a run's ``gap_direct``
-    is its cost minus the optimal run's, NaN without an optimal run. Every
-    run spans the optimal run's grid (``_shared_stage_one`` raises
-    otherwise), so the difference needs no grid check. The robust row takes
-    the three formula gaps from the report.
+    ``opt_cost`` is the ``total_cost`` of ``optimal``, NaN without an
+    optimal run; the row of ``optimal`` itself takes it, so each trace is
+    integrated once. ``gap_direct`` is the run's cost minus ``opt_cost``.
+    Every run spans the optimal run's grid (``_shared_stage_one`` raises
+    otherwise), so the difference needs no grid check. A robust run with an
+    ``optimal`` run gets the formula gaps of ``build_cost_report``; any
+    other row has them NaN.
     """
     nan = math.nan
-    costs = {name: total_cost(run.trace) for name, run in runs.items()}
-    opt_cost = costs.get("optimal", nan)
-    rows = []
-    for name, run in runs.items():
-        l4 = c = c_bar = nan
-        if name == "robust" and report is not None:
-            l4, c, c_bar = report.gap_from_states, report.gap_closed_form, report.gap_upper
-        sw = run.trace.switching
-        rows.append(CostRow(
-            policy=name, total_cost=costs[name], gap_direct=costs[name] - opt_cost,
-            gap_lemma4=l4, gap_thm4=c, gap_upper=c_bar,
-            t_b=nan if sw.t_b is None else sw.t_b,
-            t_h=nan if sw.t_h is None else sw.t_h,
-            feasible=run.report.feasible))
-    return rows
+    cost = opt_cost if run is optimal else total_cost(run.trace)
+    l4 = c = c_bar = nan
+    if run.trace.kind is PolicyKind.ROBUST and optimal is not None:
+        l4, c, c_bar = build_cost_report(run, optimal)
+    sw = run.trace.switching
+    return CostRow(policy=name, total_cost=cost, gap_direct=cost - opt_cost,
+                   gap_lemma4=l4, gap_thm4=c, gap_upper=c_bar,
+                   t_b=nan if sw.t_b is None else sw.t_b,
+                   t_h=nan if sw.t_h is None else sw.t_h,
+                   feasible=run.report.feasible)
 
 
 def _fnorm(traj: Trajectory, k: int) -> float:
@@ -464,25 +461,26 @@ def gap_table(config: ScenarioConfig,
               inflations: list[tuple[float, float]]) -> list[CostRow]:
     """Cost-gap rows for a grid of (beta, gamma) inflation multipliers.
 
-    The optimal closed loop and its noise draws are computed once and shared:
-    every pair keeps the config's seed and name, so its draws would be the
-    same. Only the robust loop runs per pair. The rows are the optimal row,
-    then one ``robust_bx<beta_mult>_gx<gamma_mult>`` row per pair, in order.
-    Two pairs with the same row name (``%g`` keeps 6 digits) are a
+    Every row comes from the one optimal closed loop and noise draws of the
+    config, as ``run_scenario`` would give for each pair with the same seed
+    and name; only the robust loop runs per pair. The rows are the optimal
+    row, then one ``robust_bx<beta_mult>_gx<gamma_mult>`` row per pair, in
+    order. Two pairs with the same row name (``%g`` keeps 6 digits) are a
     ConfigError.
     """
     names = [f"robust_bx{bm:g}_gx{gm:g}" for bm, gm in inflations]
     for k, name in enumerate(names):
         if name in names[:k]:
             raise ConfigError(f"inflation pairs repeat the row name {name}")
-    base = replace(config, policies=("optimal", "robust"))
-    optimal, noise = _optimal_run(base)
-    rows: list[CostRow] = []
+    optimal, noise = _optimal_run(config)
+    opt_cost = total_cost(optimal.trace)
+    rows = [_cost_row("optimal", optimal, optimal, opt_cost)]
     for (bm, gm), name in zip(inflations, names):
-        cfg = replace(base, inflation=InflationConfig(beta_mult=bm, gamma_mult=gm))
-        optimal_row, robust_row = _run_policies(cfg, optimal, noise).cost_rows
-        rows.append(replace(robust_row, policy=name))
-    return [optimal_row, *rows] if rows else []
+        inflation = InflationConfig(beta_mult=bm, gamma_mult=gm)
+        # no name holds a pair's run, so it is freed before the next pair's loop runs
+        rows.append(_cost_row(name, _policy_run(config, PolicyKind.ROBUST, inflation,
+                                                optimal, noise), optimal, opt_cost))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -155,16 +155,17 @@ class TestGapDirect:
 
     def test_rectangle_difference(self):
         # gap_direct is the difference of the two cost integrals, the
-        # optimal run's taken from each row's own
+        # optimal run's given to each row; the robust row is built without
+        # its optimal run, so no formula gap needs the trajectories
         a = make_trace([0.0, 10.0, 10.0, 20.0, 20.0, 30.0],
                        [0.0, 0.0, 0.2, 0.2, 0.0, 0.0], kind=PolicyKind.ROBUST)
         b = make_trace([0.0, 12.0, 12.0, 18.0, 18.0, 30.0],
                        [0.0, 0.0, 0.1, 0.1, 0.0, 0.0])
-        runs = {name: ClosedLoopResult(None, trace, REPORT)
-                for name, trace in (("robust", a), ("optimal", b))}
-        rows = {row.policy: row for row in scenarios._cost_rows(runs, None)}
-        assert rows["robust"].gap_direct == pytest.approx(0.2 * 10 - 0.1 * 6, abs=1e-12)
-        assert rows["optimal"].gap_direct == 0.0
+        robust, optimal = (ClosedLoopResult(None, trace, REPORT) for trace in (a, b))
+        opt_cost = total_cost(b)
+        row = scenarios._cost_row("robust", robust, None, opt_cost)
+        assert row.gap_direct == pytest.approx(0.2 * 10 - 0.1 * 6, abs=1e-12)
+        assert scenarios._cost_row("optimal", optimal, optimal, opt_cost).gap_direct == 0.0
 
     @pytest.mark.parametrize("t_other, where", [([0.0, 12.0], "end"), ([1.0, 10.0], "start")])
     def test_cost_report_rejects_traces_on_different_grids(self, t_other, where):
@@ -202,9 +203,9 @@ class TestBuildCostReport:
         s, i = np.full_like(t, 0.9), np.full_like(t, 0.01)
         robust = make_run(t, s, i, robust_times, plan=AssumedRates(0.168, 0.03))
         optimal = make_run(t, s, i, TIMES)
-        report = build_cost_report(robust, optimal)
-        assert math.isnan(report.gap_closed_form) and math.isnan(report.gap_upper)
-        assert math.isfinite(report.gap_from_states)
+        l4, c, c_bar = build_cost_report(robust, optimal)
+        assert math.isnan(c) and math.isnan(c_bar)
+        assert math.isfinite(l4)
 
 
 class TestStateOnGrid:

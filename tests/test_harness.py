@@ -132,8 +132,8 @@ class TestInjectNoise:
         cfg = replace(preset("fig1"), noise=noise_cfg,
                       policies=("optimal", "robust", "misestimated"),
                       integrator=IntegratorConfig(step=0.01, horizon=150.0))
-        optimal, noise = scenarios._optimal_run(cfg)
-        runs = scenarios._run_policies(cfg, optimal, noise).runs
+        art = run_scenario(cfg)
+        runs, noise = art.runs, art.noise
         assert runs["robust"].trace.switching.t_b is not None
         written: dict[str, np.ndarray] = {}
         # the writer's blocks of column slices, joined into whole columns
@@ -394,8 +394,14 @@ class TestGapTable:
     PAIRS = [(1.02, 0.98), (1.1, 0.9)]  # the second never reaches its herd condition
 
     @pytest.fixture(scope="class")
-    def counted(self):
-        """gap_table over PAIRS with every closed-loop call recorded by kind."""
+    def calls(self):
+        """The cost integrations and cumulative checks ``counted`` records, by name."""
+        return Counter()
+
+    @pytest.fixture(scope="class")
+    def counted(self, calls):
+        """gap_table over PAIRS with every closed-loop call recorded by kind,
+        and every ``total_cost`` and ``cumulative_infected_check`` call in ``calls``."""
         cfg = replace(preset("fig1"), name="fig1-gap-table",
                       integrator=IntegratorConfig(step=0.01, horizon=200.0))
         real = scenarios.simulate_closed_loop
@@ -405,10 +411,32 @@ class TestGapTable:
             kinds[kind] += 1
             return real(kind, *args, **kwargs)
 
+        def spy(name):
+            real_fn = getattr(scenarios, name)
+
+            def spying(*args, **kwargs):
+                calls[name] += 1
+                return real_fn(*args, **kwargs)
+
+            return spying
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenarios, "simulate_closed_loop", counting)
+            for name in ("total_cost", "cumulative_infected_check"):
+                mp.setattr(scenarios, name, spy(name))
             rows = gap_table(cfg, self.PAIRS)
         return cfg, rows, kinds
+
+    def test_one_integration_per_run_and_no_check(self, counted, calls):
+        # the cost-row path alone: the optimal run and each pair's robust run
+        # are integrated once, and no cumulative check runs
+        assert calls["total_cost"] == 1 + len(self.PAIRS)
+        assert calls["cumulative_infected_check"] == 0
+
+    def test_empty_grid_gives_the_optimal_row(self, counted):
+        # the optimal row, then one row per pair: none for no pairs
+        cfg, rows, _ = counted
+        assert [repr(row) for row in gap_table(cfg, [])] == [repr(rows[0])]
 
     def test_optimal_loop_runs_once_for_all_pairs(self, counted):
         _, _, kinds = counted
@@ -623,6 +651,32 @@ class TestCsv:
             path.write_text(",".join(header) + "\n" + ",".join("1" * len(header)) + "\n")
             with pytest.raises(ValueError, match="unexpected header"):
                 read_trajectory_csv(path)
+
+    READERS = [(read_trajectory_csv, TRAJECTORY_HEADER), (read_trajectory_csv, SEEN_HEADER),
+               (read_estimates_csv, ESTIMATES_HEADER), (read_costs_csv, COSTS_HEADER)]
+    READER_IDS = ["trajectory", "trajectory-seen", "estimates", "costs"]
+
+    @pytest.mark.parametrize("reader", [read_trajectory_csv, read_estimates_csv, read_costs_csv],
+                             ids=lambda reader: reader.__name__)
+    def test_readers_reject_a_file_without_header(self, tmp_path, reader):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no header line")):
+            reader(path)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("reader, header", READERS, ids=READER_IDS)
+    def test_readers_reject_a_row_of_another_width(self, tmp_path, reader, header, extra):
+        # the header is line 1 and a row of its width line 2, so the
+        # ragged row is line 3
+        path = tmp_path / "ragged.csv"
+        cells = {"policy": "robust", "contained": "true", "feasible": "true"}
+        good = [cells.get(name, "1") for name in header]
+        path.write_text("\n".join(",".join(row) for row in (
+            header, good, good[:len(good) + extra] + ["1"] * extra)) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 3: {len(header) + extra} fields under a header of {len(header)}")):
+            reader(path)
 
     def test_readme_headers_are_the_writers(self):
         # each artifact bullet of the README names its file and header
