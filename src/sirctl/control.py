@@ -25,6 +25,7 @@ from .core import (
     SirState,
     Trajectory,
     _rk4_fill,
+    _rk4_removals,
     _rk4_step,
     locate_event,
     read_only,
@@ -267,11 +268,13 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     grid nodes, testing the stage's event at each node and at the end of
     each step. A step in which the test fires is split at the switch that
     ``locate_event`` finds and then ends on the node. Stage 2's unsplit
-    steps run in one inner loop, with the RK4 step, the rate law and its
-    clamp written inline. The law reads the susceptible signal alone, so
-    the loop reads the S offset at each node with the noise source's
-    ``offset_reader`` and holds it over the step; it reads the I offset
-    only at its first node and at a herd event, for the switch rows. A
+    steps run in one ``for`` loop, with the RK4 step of S and I, the rate
+    law and its clamp written inline; the end-of-step herd test under the
+    held offsets is the next node's, so the node test runs again only after
+    a read. The law reads the susceptible signal alone, so the loop reads
+    the S offset at each node with the noise source's ``offset_reader`` and
+    holds it over the step; it reads the I offset only at its first node
+    and at a herd event, for the switch rows. A
     policy that reads no noise holds zero offsets, so its end-of-step rate
     is the next node's rate and is computed once. The loop stops at the
     first stage-3 node, from which ``integrate``'s stepper fills the run to
@@ -283,8 +286,12 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     loop's first node on once it ends. Infeasibility is recorded in the
     report, never raised.
 
-    The loop writes each node's state and rate through memoryviews of the
-    run's arrays; the stage column, which only rises, is filled from its
+    The loop writes each node's S, I and rate through memoryviews of the
+    run's arrays, and the R pass ``_rk4_removals`` fills R from the entry
+    node of each stretch of stage 2 under the run's ``u`` column, once the
+    stretch ends: no rate, event test or later step reads R. A split step's
+    end node holds the R of its ``_rk4_step`` sub-steps, and the next pass
+    starts from it. The stage column, which only rises, is filled from its
     first stage-2 node and the loop's last node once the loop ends. The
     trace's node columns are the run's own read-only arrays (see
     ``PolicyTrace``); a policy that reads no noise allocates no offsets. A
@@ -378,70 +385,87 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                                     min(i + o_i, 1.0)))
                 stage = 2
         if stage == 2:
-            # stage 2 from node k, one node per pass, with the rate law
-            # (``stage_two_rate``), its clamp (``ControlBounds.clamp``) and
-            # the RK4 step (``_rk4_step``, in its operation order) inline; the
-            # end-of-step herd test under the held offsets is the next node's
-            # rate unless a read changes them
+            # stage 2 from node k, carrying S and I: the rate law
+            # (``stage_two_rate``), its clamp (``ControlBounds.clamp``) and the
+            # RK4 step (``_rk4_step``, in its operation order) are inline, and
+            # the R pass fills the pass's nodes once it ends. The end-of-step
+            # herd test under the held offsets is the next node's herd test,
+            # so that runs again only where a read changes the S offset
+            entry = k
+            rr_w[k] = r
             s_seen = s + o_s
             raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
-            while True:
-                ss_w[k] = s
-                ii_w[k] = i
-                rr_w[k] = r
-                if -raw >= 0.0:
-                    # the herd event fires at node k, also where the threshold
-                    # just did (t_h == t_b): the locator needs gap < 0 at a node
-                    t_h = t0 + k * h
-                    if reads:
-                        o_i = read_i(k, i)  # for the switch row: stage 2 reads S alone
-                    switch_rows.append((k, t_h, 0.0 if raw < 0.0 else raw, 2,
-                                        min(s + o_s, 1.0), min(i + o_i, 1.0)))
-                    stage = 3
-                    break
-                if raw > u_max:
-                    clamp_events += 1
-                    u = u_max
-                else:
-                    u = 0.0 if raw < 0.0 else raw
-                uu_w[k] = u
-                if k == n:
-                    break
-                g = gamma + u
-                n1 = beta * s * i
-                m1 = g * i
-                d1 = n1 - m1
-                s2 = s - hh * n1
-                i2 = i + hh * d1
-                n2 = beta * s2 * i2
-                m2 = g * i2
-                d2 = n2 - m2
-                s3 = s - hh * n2
-                i3 = i + hh * d2
-                n3 = beta * s3 * i3
-                m3 = g * i3
-                d3 = n3 - m3
-                s4 = s - h * n3
-                i4 = i + h * d3
-                n4 = beta * s4 * i4
-                m4 = g * i4
-                s = s + h6 * (-n1 + 2.0 * -n2 + 2.0 * -n3 + -n4)
-                i = i + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (n4 - m4))
-                r = r + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-                s_seen = s + o_s
-                raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
-                if -raw >= 0.0:
-                    # the herd event fires inside the step: back to node k,
-                    # whose step the split below takes again
-                    s, i, r = ss_w[k], ii_w[k], rr_w[k]
-                    if reads:
-                        o_i = read_i(k, i)
-                    break
-                k += 1
-                if reads:
-                    o_s = read_s(k, s)
+            herd = -raw >= 0.0  # at node k
+            if not herd:
+                for k in range(k, n):
+                    ss_w[k] = s
+                    ii_w[k] = i
+                    if raw > u_max:
+                        clamp_events += 1
+                        u = u_max
+                    else:
+                        u = 0.0 if raw < 0.0 else raw
+                    uu_w[k] = u
+                    g = gamma + u
+                    n1 = beta * s * i
+                    m1 = g * i
+                    d1 = n1 - m1
+                    s2 = s - hh * n1
+                    i2 = i + hh * d1
+                    n2 = beta * s2 * i2
+                    m2 = g * i2
+                    d2 = n2 - m2
+                    s3 = s - hh * n2
+                    i3 = i + hh * d2
+                    n3 = beta * s3 * i3
+                    m3 = g * i3
+                    d3 = n3 - m3
+                    s4 = s - h * n3
+                    i4 = i + h * d3
+                    n4 = beta * s4 * i4
+                    m4 = g * i4
+                    s = s + h6 * (-n1 - 2.0 * n2 - 2.0 * n3 - n4)
+                    i = i + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (n4 - m4))
                     s_seen = s + o_s
                     raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
+                    if -raw >= 0.0:
+                        # the herd event fires inside the step: back to node k,
+                        # whose step the split below takes again
+                        s, i = ss_w[k], ii_w[k]
+                        break
+                    if reads:
+                        o_s = read_s(k + 1, s)
+                        s_seen = s + o_s
+                        raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
+                        herd = -raw >= 0.0  # at node k + 1
+                        if herd:
+                            break
+                else:
+                    # node n, whose herd test passed at the end of its step or after its read
+                    k = n
+                    ss_w[k] = s
+                    ii_w[k] = i
+                    if raw > u_max:
+                        clamp_events += 1
+                    uu_w[k] = clamp(raw)
+                if herd:
+                    k += 1  # the node after the last step
+            if herd:
+                # the herd event fires at node k, also where the threshold
+                # just did (t_h == t_b): the locator needs gap < 0 at a node
+                ss_w[k] = s
+                ii_w[k] = i
+                t_h = t0 + k * h
+                if reads:
+                    o_i = read_i(k, i)  # for the switch row: stage 2 reads S alone
+                switch_rows.append((k, t_h, 0.0 if raw < 0.0 else raw, 2,
+                                    min(s + o_s, 1.0), min(i + o_i, 1.0)))
+                stage = 3
+            _rk4_removals(ss, ii, rr, entry, k + 1, beta, gamma, uu, h)
+            if not herd and k < n:
+                r = rr_w[k]  # the split below takes node k's step again
+                if reads:
+                    o_i = read_i(k, i)
         else:
             u = 0.0
             ss_w[k] = s

@@ -127,7 +127,8 @@ def _rk4_step(s, i, r, beta, gamma, u, h):
     which is ``s + c*-nk`` bit for bit; the final sums keep their negations,
     since ``-(a + b)`` differs from ``-a + -b`` in the sign of an exact zero.
     Works elementwise on numpy arrays too. The reference step: ``_rk4_fill``
-    and the closed loop's stage-2 loop run the same operations inline.
+    and the closed loop's stage-2 loop run its S and I operations inline,
+    and the R pass ``_rk4_removals`` runs its R operations on arrays.
     """
     g = gamma + u
     hh = 0.5 * h
@@ -292,14 +293,18 @@ def _rk4_fill(ss, ii, rr, k0, end, beta, gamma, u, h) -> None:
     closed loop runs it over blocks of stage 1 and from its first stage-3
     node; the closed loop's stage-2 loop is the one other inline copy of the
     step. Each step is ``_rk4_step`` written inline, with its operation
-    order kept, so the nodes are bitwise its repeated steps; the rate terms
-    ``gamma + u``, ``0.5*h`` and ``h/6`` are formed once. Nodes are written
-    through memoryviews, which take a float faster than numpy's scalar
-    setitem. The steps carry inf and NaN on without raising: the caller
-    tests the nodes it keeps with ``require_finite``.
+    order kept, and carries S and I alone: no step reads R, so the R pass
+    ``_rk4_removals`` fills rr once the loop ends, and the nodes are bitwise
+    ``_rk4_step`` repeated. The S sum subtracts where ``_rk4_step`` adds
+    negations, which is the same sum bit for bit (IEEE defines a - b as
+    a + -b, and 2*-x is -(2*x)). The rate terms ``gamma + u``, ``0.5*h``
+    and ``h/6`` are formed once. Nodes are written through memoryviews,
+    which take a float faster than numpy's scalar setitem. The steps carry
+    inf and NaN on without raising: the caller tests the nodes it keeps
+    with ``require_finite``.
     """
-    ss_w, ii_w, rr_w = memoryview(ss), memoryview(ii), memoryview(rr)
-    s, i, r = ss_w[k0], ii_w[k0], rr_w[k0]
+    ss_w, ii_w = memoryview(ss), memoryview(ii)
+    s, i = ss_w[k0], ii_w[k0]
     g = gamma + u
     hh = 0.5 * h
     h6 = h / 6.0
@@ -321,9 +326,50 @@ def _rk4_fill(ss, ii, rr, k0, end, beta, gamma, u, h) -> None:
         i4 = i + h * d3
         n4 = beta * s4 * i4
         m4 = g * i4
-        ss_w[k] = s = s + h6 * (-n1 + 2.0 * -n2 + 2.0 * -n3 + -n4)
+        ss_w[k] = s = s + h6 * (-n1 - 2.0 * n2 - 2.0 * n3 - n4)
         ii_w[k] = i = i + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (n4 - m4))
-        rr_w[k] = r = r + h6 * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+    _rk4_removals(ss, ii, rr, k0, end, beta, gamma, u, h)
+
+
+_R_BLOCK = 512  # nodes per block of the R pass, which bounds its temporaries
+
+
+def _rk4_removals(ss, ii, rr, k0, end, beta, gamma, u, h) -> None:
+    """Fill nodes k0+1..end-1 of rr in place: the R of RK4 steps of h from node k0.
+
+    The R pass of the node loops, which step S and I alone. The R increment
+    of the step from node k reads only that node's S, I and rate, where
+    ``u`` is a float or an array of one rate per node (a run's ``u``
+    column). The pass forms each step's removals m1..m4 from nodes
+    k0..end-2 of ss and ii in ``_rk4_step``'s operation order and adds
+    ``h/6*(m1 + 2*m2 + 2*m3 + m4)`` onto node k0's R with
+    ``np.add.accumulate``, which sums in sequence, so every node is bitwise
+    the R of ``_rk4_step`` repeated. Like the loops, it carries inf and NaN
+    on without a warning.
+    """
+    hh = 0.5 * h
+    h6 = h / 6.0
+    with np.errstate(all="ignore"):
+        for lo in range(k0, end - 1, _R_BLOCK):
+            hi = min(lo + _R_BLOCK, end - 1)  # the steps from nodes lo..hi-1
+            s, i = ss[lo:hi], ii[lo:hi]
+            g = gamma + (u[lo:hi] if isinstance(u, np.ndarray) else u)
+            # stage k's new infections n, removals m and state ik; the sum
+            # m1 + 2*m2 + 2*m3 + m4 is formed in place, left to right
+            n = beta * s * i
+            m = g * i
+            ik = i + hh * (n - m)
+            total = m
+            n = beta * (s - hh * n) * ik
+            m = g * ik
+            total += 2.0 * m
+            ik = i + hh * (n - m)
+            n = beta * (s - hh * n) * ik
+            m = g * ik
+            total += 2.0 * m
+            total += g * (i + h * (n - m))
+            np.multiply(h6, total, out=rr[lo + 1:hi + 1])
+            np.add.accumulate(rr[lo:hi + 1], out=rr[lo:hi + 1])
 
 
 def require_finite(ts, ss, ii, rr, lo, end) -> None:

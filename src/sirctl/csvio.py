@@ -167,10 +167,12 @@ def emit_csv(artifacts: RunArtifacts, out_dir: Union[str, Path]) -> list[Path]:
     return written
 
 
-def _read(path: Path, *headers: list[str]) -> tuple[list[str], list[list[str]]]:
-    """The header, one of ``headers``, and the rows of a CSV file; a file
-    without a header line, or a row with other than the header's field
-    count, is a ValueError naming the path (and the row's line)."""
+def _read(path: Path, *headers: list[str], kinds: str = "") -> tuple[list[str], list[list]]:
+    """The header, one of ``headers``, and the rows of a CSV file, each cell
+    parsed by the ``_KINDS`` parser of its column (``kinds``, floats if
+    empty). A file without a header line, a row with other than the
+    header's field count, or a cell that its parser rejects, is a ValueError
+    naming the path (and the row's line)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -178,28 +180,31 @@ def _read(path: Path, *headers: list[str]) -> tuple[list[str], list[list[str]]]:
             raise ValueError(f"{path}: no header line")
         if header not in headers:
             raise ValueError(f"{path}: unexpected header {header}")
+        parsers = [_KINDS[k][1] for k in kinds or "g" * len(header)]
         rows = []
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"{path}, line {reader.line_num}: {len(row)} fields "
                                  f"under a header of {len(header)}")
-            rows.append(row)
+            try:
+                rows.append([parse(v) for parse, v in zip(parsers, row)])
+            except ValueError as err:
+                raise ValueError(f"{path}, line {reader.line_num}: {err}") from err
         return header, rows
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
     """Columns by name: the base schema, plus ``s_seen``/``i_seen`` if written."""
     header, rows = _read(Path(path), TRAJECTORY_HEADER, SEEN_HEADER)
-    cols = np.array([[float(v) for v in row] for row in rows]).reshape(
-        len(rows), len(header))
+    cols = np.array(rows).reshape(len(rows), len(header))
     out = {name: cols[:, k] for k, name in enumerate(header)}
     out["stage"] = out["stage"].astype(np.int64)
     return out
 
 
 def _read_rows(path: Path, header: list[str], kinds: str, row_type: type) -> list:
-    return [row_type(**{name: _KINDS[k][1](v) for name, k, v in zip(header, kinds, row)})
-            for row in _read(Path(path), header)[1]]
+    return [row_type(**dict(zip(header, row)))
+            for row in _read(Path(path), header, kinds=kinds)[1]]
 
 
 def read_estimates_csv(path: Path) -> list[EstimateRow]:

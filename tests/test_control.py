@@ -846,6 +846,71 @@ class TestStageTwoLoop:
         assert herd_inside >= 2
 
 
+class TestSplitSteps:
+    """The end node of a split step, one in which a threshold or herd event
+    fires, against its sub-step chain: one ``_rk4_step`` up to each switch
+    instant under the rate that the switch rows record before it, then the
+    rest of the step under the last post-switch rate. ``TestStageTwoLoop``
+    skips these nodes; the R pass restarts at them."""
+
+    @staticmethod
+    def _check_run(res) -> list[int]:
+        """The number of switch instants of each split step of a run."""
+        traj, rows = res.trajectory, res.trace.switch_rows
+        beta, gamma = traj.params.beta, traj.params.gamma
+        # the rows inside a step come before its end node's row; an event at
+        # a node has the node's time
+        inside = [row for row in rows if row[1] < traj.t[row[0]]]
+        instants = []
+        for end in sorted({row[0] for row in inside}):
+            step = [row for row in inside if row[0] == end]
+            t = float(traj.t[end - 1])
+            state = (float(traj.s[end - 1]), float(traj.i[end - 1]), float(traj.r[end - 1]))
+            for before, row in zip([None] + step, step):
+                if before is None or row[1] != before[1]:  # the first row at an instant
+                    state = _rk4_step(*state, beta, gamma, row[2], row[1] - t)
+                    t = row[1]
+            state = _rk4_step(*state, beta, gamma, step[-1][2], float(traj.t[end]) - t)
+            assert np.array([traj.s[end], traj.i[end], traj.r[end]]).tobytes() == \
+                np.array(state).tobytes()
+            instants.append(len({row[1] for row in step}))
+        return instants
+
+    def test_random_configs_end_on_the_sub_step_chain(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset, run_scenario
+
+        instants = []
+
+        @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(name=st.sampled_from(["fig1", "policy-compare"]), noise=noises,
+                          inflation=mults, misestimation=mults,
+                          i_bar=st.floats(0.005, 0.3), seed=st.integers(0, 2**31))
+        def check(name, noise, inflation, misestimation, i_bar, seed):
+            cfg = replace(preset(name), noise=noise, inflation=inflation,
+                          misestimation=misestimation, i_bar=i_bar, seed=seed,
+                          policies=("optimal", "robust", "misestimated"),
+                          integrator=IntegratorConfig(step=0.1, horizon=300.0))
+            for run in run_scenario(cfg).runs.values():
+                instants.extend(self._check_run(run))
+
+        check()
+        assert len(instants) >= 60
+
+    def test_threshold_and_herd_inside_one_step(self):
+        # i_bar just below the u = 0 peak: the herd event follows the
+        # threshold inside the same step of 2
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset, run_scenario
+
+        cfg = replace(preset("fig1"), i_bar=0.239, noise=NoiseConfig(kind="none"),
+                      policies=("optimal",), integrator=IntegratorConfig(step=2.0, horizon=300.0))
+        assert self._check_run(run_scenario(cfg).runs["optimal"]) == [2]
+
+
 class TestOpenLoopOracle:
     """Stages 1 and 3 against scipy's DOP853 on the u = 0 epidemic."""
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,48 @@ class TestRk4Step:
             assert got.tobytes() == np.array(expected).tobytes()
 
         check()
+
+    def test_removals_bitwise_equal_to_repeated_steps(self):
+        # the R pass under one rate per node is the R of _rk4_step repeated,
+        # in every output bit, on nodes k0..end-1 only; a path that overflows
+        # carries inf and NaN on without a warning; the states are the fill
+        # test's
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        zeros = st.sampled_from([0.0, -0.0])
+        states = st.one_of(zeros, st.floats(-1.0, 1.0))
+        paths = {True: 0, False: 0}
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(state=st.tuples(states, states, states), beta=st.floats(1e-3, 5.0),
+                          gamma=st.floats(1e-3, 2.0),
+                          rates=st.lists(st.one_of(zeros, st.floats(0.0, 1.0)), max_size=12),
+                          h=st.floats(1e-3, 5.0), k0=st.integers(0, 4), tail=st.integers(0, 3))
+        @hypothesis.example(state=(1.0, 1.0, 0.0), beta=5.0, gamma=1e-3, rates=[0.0, -0.0] * 6,
+                            h=5.0, k0=1, tail=1)  # overflows in its third step
+        def check(state, beta, gamma, rates, h, k0, tail):
+            end = k0 + len(rates) + 1
+            ss, ii, rr, uu = (np.full(end + tail, np.nan) for _ in range(4))
+            expected = [state]
+            for u in rates:
+                expected.append(_rk4_step(*expected[-1], beta, gamma, u, h))
+            ss[k0:end], ii[k0:end], want = (np.array(col) for col in zip(*expected))
+            rr[k0] = state[2]
+            uu[k0:end - 1] = rates
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                core._rk4_removals(ss, ii, rr, k0, end, beta, gamma, uu, h)
+            # the nodes outside k0..end-1 are left as they were
+            assert np.isnan(np.r_[rr[:k0], rr[end:]]).all()
+            finite = bool(np.isfinite([expected]).all())
+            paths[finite] += 1
+            if finite:
+                assert rr[k0:end].tobytes() == want.tobytes()
+            else:
+                assert np.array_equal(rr[k0:end], want, equal_nan=True)
+
+        check()
+        assert min(paths.values()) >= 1
 
 
 class TestEulerStep:

@@ -678,6 +678,20 @@ class TestCsv:
                 f"{path}, line 3: {len(header) + extra} fields under a header of {len(header)}")):
             reader(path)
 
+    @pytest.mark.parametrize("reader, header, column, cell, error", [
+        (read_costs_csv, COSTS_HEADER, "feasible", "yes", "not a boolean field: 'yes'"),
+        (read_estimates_csv, ESTIMATES_HEADER, "alpha", "1.5",
+         "invalid literal for int() with base 10: '1.5'"),
+    ], ids=["costs-feasible", "estimates-alpha"])
+    def test_readers_name_the_line_of_a_rejected_cell(self, tmp_path, reader, header, column,
+                                                      cell, error):
+        path = tmp_path / "cell.csv"
+        cells = {"policy": "robust", "contained": "true", "feasible": "true", column: cell}
+        path.write_text(",".join(header) + "\n" + ",".join(cells.get(name, "1")
+                                                           for name in header) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: {error}")):
+            reader(path)
+
     def test_readme_headers_are_the_writers(self):
         # each artifact bullet of the README names its file and header
         text = (Path(__file__).parents[1] / "README.md").read_text()
