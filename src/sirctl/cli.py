@@ -24,6 +24,7 @@ from typing import Optional
 
 from .csvio import emit_csv, write_costs_csv, write_estimates_csv
 from .scenarios import (
+    PRESETS,
     ConfigError,
     ScenarioConfig,
     bound_sweep_noisy_config,
@@ -178,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("reproduce", help="run a named preset")
-    p.add_argument("name", choices=["fig1", "sir-wave", "param-est",
-                                    "bound-sweep", "policy-compare"])
+    p.add_argument("name", choices=sorted(PRESETS))
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     p.set_defaults(func=_cmd_reproduce)

@@ -24,6 +24,7 @@ from .core import (
     IntegratorConfig,
     SirState,
     Trajectory,
+    _epidemic,
     _rk4_fill,
     _rk4_removals,
     _rk4_step,
@@ -200,29 +201,6 @@ def _read_offsets(noise: MeasurementNoise, margin: bool, nodes: slice, ss: np.nd
         off_i[nodes] += d_i
 
 
-def _shared_stage_one(prefix: ClosedLoopResult, params: EpidemicParams, init: SirState,
-                      h: float, n: int, ss: np.ndarray, ii: np.ndarray,
-                      rr: np.ndarray) -> int:
-    """Copy the leading stage-1 nodes of ``prefix`` into ss, ii, rr; returns the last one.
-
-    They are the u = 0 epidemic of every run with the same parameters,
-    initial state and grid, so a run tests them for its own threshold
-    (``_threshold_node``) in place of integrating them again. The last is
-    the node before the prefix's first stage-2 node (at least node 0), or
-    node n if it has none.
-    """
-    traj = prefix.trajectory
-    if not (traj.params == params and traj.step == h and len(traj) == n + 1
-            and (float(traj.t[0]), float(traj.s[0]), float(traj.i[0]), float(traj.r[0]))
-            == (init.t, init.s, init.i, init.r)):
-        raise ValueError("prefix run has other parameters, initial state or time grid")
-    stage = prefix.trace.node_stage  # it only rises
-    known = n if stage[-1] == 1 else max(int(np.argmax(stage != 1)) - 1, 0)
-    nodes = slice(0, known + 1)
-    ss[nodes], ii[nodes], rr[nodes] = traj.s[nodes], traj.i[nodes], traj.r[nodes]
-    return known
-
-
 def _threshold_node(ss: np.ndarray, ii: np.ndarray, lo: int, end: int,
                     noise: Optional[MeasurementNoise], margin: bool, i_bar: float,
                     off_s: np.ndarray, off_i: np.ndarray) -> int:
@@ -248,57 +226,46 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                          assumed: Optional[AssumedRates],
                          init: SirState, noise: Optional[MeasurementNoise],
                          config: IntegratorConfig, i_bar: float,
-                         bounds: ControlBounds,
-                         prefix: Optional[ClosedLoopResult] = None) -> ClosedLoopResult:
+                         bounds: ControlBounds) -> ClosedLoopResult:
     """Drive the true dynamics with a policy that sees only its own signals.
 
     A policy plans with the true (beta, gamma) if it is optimal and with
-    ``assumed`` otherwise, and its trace records them as ``plan``. Its signals are the true states plus offsets
-    held over each step: zero for the optimal policy, the measurement error
-    for the misestimated one, and that error plus the amplitude bound delta
-    for the robust one, whose signals are thus upper envelopes. Both
-    signals are capped at 1.
+    ``assumed`` otherwise; its trace records them as ``plan``. Its signals
+    are the true states plus offsets held over each step: zero for the
+    optimal policy, the measurement error for the misestimated one, and
+    that error plus the amplitude bound delta for the robust one, whose
+    signals are thus upper envelopes. Both signals are capped at 1.
 
     Only stage 2 needs feedback; stages 1 and 3 are the u = 0 epidemic.
-    Stage 1 is the prefix's (a run of the same parameters, initial state
-    and grid, usually the optimal run; see ``_shared_stage_one``) as far as
-    it goes and ``integrate``'s stepper beyond, tested in blocks as arrays
-    by ``_threshold_node``. The loop starts at the first node where this
-    policy's threshold can fire and takes RK4 steps of exactly h between
-    grid nodes, testing the stage's event at each node and at the end of
-    each step. A step in which the test fires is split at the switch that
-    ``locate_event`` finds and then ends on the node. Stage 2's unsplit
-    steps run in one ``for`` loop, with the RK4 step of S and I, the rate
-    law and its clamp written inline; the end-of-step herd test under the
-    held offsets is the next node's, so the node test runs again only after
-    a read. The law reads the susceptible signal alone, so the loop reads
-    the S offset at each node with the noise source's ``offset_reader`` and
-    holds it over the step; it reads the I offset only at its first node
-    and at a herd event, for the switch rows. A
-    policy that reads no noise holds zero offsets, so its end-of-step rate
-    is the next node's rate and is computed once. The loop stops at the
-    first stage-3 node, from which ``integrate``'s stepper fills the run to
-    the horizon: every run spans the grid's n + 1 nodes. The steps run on
+    The grid and stage 1 are the memo's u = 0 epidemic (``core._epidemic``),
+    which every run and ``integrate`` call on the same parameters, initial
+    state and grid shares, filled only as far as a run tests it.
+    ``_threshold_node`` tests it in blocks as arrays, and the run copies its
+    nodes up to the first node where this policy's threshold can fire. From
+    there the loop takes RK4 steps of exactly h between grid nodes, testing
+    the stage's event at each node and at the end of each step; a step in
+    which the test fires is split at the switch that ``locate_event`` finds.
+    Stage 2's unsplit steps run in one ``for`` loop, with the RK4 step of S
+    and I, the rate law and its clamp written inline. The law reads the
+    susceptible signal alone, so the loop reads the S offset at each node
+    with the noise source's ``offset_reader``, and the I offset only at its
+    first node and at a herd event, for the switch rows. The loop stops at
+    the first stage-3 node, from which ``_rk4_fill`` fills the run to the
+    horizon: every run spans the grid's n + 1 nodes. The steps run on
     through inf and NaN, and the nodes are tested once at the end:
     NonFiniteDynamicsError names the first non-finite node's time. The
     trace signals' offsets are read as arrays with ``measure``, bitwise
-    equal to the per-node readers: with each stage-1 block, and from the
-    loop's first node on once it ends. Infeasibility is recorded in the
-    report, never raised.
+    equal to the per-node readers. Infeasibility is recorded in the report,
+    never raised.
 
-    The loop writes each node's S, I and rate through memoryviews of the
-    run's arrays, and the R pass ``_rk4_removals`` fills R from the entry
-    node of each stretch of stage 2 under the run's ``u`` column, once the
-    stretch ends: no rate, event test or later step reads R. A split step's
-    end node holds the R of its ``_rk4_step`` sub-steps, and the next pass
-    starts from it. The stage column, which only rises, is filled from its
-    first stage-2 node and the loop's last node once the loop ends. The
+    The R pass ``_rk4_removals`` fills R over each stretch of stage 2 once
+    the stretch ends, since no rate, event test or later step reads R; a
+    split step's end node holds the R of its ``_rk4_step`` sub-steps. The
     trace's node columns are the run's own read-only arrays (see
-    ``PolicyTrace``); a policy that reads no noise allocates no offsets. A
-    switch adds rows at its instant: one (the pre-switch stage at rate 0
-    for a threshold, the stage-2 rate for a herd event) before the node row
-    when it fires at a node, and a pre- and a post-switch row after the
-    node row when it fires inside the step.
+    ``PolicyTrace``). A switch adds rows at its instant: one (the pre-switch
+    stage at rate 0 for a threshold, the stage-2 rate for a herd event)
+    before the node row when it fires at a node, and a pre- and a
+    post-switch row after the node row when it fires inside the step.
     """
     if not (0.0 < i_bar < 1.0):
         raise ValueError("i_bar must lie in (0, 1)")
@@ -320,10 +287,8 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     clamp = bounds.clamp
 
     t0 = init.t
-    if prefix is not None:
-        ts = prefix.trajectory.t  # the same grid, once _shared_stage_one accepts the prefix
-    else:
-        ts = t0 + np.arange(n + 1) * h
+    epi = _epidemic(true_params, 0.0, init, config)  # stage 1, shared with earlier runs
+    ts = epi.ts
     ss = np.empty(n + 1)
     ii = np.empty(n + 1)
     rr = np.empty(n + 1)
@@ -347,23 +312,17 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     t_h: Optional[float] = None
     state_at_tb: Optional[SirState] = None
     k_b = n + 1  # the first node of stage 2 or later
-    # stage 1: nodes 0..known hold the u = 0 epidemic, the prefix's or the
-    # initial state; blocks of them, filled past the known ones, are tested
-    # up to the first node where the threshold can fire, where the loop starts
-    if prefix is not None:
-        known = _shared_stage_one(prefix, true_params, init, h, n, ss, ii, rr)
-    else:
-        known = 0
-        ss[0], ii[0], rr[0] = init.s, init.i, init.r
+    # stage 1: the memo's blocks, filled on past its last node, are tested up
+    # to the first node where the threshold can fire, where the loop starts
     k = end = 0
     while k == end < n:
-        end = min(k + _READ, known) if k < known else min(k + _FILL, n)
-        if end > known:
-            _rk4_fill(ss, ii, rr, known, end + 1, beta, gamma, 0.0, h)
-            known = end
-        k = _threshold_node(ss, ii, k, end, noise if reads else None, margin, i_bar,
+        end = min(k + _READ, epi.last) if k < epi.last else min(k + _FILL, n)
+        epi.fill(end)
+        k = _threshold_node(epi.ss, epi.ii, k, end, noise if reads else None, margin, i_bar,
                             off_s, off_i)
     start = k
+    nodes = slice(0, k + 1)
+    ss[nodes], ii[nodes], rr[nodes] = epi.ss[nodes], epi.ii[nodes], epi.rr[nodes]
     s, i, r = ss_w[k], ii_w[k], rr_w[k]
     hh = 0.5 * h
     h6 = h / 6.0

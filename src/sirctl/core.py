@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -175,8 +175,8 @@ def read_only(*arrays) -> None:
     """Make the numpy arrays among ``arrays`` read-only, in place.
 
     Results hand out their arrays as shared views (a measured series holds
-    its trajectory's time grid, a later run its prefix's); a read-only view
-    cannot carry a write from one result into another.
+    its trajectory's time grid, every closed-loop run the memo's grid); a
+    read-only view cannot carry a write from one result into another.
     """
     for a in arrays:
         if isinstance(a, np.ndarray):
@@ -245,21 +245,62 @@ class Trajectory:
         return float(np.max(np.abs(self.s + self.i + self.r - 1.0)))
 
 
-_memo: dict = {}  # integrate's last result by its exact inputs; rebound whole, so one entry
+_memo: dict = {}  # the constant-rate epidemic of the last inputs; rebound whole, so one entry
+
+
+@dataclass(eq=False)
+class _Epidemic:
+    """The constant-rate epidemic on the whole grid ``ts``: nodes 0..``last``
+    of ``ss``, ``ii`` and ``rr``, and ``integrate``'s Trajectory once all are filled."""
+
+    ts: np.ndarray
+    ss: np.ndarray
+    ii: np.ndarray
+    rr: np.ndarray
+    rates: tuple  # beta, gamma, u and the step, as _rk4_fill takes them
+    last: int = 0
+    traj: Optional[Trajectory] = None
+
+    def fill(self, end: int) -> None:
+        """Fill nodes last+1..end, which may hold inf or NaN; fills in parts
+        give the bits of one fill, since the R pass sums in sequence."""
+        if end > self.last:
+            _rk4_fill(self.ss, self.ii, self.rr, self.last, end + 1, *self.rates)
+            self.last = end
+
+
+def _epidemic(params: EpidemicParams, u: float, init: SirState,
+              config: IntegratorConfig) -> _Epidemic:
+    """The memo's epidemic under the constant rate u; on a miss, a new one that replaces it.
+
+    The grid is ``init.t + k*step``. The key is the type and bits of every
+    number the steps read (beta, gamma, u, the initial t, s, i, r, the step
+    and the step count), not ``==``: 0.0 == -0.0, but the two write
+    different bits.
+    """
+    global _memo
+    key = tuple((type(x), float(x).hex()) for x in (params.beta, params.gamma, u, init.t,
+                init.s, init.i, init.r, config.step, config.n_steps))
+    epi = _memo.get(key)
+    if epi is None:
+        n = config.n_steps
+        ss, ii, rr = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+        ss[0], ii[0], rr[0] = init.s, init.i, init.r
+        epi = _Epidemic(init.t + np.arange(n + 1) * config.step, ss, ii, rr,
+                        (params.beta, params.gamma, u, config.step))
+        _memo = {key: epi}
+    return epi
 
 
 def integrate(params: EpidemicParams, u: float, init: SirState,
               config: IntegratorConfig) -> Trajectory:
     """Integrate the SIR dynamics by RK4 on a fixed grid under the constant rate u.
 
-    The grid is ``init.t + k*step``, as in the closed loop. Raises
-    NonFiniteDynamicsError if u or the state becomes NaN/inf, and
-    ValueError if u lies outside [0, 1].
-
-    The last result is kept, and a repeat call returns that read-only
-    Trajectory. The key is the type and bits of every number the steps read
-    (beta, gamma, u, the initial t, s, i, r, the step and the step count), not
-    ``==``: 0.0 == -0.0, but the two write different bits. A failed call stores nothing.
+    Raises NonFiniteDynamicsError if u or the state becomes NaN/inf, and
+    ValueError if u lies outside [0, 1]. The grid and nodes are the memo's
+    (``_epidemic``), which the closed loop's stage 1 fills too; a repeat
+    call returns the same read-only Trajectory without stepping, and a
+    failed call leaves the memo as it was.
     """
     global _memo
     u = float(u)
@@ -267,32 +308,27 @@ def integrate(params: EpidemicParams, u: float, init: SirState,
         raise NonFiniteDynamicsError(f"isolation rate {u} is not finite")
     if u < 0.0 or u > 1.0:
         raise ValueError(f"isolation rate {u} outside [0, 1]")
-    key = tuple((type(x), float(x).hex()) for x in (params.beta, params.gamma, u, init.t,
-                init.s, init.i, init.r, config.step, config.n_steps))
-    traj = _memo.get(key)
-    if traj is not None:
-        return traj
-    h = config.step
-    n = config.n_steps
-    ts = init.t + np.arange(n + 1) * h
-    ss = np.empty(n + 1)
-    ii = np.empty(n + 1)
-    rr = np.empty(n + 1)
-    ss[0], ii[0], rr[0] = init.s, init.i, init.r
-    _rk4_fill(ss, ii, rr, 0, n + 1, params.beta, params.gamma, u, h)
-    require_finite(ts, ss, ii, rr, 0, n + 1)
-    traj = Trajectory(t=ts, s=ss, i=ii, r=rr, u=np.full(n + 1, u), step=h, params=params)
-    _memo = {key: traj}
-    return traj
+    kept = _memo
+    epi = _epidemic(params, u, init, config)
+    if epi.traj is None:
+        n = config.n_steps
+        epi.fill(n)
+        try:
+            require_finite(epi.ts, epi.ss, epi.ii, epi.rr, 0, n + 1)
+        except NonFiniteDynamicsError:
+            _memo = kept
+            raise
+        epi.traj = Trajectory(t=epi.ts, s=epi.ss, i=epi.ii, r=epi.rr, u=np.full(n + 1, u),
+                              step=config.step, params=params)
+    return epi.traj
 
 
 def _rk4_fill(ss, ii, rr, k0, end, beta, gamma, u, h) -> None:
     """Fill nodes k0+1..end-1 of ss, ii, rr in place by RK4 steps of h from node k0.
 
-    The constant-rate node loop: ``integrate`` runs it from node 0, and the
-    closed loop runs it over blocks of stage 1 and from its first stage-3
-    node; the closed loop's stage-2 loop is the one other inline copy of the
-    step. Each step is ``_rk4_step`` written inline, with its operation
+    The constant-rate node loop of the memo's epidemic (``_Epidemic.fill``)
+    and of the closed loop's stage 3; the closed loop's stage-2 loop is the
+    one other inline copy of the step. Each step is ``_rk4_step`` written inline, with its operation
     order kept, and carries S and I alone: no step reads R, so the R pass
     ``_rk4_removals`` fills rr once the loop ends, and the nodes are bitwise
     ``_rk4_step`` repeated. The S sum subtracts where ``_rk4_step`` adds
@@ -388,10 +424,13 @@ def peak_infection(params: EpidemicParams, start: SirState, u_fix: float) -> flo
 
     I(t_p) = rho*(ln(rho) - 1 - ln(S_a)) + S_a + I_a  with
     rho = (gamma + u_fix)/beta. If beta*S_a <= gamma + u_fix the infection is
-    already non-increasing and the peak is the starting value.
+    already non-increasing and the peak is the starting value. A NaN or
+    infinite u_fix raises NonFiniteDynamicsError, as in ``integrate``.
     """
     if start.s <= 0.0:
         raise ValueError("peak_infection requires S > 0 (log undefined)")
+    if not math.isfinite(u_fix):
+        raise NonFiniteDynamicsError(f"isolation rate {u_fix} is not finite")
     if u_fix < 0.0 or u_fix > 1.0:
         raise ValueError(f"u_fix {u_fix} outside [0, 1]")
     rho = (params.gamma + u_fix) / params.beta

@@ -336,8 +336,7 @@ def _policy_run(config: ScenarioConfig, kind: PolicyKind, inflation: InflationCo
     rates, on the scenario's ``_optimal_run`` and noise."""
     return simulate_closed_loop(
         kind, config.params, _assumed_rates(config, inflation, optimal.trajectory),
-        config.init, noise, config.integrator, config.i_bar, ControlBounds(config.u_max),
-        prefix=optimal)
+        config.init, noise, config.integrator, config.i_bar, ControlBounds(config.u_max))
 
 
 def _cost_row(name: str, run: ClosedLoopResult, optimal: Optional[ClosedLoopResult],
@@ -347,8 +346,8 @@ def _cost_row(name: str, run: ClosedLoopResult, optimal: Optional[ClosedLoopResu
     ``opt_cost`` is the ``total_cost`` of ``optimal``, NaN without an
     optimal run; the row of ``optimal`` itself takes it, so each trace is
     integrated once. ``gap_direct`` is the run's cost minus ``opt_cost``.
-    Every run spans the optimal run's grid (``_shared_stage_one`` raises
-    otherwise), so the difference needs no grid check. A robust run with an
+    Every run is on the config's own parameters, initial state and grid
+    (``_policy_run``), so the difference needs no grid check. A robust run with an
     ``optimal`` run gets the formula gaps of ``build_cost_report``; any
     other row has them NaN.
     """

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sirctl import core
 from sirctl.control import (
     AssumedRates,
     ControlBounds,
@@ -245,7 +246,7 @@ class TestClosedLoop:
     def test_first_nonfinite_node_reported(self):
         # RK4 at beta*h = 6 overflows in stage 1 before the infection reaches
         # i_bar; the error names the time of the first node holding inf or
-        # NaN, also when the loop starts at a prefix run's last stage-1 node
+        # NaN, also when an earlier run filled the memo's stage 1 past it
         params = EpidemicParams(beta=6.0, gamma=0.1)
         init = SirState(t=0.0, s=0.999, i=0.001, r=0.0)
         x, k = (init.s, init.i, init.r), 0
@@ -254,19 +255,21 @@ class TestClosedLoop:
             k += 1
         assert k == 6
         config = IntegratorConfig(step=1.0, horizon=20.0)
-        # a prefix on the same grid that leaves stage 1 after node 1 and,
-        # isolating at up to u = 1, stays finite
-        prefix = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None,
-                                      config, 0.5, ControlBounds(u_max=1.0))
-        assert prefix.trace.node_stage[:3].tolist() == [1, 1, 2]
         noise = MeasurementNoise.build(NoiseConfig(kind="scaled_variance", divisor=1e6),
                                        config.n_steps + 1, seed=3)
-        for kind, source, start in ((PolicyKind.OPTIMAL, None, None),
-                                    (PolicyKind.OPTIMAL, None, prefix),
-                                    (PolicyKind.ROBUST, noise, prefix)):
+        for kind, source, filled in ((PolicyKind.OPTIMAL, None, False),
+                                     (PolicyKind.OPTIMAL, None, True),
+                                     (PolicyKind.ROBUST, noise, True)):
+            core._memo.clear()
+            if filled:
+                # a run on the same grid that leaves stage 1 after node 1 and,
+                # isolating at up to u = 1, stays finite
+                first = simulate_closed_loop(PolicyKind.OPTIMAL, params, None, init, None,
+                                             config, 0.5, ControlBounds(u_max=1.0))
+                assert first.trace.node_stage[:3].tolist() == [1, 1, 2]
             with pytest.raises(NonFiniteDynamicsError, match=rf"at t={float(k)}$"):
                 simulate_closed_loop(kind, params, AssumedRates(params.beta, params.gamma),
-                                     init, source, config, 0.95, BOUNDS, prefix=start)
+                                     init, source, config, 0.95, BOUNDS)
 
     def test_infeasibility_is_recorded_not_raised(self, compare_artifacts):
         # the misestimated run exceeded the cap without aborting the run
@@ -364,8 +367,9 @@ class TestCumulativeOrdering:
 
 
 class TestSharedStageOne:
-    """A loop given the optimal run as ``prefix`` starts where its own
-    threshold can fire; its run is bitwise the run from node 0."""
+    """A loop run after the optimal run tests the memo's stage-1 nodes and
+    starts where its own threshold can fire; its run is bitwise the run
+    from an empty memo."""
 
     @staticmethod
     def _assert_same_run(a, b):
@@ -382,18 +386,19 @@ class TestSharedStageOne:
 
     @classmethod
     def _check_policies(cls, cfg):
-        """Run every non-optimal policy of ``cfg`` with and without the prefix."""
+        """Run every non-optimal policy of ``cfg`` after the optimal run and
+        from an empty memo."""
         from sirctl.scenarios import _assumed_rates, _optimal_run
 
         optimal, noise = _optimal_run(cfg)
-        results = []
-        for kind, inflation in ((PolicyKind.ROBUST, cfg.inflation),
-                                (PolicyKind.MISESTIMATED, cfg.misestimation)):
-            args = (kind, cfg.params, _assumed_rates(cfg, inflation, optimal.trajectory),
-                    cfg.init, noise, cfg.integrator, cfg.i_bar, ControlBounds(cfg.u_max))
-            shared = simulate_closed_loop(*args, prefix=optimal)
+        calls = [(kind, cfg.params, _assumed_rates(cfg, inflation, optimal.trajectory),
+                  cfg.init, noise, cfg.integrator, cfg.i_bar, ControlBounds(cfg.u_max))
+                 for kind, inflation in ((PolicyKind.ROBUST, cfg.inflation),
+                                         (PolicyKind.MISESTIMATED, cfg.misestimation))]
+        results = [simulate_closed_loop(*args) for args in calls]
+        for args, shared in zip(calls, results):
+            core._memo.clear()
             cls._assert_same_run(shared, simulate_closed_loop(*args))
-            results.append(shared)
         return optimal, results
 
     @pytest.mark.parametrize("overrides", [
@@ -443,31 +448,55 @@ class TestSharedStageOne:
         steps, fills = [], []
         monkeypatch.setattr(control, "_rk4_step",
                             lambda *a: steps.append(1) or _rk4_step(*a))
-        monkeypatch.setattr(control, "_rk4_fill", lambda ss, ii, rr, k0, end, *a: (
-            fills.append((k0, end)) or _rk4_fill(ss, ii, rr, k0, end, *a)))
+        for module in (core, control):
+            monkeypatch.setattr(module, "_rk4_fill", lambda ss, ii, rr, k0, end, *a: (
+                fills.append((k0, end)) or _rk4_fill(ss, ii, rr, k0, end, *a)))
         args = (PolicyKind.ROBUST, cfg.params, AssumedRates(0.168, 0.05985), cfg.init,
                 noise, cfg.integrator, cfg.i_bar, BOUNDS)
-        simulate_closed_loop(*args)
-        from_zero, from_zero_fills = len(steps), fills[:]
+        result = simulate_closed_loop(*args)
+        shared, shared_fills = len(steps), fills[:]
         steps.clear()
         fills.clear()
-        result = simulate_closed_loop(*args, prefix=optimal)
+        core._memo.clear()
+        simulate_closed_loop(*args)
         # the loop starts at the node where the threshold fires, or at the
         # start of the step in which it does
         t, t_b = result.trajectory.t, result.trace.switching.t_b
         start = int(np.searchsorted(t, t_b))
         start -= t[start] != t_b
         assert start > 9000
-        # from node 0, stage 1 is filled in consecutive blocks up to the one
-        # whose tests fire at start; given the prefix, no stage-1 node is
-        # integrated again: both runs fill only stage 3 from its first node
-        # and take the same steps from start on
-        *blocks, stage_three = from_zero_fills
+        # from an empty memo, stage 1 is filled in consecutive blocks up to
+        # the one whose tests fire at start; after the optimal run, no
+        # stage-1 node is integrated again: both runs fill only stage 3 from
+        # its first node and take the same steps from start on
+        *blocks, stage_three = fills
         assert [b[0] for b in blocks] == [0] + [b[1] - 1 for b in blocks[:-1]]
         assert blocks[-1][0] <= start < blocks[-1][1] - 1
         k3 = int(np.argmax(result.trace.node_stage == 3))
-        assert fills == [stage_three] == [(k3, cfg.integrator.n_steps + 1)]
-        assert len(steps) == from_zero
+        assert shared_fills == [stage_three] == [(k3, cfg.integrator.n_steps + 1)]
+        assert shared == len(steps)
+
+    @pytest.mark.parametrize("workload, fills", [
+        ("gap-grid", (17, 97_045)), ("policy-compare", (8, 110_615))],
+        ids=["gap-grid", "policy-compare"])
+    def test_no_node_is_filled_twice(self, monkeypatch, workload, fills):
+        # the calls of the u = 0 stepper and the steps they take, the optimal
+        # run's stage-1 blocks and one stage-3 fill per run: a memo that
+        # fills nodes again, or skips some, changes them
+        from sirctl import control
+        from sirctl.core import _rk4_fill
+        from sirctl.scenarios import gap_table, preset, run_scenario
+
+        steps = []
+        for module in (core, control):
+            monkeypatch.setattr(module, "_rk4_fill", lambda ss, ii, rr, k0, end, *a: (
+                steps.append(end - 1 - k0) or _rk4_fill(ss, ii, rr, k0, end, *a)))
+        if workload == "gap-grid":
+            gap_table(preset("fig1", 1), [(1.01, 0.99), (1.015, 0.985), (1.02, 0.98),
+                                          (1.03, 0.97), (1.04, 0.96), (1.05, 0.95), (1.1, 0.9)])
+        else:
+            run_scenario(preset("policy-compare", 1))
+        assert (len(steps), sum(steps)) == fills
 
     def test_random_configs_equal_the_runs_from_node_0(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -488,24 +517,28 @@ class TestSharedStageOne:
 
         check()
 
-    @pytest.mark.parametrize("change", ["params", "init", "step", "horizon"])
-    def test_mismatched_prefix_raises(self, change):
-        init = _state(1.0 - 1e-5, 1e-5)
-        grid = IntegratorConfig(step=0.1, horizon=200.0)
-        prefix = simulate_closed_loop(PolicyKind.OPTIMAL, PARAMS_F1, None, init, None, grid,
-                                      0.1, BOUNDS)
-        params, other_init, other_grid = PARAMS_F1, init, grid
-        if change == "params":
-            params = EpidemicParams(beta=0.17, gamma=0.063)
-        elif change == "init":
-            other_init = _state(1.0 - 2e-5, 2e-5)
-        elif change == "step":
-            other_grid = IntegratorConfig(step=0.05, horizon=200.0)
-        else:
-            other_grid = IntegratorConfig(step=0.1, horizon=100.0)
-        with pytest.raises(ValueError, match="prefix"):
-            simulate_closed_loop(PolicyKind.ROBUST, params, AssumedRates(0.17, 0.06),
-                                 other_init, None, other_grid, 0.1, BOUNDS, prefix=prefix)
+    @pytest.mark.parametrize("change", [
+        {"params": EpidemicParams(beta=math.nextafter(0.16, 1.0), gamma=0.063)},
+        {"init": SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=-0.0)},
+        {"integrator": IntegratorConfig(step=0.02, horizon=300.0)},
+        {"integrator": IntegratorConfig(step=0.01, horizon=150.0)},
+    ], ids=["beta-one-ulp", "r-minus-zero", "step", "horizon"])
+    def test_other_inputs_miss_the_memo(self, change):
+        # the memo is keyed on the exact bits of the inputs: a run whose
+        # inputs differ from the fig1 run's, if only by an ulp or the sign
+        # of a zero, is bitwise its run from an empty memo
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset, run_scenario
+
+        fig1 = preset("fig1")
+        run_scenario(fig1)
+        cfg = replace(fig1, **change)
+        args = (PolicyKind.ROBUST, cfg.params, AssumedRates(0.168, 0.05985), cfg.init, None,
+                cfg.integrator, cfg.i_bar, BOUNDS)
+        after_fig1 = simulate_closed_loop(*args)
+        core._memo.clear()
+        self._assert_same_run(after_fig1, simulate_closed_loop(*args))
 
 
 class TestStageOneFill:
@@ -532,14 +565,15 @@ class TestStageOneFill:
         return None
 
     def test_optimal_stage_one_is_integrate(self):
-        # the optimal run has no prefix: its nodes up to the threshold node
-        # are integrate's bitwise, for every preset grid
+        # the optimal run's nodes up to the threshold node are integrate's
+        # bitwise, for every preset grid
         from sirctl.scenarios import preset
 
         for name in ("fig1", "policy-compare"):
             cfg = preset(name)
             res = simulate_closed_loop(PolicyKind.OPTIMAL, cfg.params, None, cfg.init, None,
                                        cfg.integrator, cfg.i_bar, ControlBounds(cfg.u_max))
+            core._memo.clear()
             free = integrate(cfg.params, 0.0, cfg.init, cfg.integrator)
             m1 = int(np.argmax(res.trace.node_stage != 1))
             assert m1 > 1000
@@ -550,7 +584,8 @@ class TestStageOneFill:
     def test_threshold_at_the_edges_of_a_block(self, monkeypatch):
         # the node test and the end-of-step test fire at the first and at
         # the last node of a block; the end-of-step test of a block's last
-        # node reads the first node of the next block
+        # node reads the first node of the next block; each run fills its
+        # stage 1 from an empty memo
         from sirctl import control
 
         free = integrate(self.PARAMS, 0.0, self.INIT, self.GRID)
@@ -569,6 +604,7 @@ class TestStageOneFill:
             one_block = simulate_closed_loop(*args)
             for size in range(1, 9):
                 monkeypatch.setattr(control, "_FILL", size)
+                core._memo.clear()
                 res = simulate_closed_loop(*args)
                 TestSharedStageOne._assert_same_run(res, one_block)
                 if f % size == 0:
@@ -586,10 +622,11 @@ class TestStageOneFill:
         assert seen == {(test, edge) for test in ("node", "end-of-step")
                         for edge in ("first", "last")}
 
-    def test_prefix_and_own_blocks_share_one_test(self, monkeypatch):
+    def test_memo_and_own_blocks_share_one_test(self, monkeypatch):
         # the misestimated threshold fires after the optimal run's last
-        # stage-1 node: the prefix's nodes are tested in blocks, then the
-        # run fills its own from there, with and without the prefix
+        # stage-1 node: the memo's nodes are tested in blocks, then the run
+        # fills the memo on from there, after the optimal run and from an
+        # empty memo
         from dataclasses import replace
 
         from sirctl import control

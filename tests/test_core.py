@@ -287,7 +287,8 @@ def _bits(traj: Trajectory) -> tuple:
 
 
 class TestIntegrateMemo:
-    """integrate keeps its last result under the exact bits of its inputs."""
+    """The memo keeps the last inputs' epidemic under their exact bits, and
+    integrate wraps it in one Trajectory."""
 
     INIT = SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0)
     GRID = IntegratorConfig(step=0.01, horizon=20.0)
@@ -295,7 +296,7 @@ class TestIntegrateMemo:
 
     @pytest.fixture
     def fills(self, monkeypatch):
-        """The node ranges of every ``_rk4_fill`` call that integrate makes."""
+        """The node ranges of every ``_rk4_fill`` call that the memo makes."""
         calls = []
         monkeypatch.setattr(core, "_rk4_fill", lambda ss, ii, rr, k0, end, *a: (
             calls.append((k0, end)) or _rk4_fill(ss, ii, rr, k0, end, *a)))
@@ -350,7 +351,19 @@ class TestIntegrateMemo:
         integrate(*other)
         again = integrate(*self.CALL)
         assert len(fills) == 3 and again is not a and _bits(again) == _bits(a)
-        assert list(core._memo.values()) == [again]
+        assert [epi.traj for epi in core._memo.values()] == [again]
+
+    def test_split_fill_is_bitwise_one_fill(self, fills):
+        # the closed loop fills the memo's epidemic in blocks as far as it
+        # tests it; integrate fills the rest from its last node
+        epi = core._epidemic(*self.CALL)
+        for end in (7, 7, 3, 1000):
+            epi.fill(end)
+        traj = integrate(*self.CALL)
+        n = self.GRID.n_steps
+        assert fills == [(0, 8), (7, 1001), (1000, n + 1)]
+        assert epi.last == n and epi.traj is traj and traj.s is epi.ss
+        assert _bits(traj) == _bits(self._fresh(*self.CALL))
 
     @pytest.mark.parametrize("call, error", [
         ((PARAMS_52, float("nan"), INIT, GRID), NonFiniteDynamicsError),
@@ -366,8 +379,20 @@ class TestIntegrateMemo:
         kept = integrate(*self.CALL)
         with pytest.raises(error):
             integrate(*call)
-        assert list(core._memo.values()) == [kept]
+        assert [epi.traj for epi in core._memo.values()] == [kept]
         assert integrate(*self.CALL) is kept
+
+    def test_failed_call_keeps_a_partly_filled_entry(self):
+        # a closed loop may have filled the failing inputs' epidemic in part:
+        # integrate fills it on into the overflow, raises, and keeps it
+        call = (EpidemicParams(beta=1e300, gamma=0.1), 0.0,
+                SirState(t=0.0, s=0.5, i=0.5, r=0.0), self.GRID)
+        epi = core._epidemic(*call)
+        epi.fill(1)
+        for _ in range(2):
+            with pytest.raises(NonFiniteDynamicsError):
+                integrate(*call)
+            assert list(core._memo.values()) == [epi] and epi.traj is None
 
     def test_shared_result_is_read_only(self):
         integrate(*self.CALL)
@@ -414,6 +439,13 @@ class TestPeakInfection:
     def test_rejects_nonpositive_susceptibles(self):
         with pytest.raises(ValueError):
             peak_infection(PARAMS_F1, SirState(t=0.0, s=0.0, i=0.5, r=0.5), 0.0)
+
+    @pytest.mark.parametrize("u_fix", [math.nan, math.inf], ids=str)
+    def test_nonfinite_rate_raises(self, u_fix):
+        # a NaN rate fails every comparison, and the peak came out NaN
+        state = SirState(t=0.0, s=0.99999, i=1e-5, r=0.0)
+        with pytest.raises(NonFiniteDynamicsError, match="not finite"):
+            peak_infection(EpidemicParams(0.16, 0.063), state, u_fix)
 
 
 class TestIntegratorConfig:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sirctl import core, csvio, scenarios
-from sirctl.cli import main
+from sirctl.cli import build_parser, main
 from sirctl.control import (
     AssumedRates,
     ClosedLoopResult,
@@ -1169,3 +1169,10 @@ class TestCli:
     def test_reproduce_unknown_name_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["reproduce", "unknown-preset", "--out", str(tmp_path)])
+
+    def test_reproduce_parser_takes_its_names_from_presets(self, monkeypatch):
+        # the parser lists no preset names of its own
+        monkeypatch.setitem(PRESETS, "fig1-copy", PRESETS["fig1"])
+        parser = build_parser()
+        for name in PRESETS:
+            assert parser.parse_args(["reproduce", name]).name == name
