@@ -10,12 +10,15 @@ Subcommands:
 
 Configs are single JSON documents; ``--set path.to.field=value`` overrides
 individual fields. Exit codes: 0 success, 2 config error (an ``--out`` that
-names an existing file among them, refused before any run), 3 the robust
-run was infeasible.
+names an existing file, ``--config`` with ``--preset``, or a key repeated in
+a JSON object among them, each refused before any run), 3 the robust run
+was infeasible. The parser is built once per process for each set of
+preset names.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -39,12 +42,22 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key given twice is a ConfigError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"duplicate key {key!r} in a config object")
+        out[key] = value
+    return out
+
+
 def _apply_override(raw: dict, spec: str) -> None:
     if "=" not in spec:
         raise ConfigError(f"--set expects path=value, got {spec!r}")
     path, text = spec.split("=", 1)
     try:
-        value = json.loads(text)
+        value = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         value = text
     node = raw
@@ -59,9 +72,11 @@ def _apply_override(raw: dict, spec: str) -> None:
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.config is None and args.preset is None:
         raise ConfigError("provide --config FILE or --preset NAME")
+    if args.config is not None and args.preset is not None:
+        raise ConfigError("give --config FILE or --preset NAME, not both")
     if args.config is not None:
         try:
-            raw = json.loads(Path(args.config).read_text())
+            raw = json.loads(Path(args.config).read_text(), object_pairs_hook=_unique_keys)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     else:
@@ -149,6 +164,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process for the current preset names;
+    every caller shares it, so none may change it."""
+    return _parser(tuple(sorted(PRESETS)))
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sirctl",
         description="SIR epidemic isolation control under uncertainty: "
@@ -179,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("reproduce", help="run a named preset")
-    p.add_argument("name", choices=sorted(PRESETS))
+    p.add_argument("name", choices=names)
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     p.set_defaults(func=_cmd_reproduce)
@@ -188,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # every subcommand writes under --out: refuse a file there before any run
         out = Path(args.out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -239,9 +239,10 @@ class CostRow:
     feasible: bool
 
 
-@dataclass(frozen=True)
-class EstimateRow:
-    """One estimates.csv row of the sample-step sweep."""
+class EstimateRow(NamedTuple):
+    """One estimates.csv row of the sample-step sweep. A tuple, not a frozen
+    dataclass like ``CostRow``: a sweep builds one per alpha, and a tuple
+    builds in a third of the time."""
 
     alpha: int
     h: float

@@ -1,6 +1,7 @@
 """Noise injection, scenario orchestration, CSV schemas, and the CLI."""
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -730,6 +731,19 @@ class TestCsv:
         write_estimates_csv(tmp_path / "again.csv", parsed)
         assert path.read_bytes() == (tmp_path / "again.csv").read_bytes()
 
+    def test_estimate_rows_keep_the_frozen_dataclass_behaviour(self, tmp_path):
+        # a NamedTuple, since the sweep builds one per alpha; its repr,
+        # equality, hash and immutability are those of the frozen dataclass
+        row = EstimateRow(1, 0.5, 0.16, 0.0625, 0.0, 0.25, True)
+        assert repr(row) == ("EstimateRow(alpha=1, h=0.5, beta_hat=0.16, gamma_hat=0.0625, "
+                             "err_norm=0.0, bound_b=0.25, contained=True)")
+        with pytest.raises(AttributeError):
+            row.h = 1.0
+        path = tmp_path / "estimates.csv"
+        write_estimates_csv(path, [row])
+        (back,) = read_estimates_csv(path)
+        assert type(back) is EstimateRow and back == row and hash(back) == hash(row)
+
     def test_empty_tables_are_header_only(self, tmp_path):
         write_estimates_csv(tmp_path / "e.csv", [])
         write_costs_csv(tmp_path / "c.csv", [])
@@ -919,6 +933,39 @@ class TestCli:
     def test_unreadable_config_is_config_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "gap"])
+    def test_config_with_preset_is_refused_before_the_run(self, tmp_path, capsys,
+                                                          monkeypatch, command):
+        # this ran the file and ignored --preset
+        def run(*args):
+            raise AssertionError("ran with both --config and --preset")
+
+        for name in ("run_scenario", "sweep_h", "gap_table"):
+            monkeypatch.setattr(f"sirctl.cli.{name}", run)
+        cfg = self._write_config(tmp_path)
+        code = main([command, "--config", str(cfg), "--preset", "policy-compare",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, sets, key", [
+        (('{"name"', '{"u_max": 0.2, "name"'), [], "u_max"),
+        (('"params": {', '"params": {"beta": 0.2, '), [], "beta"),
+        (None, ["--set", 'params={"beta": 0.16, "gamma": 0.06, "gamma": 0.07}'], "gamma"),
+    ], ids=["file", "file-nested", "set-object"])
+    def test_duplicate_key_is_refused(self, tmp_path, capsys, monkeypatch, edit, sets, key):
+        # the last value won: "u_max": 0.2, "u_max": 0.15 ran at 0.15
+        def run(*args):
+            raise AssertionError("ran a config with a duplicate key")
+
+        monkeypatch.setattr("sirctl.cli.run_scenario", run)
+        cfg = self._write_config(tmp_path)
+        if edit:
+            cfg.write_text(cfg.read_text().replace(*edit, 1))
+        assert main(["simulate", "--config", str(cfg), *sets,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"duplicate key {key!r}" in capsys.readouterr().err
 
     def test_bad_override_is_config_error(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -1169,6 +1216,22 @@ class TestCli:
     def test_reproduce_unknown_name_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["reproduce", "unknown-preset", "--out", str(tmp_path)])
+
+    def test_main_builds_one_parser_per_process(self, tmp_path, monkeypatch):
+        # keyed on the preset names: a new name builds one parser, which
+        # the later calls reuse
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        monkeypatch.setitem(PRESETS, "fig1-copy", PRESETS["fig1"])
+        for _ in range(3):
+            assert main(["simulate", "--out", str(tmp_path)]) == 2
+        assert built.count("sirctl") == 1
 
     def test_reproduce_parser_takes_its_names_from_presets(self, monkeypatch):
         # the parser lists no preset names of its own
