@@ -135,7 +135,7 @@ def write_trace_csv(path: Path, run: ClosedLoopResult) -> None:
 
 
 def _row_columns(rows: Iterable, header: list[str]) -> list[list]:
-    """Columns of dataclass rows whose fields are named as the header."""
+    """Columns of named-field rows (``EstimateRow``, ``CostRow``), in header order."""
     rows = list(rows)
     return [[getattr(r, name) for r in rows] for name in header]
 

@@ -134,34 +134,25 @@ class ErrorBound:
 class BoundInputs:
     """Everything the error bound consumes.
 
-    zeta must be a valid Lipschitz constant of the dynamics over balls of
-    radius r around the two sample states, f_max an upper bound on the
-    dynamics norm there, and v_max an amplitude bound on all eight
-    measurement errors entering the batch. h may be an array of steps, and
-    each check reports the first offending one.
+    zeta must be a valid Lipschitz constant of the dynamics, and f_max an
+    upper bound on the dynamics norm, over balls around the two sample
+    states; v_max is an amplitude bound on all eight measurement errors
+    entering the batch, and c the multiplier of ``composite_constant``. h may
+    be an array of steps, and each check reports the first offending one.
     """
 
     h: Value
     zeta: float
     f_max: float
     v_max: float
-    u_max_local: float
-    x_max: float
-    r: float
     c: float
     lambda_min: float
 
     def __post_init__(self) -> None:
-        for name in ("h", "zeta", "f_max", "v_max", "u_max_local", "x_max", "r", "c"):
-            if np.any(getattr(self, name) < 0.0):
+        _check_euler_inputs(self.h, self.zeta, self.f_max)
+        for name in ("v_max", "c"):
+            if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
-        zeta_h = self.zeta * self.h
-        k = _first(zeta_h >= 1.0)
-        if k is not None:
-            raise ValueError(
-                f"zeta*h = {_at(zeta_h, k)} >= 1: outside the validity "
-                "threshold of the discretization error bound"
-            )
         if self.lambda_min <= 0.0:
             raise ValueError("lambda_min must be positive")
 
@@ -243,18 +234,28 @@ def lipschitz_constant(params_guess: EpidemicParams, x_max: float, r: float,
     return 4.0 * params_guess.beta * (x_max + r) + 2.0 * u_max_local + 2.0 * params_guess.gamma
 
 
-def discretization_error_bound(h: float, zeta: float, f_norm: float) -> float:
+def _check_euler_inputs(h: Value, zeta: float, f_norm: float) -> None:
+    """Reject h <= 0 or NaN, zeta < 0, f_norm < 0 and zeta*h >= 1, naming the first bad step."""
+    k = _first(np.logical_not(h > 0.0))
+    if k is not None:
+        raise ValueError(f"h = {_at(h, k)} must be positive")
+    if zeta < 0.0 or f_norm < 0.0:
+        raise ValueError("zeta and f_norm must be non-negative")
+    zeta_h = zeta * h
+    k = _first(zeta_h >= 1.0)
+    if k is not None:
+        raise ValueError(f"zeta*h = {_at(zeta_h, k)} >= 1: outside the validity threshold "
+                         "of the discretization error bound")
+
+
+def discretization_error_bound(h: Value, zeta: float, f_norm: float) -> Value:
     """One-step Euler error bound h^2 * zeta * ||f|| / (1 - zeta*h).
 
     Valid for zeta*h < 1 (zero-order-hold input, locally Lipschitz dynamics);
-    rejects steps outside that threshold.
+    rejects steps outside that threshold. Elementwise in h: an array of
+    steps gives one bound per step.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    if zeta < 0.0 or f_norm < 0.0:
-        raise ValueError("zeta and f_norm must be non-negative")
-    if zeta * h >= 1.0:
-        raise ValueError(f"zeta*h = {zeta * h} >= 1: bound not valid at this step")
+    _check_euler_inputs(h, zeta, f_norm)
     return h * h * zeta * f_norm / (1.0 - zeta * h)
 
 
@@ -269,14 +270,16 @@ def composite_constant(params_guess: EpidemicParams, s_hat_i: float, s_hat_j: fl
 def estimation_error_bound(inputs: BoundInputs) -> ErrorBound:
     """Three-term estimation error bound; ||Theta_hat - Theta|| <= b.
 
-    b = 2*h*zeta*f_max / (sqrt(lam_min)*(1 - zeta*h))
+    b = 2*e(h) / (h*sqrt(lam_min))
       + 4*v_max / (h*sqrt(lam_min))
       + v_max*c / sqrt(lam_min)
 
-    Elementwise in h: an array of steps gives one bound per step.
+    with e(h) = ``discretization_error_bound(h, zeta, f_max)``. Elementwise
+    in h: an array of steps gives one bound per step.
     """
     sq = math.sqrt(inputs.lambda_min)
-    term1 = 2.0 * inputs.h * inputs.zeta * inputs.f_max / (sq * (1.0 - inputs.zeta * inputs.h))
+    term1 = (2.0 * discretization_error_bound(inputs.h, inputs.zeta, inputs.f_max)
+             / (inputs.h * sq))
     term2 = 4.0 * inputs.v_max / (inputs.h * sq)
     term3 = inputs.v_max * inputs.c / sq
     return ErrorBound(value=term1 + term2 + term3, term_sampling=term1,

@@ -40,8 +40,8 @@ class NoiseConfig:
         if self.kind == "snr_db" and (self.snr_db is None or not math.isfinite(self.snr_db)):
             raise ValueError("snr_db mode requires a finite snr_db value")
         if self.kind == "scaled_variance" and not (
-                self.divisor is not None and self.divisor > 0.0):  # NaN fails too
-            raise ValueError("scaled_variance mode requires a positive divisor")
+                self.divisor is not None and 0.0 < self.divisor < math.inf):  # NaN fails too
+            raise ValueError("scaled_variance mode requires a finite positive divisor")
 
 
 def derive_seed(base_seed: int, label: str) -> int:

@@ -20,12 +20,7 @@ from typing import NamedTuple, Optional, Union, get_args, get_origin, get_type_h
 
 import numpy as np
 
-from .analysis import (
-    CumulativeCheck,
-    build_cost_report,
-    cumulative_infected_check,
-    total_cost,
-)
+from .analysis import build_cost_report, total_cost
 from .control import (
     AssumedRates,
     ClosedLoopResult,
@@ -265,7 +260,6 @@ class RunArtifacts:
     config: ScenarioConfig
     runs: dict[str, ClosedLoopResult]
     noise: MeasurementNoise
-    cumulative: Optional[CumulativeCheck]
     cost_rows: tuple[CostRow, ...]
 
     @property
@@ -307,10 +301,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
 
     paired = runs.get("optimal")
     opt_cost = math.nan if paired is None else total_cost(paired.trace)
-    cumulative = None
-    if "robust" in runs and paired is not None and paired.trace.switching.t_h is not None:
-        cumulative = cumulative_infected_check(runs["robust"], paired)
-    return RunArtifacts(config=config, runs=runs, noise=noise, cumulative=cumulative,
+    return RunArtifacts(config=config, runs=runs, noise=noise,
                         cost_rows=tuple(_cost_row(name, run, paired, opt_cost)
                                         for name, run in runs.items()))
 
@@ -370,11 +361,6 @@ def _fnorm(traj: Trajectory, k: int) -> float:
     return math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
 
 
-def _xnorm(traj: Trajectory, k: int) -> float:
-    return math.sqrt(float(traj.s[k]) ** 2 + float(traj.i[k]) ** 2
-                     + float(traj.r[k]) ** 2)
-
-
 def _grid_index(traj: Trajectory, time: float, name: str) -> int:
     """The grid node at the estimation base time ``estimation.<name>``."""
     try:
@@ -413,7 +399,6 @@ def _sweep_rows(config: ScenarioConfig, traj: Trajectory,
     ki, kj = _grid_index(traj, est.i, "i"), _grid_index(traj, est.j, "j")
     theta = np.array([config.params.beta, config.params.gamma])
     f_max = max(_fnorm(traj, ki), _fnorm(traj, kj))
-    x_max = max(_xnorm(traj, ki), _xnorm(traj, kj))
     u_loc = max(abs(float(traj.u[ki])), abs(float(traj.u[kj])))
 
     # every alpha at once: the ahead samples are stacked, the base samples
@@ -432,8 +417,7 @@ def _sweep_rows(config: ScenarioConfig, traj: Trajectory,
                            float(meas.s_hat[kj]), float(meas.i_hat[ki]),
                            float(meas.i_hat[kj]), v_max, u_loc)
     bound = estimation_error_bound(BoundInputs(
-        h=h, zeta=est.zeta, f_max=f_max, v_max=v_max, u_max_local=u_loc,
-        x_max=x_max, r=est.r, c=c, lambda_min=batch.lambda_min()))
+        h=h, zeta=est.zeta, f_max=f_max, v_max=v_max, c=c, lambda_min=batch.lambda_min()))
     diff = point.as_row() - theta
     # vecdot is the dot product np.linalg.norm takes per row, so the bits match
     err = np.sqrt(np.vecdot(diff, diff))

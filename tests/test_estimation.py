@@ -23,6 +23,7 @@ from sirctl.estimation import (
 from sirctl.scenarios import PRESETS, bound_sweep_noisy_config, preset
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
+STEPS = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 10.0])  # zeta*h < 1 at zeta = 0.055
 
 
 def euler_chain(params, init, u, h, n):
@@ -161,6 +162,11 @@ class TestLipschitzAndDiscretization:
         with pytest.raises(ValueError):
             discretization_error_bound(20.0, 0.055, 0.05)
 
+    def test_array_of_steps_matches_each_float_step(self):
+        bounds = discretization_error_bound(STEPS, 0.055, 0.05)
+        assert bounds.tolist() == [discretization_error_bound(h, 0.055, 0.05)
+                                   for h in STEPS.tolist()]
+
     def test_euler_error_within_bound_on_wave(self, wave_traj):
         # empirical check of the one-step bound with the working constant
         zeta = 0.055
@@ -242,8 +248,7 @@ class TestPresetLipschitz:
 
 class TestErrorBound:
     def _inputs(self, **overrides):
-        base = dict(h=0.1, zeta=0.055, f_max=0.03, v_max=0.0, u_max_local=0.0,
-                    x_max=1.0, r=0.1, c=0.2, lambda_min=1.4e-3)
+        base = dict(h=0.1, zeta=0.055, f_max=0.03, v_max=0.0, c=0.2, lambda_min=1.4e-3)
         base.update(overrides)
         return BoundInputs(**base)
 
@@ -274,6 +279,20 @@ class TestErrorBound:
     def test_rejects_zeta_h_at_one(self):
         with pytest.raises(ValueError):
             self._inputs(h=20.0)
+
+    def test_rejects_a_zero_step(self):
+        with pytest.raises(ValueError, match=r"h = 0\.0 must be positive"):
+            self._inputs(h=0.0)
+
+    def test_rejects_the_first_bad_step_of_an_array(self):
+        with pytest.raises(ValueError, match="h = nan must be positive"):
+            self._inputs(h=np.array([0.1, math.nan, 0.0]))
+
+    def test_sampling_term_is_twice_the_euler_error_over_h(self):
+        bound = estimation_error_bound(self._inputs(h=STEPS))
+        euler = discretization_error_bound(STEPS, 0.055, 0.03)
+        assert bound.term_sampling.tolist() == (
+            2.0 * euler / (STEPS * math.sqrt(1.4e-3))).tolist()
 
     def test_composite_constant_hand_value(self):
         c = composite_constant(PARAMS, 0.5, 0.4, 0.2, 0.3, 0.01, 0.05)

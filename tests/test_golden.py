@@ -35,6 +35,9 @@ CASES = {
                             "--set", "integrator.step=0.02"],
     # both 200-row sweep tables, clean and 100 dB
     "bound-sweep": ["reproduce", "bound-sweep"],
+    # another seed gives the 100 dB table other noise draws, so other printed
+    # bound_b values: an ulp moved by the bound's operation order must not show
+    "bound-sweep-seed-7": ["reproduce", "bound-sweep", "--seed", "7"],
     # the robust run's bounds come from one alpha of the estimator: here they
     # give gamma_min < 0, a config error that writes nothing ...
     "estimated-policy-compare-250": ["simulate", "--preset", "policy-compare",
@@ -83,6 +86,12 @@ EXPECTED = {
             "75136a5354280d516d1f165406b7efb1fb5a78128cdccd654a06ce8467d62ab2",
         "bound-sweep/estimates_snr100.csv":
             "5ee60eae2bea6b934e6b542750b9d19f9f22b1cf76f529a15e0ae59f16a5b1bf",
+    },
+    "bound-sweep-seed-7": {
+        "bound-sweep/estimates.csv":
+            "75136a5354280d516d1f165406b7efb1fb5a78128cdccd654a06ce8467d62ab2",
+        "bound-sweep/estimates_snr100.csv":
+            "4fb5a878933b8f291c5f3b55675a23daa69659242be939f0bfc236b22575e716",
     },
     "estimated-fig1": {
         "costs.csv":

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sirctl import core, csvio, scenarios
+from sirctl import analysis, core, csvio, scenarios
 from sirctl.cli import build_parser, main
 from sirctl.control import (
     AssumedRates,
@@ -412,8 +412,8 @@ class TestGapTable:
             kinds[kind] += 1
             return real(kind, *args, **kwargs)
 
-        def spy(name):
-            real_fn = getattr(scenarios, name)
+        def spy(module, name):
+            real_fn = getattr(module, name)
 
             def spying(*args, **kwargs):
                 calls[name] += 1
@@ -423,8 +423,10 @@ class TestGapTable:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenarios, "simulate_closed_loop", counting)
-            for name in ("total_cost", "cumulative_infected_check"):
-                mp.setattr(scenarios, name, spy(name))
+            # scenarios imports no cumulative check: spy on the one in analysis
+            for module, name in ((scenarios, "total_cost"),
+                                 (analysis, "cumulative_infected_check")):
+                mp.setattr(module, name, spy(module, name))
             rows = gap_table(cfg, self.PAIRS)
         return cfg, rows, kinds
 
@@ -470,8 +472,6 @@ def per_alpha_rows(config: ScenarioConfig, traj: Trajectory) -> list[EstimateRow
         return math.sqrt(sum(x * x for x in v))
 
     f_max = max(norm(rhs(traj.sample(k), traj.params, float(traj.u[k]))) for k in (ki, kj))
-    x_max = max(norm((float(traj.s[k]), float(traj.i[k]), float(traj.r[k])))
-                for k in (ki, kj))
     u_loc = max(abs(float(traj.u[ki])), abs(float(traj.u[kj])))
     c = composite_constant(config.params, float(meas.s_hat[ki]), float(meas.s_hat[kj]),
                            float(meas.i_hat[ki]), float(meas.i_hat[kj]),
@@ -489,8 +489,8 @@ def per_alpha_rows(config: ScenarioConfig, traj: Trajectory) -> list[EstimateRow
             rows.append(EstimateRow(a, h, nan, nan, nan, nan, False))
             continue
         bound = estimation_error_bound(BoundInputs(
-            h=h, zeta=est.zeta, f_max=f_max, v_max=meas.v_max_bound, u_max_local=u_loc,
-            x_max=x_max, r=est.r, c=c, lambda_min=batch.lambda_min()))
+            h=h, zeta=est.zeta, f_max=f_max, v_max=meas.v_max_bound, c=c,
+            lambda_min=batch.lambda_min()))
         err = float(np.linalg.norm(point.as_row() - theta))
         rows.append(EstimateRow(a, h, point.beta_hat, point.gamma_hat, err, bound.value,
                                 err <= bound.value))
@@ -984,6 +984,7 @@ class TestCli:
         ("inflation.beta_mult=-1", "beta_mult"),
         ("misestimation.gamma_mult=Infinity", "gamma_mult"),
         ("noise.divisor=NaN", "divisor"),
+        ("noise.divisor=Infinity", "divisor"),
         ("integrator.method=euler", "method"),  # removed knob: one RK4 integrator
         ("estimation.zeta=NaN", "zeta"),
         ("estimation.zeta=-1", "zeta"),
