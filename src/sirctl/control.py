@@ -222,6 +222,27 @@ def _threshold_node(ss: np.ndarray, ii: np.ndarray, lo: int, end: int,
     return lo + int(np.argmax(fires)) if fires.any() else end
 
 
+def _herd_split(rows: list, k: int, t_lo: float, t_hi: float, s: float, i: float,
+                r: float, u: float, params: EpidemicParams, plan: AssumedRates,
+                o_s: float, o_i: float) -> tuple[float, tuple[float, float, float]]:
+    """Split the step from node k, held at rate u from (s, i, r) at t_lo, at the herd event.
+
+    The event fires at t_lo where the herd condition holds there already
+    (a threshold's instant), else where ``locate_event`` finds it. Appends
+    its pre- and post-switch rows to ``rows`` and returns t_h and node
+    k + 1, at t_hi, under u = 0.
+    """
+    beta, gamma = params.beta, params.gamma
+    gap = _herd_gap(plan.beta, plan.gamma, o_s)
+    t_h = t_lo
+    if not gap(s, i) >= 0.0:
+        t_h = locate_event(gap, s, i, r, beta, gamma, u, t_lo, t_hi)
+        s, i, r = _rk4_step(s, i, r, beta, gamma, u, t_h - t_lo)
+    seen = min(s + o_s, 1.0), min(i + o_i, 1.0)
+    rows.extend(((k + 1, t_h, u, 2, *seen), (k + 1, t_h, 0.0, 3, *seen)))
+    return t_h, _rk4_step(s, i, r, beta, gamma, 0.0, t_hi - t_h)
+
+
 def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                          assumed: Optional[AssumedRates],
                          init: SirState, noise: Optional[MeasurementNoise],
@@ -241,20 +262,20 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     which every run and ``integrate`` call on the same parameters, initial
     state and grid shares, filled only as far as a run tests it.
     ``_threshold_node`` tests it in blocks as arrays, and the run copies its
-    nodes up to the first node where this policy's threshold can fire. From
-    there the loop takes RK4 steps of exactly h between grid nodes, testing
-    the stage's event at each node and at the end of each step; a step in
-    which the test fires is split at the switch that ``locate_event`` finds.
-    Stage 2's unsplit steps run in one ``for`` loop, with the RK4 step of S
-    and I, the rate law and its clamp written inline. The law reads the
-    susceptible signal alone, so the loop reads the S offset at each node
-    with the noise source's ``offset_reader``, and the I offset only at its
-    first node and at a herd event, for the switch rows. The loop stops at
-    the first stage-3 node, from which ``_rk4_fill`` fills the run to the
-    horizon: every run spans the grid's n + 1 nodes. The steps run on
-    through inf and NaN, and the nodes are tested once at the end:
-    NonFiniteDynamicsError names the first non-finite node's time. The
-    trace signals' offsets are read as arrays with ``measure``, bitwise
+    nodes up to node k, the first where this policy's threshold can fire.
+    Each stage then runs once, in order, on RK4 steps of exactly h between
+    grid nodes. The threshold fires at node k, inside the step from it
+    (split where ``locate_event`` finds it), or never. Stage 2 runs in one
+    ``for`` loop, with the RK4 step of S and I, the rate law and its clamp
+    written inline; it tests the herd condition at each node and at the end
+    of each step, and ``_herd_split`` splits a step in which it fires. The
+    law reads the susceptible signal alone, so the loop reads the S offset
+    at each node with the noise source's ``offset_reader``, and the I
+    offset only at its first node and at a herd event, for the switch rows.
+    Stage 3 is filled from its first node to the horizon by ``_rk4_fill``.
+    The steps run on through inf and NaN, and the nodes are tested once at
+    the end: NonFiniteDynamicsError names the first non-finite node's time.
+    The trace signals' offsets are read as arrays with ``measure``, bitwise
     equal to the per-node readers. Infeasibility is recorded in the report,
     never raised.
 
@@ -305,15 +326,14 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     # switch rows: (trace position among the node rows, t, u, stage, s_seen, i_seen)
     switch_rows: list[tuple[int, float, float, int, float, float]] = []
 
-    stage = 1
     clamp_events = 0
     o_s = o_i = 0.0
     t_b: Optional[float] = None
     t_h: Optional[float] = None
-    state_at_tb: Optional[SirState] = None
+    s_b = i_b = 0.0  # S and I at t_b
     k_b = n + 1  # the first node of stage 2 or later
     # stage 1: the memo's blocks, filled on past its last node, are tested up
-    # to the first node where the threshold can fire, where the loop starts
+    # to node k, the first where the threshold can fire
     k = end = 0
     while k == end < n:
         end = min(k + _READ, epi.last) if k < epi.last else min(k + _FILL, n)
@@ -324,171 +344,142 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     nodes = slice(0, k + 1)
     ss[nodes], ii[nodes], rr[nodes] = epi.ss[nodes], epi.ii[nodes], epi.rr[nodes]
     s, i, r = ss_w[k], ii_w[k], rr_w[k]
-    hh = 0.5 * h
-    h6 = h / 6.0
+    if reads:
+        o_s, o_i = read_s(k, s), read_i(k, i)
 
-    while True:
-        t_node = t0 + k * h
-        if reads:
+    # the threshold fires at node k (the signals are capped at 1, and
+    # ``1.0 if x > 1.0 else x`` is ``min(x, 1.0)``), inside the step from
+    # node k, whose end-of-step test ``_threshold_node`` saw fire, or never
+    i_seen = i + o_i
+    if (1.0 if i_seen > 1.0 else i_seen) - i_bar >= 0.0:
+        t_b, k_b, s_b, i_b = t0 + k * h, k, s, i
+        switch_rows.append((k, t_b, 0.0, 1, min(s + o_s, 1.0), min(i + o_i, 1.0)))
+    elif k < n:
+        t_lo, t_hi = t0 + k * h, t0 + (k + 1) * h
+        t_b = locate_event(_threshold_gap(i_bar, o_i), s, i, r, beta, gamma, 0.0, t_lo, t_hi)
+        s, i, r = _rk4_step(s, i, r, beta, gamma, 0.0, t_b - t_lo)
+        s_b, i_b = s, i
+        s_seen, i_seen = min(s + o_s, 1.0), min(i + o_i, 1.0)
+        raw = stage_two_rate(beta_plan, gamma_plan, s_seen)
+        if raw > u_max:
+            clamp_events += 1
+        u = clamp(raw)
+        switch_rows += [(k + 1, t_b, 0.0, 1, s_seen, i_seen), (k + 1, t_b, u, 2, s_seen, i_seen)]
+        # the rest of the step under u, split again where the herd event
+        # fires at t_b or in it
+        node = _rk4_step(s, i, r, beta, gamma, u, t_hi - t_b)
+        if -raw >= 0.0 or -stage_two_rate(beta_plan, gamma_plan, min(node[0] + o_s, 1.0)) >= 0.0:
+            t_h, node = _herd_split(switch_rows, k, t_b, t_hi, s, i, r, u, true_params, plan,
+                                    o_s, o_i)
+        k_b = k = k + 1
+        ss_w[k], ii_w[k], rr_w[k] = s, i, r = node
+        if reads and t_h is None:
             o_s, o_i = read_s(k, s), read_i(k, i)
 
-        # an event can fire exactly at a node (including k == 0); the signals
-        # are capped at 1 (``1.0 if x > 1.0 else x`` is ``min(x, 1.0)``)
-        if stage == 1:
-            i_seen = i + o_i
-            if (1.0 if i_seen > 1.0 else i_seen) - i_bar >= 0.0:
-                t_b = t_node
-                k_b = k
-                state_at_tb = SirState(t=t_node, s=s, i=i, r=r)
-                switch_rows.append((k, t_node, 0.0, 1, min(s + o_s, 1.0),
-                                    min(i + o_i, 1.0)))
-                stage = 2
-        if stage == 2:
-            # stage 2 from node k, carrying S and I: the rate law
-            # (``stage_two_rate``), its clamp (``ControlBounds.clamp``) and the
-            # RK4 step (``_rk4_step``, in its operation order) are inline, and
-            # the R pass fills the pass's nodes once it ends. The end-of-step
-            # herd test under the held offsets is the next node's herd test,
-            # so that runs again only where a read changes the S offset
-            entry = k
-            rr_w[k] = r
-            s_seen = s + o_s
-            raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
-            herd = -raw >= 0.0  # at node k
-            if not herd:
-                for k in range(k, n):
-                    ss_w[k] = s
-                    ii_w[k] = i
-                    if raw > u_max:
-                        clamp_events += 1
-                        u = u_max
-                    else:
-                        u = 0.0 if raw < 0.0 else raw
-                    uu_w[k] = u
-                    g = gamma + u
-                    n1 = beta * s * i
-                    m1 = g * i
-                    d1 = n1 - m1
-                    s2 = s - hh * n1
-                    i2 = i + hh * d1
-                    n2 = beta * s2 * i2
-                    m2 = g * i2
-                    d2 = n2 - m2
-                    s3 = s - hh * n2
-                    i3 = i + hh * d2
-                    n3 = beta * s3 * i3
-                    m3 = g * i3
-                    d3 = n3 - m3
-                    s4 = s - h * n3
-                    i4 = i + h * d3
-                    n4 = beta * s4 * i4
-                    m4 = g * i4
-                    s = s + h6 * (-n1 - 2.0 * n2 - 2.0 * n3 - n4)
-                    i = i + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (n4 - m4))
-                    s_seen = s + o_s
-                    raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
-                    if -raw >= 0.0:
-                        # the herd event fires inside the step: back to node k,
-                        # whose step the split below takes again
-                        s, i = ss_w[k], ii_w[k]
-                        break
-                    if reads:
-                        o_s = read_s(k + 1, s)
-                        s_seen = s + o_s
-                        raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
-                        herd = -raw >= 0.0  # at node k + 1
-                        if herd:
-                            break
-                else:
-                    # node n, whose herd test passed at the end of its step or after its read
-                    k = n
-                    ss_w[k] = s
-                    ii_w[k] = i
-                    if raw > u_max:
-                        clamp_events += 1
-                    uu_w[k] = clamp(raw)
-                if herd:
-                    k += 1  # the node after the last step
-            if herd:
-                # the herd event fires at node k, also where the threshold
-                # just did (t_h == t_b): the locator needs gap < 0 at a node
+    if t_b is not None and t_h is None:
+        # stage 2 from node k, carrying S and I: the rate law
+        # (``stage_two_rate``), its clamp (``ControlBounds.clamp``) and the
+        # RK4 step (``_rk4_step``, in its operation order) are inline, and
+        # the R pass fills the pass's nodes once it ends. The end-of-step
+        # herd test under the held offsets is the next node's herd test,
+        # so that runs again only where a read changes the S offset
+        hh = 0.5 * h
+        h6 = h / 6.0
+        entry = k
+        rr_w[k] = r
+        s_seen = s + o_s
+        raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
+        herd = -raw >= 0.0  # at node k
+        if not herd:
+            for k in range(k, n):
                 ss_w[k] = s
                 ii_w[k] = i
-                t_h = t0 + k * h
-                if reads:
-                    o_i = read_i(k, i)  # for the switch row: stage 2 reads S alone
-                switch_rows.append((k, t_h, 0.0 if raw < 0.0 else raw, 2,
-                                    min(s + o_s, 1.0), min(i + o_i, 1.0)))
-                stage = 3
-            _rk4_removals(ss, ii, rr, entry, k + 1, beta, gamma, uu, h)
-            if not herd and k < n:
-                r = rr_w[k]  # the split below takes node k's step again
-                if reads:
-                    o_i = read_i(k, i)
-        else:
-            u = 0.0
-            ss_w[k] = s
-            ii_w[k] = i
-            rr_w[k] = r
-        if stage == 3 or k == n:
-            break
-
-        # advance by one step of h to the next node, in stage 1 or in a stage-2
-        # step whose end-of-step test fired; a step in which the stage's event
-        # test fires is split at the located switch instant
-        sub_t = t0 + k * h
-        t_node = t0 + (k + 1) * h
-        dt = h
-        while True:
-            gap = (_threshold_gap(i_bar, o_i) if stage == 1
-                   else _herd_gap(beta_plan, gamma_plan, o_s))
-            s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, dt)
-            if not gap(s2, i2) >= 0.0:
-                break
-            tau = locate_event(gap, s, i, r, beta, gamma, u, sub_t, t_node)
-            s, i, r = _rk4_step(s, i, r, beta, gamma, u, tau - sub_t)
-            sub_t, dt = tau, t_node - tau
-            s_seen, i_seen = min(s + o_s, 1.0), min(i + o_i, 1.0)
-            switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
-            if stage == 1:
-                t_b = tau
-                k_b = k + 1
-                state_at_tb = SirState(t=tau, s=s, i=i, r=r)
-                stage = 2
-                raw = stage_two_rate(beta_plan, gamma_plan, s_seen)
                 if raw > u_max:
                     clamp_events += 1
-                u = clamp(raw)
-                switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
-                if not -raw >= 0.0:
-                    continue
-                # the herd condition holds at t_b already, so it fires there
-                # too: the locator needs gap < 0 at the start of its bracket
-                switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
-            t_h = tau
-            stage = 3
-            u = 0.0
-            switch_rows.append((k + 1, tau, u, stage, s_seen, i_seen))
-            s2, i2, r2 = _rk4_step(s, i, r, beta, gamma, u, dt)
-            break
-        s, i, r = s2, i2, r2
-        k += 1
+                    u = u_max
+                else:
+                    u = 0.0 if raw < 0.0 else raw
+                uu_w[k] = u
+                g = gamma + u
+                n1 = beta * s * i
+                m1 = g * i
+                d1 = n1 - m1
+                s2 = s - hh * n1
+                i2 = i + hh * d1
+                n2 = beta * s2 * i2
+                m2 = g * i2
+                d2 = n2 - m2
+                s3 = s - hh * n2
+                i3 = i + hh * d2
+                n3 = beta * s3 * i3
+                m3 = g * i3
+                d3 = n3 - m3
+                s4 = s - h * n3
+                i4 = i + h * d3
+                n4 = beta * s4 * i4
+                m4 = g * i4
+                s = s + h6 * (-n1 - 2.0 * n2 - 2.0 * n3 - n4)
+                i = i + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (n4 - m4))
+                s_seen = s + o_s
+                raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
+                if -raw >= 0.0:
+                    # the herd event fires inside the step: back to node k,
+                    # whose step the split below takes again
+                    s, i = ss_w[k], ii_w[k]
+                    break
+                if reads:
+                    o_s = read_s(k + 1, s)
+                    s_seen = s + o_s
+                    raw = beta_plan * (1.0 if s_seen > 1.0 else s_seen) - gamma_plan
+                    herd = -raw >= 0.0  # at node k + 1
+                    if herd:
+                        break
+            else:
+                # node n, whose herd test passed at the end of its step or after its read
+                k = n
+                ss_w[k] = s
+                ii_w[k] = i
+                if raw > u_max:
+                    clamp_events += 1
+                uu_w[k] = clamp(raw)
+            if herd:
+                k += 1  # the node after the last step
+        if herd:
+            # the herd event fires at node k, also where the threshold
+            # just did (t_h == t_b): the locator needs gap < 0 at a node
+            ss_w[k] = s
+            ii_w[k] = i
+            t_h = t0 + k * h
+            if reads:
+                o_i = read_i(k, i)  # for the switch row: stage 2 reads S alone
+            switch_rows.append((k, t_h, 0.0 if raw < 0.0 else raw, 2,
+                                min(s + o_s, 1.0), min(i + o_i, 1.0)))
+        _rk4_removals(ss, ii, rr, entry, k + 1, beta, gamma, uu, h)
+        if not herd and k < n:
+            # the herd event fires inside the step from node k
+            if reads:
+                o_i = read_i(k, i)
+            t_h, node = _herd_split(switch_rows, k, t0 + k * h, t0 + (k + 1) * h, s, i, rr_w[k],
+                                    u, true_params, plan, o_s, o_i)
+            k += 1
+            ss_w[k], ii_w[k], rr_w[k] = node
 
     # stage 3 is the u = 0 epidemic from its first node k, on integrate's
     # stepper; the fills and the loop step on through inf and NaN, and the
     # nodes are tested once here
-    if stage == 3:
+    if t_h is not None:
         _rk4_fill(ss, ii, rr, k, n + 1, beta, gamma, 0.0, h)
     require_finite(ts, ss, ii, rr, 0, n + 1)
     # the stage only rises: 1 before node k_b, 2 from there to the last node k
+    stage = 1 if t_b is None else 2 if t_h is None else 3
     node_stage[:k_b], node_stage[k_b:k], node_stage[k] = 1, 2, stage
     if reads:
-        # the trace signals' offsets from the loop's first node on, where it
+        # the trace signals' offsets from the scan's node k on, where the run
         # read only what it decided on
         for lo in range(start, n + 1, _READ):
             _read_offsets(noise, margin, slice(lo, min(lo + _READ, n + 1)), ss, ii,
                           off_s, off_i)
-    max_i = max(float(np.max(ii)), state_at_tb.i if state_at_tb is not None else 0.0)
+    max_i = max(float(np.max(ii)), i_b)
     traj = Trajectory(t=ts, s=ss, i=ii, r=rr, u=uu, step=h, params=true_params)
 
     def signal(node: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -506,11 +497,8 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
                         switch_rows=tuple(switch_rows),
                         switching=SwitchingTimes(t_b=t_b, t_h=t_h),
                         clamp_events=clamp_events, kind=kind, plan=plan)
-    if state_at_tb is not None:
-        required, _ = feasibility_check(true_params, state_at_tb, u_max)
-    else:
-        required = float("nan")
     report = FeasibilityReport(
         feasible=bool(max_i <= i_bar + FEASIBILITY_SLACK),
-        required_rate_at_tb=required, max_infection_attained=max_i)
+        required_rate_at_tb=float("nan") if t_b is None else stage_two_rate(beta, gamma, s_b),
+        max_infection_attained=max_i)
     return ClosedLoopResult(trajectory=traj, trace=trace, report=report)

@@ -24,6 +24,10 @@ import numpy as np
 from .core import Trajectory, read_only
 
 TRUNCATION_SIGMAS = 3.0
+# the noise levels whose arithmetic stays finite with room to spare: a std
+# within 1e+-50 of the signal's rms, or at most 1e50 on a fraction near 1
+SNR_DB_LIMIT = 1000.0
+MIN_DIVISOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,12 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "snr_db", "scaled_variance"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "snr_db" and (self.snr_db is None or not math.isfinite(self.snr_db)):
-            raise ValueError("snr_db mode requires a finite snr_db value")
+        if self.kind == "snr_db" and not (
+                self.snr_db is not None and abs(self.snr_db) <= SNR_DB_LIMIT):  # NaN fails too
+            raise ValueError(f"snr_db mode requires |snr_db| <= {SNR_DB_LIMIT:g} dB")
         if self.kind == "scaled_variance" and not (
-                self.divisor is not None and 0.0 < self.divisor < math.inf):  # NaN fails too
-            raise ValueError("scaled_variance mode requires a finite positive divisor")
+                self.divisor is not None and MIN_DIVISOR <= self.divisor < math.inf):
+            raise ValueError(f"scaled_variance mode requires a finite divisor >= {MIN_DIVISOR:g}")
 
 
 def derive_seed(base_seed: int, label: str) -> int:

@@ -34,8 +34,8 @@ from .core import (
     NonFiniteDynamicsError,
     SirState,
     Trajectory,
+    _rhs,
     integrate,
-    rhs,
 )
 from .estimation import (
     BoundInputs,
@@ -357,7 +357,9 @@ def _cost_row(name: str, run: ClosedLoopResult, optimal: Optional[ClosedLoopResu
 
 
 def _fnorm(traj: Trajectory, k: int) -> float:
-    d = rhs(traj.sample(k), traj.params, float(traj.u[k]))
+    # from the node's floats: a computed node need not pass SirState's checks
+    d = _rhs(float(traj.s[k]), float(traj.i[k]), traj.params.beta, traj.params.gamma,
+             float(traj.u[k]))
     return math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
 
 

@@ -948,6 +948,65 @@ class TestSplitSteps:
         assert self._check_run(run_scenario(cfg).runs["optimal"]) == [2]
 
 
+class TestHorizonCut:
+    """A run is causal: cut its grid at node m, and it is the first m + 1
+    nodes of the uncut run bitwise, with the switch rows up to node m."""
+
+    def test_random_configs_cut_around_each_switch(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from dataclasses import replace
+
+        from sirctl.scenarios import preset, run_scenario
+
+        # no snr_db: its sigma is the signal power over the whole horizon
+        prefix_noises = st.one_of(
+            st.just(NoiseConfig(kind="none")),
+            st.builds(lambda d: NoiseConfig(kind="scaled_variance", divisor=d),
+                      st.floats(1e2, 1e6)))
+        # (stage, at the last node or inside the last step) of a cut run's
+        # switch rows at its last node
+        ends, cut_runs = set(), []
+
+        @hypothesis.settings(max_examples=12, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(name=st.sampled_from(["fig1", "policy-compare"]),
+                          noise=prefix_noises, inflation=mults, misestimation=mults,
+                          i_bar=st.floats(0.005, 0.3), seed=st.integers(0, 2**31))
+        def check(name, noise, inflation, misestimation, i_bar, seed):
+            h, n = 0.1, 3000 if name == "fig1" else 4000
+            cfg = replace(preset(name), noise=noise, inflation=inflation,
+                          misestimation=misestimation, i_bar=i_bar, seed=seed,
+                          policies=("optimal", "robust", "misestimated"),
+                          integrator=IntegratorConfig(step=h, horizon=n * h))
+            full = run_scenario(cfg).runs
+            cuts = {row[0] + d for run in full.values() for row in run.trace.switch_rows
+                    for d in (-1, 0, 1, 2)}
+            for m in sorted(m for m in cuts if 1 <= m < n):
+                cut = run_scenario(replace(
+                    cfg, integrator=IntegratorConfig(step=h, horizon=m * h))).runs
+                for policy, run in full.items():
+                    a, b = run, cut[policy]
+                    cut_runs.append(m)
+                    ta, tb = a.trajectory, b.trajectory
+                    for x, y in ((ta.t, tb.t), (ta.s, tb.s), (ta.i, tb.i), (ta.r, tb.r),
+                                 (ta.u, tb.u),
+                                 (a.trace.node_stage, b.trace.node_stage),
+                                 (a.trace.node_s_seen, b.trace.node_s_seen),
+                                 (a.trace.node_i_seen, b.trace.node_i_seen)):
+                        assert x.dtype == y.dtype and x[:m + 1].tobytes() == y.tobytes()
+                    # repr compares every bit of the floats
+                    kept = tuple(row for row in a.trace.switch_rows if row[0] <= m)
+                    assert repr(kept) == repr(b.trace.switch_rows)
+                    ends.update((row[3], row[1] == float(tb.t[m]))
+                                for row in b.trace.switch_rows if row[0] == m)
+
+        check()
+        # threshold events (stage-1 rows) and herd events (a stage-2 row at a
+        # node, a stage-3 row inside a step) at the last node and inside the
+        # last step
+        assert {(1, True), (1, False), (2, True), (3, False)} <= ends
+        assert len(cut_runs) >= 100
+
+
 class TestOpenLoopOracle:
     """Stages 1 and 3 against scipy's DOP853 on the u = 0 epidemic."""
 

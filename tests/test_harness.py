@@ -985,6 +985,13 @@ class TestCli:
         ("misestimation.gamma_mult=Infinity", "gamma_mult"),
         ("noise.divisor=NaN", "divisor"),
         ("noise.divisor=Infinity", "divisor"),
+        # noise levels whose std overflows: this wrote inf cells and warned
+        ("noise.divisor=1e-320", "divisor"),
+        # 10**(snr_db/10) overflowed, or fell to 0 and divided by zero
+        pytest.param(("noise.kind=snr_db", "noise.snr_db=4000"), "snr_db",
+                     id="noise.snr_db=4000-snr_db"),
+        pytest.param(("noise.kind=snr_db", "noise.snr_db=-4000"), "snr_db",
+                     id="noise.snr_db=-4000-snr_db"),
         ("integrator.method=euler", "method"),  # removed knob: one RK4 integrator
         ("estimation.zeta=NaN", "zeta"),
         ("estimation.zeta=-1", "zeta"),
@@ -1026,6 +1033,19 @@ class TestCli:
                      *(arg for one in specs for arg in ("--set", one))])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--preset", "param-est"],
+        ["simulate", "--preset", "fig1"],
+        ["gap", "--preset", "fig1"],
+    ], ids=["estimate", "simulate", "gap"])
+    def test_computed_nodes_off_the_conservation_check_run(self, tmp_path, command):
+        # s + i + r = 1 - 9.99999e-10 passes SirState's 1e-9 check, and the
+        # nodes drift a few ulp past it: a node read back through SirState
+        # (the estimate's |f| at t = 80, the closed loop's state at t_b)
+        # raised ValueError
+        assert main([*command, "--set", "init.s=0.9999899990000001",
+                     "--out", str(tmp_path)]) == 0
 
     def test_estimate_rejects_a_mistyped_name(self, tmp_path, capsys):
         code = main(["estimate", "--preset", "param-est", "--set", "name=5",
