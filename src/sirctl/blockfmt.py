@@ -1,4 +1,4 @@
-"""Format full blocks of CSV rows with numpy array operations.
+"""Format blocks of CSV rows of number columns with numpy array operations.
 
 ``format_block`` writes, byte for byte, what one ``%`` call per cell
 gives: ``%.12g`` for a float cell and ``%d`` for an integer one. Each cell
@@ -6,28 +6,26 @@ becomes a fixed-width template, NUL where it has no character, and the
 block is joined with its NULs dropped.
 
 A number of magnitude in ``[1e-10, 1e11)`` is rounded to 12 significant
-digits exactly, ties to even: the correctly rounded decimal that CPython's
-``%.12g`` prints (Gay's conversion). The one product ``hi = |v| * 10**k``
-decides the rounding of every cell whose ``hi`` is not a half-integer,
-since rounding to nearest cannot carry a product across a half-integer
-that is itself a double (``_scaled``). A cell whose ``hi`` is one, an exact
-or a near tie, is decided by Dekker's two-product, which gives the exact
-product as the sum of two doubles. The 12 digits come four at a time from
-a table of "d.d.d.d." words, and the notation follows ``%g``: fixed for
-exponents -4 to 11 (a value just under 1e11 may round up to
-100000000000), else ``d.ddde-XX``, with trailing zeros and a bare point
-dropped. Zeros, ``-0`` among them, are written by the same pass; other
-numbers (nan, inf and magnitudes outside the range) take one ``%`` call
-each. An integer cell below 1e11 takes the float path: such an integer is
-an exact double, which ``%.12g`` prints as ``%d`` does.
+digits by one product ``hi = |v| * 10**k``, which decides the correctly
+rounded decimal that CPython's ``%.12g`` prints (Gay's conversion) for
+every cell whose ``hi`` is not a half-integer, since rounding to nearest
+cannot carry a product across a half-integer that is itself a double
+(``_round12``). The 12 digits come four at a time from a table of
+"d.d.d.d." words, and the notation follows ``%g``: fixed for exponents -4
+to 11 (a value just under 1e11 may round up to 100000000000), else
+``d.ddde-XX``, with trailing zeros and a bare point dropped. Zeros, ``-0``
+among them, are written by the same pass. Every other cell takes one ``%``
+call: nan, inf, magnitudes outside the range, and the cells the product
+leaves undecided (an exact or near tie, or an exponent that ``log10``
+missed), fewer than 1 in 10,000 of a preset trajectory's cells. An
+integer cell below 1e11 takes the float path: such an integer is an exact
+double, which ``%.12g`` prints as ``%d`` does.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
-
-_FORMATS = {"g": "%.12g", "d": "%d"}
 
 # A number cell's template, NUL where the cell has no character, as five
 # 8-byte words: the sign and a "0." lead with up to three zeros; 12 digits,
@@ -81,61 +79,41 @@ def _keep() -> np.ndarray:
 _QUADS, _LAST_ROW = _groups()
 _KEEP = _keep()
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
-_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
 
 
-def _scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a * 10**(11 - x)`` rounded to an integer, ties to even, exactly.
+def _round12(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive ``a`` rounded to 12 significant digits: the integer N in
+    ``[10**11, 10**12)``, the exponent x with ``a ~ N * 10**(x - 11)``, and
+    where one product cannot decide N.
 
-    The exact product p and its rounding ``hi`` are below 10**13 < 2**44
-    (x is at most one off the exponent of a), so every half-integer
-    m + 0.5 up to them is a double. Rounding to nearest is monotonic and
-    leaves a double where it is, so it cannot carry p across one: ``hi`` is
-    above m + 0.5 only where p is, and below it only where p is. With m =
-    ``floor(hi)``, p therefore rounds to m + 1 where ``hi - m - 0.5 > 0``
-    and to m where it is below 0 (both subtractions are exact). Where it is
-    exactly 0, ``hi`` is the half-integer and p is ``hi + lo`` (Dekker's
-    two-product; ``10**k`` is exact for k <= 22): p rounds up where lo > 0,
-    or lo == 0 and m is odd.
+    The exact product p = ``a * 10**(11 - x)`` and its rounding ``hi`` are
+    below 10**13 < 2**44 (x is at most one off the exponent of a), so every
+    half-integer m + 0.5 up to them is a double. Rounding to nearest is
+    monotonic and leaves a double where it is, so it cannot carry p across
+    one: ``hi`` is above m + 0.5 only where p is, and below it only where p
+    is. With m = ``floor(hi)``, p therefore rounds to m + 1 where
+    ``hi - m - 0.5 > 0`` and to m where it is below 0 (both subtractions
+    are exact). Where it is exactly 0, an exact or near tie, N is left
+    undecided, as it is where N falls outside its range: ``log10`` missed
+    x by one, or N rounded up to ``10**12``. (An x one too high gives an
+    N in range only as ``10**11``, for an a within a few ulps below
+    ``10**x``, whose 12 digits round up to ``10**x`` too.) An undecided N
+    is clipped into range, so it still indexes the digit tables.
     """
-    k = 11 - x
-    hi = a * _POW10[k]
+    x = np.floor(np.log10(a)).astype(np.int64)
+    hi = a * _POW10[11 - x]
     floor = np.floor(hi)
     r = hi - floor - 0.5
     n = floor.astype(np.int64) + (r > 0)
-    tie = np.flatnonzero(r == 0)
-    if tie.size:
-        a, k, hi, m = a[tie], k[tie], hi[tie], n[tie]
-        c = a * _SPLIT
-        a_hi = c - (c - a)
-        a_lo = a - a_hi
-        p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-        n[tie] = m + ((lo > 0) | ((lo == 0) & (m & 1 == 1)))
-    return n
-
-
-def _round12(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive ``a`` rounded to 12 significant digits: the integer N in
-    ``[10**11, 10**12)`` and the exponent x with ``a ~ N * 10**(x - 11)``.
-    Where ``log10`` missed x by one, or N rounded up to ``10**12``, N falls
-    outside its range and is redone one place over."""
-    x = np.floor(np.log10(a)).astype(np.int64)
-    n = _scaled(a, x)
-    step = (n >= 10**12).astype(np.int64) - (n < 10**11)
-    redo = np.flatnonzero(step)
-    if redo.size:
-        x[redo] += step[redo]
-        n[redo] = _scaled(a[redo], x[redo])
-    return n, x
+    hard = (r == 0) | (n < 10**11) | (n >= 10**12)
+    return np.minimum(n, 10**12 - 1), x, hard
 
 
 def _numbers(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``%.12g`` text of each of ``v`` as ``_CELL``-byte templates, and
     the indices of the templates left blank: the numbers outside
-    ``[1e-10, 1e11)`` in magnitude other than zeros (nan and inf among them).
+    ``[1e-10, 1e11)`` in magnitude other than zeros (nan and inf among
+    them), and those inside whose rounding ``_round12`` leaves undecided.
 
     x in [-4, 11] is fixed notation, else N's first digit, a fraction and
     the exponent; ``_KEEP`` masks the digits and the point dropped.
@@ -143,7 +121,7 @@ def _numbers(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = len(v)
     a = np.abs(v)
     ok = (a >= 1e-10) & (a < 1e11)
-    n, x = _round12(np.where(ok, a, 1.0))
+    n, x, hard = _round12(np.where(ok, a, 1.0))
     x += 10
     cells = np.empty((m, _CELL), np.uint8)
     words, halves = cells.view(np.uint64), cells.view(np.uint32)
@@ -159,27 +137,26 @@ def _numbers(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         words[:, 1 + w] &= _KEEP[w][keep]
     halves[:, 8] = _EXPONENT[x]
     halves[:, 9] = 0
-    special = np.flatnonzero(~ok)
-    zero = v[special] == 0
-    words[special[zero]] = _ZERO[np.signbit(v[special[zero]]).view(np.int8)]
-    blank = special[~zero]
+    zero = np.flatnonzero(v == 0)
+    words[zero] = _ZERO[np.signbit(v[zero]).view(np.int8)]
+    blank = np.flatnonzero(np.where(ok, hard, v != 0))
     cells[blank] = 0
     return cells, blank
 
 
-def format_block(columns: Sequence[Sequence], kinds: str) -> bytes:
-    """The rows of equal-length number column slices, one kind letter of
-    ``_FORMATS`` per column: one template per cell, and the NULs dropped.
-    A cell left blank by ``_numbers`` takes its ``%`` text, at most 20
-    bytes (``%.12g`` writes at most 19, ``%d`` of an int64 20)."""
-    m, width = len(columns[0]), len(kinds)
+def format_block(columns: Sequence[Sequence], formats: Sequence[str]) -> bytes:
+    """The rows of equal-length number column slices, one ``%`` format per
+    column (``%.12g`` or ``%d``): one template per cell, and the NULs
+    dropped. A cell left blank by ``_numbers`` takes its ``%`` text, at most
+    20 bytes (``%.12g`` writes at most 19, ``%d`` of an int64 20)."""
+    m, width = len(columns[0]), len(formats)
     values = np.empty((m, width))
     for j, col in enumerate(columns):
         values[:, j] = col
     cells, blank = _numbers(values.reshape(-1))
     for f in blank.tolist():
         r, j = divmod(f, width)
-        b = (_FORMATS[kinds[j]] % columns[j][r]).encode()
+        b = (formats[j] % columns[j][r]).encode()
         cells[f, :len(b)] = np.frombuffer(b, np.uint8)
     big = cells.reshape(m, width, _CELL)
     big[:, :, -1] = ord(",")

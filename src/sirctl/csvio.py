@@ -17,10 +17,10 @@ Cells are floats as ``f"{v:.12g}"`` (``nan``, ``inf`` and ``-0`` as such;
 12 digits keep the cross-formula checks meaningful after a round trip),
 integers, ``true``/``false`` flags and unquoted text.
 
-Rows are written in blocks of ``_CHUNK_ROWS``. A full block of number
-columns is formatted with numpy array operations (``blockfmt``), any other
-block by one ``%`` call; both give, byte for byte, ``f"{v:.12g}"`` per
-float cell, so a fixed seed yields byte-identical files.
+Rows are written in blocks of ``_CHUNK_ROWS``. A block of number columns
+is formatted with numpy array operations (``blockfmt``), a block with a
+flag or text column by one ``%`` call; both give, byte for byte,
+``f"{v:.12g}"`` per float cell, so a fixed seed yields byte-identical files.
 """
 from __future__ import annotations
 
@@ -66,19 +66,18 @@ _KINDS = {"g": ("%.12g", float), "d": ("%d", int), "s": ("%s", str),
 def _format_block(columns: Sequence[Sequence], kinds: str) -> bytes:
     """The rows of a block of equal-length column slices (arrays or lists).
 
-    A full block of ``_CHUNK_ROWS`` rows whose columns are all numbers
-    (kinds "g" and "d") goes through ``blockfmt``. Any other block, a short
-    table, the tail of a long one or a block with a flag or text column, is
-    one ``%`` call applying the row format, repeated per row, to the column
-    slices as lists: on a few hundred rows the array path saves nothing, and
-    its code, tables and the numpy kernels it runs would add ~1.6 MB of
-    resident memory (1.1 MB of it numpy's shared-library pages) to a process
-    that writes only short tables.
+    A block whose columns are all numbers (kinds "g" and "d": trajectory
+    and trace files) goes through ``blockfmt``. A block with a flag or text
+    column (estimates and costs) is one ``%`` call applying the row format,
+    repeated per row, to the column slices as lists, so a process that
+    writes only those tables never loads ``blockfmt``: its code, tables and
+    the numpy kernels it runs would add ~1.6 MB of resident memory (1.1 MB
+    of it numpy's shared-library pages) for a few hundred rows.
     """
     m, width = len(columns[0]), len(kinds)
-    if m == _CHUNK_ROWS and set(kinds) <= {"g", "d"}:
-        from .blockfmt import format_block  # only a process that writes a full block loads it
-        return format_block(columns, kinds)
+    if set(kinds) <= {"g", "d"}:
+        from .blockfmt import format_block  # only a process that writes number tables loads it
+        return format_block(columns, [_KINDS[k][0] for k in kinds])
     flat: list = [None] * (m * width)
     for j, (col, kind) in enumerate(zip(columns, kinds)):
         col = col.tolist() if isinstance(col, np.ndarray) else col

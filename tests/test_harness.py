@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sirctl import analysis, core, csvio, scenarios
+from sirctl import analysis, blockfmt, core, csvio, scenarios
 from sirctl.cli import build_parser, main
 from sirctl.control import (
     AssumedRates,
@@ -901,6 +901,31 @@ class TestCsvFormat:
 
         check()
 
+    def test_few_number_cells_take_the_percent_path(self, tmp_path, monkeypatch,
+                                                     fig1_noisy_artifacts):
+        # a cell whose rounding the array pass leaves undecided still comes out
+        # right through its % text, so only this count shows a formatter that
+        # hands too many cells to %: on fig1's trajectory blocks, a tie or near
+        # tie of the one product is rare
+        numbers, counts = blockfmt._numbers, Counter()
+
+        def counted(v):
+            cells, blank = numbers(v)
+            a = np.abs(v[blank])
+            counts["cells"] += len(v)
+            counts["undecided"] += np.count_nonzero((a >= 1e-10) & (a < 1e11))
+            return cells, blank
+
+        monkeypatch.setattr(blockfmt, "_numbers", counted)
+        art, cells = fig1_noisy_artifacts, 0
+        for name, run in art.runs.items():
+            path = tmp_path / f"{name}.csv"
+            csvio.write_trajectory_csv(path, run, art.noise)
+            with open(path) as fh:
+                cells += len(run.trajectory) * len(fh.readline().split(","))
+        assert counts["cells"] == cells
+        assert counts["undecided"] < cells / 1000
+
 
 class TestCli:
     def _write_config(self, tmp_path, **overrides) -> Path:
@@ -1222,7 +1247,7 @@ class TestCli:
                                          ["reproduce", "bound-sweep"]],
                              ids=["gap", "bound-sweep"])
     def test_short_tables_never_load_the_block_formatter(self, tmp_path, command):
-        # their tables are shorter than one block, so csvio formats them with
+        # their tables have a flag or text column, so csvio formats them with
         # one % call per block and a fresh process never imports blockfmt
         code = ("import sys; from sirctl.cli import main; "
                 f"assert main({[*command, '--out', str(tmp_path)]!r}) == 0; "
