@@ -11,8 +11,10 @@ Subcommands:
 Configs are single JSON documents; ``--set path.to.field=value`` overrides
 individual fields. Exit codes: 0 success, 2 config error (an ``--out`` that
 names an existing file, ``--config`` with ``--preset``, or a key repeated in
-a JSON object among them, each refused before any run), 3 the robust run
-was infeasible. The parser is built once per process for each set of
+a JSON object among them, each refused before any run; and a state that
+became non-finite, e.g. under ``params.beta=1e200``, reported with its first
+non-finite node's time before any CSV is written), 3 the robust run was
+infeasible. The parser is built once per process for each set of
 preset names.
 """
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
+from .core import NonFiniteDynamicsError
 from .csvio import emit_csv, write_costs_csv, write_estimates_csv
 from .scenarios import (
     PRESETS,
@@ -217,7 +220,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if out.exists() and not out.is_dir():
             raise ConfigError(f"--out {args.out} exists and is not a directory")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, NonFiniteDynamicsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -128,7 +128,7 @@ def _rk4_step(s, i, r, beta, gamma, u, h):
     since ``-(a + b)`` differs from ``-a + -b`` in the sign of an exact zero.
     Works elementwise on numpy arrays too. The reference step: ``_rk4_fill``
     and the closed loop's stage-2 loop run its S and I operations inline,
-    and the R pass ``_rk4_removals`` runs its R operations on arrays.
+    and the R pass ``_rk4_removals`` calls it on blocks of 2,048 nodes.
     """
     g = gamma + u
     hh = 0.5 * h
@@ -330,8 +330,9 @@ def _rk4_fill(ss, ii, rr, k0, end, beta, gamma, u, h) -> None:
     and of the closed loop's stage 3; the closed loop's stage-2 loop is the
     one other inline copy of the step. Each step is ``_rk4_step`` written inline, with its operation
     order kept, and carries S and I alone: no step reads R, so the R pass
-    ``_rk4_removals`` fills rr once the loop ends, and the nodes are bitwise
-    ``_rk4_step`` repeated. The S sum subtracts where ``_rk4_step`` adds
+    ``_rk4_removals`` fills rr once the loop ends by calling ``_rk4_step``
+    on blocks of 2,048 nodes, and the nodes are bitwise ``_rk4_step``
+    repeated. The S sum subtracts where ``_rk4_step`` adds
     negations, which is the same sum bit for bit (IEEE defines a - b as
     a + -b, and 2*-x is -(2*x)). The rate terms ``gamma + u``, ``0.5*h``
     and ``h/6`` are formed once. Nodes are written through memoryviews,
@@ -367,7 +368,7 @@ def _rk4_fill(ss, ii, rr, k0, end, beta, gamma, u, h) -> None:
     _rk4_removals(ss, ii, rr, k0, end, beta, gamma, u, h)
 
 
-_R_BLOCK = 512  # nodes per block of the R pass, which bounds its temporaries
+_R_BLOCK = 2048  # nodes per block of the R pass, which bounds its temporaries
 
 
 def _rk4_removals(ss, ii, rr, k0, end, beta, gamma, u, h) -> None:
@@ -376,35 +377,18 @@ def _rk4_removals(ss, ii, rr, k0, end, beta, gamma, u, h) -> None:
     The R pass of the node loops, which step S and I alone. The R increment
     of the step from node k reads only that node's S, I and rate, where
     ``u`` is a float or an array of one rate per node (a run's ``u``
-    column). The pass forms each step's removals m1..m4 from nodes
-    k0..end-2 of ss and ii in ``_rk4_step``'s operation order and adds
-    ``h/6*(m1 + 2*m2 + 2*m3 + m4)`` onto node k0's R with
-    ``np.add.accumulate``, which sums in sequence, so every node is bitwise
-    the R of ``_rk4_step`` repeated. Like the loops, it carries inf and NaN
-    on without a warning.
+    column). The pass calls ``_rk4_step`` on blocks of ``_R_BLOCK`` nodes
+    from R = -0.0, whose sum with any x is x, so each R it returns is that
+    step's increment bit for bit. ``np.add.accumulate`` sums the increments
+    onto node k0's R in sequence, so every node is bitwise the R of
+    ``_rk4_step`` repeated. Like the loops, it carries inf and NaN on
+    without a warning.
     """
-    hh = 0.5 * h
-    h6 = h / 6.0
     with np.errstate(all="ignore"):
         for lo in range(k0, end - 1, _R_BLOCK):
             hi = min(lo + _R_BLOCK, end - 1)  # the steps from nodes lo..hi-1
-            s, i = ss[lo:hi], ii[lo:hi]
-            g = gamma + (u[lo:hi] if isinstance(u, np.ndarray) else u)
-            # stage k's new infections n, removals m and state ik; the sum
-            # m1 + 2*m2 + 2*m3 + m4 is formed in place, left to right
-            n = beta * s * i
-            m = g * i
-            ik = i + hh * (n - m)
-            total = m
-            n = beta * (s - hh * n) * ik
-            m = g * ik
-            total += 2.0 * m
-            ik = i + hh * (n - m)
-            n = beta * (s - hh * n) * ik
-            m = g * ik
-            total += 2.0 * m
-            total += g * (i + h * (n - m))
-            np.multiply(h6, total, out=rr[lo + 1:hi + 1])
+            rate = u[lo:hi] if isinstance(u, np.ndarray) else u
+            rr[lo + 1:hi + 1] = _rk4_step(ss[lo:hi], ii[lo:hi], -0.0, beta, gamma, rate, h)[2]
             np.add.accumulate(rr[lo:hi + 1], out=rr[lo:hi + 1])
 
 

@@ -97,6 +97,7 @@ def _slices(columns: Sequence[Sequence]) -> Iterator[list]:
 def _write(path: Path, header: list[str], kinds: str, blocks: Iterable[Sequence]) -> None:
     """Write ``header`` and the rows of each block of column slices;
     ``kinds`` holds one ``_KINDS`` key per column."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())

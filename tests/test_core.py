@@ -145,7 +145,7 @@ class TestRk4Step:
 
         check()
 
-    def test_removals_bitwise_equal_to_repeated_steps(self):
+    def test_removals_bitwise_equal_to_repeated_steps(self, monkeypatch):
         # the R pass under one rate per node is the R of _rk4_step repeated,
         # in every output bit, on nodes k0..end-1 only; a path that overflows
         # carries inf and NaN on without a warning; the states are the fill
@@ -163,6 +163,10 @@ class TestRk4Step:
                           h=st.floats(1e-3, 5.0), k0=st.integers(0, 4), tail=st.integers(0, 3))
         @hypothesis.example(state=(1.0, 1.0, 0.0), beta=5.0, gamma=1e-3, rates=[0.0, -0.0] * 6,
                             h=5.0, k0=1, tail=1)  # overflows in its third step
+        # a negative subnormal I under R = -0.0: an increment summed from
+        # R = 0.0 would turn the node's -0.0 into 0.0
+        @hypothesis.example(state=(0.5, -5e-324, -0.0), beta=1.0, gamma=0.1, rates=[0.0],
+                            h=0.1, k0=0, tail=0)
         def check(state, beta, gamma, rates, h, k0, tail):
             end = k0 + len(rates) + 1
             ss, ii, rr, uu = (np.full(end + tail, np.nan) for _ in range(4))
@@ -184,6 +188,9 @@ class TestRk4Step:
             else:
                 assert np.array_equal(rr[k0:end], want, equal_nan=True)
 
+        check()
+        # blocks of 3 steps, so the paths cross blocks and carry R from one to the next
+        monkeypatch.setattr(core, "_R_BLOCK", 3)
         check()
         assert min(paths.values()) >= 1
 

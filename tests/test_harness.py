@@ -618,6 +618,23 @@ class TestCsv:
         assert (tmp_path / "costs.csv").read_bytes() == \
             (tmp_path / "costs_again.csv").read_bytes()
 
+    @pytest.mark.parametrize("writer", ["trajectory", "trace", "estimates", "costs"])
+    def test_writers_take_a_str_path(self, fig1_noisy_artifacts, tmp_path, writer):
+        # each writer raised AttributeError on a str, as emit_csv and the
+        # readers take one
+        art = fig1_noisy_artifacts
+        run = art.runs["robust"]
+        estimates = [EstimateRow(alpha=1, h=0.01, beta_hat=0.16, gamma_hat=0.063,
+                                 err_norm=1e-9, bound_b=1e-6, contained=True)]
+        write = {"trajectory": lambda p: write_trajectory_csv(p, run, art.noise),
+                 "trace": lambda p: write_trace_csv(p, run),
+                 "estimates": lambda p: write_estimates_csv(p, estimates),
+                 "costs": lambda p: write_costs_csv(p, art.cost_rows)}[writer]
+        path, text = tmp_path / "path" / "out.csv", tmp_path / "str" / "out.csv"
+        write(path)
+        write(str(text))
+        assert text.read_bytes() == path.read_bytes()
+
     @pytest.mark.parametrize("fixture", ["compare_artifacts", "fig1_noisy_artifacts"])
     def test_no_fact_lost(self, request, fixture, tmp_path):
         # the node rows plus each switch row put back at the searchsorted
@@ -1071,6 +1088,19 @@ class TestCli:
         # raised ValueError
         assert main([*command, "--set", "init.s=0.9999899990000001",
                      "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--preset", "fig1", "--set", "params.beta=1e200",
+         "--set", "integrator.horizon=50"],
+        ["estimate", "--preset", "param-est", "--set", "params.beta=1e200"],
+        ["gap", "--preset", "fig1", "--set", "params.gamma=1e200",
+         "--set", "integrator.horizon=50"],
+    ], ids=["simulate", "estimate", "gap"])
+    def test_non_finite_state_is_config_error(self, tmp_path, capsys, command):
+        # each exited 1 with a NonFiniteDynamicsError traceback
+        assert main([*command, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: state became non-finite at t=0.01\n"
+        assert not (tmp_path / "out").exists()
 
     def test_estimate_rejects_a_mistyped_name(self, tmp_path, capsys):
         code = main(["estimate", "--preset", "param-est", "--set", "name=5",
