@@ -132,8 +132,9 @@ def gap_closed_form(robust: ClosedLoopResult, optimal: ClosedLoopResult) -> tupl
     """Closed-form gap C and its endpoint upper bound C_bar.
 
     The robust trace is the envelope: S_max is its ``s_seen``, interpolated
-    in time, t_b and t_h are its switching times, and (beta_max, gamma_min)
-    is its ``plan``. C integrates the robust envelope rate
+    in time and formed over the window [t_b, min(t_h, T)] alone, t_b and
+    t_h are its switching times, and (beta_max, gamma_min) is its ``plan``.
+    C integrates the robust envelope rate
     beta_max*S_max - gamma_min over the three segments [t_b, t*_b],
     [t*_b, t*_h], [t*_h, t_h], subtracting the optimal rate (the true
     beta, gamma) on the middle one, on the nodes of S* and the four times.
@@ -154,11 +155,17 @@ def gap_closed_form(robust: ClosedLoopResult, optimal: ClosedLoopResult) -> tupl
     s_star = optimal.trajectory
     beta, gamma = s_star.params.beta, s_star.params.gamma
     t_star = s_star.t
+    t_end = min(th_h, float(t_star[-1]))
     g1 = _nodes_between(t_star, tb_h, tb_s)[0]
     g2, inner = _nodes_between(t_star, tb_s, th_s)
-    g3 = _nodes_between(t_star, th_s, min(th_h, float(t_star[-1])))[0]
+    g3 = _nodes_between(t_star, th_s, t_end)[0]
 
-    t_r, s_max = robust.trace.t, robust.trace.s_seen
+    # S_max is read only over the rows from the node at or before t_b to the
+    # node after t_end, which bracket every time it is interpolated at
+    t_nodes = robust.trace.node_t
+    lo = max(int(np.searchsorted(t_nodes, tb_h, side="right")) - 1, 0)
+    hi = min(int(np.searchsorted(t_nodes, t_end, side="right")) + 1, len(t_nodes))
+    t_r, s_max = robust.trace.s_seen_rows(lo, hi)
     smax_1 = np.interp(g1, t_r, s_max)
     smax_2 = np.interp(g2, t_r, s_max)
     smax_3 = np.interp(g3, t_r, s_max)

@@ -35,7 +35,7 @@ from .core import (
 from .noise import MeasurementNoise
 
 FEASIBILITY_SLACK = 1e-6
-_READ = 8192  # nodes per array read of the noise
+_READ = 8192  # memo nodes per stage-1 scan block, one array read of the noise each
 _FILL = 1024  # nodes per stage-1 fill block, which may step this far past the crossing
 
 
@@ -95,28 +95,32 @@ class PolicyTrace:
     The rows are the run's grid nodes with switch rows spliced in: a stage
     switch adds rows at the switch instant (pre- and post-switch values),
     so piecewise integration of the rate is exact. Only the switch rows
-    are the trace's own. The node columns are held by reference: ``node_t``
-    and ``node_u`` are the trajectory's ``t`` and ``u``, ``node_stage`` is
-    the run's int8 stage per node, and ``node_s_seen``/``node_i_seen`` are
-    the trajectory's ``s``/``i`` when the signals have their bits (a policy
-    that reads no noise), else arrays of their own. ``switch_rows`` holds
-    one ``(position, t, u, stage, s_seen, i_seen)`` per switch row, in row
-    order; the row comes right before node row ``position``. All node
-    arrays are read-only.
+    are the trace's own. The node columns are held by reference: ``node_t``,
+    ``node_u``, ``node_s`` and ``node_i`` are the trajectory's ``t``, ``u``,
+    ``s`` and ``i``, and ``node_stage`` is the run's int8 stage per node.
+    ``switch_rows`` holds one ``(position, t, u, stage, s_seen, i_seen)``
+    per switch row, in row order; the row comes right before node row
+    ``position``. All node arrays are read-only.
+
+    ``noise`` is the source the policy read, None for one that read none.
+    The seen signals are not held: ``read`` forms them from it over a node
+    range, and the margin delta follows from ``kind`` (the robust policy's).
 
     ``plan`` is the (beta, gamma) the policy planned with: the true rates
     for the optimal policy, the assumed ones otherwise.
 
     ``t``, ``u``, ``stage``, ``s_seen`` and ``i_seen`` are the full-row
-    columns. Each access splices the switch rows into a new array, so
-    take a column once and let it go when done.
+    columns, and ``node_s_seen``/``node_i_seen`` the seen signals at every
+    node. Each access forms a new array, so take a column once and let it
+    go when done.
     """
 
     node_t: np.ndarray
     node_u: np.ndarray
     node_stage: np.ndarray
-    node_s_seen: np.ndarray
-    node_i_seen: np.ndarray
+    node_s: np.ndarray
+    node_i: np.ndarray
+    noise: Optional[MeasurementNoise]
     switch_rows: tuple[tuple[int, float, float, int, float, float], ...]
     switching: SwitchingTimes
     clamp_events: int
@@ -124,13 +128,55 @@ class PolicyTrace:
     plan: AssumedRates
 
     def __post_init__(self) -> None:
-        read_only(self.node_t, self.node_u, self.node_stage, self.node_s_seen,
-                  self.node_i_seen)
+        read_only(self.node_t, self.node_u, self.node_stage, self.node_s, self.node_i)
 
-    def _spliced(self, nodes: np.ndarray, col: int) -> np.ndarray:
-        rows = self.switch_rows
-        at = np.array([row[0] for row in rows], dtype=np.intp)
+    def read(self, nodes: slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """Measured S and I at ``nodes`` and the seen signals formed from them.
+
+        One ``measure`` call of ``noise`` gives x_hat and delta, and the
+        signal is ``min(x + ((x_hat - x) + delta), 1)``, with delta for the
+        robust policy only: the bits of the offsets the loop held. A policy
+        that read no noise saw its states: x_hat is x, and its signal is the
+        node array itself where that has the bits of ``min(x + 0.0, 1)``.
+        Every output is read-only.
+        """
+        s, i = self.node_s, self.node_i
+        if nodes != slice(None):
+            s, i = s[nodes], i[nodes]
+        if self.noise is None:
+            out = s, i, _blind(s), _blind(i)
+        else:
+            # a run's nodes are finite; an infinite state's offset is inf - inf,
+            # NaN, which its signal keeps
+            with np.errstate(invalid="ignore"):
+                s_hat, i_hat, off_s, off_i = _offsets(
+                    self.noise, self.kind is PolicyKind.ROBUST, nodes, s, i)
+            out = (s_hat, i_hat, np.minimum(np.add(s, off_s, out=off_s), 1.0, out=off_s),
+                   np.minimum(np.add(i, off_i, out=off_i), 1.0, out=off_i))
+        read_only(*out)
+        return out
+
+    def _spliced(self, nodes: np.ndarray, col: int, lo: int = 0) -> np.ndarray:
+        """``nodes``, the column at node rows lo.., with the switch rows that
+        come before those node rows spliced in."""
+        rows = [row for row in self.switch_rows if lo <= row[0] < lo + len(nodes)]
+        at = np.array([row[0] - lo for row in rows], dtype=np.intp)
         return np.insert(nodes, at, [row[col] for row in rows])
+
+    def s_seen_rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """``t`` and ``s_seen`` of the rows from node row lo to node row hi - 1,
+        with the switch rows among them; the signal is read at those nodes only."""
+        nodes = slice(lo, hi)
+        return (self._spliced(self.node_t[nodes], 1, lo),
+                self._spliced(self.read(nodes)[2], 4, lo))
+
+    @property
+    def node_s_seen(self) -> np.ndarray:
+        return self.read()[2]
+
+    @property
+    def node_i_seen(self) -> np.ndarray:
+        return self.read()[3]
 
     @property
     def t(self) -> np.ndarray:
@@ -190,33 +236,43 @@ def _herd_gap(beta: float, gamma: float, off_s: float):
     return lambda s, i: -stage_two_rate(beta, gamma, min(s + off_s, 1.0))
 
 
-def _read_offsets(noise: MeasurementNoise, margin: bool, nodes: slice, ss: np.ndarray,
-                  ii: np.ndarray, off_s: np.ndarray, off_i: np.ndarray) -> None:
-    """The loop's held offsets at ``nodes``, from one array call of ``measure``."""
-    s_hat, i_hat, d_s, d_i = noise.measure(nodes, ss[nodes], ii[nodes])
-    np.subtract(s_hat, ss[nodes], out=off_s[nodes])
-    np.subtract(i_hat, ii[nodes], out=off_i[nodes])
+def _offsets(noise: MeasurementNoise, margin: bool, nodes: slice, s: np.ndarray,
+             i: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Measured S and I at ``nodes`` (``s`` and ``i`` are the states there)
+    and the offsets a policy holds at them, ``(x_hat - x) + delta`` with
+    delta when ``margin`` is set, from one array call of ``measure``."""
+    s_hat, i_hat, d_s, d_i = noise.measure(nodes, s, i)
+    off_s, off_i = s_hat - s, i_hat - i
     if margin:
-        off_s[nodes] += d_s
-        off_i[nodes] += d_i
+        off_s += d_s
+        off_i += d_i
+    return s_hat, i_hat, off_s, off_i
+
+
+def _blind(x: np.ndarray) -> np.ndarray:
+    """The seen signal ``min(x + 0.0, 1)`` of a policy that read no noise:
+    ``x`` itself where it has those bits (compared as bits: -0.0 + 0.0 is
+    0.0, which == does not see)."""
+    seen = x + 0.0
+    np.minimum(seen, 1.0, out=seen)
+    return x if np.array_equal(seen.view(np.int64), x.view(np.int64)) else seen
 
 
 def _threshold_node(ss: np.ndarray, ii: np.ndarray, lo: int, end: int,
-                    noise: Optional[MeasurementNoise], margin: bool, i_bar: float,
-                    off_s: np.ndarray, off_i: np.ndarray) -> int:
+                    noise: Optional[MeasurementNoise], margin: bool, i_bar: float) -> int:
     """The first node in lo..end-1 where the threshold fires, else ``end``.
 
-    Nodes lo..end hold the u = 0 epidemic. This policy's offsets at
-    lo..end-1 come from one array read into ``off_s`` and ``off_i``
-    (``noise`` is None when the policy reads none), and the loop's two
-    stage-1 tests run as arrays: at each node, and at the end of its step.
-    A fill may have stepped on into inf or NaN, which the run reports once
-    it ends, so the arithmetic here warns of neither.
+    Nodes lo..end hold the u = 0 epidemic. This policy's I offsets at
+    lo..end-1 come from one array read (``noise`` is None when the policy
+    reads none, and its offsets are zero), and the loop's two stage-1 tests
+    run as arrays: at each node, and at the end of its step. A fill may
+    have stepped on into inf or NaN, which the run reports once it ends, so
+    the arithmetic here warns of neither.
     """
     with np.errstate(all="ignore"):
-        if noise is not None:
-            _read_offsets(noise, margin, slice(lo, end), ss, ii, off_s, off_i)
-        i_open, o_i = ii[lo:end + 1], off_i[lo:end]
+        nodes = slice(lo, end)
+        o_i = 0.0 if noise is None else _offsets(noise, margin, nodes, ss[nodes], ii[nodes])[3]
+        i_open = ii[lo:end + 1]
         fires = np.minimum(i_open[:-1] + o_i, 1.0) - i_bar >= 0.0
         fires |= np.minimum(i_open[1:] + o_i, 1.0) - i_bar >= 0.0
     return lo + int(np.argmax(fires)) if fires.any() else end
@@ -275,9 +331,11 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     Stage 3 is filled from its first node to the horizon by ``_rk4_fill``.
     The steps run on through inf and NaN, and the nodes are tested once at
     the end: NonFiniteDynamicsError names the first non-finite node's time.
-    The trace signals' offsets are read as arrays with ``measure``, bitwise
-    equal to the per-node readers. Infeasibility is recorded in the report,
-    never raised.
+    The run holds no signal buffer: its trace keeps the node S and I and
+    the noise source it read, and forms the seen signals where they are
+    read (``PolicyTrace.read``), with ``measure`` as arrays, bitwise equal
+    to the per-node readers. Infeasibility is recorded in the report, never
+    raised.
 
     The R pass ``_rk4_removals`` fills R over each stretch of stage 2 once
     the stretch ends, since no rate, event test or later step reads R; a
@@ -318,11 +376,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     # memoryviews take a float faster than numpy's scalar setitem
     ss_w, ii_w, rr_w, uu_w = (memoryview(a) for a in (ss, ii, rr, uu))
     if reads:
-        off_s = np.zeros(n + 1)  # measurement offsets held over each step
-        off_i = np.zeros(n + 1)
         read_s, read_i = noise.offset_reader(0, margin), noise.offset_reader(1, margin)
-    else:
-        off_s = off_i = np.broadcast_to(0.0, n + 1)  # all zero, in no memory
     # switch rows: (trace position among the node rows, t, u, stage, s_seen, i_seen)
     switch_rows: list[tuple[int, float, float, int, float, float]] = []
 
@@ -338,9 +392,7 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     while k == end < n:
         end = min(k + _READ, epi.last) if k < epi.last else min(k + _FILL, n)
         epi.fill(end)
-        k = _threshold_node(epi.ss, epi.ii, k, end, noise if reads else None, margin, i_bar,
-                            off_s, off_i)
-    start = k
+        k = _threshold_node(epi.ss, epi.ii, k, end, noise if reads else None, margin, i_bar)
     nodes = slice(0, k + 1)
     ss[nodes], ii[nodes], rr[nodes] = epi.ss[nodes], epi.ii[nodes], epi.rr[nodes]
     s, i, r = ss_w[k], ii_w[k], rr_w[k]
@@ -473,27 +525,10 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     # the stage only rises: 1 before node k_b, 2 from there to the last node k
     stage = 1 if t_b is None else 2 if t_h is None else 3
     node_stage[:k_b], node_stage[k_b:k], node_stage[k] = 1, 2, stage
-    if reads:
-        # the trace signals' offsets from the scan's node k on, where the run
-        # read only what it decided on
-        for lo in range(start, n + 1, _READ):
-            _read_offsets(noise, margin, slice(lo, min(lo + _READ, n + 1)), ss, ii,
-                          off_s, off_i)
     max_i = max(float(np.max(ii)), i_b)
     traj = Trajectory(t=ts, s=ss, i=ii, r=rr, u=uu, step=h, params=true_params)
-
-    def signal(node: np.ndarray, off: np.ndarray) -> np.ndarray:
-        # min(node + offset, 1): formed in the offset buffer of a policy that
-        # read noise; otherwise the node array itself if it has the same bits
-        # (compared as bits: -0.0 + 0.0 is 0.0, which == does not see)
-        if reads:
-            return np.minimum(np.add(node, off, out=off), 1.0, out=off)
-        seen = node + 0.0
-        np.minimum(seen, 1.0, out=seen)
-        return node if np.array_equal(seen.view(np.int64), node.view(np.int64)) else seen
-
-    trace = PolicyTrace(node_t=traj.t, node_u=traj.u, node_stage=node_stage,
-                        node_s_seen=signal(traj.s, off_s), node_i_seen=signal(traj.i, off_i),
+    trace = PolicyTrace(node_t=traj.t, node_u=traj.u, node_stage=node_stage, node_s=traj.s,
+                        node_i=traj.i, noise=noise if reads else None,
                         switch_rows=tuple(switch_rows),
                         switching=SwitchingTimes(t_b=t_b, t_h=t_h),
                         clamp_events=clamp_events, kind=kind, plan=plan)

@@ -3,8 +3,7 @@
 Schemas:
 
 * trajectory: ``t,S_true,I_true,R_true,S_meas,I_meas,u_applied,stage``, one
-  row per grid node, plus ``s_seen,i_seen`` for a policy whose consumed
-  signals are not its true ``S``/``I`` (one that read noise)
+  row per grid node, plus ``s_seen,i_seen`` for a policy that read noise
 * estimates:  ``alpha,h,beta_hat,gamma_hat,err_norm,bound_b,contained``
 * costs:      ``policy,total_cost,gap_direct,gap_lemma4,gap_thm4,gap_upper,t_b,t_h,feasible``
 * policy trace: ``t,u,stage,s_seen,i_seen``, the run's switch rows only. The
@@ -106,23 +105,25 @@ def _write(path: Path, header: list[str], kinds: str, blocks: Iterable[Sequence]
 
 
 def write_trajectory_csv(path: Path, run: ClosedLoopResult, noise: MeasurementNoise) -> None:
-    """The node rows; the seen signals only where they are the run's own
-    arrays (the trace holds ``S``/``I`` themselves for a run that read none).
-    ``S_meas``/``I_meas`` are built per block by ``noise.measure``, which
-    works element by element, so they are the bits of one whole-run call."""
+    """The node rows; the seen signals only for a run that read noise
+    (those of a run that read none are its ``S``/``I``). ``S_meas``/``I_meas``
+    are built per block by one ``measure`` call, which works element by
+    element, so they are the bits of one whole-run call: of ``noise``, or
+    for a run that read noise of the source it read (the scenario's one
+    source), whose call gives its seen signals too (``PolicyTrace.read``)."""
     traj, tr = run.trajectory, run.trace
-    blind = tr.node_s_seen is traj.s and tr.node_i_seen is traj.i
     n = len(traj)
 
     def blocks() -> Iterator[list]:
         for lo in range(0, n, _CHUNK_ROWS):
             k = slice(lo, min(lo + _CHUNK_ROWS, n))
             s, i = traj.s[k], traj.i[k]
-            s_hat, i_hat = noise.measure(k, s, i, std=True)[:2]
-            columns = [traj.t[k], s, i, traj.r[k], s_hat, i_hat, traj.u[k], tr.node_stage[k]]
-            yield columns if blind else columns + [tr.node_s_seen[k], tr.node_i_seen[k]]
+            # S_meas and I_meas, then the seen signals of a run that read noise
+            reads = noise.measure(k, s, i, std=True)[:2] if tr.noise is None else tr.read(k)
+            yield [traj.t[k], s, i, traj.r[k], *reads[:2], traj.u[k], tr.node_stage[k],
+                   *reads[2:]]
 
-    if blind:
+    if tr.noise is None:
         _write(path, TRAJECTORY_HEADER, "gggggggd", blocks())
     else:
         _write(path, SEEN_HEADER, "gggggggdgg", blocks())

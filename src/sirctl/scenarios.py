@@ -253,8 +253,10 @@ class RunArtifacts:
     """Each policy's closed loop, by name, and the scenario's one noise source.
 
     Each full-length array is held once, read-only: a run's trace shares
-    its node columns (``PolicyTrace``). The measured series is not held;
-    the trajectory writer builds it from ``noise``.
+    its node columns (``PolicyTrace``). Neither the measured series nor a
+    policy's seen signals are held: the trajectory writer forms both from
+    ``noise`` per block of rows, and the closed-form gap the robust
+    envelope over its window.
     """
 
     config: ScenarioConfig

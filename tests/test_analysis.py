@@ -46,9 +46,10 @@ def make_trace(t, u, kind=PolicyKind.OPTIMAL, switching=SwitchingTimes(),
     u = np.asarray(u, dtype=float)
     filler = np.zeros_like(t)
     s_seen = filler.copy() if s_seen is None else np.asarray(s_seen, dtype=float)
-    # every row a node row: the duplicated switch instants are given as nodes
+    # every row a node row: the duplicated switch instants are given as nodes;
+    # a trace that read no noise sees its node S and I, so the signal is node_s
     return PolicyTrace(node_t=t, node_u=u, node_stage=np.ones_like(t, dtype=np.int8),
-                       node_s_seen=s_seen, node_i_seen=filler, switch_rows=(),
+                       node_s=s_seen, node_i=filler, noise=None, switch_rows=(),
                        switching=switching, clamp_events=0, kind=kind, plan=plan)
 
 
@@ -365,7 +366,8 @@ class TestCrossFormulaConsistency:
         trace = rob.trace
         cr = robust_and_optimal_rows(art)[0]
         assert closed_form(trace) == (cr.gap_thm4, cr.gap_upper)
-        wider = replace(trace, node_s_seen=np.minimum(trace.node_s_seen + 0.01, 1.0),
+        # the wider envelope is the node S of a trace that read no noise
+        wider = replace(trace, node_s=np.minimum(trace.node_s_seen + 0.01, 1.0), noise=None,
                         switch_rows=tuple((*row[:4], min(row[4] + 0.01, 1.0), row[5])
                                           for row in trace.switch_rows))
         assert np.array_equal(wider.s_seen, np.minimum(trace.s_seen + 0.01, 1.0))

@@ -1034,3 +1034,89 @@ class TestOpenLoopOracle:
         bound = (len(t) - 1) * np.finfo(float).eps + (len(sol.t) - 1) * dop853.RTOL
         assert np.max(np.abs(ref[0] - traj.s[k3:])) <= bound
         assert np.max(np.abs(ref[1] - traj.i[k3:])) <= bound
+
+
+class TestFormedSignals:
+    """A trace forms its seen signals where they are read: whole, over a
+    window of nodes, or per block of the trajectory writer. Every read has
+    the bits of the loop's per-node reader, ``min(x + offset_reader(k, x), 1)``."""
+
+    SETTINGS = {"fig1": ("fig1", 0.2, 300.0),
+                "policy-compare": ("policy-compare", 0.15, 400.0),
+                "saturated-policy-compare": ("policy-compare", 0.05, 150.0)}
+
+    @staticmethod
+    def _rows(trace, lo, hi):
+        """The full rows of node rows lo..hi-1 and the switch rows before them."""
+        before = [row[0] for row in trace.switch_rows]
+        return slice(lo + sum(p < lo for p in before), hi + sum(p < hi for p in before))
+
+    def test_random_configs_form_the_readers_signals(self, monkeypatch, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        from dataclasses import replace
+
+        from sirctl import csvio
+        from sirctl.scenarios import preset, run_scenario
+
+        # writer blocks of a few rows, so blocks straddle t_b and t_h
+        monkeypatch.setattr(csvio, "_CHUNK_ROWS", 7)
+        covered = set()
+
+        @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(name=st.sampled_from(sorted(self.SETTINGS)), noise=noises,
+                          inflation=mults, misestimation=mults, i_bar=st.floats(0.005, 0.3),
+                          seed=st.integers(0, 2**31), width=st.integers(1, 9))
+        def check(name, noise, inflation, misestimation, i_bar, seed, width):
+            base, u_max, horizon = self.SETTINGS[name]
+            cfg = replace(preset(base), noise=noise, inflation=inflation,
+                          misestimation=misestimation, i_bar=i_bar, seed=seed, u_max=u_max,
+                          policies=("robust", "misestimated"),
+                          integrator=IntegratorConfig(step=0.1, horizon=horizon))
+            art = run_scenario(cfg)
+            for policy, run in art.runs.items():
+                traj, trace = run.trajectory, run.trace
+                n = len(traj)
+                assert (trace.noise is None) is (noise.kind == "none")
+                full = trace.read()
+                # every stage-2 node against the per-node reader (no reader
+                # and zero offsets for a policy that read no noise)
+                readers = [(lambda k, x: 0.0) if trace.noise is None
+                           else art.noise.offset_reader(col, policy == "robust")
+                           for col in (0, 1)]
+                nodes = np.flatnonzero(trace.node_stage == 2)
+                for x, seen, read in zip((traj.s, traj.i), full[2:], readers):
+                    expected = [min(v + read(k, v), 1.0)
+                                for k, v in zip(nodes.tolist(), x[nodes].tolist())]
+                    assert seen[nodes].tobytes() == np.array(expected, dtype=float).tobytes()
+                if len(nodes):
+                    covered.add((noise.kind, policy))
+                # windows around each switch row's node, and the closed form's
+                # window from the node at or before t_b to the node after t_h
+                switches = {row[0] for row in trace.switch_rows}
+                windows = {(max(p - d, 0), min(p + e, n)) for p in switches
+                           for d in (0, width) for e in (1, width)}
+                sw = trace.switching
+                if sw.complete:
+                    windows.add((int(np.searchsorted(traj.t, sw.t_b, side="right")) - 1,
+                                 min(int(np.searchsorted(traj.t, sw.t_h, side="right")) + 1, n)))
+                full_t, full_s = trace.t, trace.s_seen
+                for lo, hi in windows:
+                    for part, whole in zip(trace.read(slice(lo, hi)), full):
+                        assert part.tobytes() == whole[lo:hi].tobytes()
+                    rows = self._rows(trace, lo, hi)
+                    t_w, s_w = trace.s_seen_rows(lo, hi)
+                    assert t_w.tobytes() == full_t[rows].tobytes()
+                    assert s_w.tobytes() == full_s[rows].tobytes()
+                # the trajectory file, written in blocks of 7 rows, parsed back
+                path = tmp_path / f"trajectory_{policy}.csv"
+                csvio.write_trajectory_csv(path, run, art.noise)
+                table = csvio.read_trajectory_csv(path)
+                assert ("s_seen" in table) is (trace.noise is not None)
+                if trace.noise is not None:
+                    for col, seen in (("s_seen", full[2]), ("i_seen", full[3])):
+                        cells = np.array([float(f"{v:.12g}") for v in seen.tolist()])
+                        assert table[col].tobytes() == cells.tobytes()
+
+        check()
+        assert covered == {(kind, policy) for kind in ("none", "snr_db", "scaled_variance")
+                           for policy in ("robust", "misestimated")}

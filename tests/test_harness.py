@@ -816,19 +816,23 @@ class TestCsvFormat:
     PLAN = AssumedRates(beta=0.168, gamma=0.03)
 
     def test_trajectory_and_trace(self, tmp_path, n):
-        # the seen signals are written as trajectory columns only when they
-        # are not the true S and I; a trace without switch rows is a header
+        # the seen signals are written as trajectory columns only for a run
+        # that read noise; a trace without switch rows is a header
         t = 1.0 / 3.0 + 0.01 * np.arange(n)
-        s, i, r, u, s_seen, i_seen = (self.floats(n, seed) for seed in range(6))
+        s, i, r, u = (self.floats(n, seed) for seed in range(4))
         stage = np.random.default_rng(8).integers(1, 4, n)
         traj = Trajectory(t=t, s=s, i=i, r=r, u=u, step=0.01,
                           params=EpidemicParams(beta=0.16, gamma=1.0 / 30.0))
-        # unit-sigma snr_db noise: the measured columns are s and i plus the draws
+        # unit-sigma snr_db noise: the measured columns are s and i plus the
+        # draws, and the robust signals add delta = 3 to the offsets, capped at 1
         z = standard_draws(n, seed=9)
         noise = MeasurementNoise(NoiseConfig(kind="snr_db", snr_db=0.0), z, 1.0, 1.0)
         s_hat, i_hat = s + z[:, 0], i + z[:, 1]
-        trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s_seen=s_seen,
-                            node_i_seen=i_seen, switch_rows=(), switching=SwitchingTimes(),
+        with np.errstate(invalid="ignore"):  # the offset of an infinite state is inf - inf
+            s_seen, i_seen = (np.minimum(x + ((x_hat - x) + 3.0), 1.0)
+                              for x, x_hat in ((s, s_hat), (i, i_hat)))
+        trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s=s, node_i=i,
+                            noise=noise, switch_rows=(), switching=SwitchingTimes(),
                             clamp_events=0, kind=PolicyKind.ROBUST, plan=self.PLAN)
         run = ClosedLoopResult(traj, trace, self.REPORT)
         write_trajectory_csv(tmp_path / "trajectory.csv", run, noise)
@@ -837,7 +841,7 @@ class TestCsvFormat:
             SEEN_HEADER, zip(t, s, i, r, s_hat, i_hat, u, stage, s_seen, i_seen)) + [""]
         assert (tmp_path / "trace.csv").read_text() == ",".join(TRACE_HEADER) + "\n"
 
-        blind = replace(trace, node_s_seen=s, node_i_seen=i)
+        blind = replace(trace, noise=None)
         run = ClosedLoopResult(traj, blind, self.REPORT)
         write_trajectory_csv(tmp_path / "blind.csv", run, noise)
         assert (tmp_path / "blind.csv").read_text().split("\n") == self.expected(
@@ -846,13 +850,13 @@ class TestCsvFormat:
     def test_trace_switch_rows_are_spliced(self, tmp_path, n):
         # the file holds the switch rows alone, in row order, whatever the
         # node rows they are spliced into on reading
-        t, u, s_seen, i_seen = (self.floats(n, seed) for seed in range(4))
+        t, u, s, i = (self.floats(n, seed) for seed in range(4))
         stage = np.random.default_rng(4).integers(1, 4, n).astype(np.int8)
         cells = self.floats(4 * n, 5).tolist()
         switch_rows = tuple((k, *cells[4 * k:4 * k + 2], k % 3 + 1, *cells[4 * k + 2:4 * k + 4])
                             for k in range(n))
-        trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s_seen=s_seen,
-                            node_i_seen=i_seen, switch_rows=switch_rows,
+        trace = PolicyTrace(node_t=t, node_u=u, node_stage=stage, node_s=s, node_i=i,
+                            noise=None, switch_rows=switch_rows,
                             switching=SwitchingTimes(), clamp_events=0,
                             kind=PolicyKind.ROBUST, plan=self.PLAN)
         run = ClosedLoopResult(None, trace, self.REPORT)

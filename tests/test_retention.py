@@ -46,12 +46,12 @@ SHORT = IntegratorConfig(step=0.01, horizon=150.0)
 CASES = {
     # policy -> (distinct full-length buffers the run holds, of which its own)
     "fig1": (replace(preset("fig1"), integrator=SHORT),
-             {"optimal": (6, 6), "robust": (8, 7)}),
+             {"optimal": (6, 6), "robust": (6, 5)}),
     "fig1-noise-free": (replace(preset("fig1"), integrator=SHORT,
                                 noise=NoiseConfig(kind="none")),
                         {"optimal": (6, 6), "robust": (6, 5)}),
     "policy-compare": (replace(preset("policy-compare"), integrator=SHORT),
-                       {"optimal": (6, 6), "robust": (8, 7), "misestimated": (8, 7)}),
+                       {"optimal": (6, 6), "robust": (6, 5), "misestimated": (6, 5)}),
 }
 
 
@@ -63,9 +63,10 @@ def case(request):
 
 class TestRetention:
     def test_distinct_full_length_buffers_per_policy(self, case):
-        # optimal: t, s, i, r, u, stage (its signals are s and i); a policy
-        # that reads noise adds its two signals and takes the optimal run's
-        # time grid; no run holds its measured series
+        # optimal: t, s, i, r, u, stage (its signals are s and i); every other
+        # policy takes the optimal run's time grid, and one that reads noise
+        # holds no signal buffer either (its trace forms the signals where
+        # they are read); no run holds its measured series
         art, expected = case
         earlier: list[np.ndarray] = []
         counts = {}
@@ -145,3 +146,37 @@ class TestMeasuredSeries:
         assert built == []
         assert measured == [slice(lo, min(lo + chunk, n))
                             for lo in range(0, n, chunk)] * len(art.runs)
+
+
+class TestSignalReads:
+    # gap-grid's inflation pairs; the herd event of the last never fires
+    PAIRS = [(1.01, 0.99), (1.015, 0.985), (1.02, 0.98), (1.03, 0.97), (1.04, 0.96),
+             (1.05, 0.95), (1.1, 0.9)]
+
+    def test_gap_table_reads_no_more_than_a_block_or_a_window(self, monkeypatch):
+        # a gap table forms no full-length signal: each robust loop reads the
+        # noise over stage-1 scan blocks, and the closed form reads the
+        # envelope only from the node at or before t_b to the node after t_h
+        from sirctl import control
+        from sirctl.scenarios import _optimal_run
+
+        cfg = preset("fig1")
+        t = _optimal_run(cfg)[0].trajectory.t
+        calls = []
+        measure = noise.MeasurementNoise.measure
+
+        def measure_spy(self, k, *args, **kwargs):
+            calls.append((k.start, k.stop))
+            return measure(self, k, *args, **kwargs)
+
+        monkeypatch.setattr(noise.MeasurementNoise, "measure", measure_spy)
+        rows = gap_table(cfg, self.PAIRS)
+        windows = {(int(np.searchsorted(t, row.t_b, side="right")) - 1,
+                    int(np.searchsorted(t, row.t_h, side="right")) + 1)
+                   for row in rows[1:] if np.isfinite(row.gap_thm4)}
+        assert len(windows) == 6
+        assert windows <= set(calls)
+        scans = [(start, stop) for start, stop in calls if (start, stop) not in windows]
+        last_b = max(int(np.searchsorted(t, row.t_b)) for row in rows[1:])
+        assert all(stop - start <= control._READ and start <= last_b for start, stop in scans)
+        assert max(stop - start for start, stop in calls) < len(t)
