@@ -31,7 +31,6 @@ from .core import (
     rhs,
 )
 from .estimation import (
-    BoundInputs,
     ErrorBound,
     MeasuredSample,
     ParamEstimate,

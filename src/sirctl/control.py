@@ -136,15 +136,14 @@ class PolicyTrace:
         One ``measure`` call of ``noise`` gives x_hat and delta, and the
         signal is ``min(x + ((x_hat - x) + delta), 1)``, with delta for the
         robust policy only: the bits of the offsets the loop held. A policy
-        that read no noise saw its states: x_hat is x, and its signal is the
-        node array itself where that has the bits of ``min(x + 0.0, 1)``.
-        Every output is read-only.
+        that read no noise saw its states: x_hat is x, and its signal is
+        ``min(x + 0.0, 1)``. Every output is read-only.
         """
         s, i = self.node_s, self.node_i
         if nodes != slice(None):
             s, i = s[nodes], i[nodes]
         if self.noise is None:
-            out = s, i, _blind(s), _blind(i)
+            out = s, i, np.minimum(s + 0.0, 1.0), np.minimum(i + 0.0, 1.0)
         else:
             # a run's nodes are finite; an infinite state's offset is inf - inf,
             # NaN, which its signal keeps
@@ -247,15 +246,6 @@ def _offsets(noise: MeasurementNoise, margin: bool, nodes: slice, s: np.ndarray,
         off_s += d_s
         off_i += d_i
     return s_hat, i_hat, off_s, off_i
-
-
-def _blind(x: np.ndarray) -> np.ndarray:
-    """The seen signal ``min(x + 0.0, 1)`` of a policy that read no noise:
-    ``x`` itself where it has those bits (compared as bits: -0.0 + 0.0 is
-    0.0, which == does not see)."""
-    seen = x + 0.0
-    np.minimum(seen, 1.0, out=seen)
-    return x if np.array_equal(seen.view(np.int64), x.view(np.int64)) else seen
 
 
 def _threshold_node(ss: np.ndarray, ii: np.ndarray, lo: int, end: int,

@@ -131,33 +131,6 @@ class ErrorBound:
 
 
 @dataclass(frozen=True)
-class BoundInputs:
-    """Everything the error bound consumes.
-
-    zeta must be a valid Lipschitz constant of the dynamics, and f_max an
-    upper bound on the dynamics norm, over balls around the two sample
-    states; v_max is an amplitude bound on all eight measurement errors
-    entering the batch, and c the multiplier of ``composite_constant``. h may
-    be an array of steps, and each check reports the first offending one.
-    """
-
-    h: Value
-    zeta: float
-    f_max: float
-    v_max: float
-    c: float
-    lambda_min: float
-
-    def __post_init__(self) -> None:
-        _check_euler_inputs(self.h, self.zeta, self.f_max)
-        for name in ("v_max", "c"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.lambda_min <= 0.0:
-            raise ValueError("lambda_min must be positive")
-
-
-@dataclass(frozen=True)
 class ParamIntervals:
     """Intervals [estimate - b, estimate + b] for both parameters."""
 
@@ -180,7 +153,7 @@ def build_regressor_batch(sample_i: MeasuredSample, sample_i_plus_h: MeasuredSam
     if not np.all(h > 0.0):
         raise ValueError("h must be positive")
     pairs = ((sample_i, sample_i_plus_h), (sample_j, sample_j_plus_h))
-    late = [np.abs(ahead.t - (base.t + h)) > 1e-9 * max(1.0, abs(base.t))
+    late = [np.logical_not(np.abs(ahead.t - (base.t + h)) <= 1e-9 * max(1.0, abs(base.t)))
             for base, ahead in pairs]
     k = _first(late[0] | late[1])
     if k is not None:
@@ -188,7 +161,7 @@ def build_regressor_batch(sample_i: MeasuredSample, sample_i_plus_h: MeasuredSam
         raise ValueError(
             f"sample at t={_at(ahead.t, k)} is not h={_at(h, k)} ahead of base t={base.t}"
         )
-    if abs(sample_i.t - sample_j.t) < 1e-12:
+    if not abs(sample_i.t - sample_j.t) >= 1e-12:
         raise ValueError("the two base times must differ")
 
     def l_of(base: MeasuredSample, ahead: MeasuredSample) -> Value:
@@ -229,34 +202,30 @@ def estimate_params(batch: RegressionBatch) -> ParamEstimate:
 def lipschitz_constant(params_guess: EpidemicParams, x_max: float, r: float,
                        u_max_local: float) -> float:
     """Jacobian-norm bound 4*beta*(x_max + r) + 2*u_max + 2*gamma."""
-    if x_max < 0.0 or r < 0.0 or u_max_local < 0.0:
+    if not (x_max >= 0.0 and r >= 0.0 and u_max_local >= 0.0):
         raise ValueError("x_max, r, u_max_local must be non-negative")
     return 4.0 * params_guess.beta * (x_max + r) + 2.0 * u_max_local + 2.0 * params_guess.gamma
 
 
-def _check_euler_inputs(h: Value, zeta: float, f_norm: float) -> None:
-    """Reject h <= 0 or NaN, zeta < 0, f_norm < 0 and zeta*h >= 1, naming the first bad step."""
+def discretization_error_bound(h: Value, zeta: float, f_norm: float) -> Value:
+    """One-step Euler error bound h^2 * zeta * ||f|| / (1 - zeta*h).
+
+    Valid for zeta*h < 1 (zero-order-hold input, locally Lipschitz dynamics).
+    Rejects h <= 0 or NaN, a negative or NaN zeta or f_norm, and steps
+    outside that threshold, naming the first bad step. Elementwise in h: an
+    array of steps gives one bound per step.
+    """
     k = _first(np.logical_not(h > 0.0))
     if k is not None:
         raise ValueError(f"h = {_at(h, k)} must be positive")
-    if zeta < 0.0 or f_norm < 0.0:
+    if not (zeta >= 0.0 and f_norm >= 0.0):
         raise ValueError("zeta and f_norm must be non-negative")
     zeta_h = zeta * h
     k = _first(zeta_h >= 1.0)
     if k is not None:
         raise ValueError(f"zeta*h = {_at(zeta_h, k)} >= 1: outside the validity threshold "
                          "of the discretization error bound")
-
-
-def discretization_error_bound(h: Value, zeta: float, f_norm: float) -> Value:
-    """One-step Euler error bound h^2 * zeta * ||f|| / (1 - zeta*h).
-
-    Valid for zeta*h < 1 (zero-order-hold input, locally Lipschitz dynamics);
-    rejects steps outside that threshold. Elementwise in h: an array of
-    steps gives one bound per step.
-    """
-    _check_euler_inputs(h, zeta, f_norm)
-    return h * h * zeta * f_norm / (1.0 - zeta * h)
+    return h * h * zeta * f_norm / (1.0 - zeta_h)
 
 
 def composite_constant(params_guess: EpidemicParams, s_hat_i: float, s_hat_j: float,
@@ -267,21 +236,32 @@ def composite_constant(params_guess: EpidemicParams, s_hat_i: float, s_hat_j: fl
             + params_guess.beta * (s_hat_i + s_hat_j + 2.0 * v_max + i_hat_i + i_hat_j))
 
 
-def estimation_error_bound(inputs: BoundInputs) -> ErrorBound:
+def estimation_error_bound(*, h: Value, zeta: float, f_max: float, v_max: float,
+                           c: float, lambda_min: float) -> ErrorBound:
     """Three-term estimation error bound; ||Theta_hat - Theta|| <= b.
 
     b = 2*e(h) / (h*sqrt(lam_min))
       + 4*v_max / (h*sqrt(lam_min))
       + v_max*c / sqrt(lam_min)
 
-    with e(h) = ``discretization_error_bound(h, zeta, f_max)``. Elementwise
-    in h: an array of steps gives one bound per step.
+    with e(h) = ``discretization_error_bound(h, zeta, f_max)``. zeta must be
+    a valid Lipschitz constant of the dynamics, and f_max an upper bound on
+    the dynamics norm, over balls around the two sample states; v_max is an
+    amplitude bound on all eight measurement errors entering the batch, and
+    c the multiplier of ``composite_constant``. The first bad input in
+    that order is reported. Elementwise in h: an array of steps gives one
+    bound per step.
     """
-    sq = math.sqrt(inputs.lambda_min)
-    term1 = (2.0 * discretization_error_bound(inputs.h, inputs.zeta, inputs.f_max)
-             / (inputs.h * sq))
-    term2 = 4.0 * inputs.v_max / (inputs.h * sq)
-    term3 = inputs.v_max * inputs.c / sq
+    e = discretization_error_bound(h, zeta, f_max)
+    for name, x in (("v_max", v_max), ("c", c)):
+        if not x >= 0.0:
+            raise ValueError(f"{name} must be non-negative")
+    if not 0.0 < lambda_min < math.inf:
+        raise ValueError("lambda_min must be positive and finite")
+    sq = math.sqrt(lambda_min)
+    term1 = 2.0 * e / (h * sq)
+    term2 = 4.0 * v_max / (h * sq)
+    term3 = v_max * c / sq
     return ErrorBound(value=term1 + term2 + term3, term_sampling=term1,
                       term_noise_fast=term2, term_noise_slow=term3)
 

@@ -38,7 +38,6 @@ from .core import (
     integrate,
 )
 from .estimation import (
-    BoundInputs,
     MeasuredSample,
     ParamEstimate,
     SingularRegressorsError,
@@ -420,8 +419,8 @@ def _sweep_rows(config: ScenarioConfig, traj: Trajectory,
     c = composite_constant(config.params, float(meas.s_hat[ki]),
                            float(meas.s_hat[kj]), float(meas.i_hat[ki]),
                            float(meas.i_hat[kj]), v_max, u_loc)
-    bound = estimation_error_bound(BoundInputs(
-        h=h, zeta=est.zeta, f_max=f_max, v_max=v_max, c=c, lambda_min=batch.lambda_min()))
+    bound = estimation_error_bound(h=h, zeta=est.zeta, f_max=f_max, v_max=v_max, c=c,
+                                   lambda_min=batch.lambda_min())
     diff = point.as_row() - theta
     # vecdot is the dot product np.linalg.norm takes per row, so the bits match
     err = np.sqrt(np.vecdot(diff, diff))

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from sirctl.core import EpidemicParams, SirState, euler_step, integrate, rhs
 from sirctl.estimation import (
-    BoundInputs,
+    ErrorBound,
     MeasuredSample,
     SingularRegressorsError,
     build_regressor_batch,
@@ -24,6 +27,13 @@ from sirctl.scenarios import PRESETS, bound_sweep_noisy_config, preset
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 STEPS = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 10.0])  # zeta*h < 1 at zeta = 0.055
+BOUND_INPUTS = dict(h=0.1, zeta=0.055, f_max=0.03, v_max=0.0, c=0.2, lambda_min=1.4e-3)
+# each checked input of the bound functions, with valid values for the others
+CHECKED_INPUTS = [(fn, valid, name) for fn, valid in (
+    (estimation_error_bound, BOUND_INPUTS),
+    (discretization_error_bound, dict(h=0.1, zeta=0.055, f_norm=0.03)),
+    (partial(lipschitz_constant, PARAMS), dict(x_max=1.0, r=0.1, u_max_local=0.0)),
+) for name in valid]
 
 
 def euler_chain(params, init, u, h, n):
@@ -62,6 +72,15 @@ class TestBatchConstruction:
         si, sih, _, _ = samples_from_states(states, 0.0, 0, 7)
         with pytest.raises(ValueError):
             build_regressor_batch(si, sih, si, sih, 0.05)
+
+    @pytest.mark.parametrize("nan_at", [(0,), (1,), (2,), (3,), (0, 1, 2, 3)],
+                             ids=["base-i", "ahead-i", "base-j", "ahead-j", "all"])
+    def test_rejects_nan_sample_times(self, nan_at):
+        states = euler_chain(PARAMS, SirState(t=0.0, s=0.6, i=0.3, r=0.1), 0.0, 0.05, 10)
+        samples = [replace(x, t=math.nan) if k in nan_at else x
+                   for k, x in enumerate(samples_from_states(states, 0.0, 0, 7))]
+        with pytest.raises(ValueError, match="nan"):
+            build_regressor_batch(*samples, 0.05)
 
     def test_zero_infections_give_singular_batch(self):
         mk = lambda t: MeasuredSample(t=t, s_hat=0.9, i_hat=0.0, u=0.0)
@@ -247,49 +266,96 @@ class TestPresetLipschitz:
 
 
 class TestErrorBound:
-    def _inputs(self, **overrides):
-        base = dict(h=0.1, zeta=0.055, f_max=0.03, v_max=0.0, c=0.2, lambda_min=1.4e-3)
-        base.update(overrides)
-        return BoundInputs(**base)
+    def _bound(self, **overrides):
+        return estimation_error_bound(**{**BOUND_INPUTS, **overrides})
 
     def test_noise_free_reduces_to_sampling_term(self):
-        bound = estimation_error_bound(self._inputs())
+        bound = self._bound()
         assert bound.value == bound.term_sampling
         assert bound.term_noise_fast == 0.0 and bound.term_noise_slow == 0.0
 
     def test_three_term_sum(self):
-        bound = estimation_error_bound(self._inputs(v_max=1e-4))
+        bound = self._bound(v_max=1e-4)
         assert bound.value == pytest.approx(
             bound.term_sampling + bound.term_noise_fast + bound.term_noise_slow)
 
     def test_noise_free_bound_increasing_in_h(self):
-        bs = [estimation_error_bound(self._inputs(h=h)).value for h in (0.01, 0.1, 1.0, 2.0)]
+        bs = [self._bound(h=h).value for h in (0.01, 0.1, 1.0, 2.0)]
         assert all(a < b for a, b in zip(bs, bs[1:]))
 
     def test_noisy_bound_has_interior_minimum(self):
         hs = np.geomspace(0.005, 2.0, 25)
-        bs = [estimation_error_bound(self._inputs(h=float(h), v_max=1e-4)).value for h in hs]
+        bs = [self._bound(h=float(h), v_max=1e-4).value for h in hs]
         k = int(np.argmin(bs))
         assert 0 < k < len(bs) - 1
 
     def test_rejects_nonpositive_lambda_min(self):
         with pytest.raises(ValueError):
-            self._inputs(lambda_min=0.0)
+            self._bound(lambda_min=0.0)
 
     def test_rejects_zeta_h_at_one(self):
         with pytest.raises(ValueError):
-            self._inputs(h=20.0)
+            self._bound(h=20.0)
 
     def test_rejects_a_zero_step(self):
         with pytest.raises(ValueError, match=r"h = 0\.0 must be positive"):
-            self._inputs(h=0.0)
+            self._bound(h=0.0)
 
     def test_rejects_the_first_bad_step_of_an_array(self):
         with pytest.raises(ValueError, match="h = nan must be positive"):
-            self._inputs(h=np.array([0.1, math.nan, 0.0]))
+            self._bound(h=np.array([0.1, math.nan, 0.0]))
+
+    def test_rejects_an_infinite_lambda_min(self):
+        with pytest.raises(ValueError, match="lambda_min must be positive"):
+            self._bound(v_max=1e-4, lambda_min=math.inf)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5], ids=["nan", "negative"])
+    @pytest.mark.parametrize("fn, valid, name", CHECKED_INPUTS,
+                             ids=[f"{getattr(fn, 'func', fn).__name__}-{name}"
+                                  for fn, _, name in CHECKED_INPUTS])
+    def test_rejects_a_nan_or_negative_input(self, fn, valid, name, bad):
+        # each message names its input; the Euler check calls f_max f_norm
+        with pytest.raises(ValueError, match=rf"\b{'f_norm' if name == 'f_max' else name}\b"):
+            fn(**{**valid, name: bad})
+
+    def test_array_of_steps_matches_each_float_step_bitwise(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(steps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8),
+                          zeta=st.floats(0.0, 0.99), f_max=st.floats(0.0, 10.0),
+                          v_max=st.floats(0.0, 1.0), c=st.floats(0.0, 10.0),
+                          lambda_min=st.floats(1e-12, 10.0))
+        def check(steps, **inputs):
+            # zeta*h <= 0.99 < 1 for every step
+            stacked = estimation_error_bound(h=np.array(steps), **inputs)
+            for k, h in enumerate(steps):
+                one = estimation_error_bound(h=h, **inputs)
+                for field in fields(ErrorBound):
+                    got = np.broadcast_to(getattr(stacked, field.name), len(steps))[k]
+                    assert np.float64(got).tobytes() == \
+                        np.float64(getattr(one, field.name)).tobytes(), (field.name, k)
+
+        check()
+
+    def test_a_bad_step_is_reported_before_a_bad_lambda_min(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(steps=st.lists(st.floats(1e-6, 1.0), max_size=4),
+                          at=st.integers(0, 4), bad=st.sampled_from([0.0, -1.0, math.nan]),
+                          lambda_min=st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+        def check(steps, at, bad, lambda_min):
+            steps.insert(min(at, len(steps)), bad)
+            with pytest.raises(ValueError, match=re.escape(f"h = {bad} must be positive")):
+                self._bound(h=np.array(steps), lambda_min=lambda_min)
+
+        check()
 
     def test_sampling_term_is_twice_the_euler_error_over_h(self):
-        bound = estimation_error_bound(self._inputs(h=STEPS))
+        bound = self._bound(h=STEPS)
         euler = discretization_error_bound(STEPS, 0.055, 0.03)
         assert bound.term_sampling.tolist() == (
             2.0 * euler / (STEPS * math.sqrt(1.4e-3))).tolist()

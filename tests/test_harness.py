@@ -43,7 +43,6 @@ from sirctl.csvio import (
 )
 from sirctl.core import rhs
 from sirctl.estimation import (
-    BoundInputs,
     MeasuredSample,
     SingularRegressorsError,
     build_regressor_batch,
@@ -488,9 +487,9 @@ def per_alpha_rows(config: ScenarioConfig, traj: Trajectory) -> list[EstimateRow
         except SingularRegressorsError:
             rows.append(EstimateRow(a, h, nan, nan, nan, nan, False))
             continue
-        bound = estimation_error_bound(BoundInputs(
-            h=h, zeta=est.zeta, f_max=f_max, v_max=meas.v_max_bound, c=c,
-            lambda_min=batch.lambda_min()))
+        bound = estimation_error_bound(h=h, zeta=est.zeta, f_max=f_max,
+                                       v_max=meas.v_max_bound, c=c,
+                                       lambda_min=batch.lambda_min())
         err = float(np.linalg.norm(point.as_row() - theta))
         rows.append(EstimateRow(a, h, point.beta_hat, point.gamma_hat, err, bound.value,
                                 err <= bound.value))
@@ -645,8 +644,7 @@ class TestCsv:
         for name, run in art.runs.items():
             traj, trace = run.trajectory, run.trace
             rows = trace.switch_rows
-            own = trace.node_s_seen is not traj.s
-            assert own is (trace.node_i_seen is not traj.i)
+            own = trace.noise is not None
             with open(tmp_path / f"trajectory_{name}.csv") as fh:
                 assert fh.readline() == ",".join(SEEN_HEADER if own else TRAJECTORY_HEADER) + "\n"
             with open(tmp_path / f"policy_trace_{name}.csv") as fh:

@@ -86,8 +86,7 @@ class TestRetention:
             assert trace.node_stage.dtype == np.int8
             assert np.shares_memory(traj.t, optimal.trajectory.t)
             reads = name != "optimal" and art.config.noise.kind != "none"
-            assert (trace.node_s_seen is traj.s) is not reads
-            assert (trace.node_i_seen is traj.i) is not reads
+            assert (trace.noise is not None) is reads
 
     def test_full_rows_splice_the_switch_rows(self, case):
         art, _ = case
