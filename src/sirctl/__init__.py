@@ -9,13 +9,11 @@ from .analysis import (
     total_cost,
 )
 from .control import (
-    AssumedRates,
     ClosedLoopResult,
     FeasibilityReport,
     PolicyKind,
     PolicyTrace,
     SwitchingTimes,
-    feasibility_check,
     simulate_closed_loop,
 )
 from .core import (

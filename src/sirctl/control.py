@@ -46,24 +46,6 @@ class PolicyKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class AssumedRates:
-    """The (beta, gamma) pair a policy plans with.
-
-    For the robust policy this is (beta_max, gamma_min) from estimation
-    intervals or inflation multipliers; for the misestimated policy it is
-    whatever wrong point estimate is being studied.
-    """
-
-    beta: float
-    gamma: float
-
-    @classmethod
-    def from_multipliers(cls, params: EpidemicParams, beta_mult: float,
-                         gamma_mult: float) -> "AssumedRates":
-        return cls(beta=params.beta * beta_mult, gamma=params.gamma * gamma_mult)
-
-
-@dataclass(frozen=True)
 class SwitchingTimes:
     """Threshold-reach time t_b and herd-immunity time t_h (None if not fired)."""
 
@@ -106,8 +88,8 @@ class PolicyTrace:
     The seen signals are not held: ``read`` forms them from it over a node
     range, and the margin delta follows from ``kind`` (the robust policy's).
 
-    ``plan`` is the (beta, gamma) the policy planned with: the true rates
-    for the optimal policy, the assumed ones otherwise.
+    ``plan`` is the (beta, gamma) the policy planned with: the true
+    parameters themselves for the optimal policy, the assumed ones otherwise.
 
     ``t``, ``u``, ``stage``, ``s_seen`` and ``i_seen`` are the full-row
     columns, and ``node_s_seen``/``node_i_seen`` the seen signals at every
@@ -125,7 +107,7 @@ class PolicyTrace:
     switching: SwitchingTimes
     clamp_events: int
     kind: PolicyKind
-    plan: AssumedRates
+    plan: EpidemicParams
 
     def __post_init__(self) -> None:
         read_only(self.node_t, self.node_u, self.node_stage, self.node_s, self.node_i)
@@ -214,17 +196,6 @@ def stage_two_rate(beta: float, gamma: float, s_seen: float) -> float:
     return beta * s_seen - gamma
 
 
-def feasibility_check(params: EpidemicParams, state_at_tb: SirState,
-                      u_max: float) -> tuple[float, bool]:
-    """Required rate beta*S(t_b) - gamma and whether it fits under u_max.
-
-    A non-positive required rate means the infection is already
-    non-increasing at the crossing, which is trivially feasible.
-    """
-    required = stage_two_rate(params.beta, params.gamma, state_at_tb.s)
-    return required, required <= u_max
-
-
 def _threshold_gap(i_bar: float, off_i: float):
     """Stage-1 event gap: >= 0 once the infection signal has reached i_bar."""
     return lambda s, i: min(i + off_i, 1.0) - i_bar
@@ -269,7 +240,7 @@ def _threshold_node(ss: np.ndarray, ii: np.ndarray, lo: int, end: int,
 
 
 def _herd_split(rows: list, k: int, t_lo: float, t_hi: float, s: float, i: float,
-                r: float, u: float, params: EpidemicParams, plan: AssumedRates,
+                r: float, u: float, params: EpidemicParams, plan: EpidemicParams,
                 o_s: float, o_i: float) -> tuple[float, tuple[float, float, float]]:
     """Split the step from node k, held at rate u from (s, i, r) at t_lo, at the herd event.
 
@@ -290,7 +261,7 @@ def _herd_split(rows: list, k: int, t_lo: float, t_hi: float, s: float, i: float
 
 
 def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
-                         assumed: Optional[AssumedRates],
+                         assumed: Optional[EpidemicParams],
                          init: SirState, noise: Optional[MeasurementNoise],
                          config: IntegratorConfig, i_bar: float,
                          bounds: ControlBounds) -> ClosedLoopResult:
@@ -342,12 +313,9 @@ def simulate_closed_loop(kind: PolicyKind, true_params: EpidemicParams,
     h = config.step
     n = config.n_steps
     beta, gamma = true_params.beta, true_params.gamma
-    if kind is PolicyKind.OPTIMAL:
-        plan = AssumedRates(beta, gamma)
-    elif assumed is None:
+    plan = true_params if kind is PolicyKind.OPTIMAL else assumed
+    if plan is None:
         raise ValueError(f"{kind.value} policy needs assumed rates")
-    else:
-        plan = assumed
     beta_plan, gamma_plan = plan.beta, plan.gamma
     # noise-free measurements leave every offset at zero
     reads = kind is not PolicyKind.OPTIMAL and noise is not None and noise.kind != "none"

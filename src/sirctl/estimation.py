@@ -48,6 +48,20 @@ def _at(value: Value, k: int) -> Value:
     return np.ravel(value)[k] if np.ndim(value) else value
 
 
+def _require_steps(h: Value) -> None:
+    """Reject the first step of h that is not positive (NaN too), naming it."""
+    k = _first(np.logical_not(h > 0.0))
+    if k is not None:
+        raise ValueError(f"h = {_at(h, k)} must be positive")
+
+
+def _require_non_negative(**inputs: float) -> None:
+    """Reject the first of ``inputs`` that is negative or NaN, naming it."""
+    for name, x in inputs.items():
+        if not x >= 0.0:
+            raise ValueError(f"{name} must be non-negative")
+
+
 @dataclass(frozen=True)
 class MeasuredSample:
     """A noisy (S, I) measurement at time t with the applied rate u.
@@ -150,8 +164,7 @@ def build_regressor_batch(sample_i: MeasuredSample, sample_i_plus_h: MeasuredSam
     match: row k of L is then the batch at step h[k]. A single step is the
     case n = 1. Each check reports the first offending step.
     """
-    if not np.all(h > 0.0):
-        raise ValueError("h must be positive")
+    _require_steps(h)
     pairs = ((sample_i, sample_i_plus_h), (sample_j, sample_j_plus_h))
     late = [np.logical_not(np.abs(ahead.t - (base.t + h)) <= 1e-9 * max(1.0, abs(base.t)))
             for base, ahead in pairs]
@@ -202,30 +215,27 @@ def estimate_params(batch: RegressionBatch) -> ParamEstimate:
 def lipschitz_constant(params_guess: EpidemicParams, x_max: float, r: float,
                        u_max_local: float) -> float:
     """Jacobian-norm bound 4*beta*(x_max + r) + 2*u_max + 2*gamma."""
-    if not (x_max >= 0.0 and r >= 0.0 and u_max_local >= 0.0):
-        raise ValueError("x_max, r, u_max_local must be non-negative")
+    _require_non_negative(x_max=x_max, r=r, u_max_local=u_max_local)
     return 4.0 * params_guess.beta * (x_max + r) + 2.0 * u_max_local + 2.0 * params_guess.gamma
 
 
-def discretization_error_bound(h: Value, zeta: float, f_norm: float) -> Value:
-    """One-step Euler error bound h^2 * zeta * ||f|| / (1 - zeta*h).
+def discretization_error_bound(h: Value, zeta: float, f_max: float) -> Value:
+    """One-step Euler error bound h^2 * zeta * f_max / (1 - zeta*h).
 
-    Valid for zeta*h < 1 (zero-order-hold input, locally Lipschitz dynamics).
-    Rejects h <= 0 or NaN, a negative or NaN zeta or f_norm, and steps
-    outside that threshold, naming the first bad step. Elementwise in h: an
-    array of steps gives one bound per step.
+    f_max is an upper bound on ||f||. Valid for zeta*h < 1 (zero-order-hold
+    input, locally Lipschitz dynamics). Rejects h <= 0 or NaN, a negative or
+    NaN zeta or f_max, and steps outside that threshold, naming the first
+    bad step or input. Elementwise in h: an array of steps gives one bound
+    per step.
     """
-    k = _first(np.logical_not(h > 0.0))
-    if k is not None:
-        raise ValueError(f"h = {_at(h, k)} must be positive")
-    if not (zeta >= 0.0 and f_norm >= 0.0):
-        raise ValueError("zeta and f_norm must be non-negative")
+    _require_steps(h)
+    _require_non_negative(zeta=zeta, f_max=f_max)
     zeta_h = zeta * h
     k = _first(zeta_h >= 1.0)
     if k is not None:
         raise ValueError(f"zeta*h = {_at(zeta_h, k)} >= 1: outside the validity threshold "
                          "of the discretization error bound")
-    return h * h * zeta * f_norm / (1.0 - zeta_h)
+    return h * h * zeta * f_max / (1.0 - zeta_h)
 
 
 def composite_constant(params_guess: EpidemicParams, s_hat_i: float, s_hat_j: float,
@@ -253,9 +263,7 @@ def estimation_error_bound(*, h: Value, zeta: float, f_max: float, v_max: float,
     bound per step.
     """
     e = discretization_error_bound(h, zeta, f_max)
-    for name, x in (("v_max", v_max), ("c", c)):
-        if not x >= 0.0:
-            raise ValueError(f"{name} must be non-negative")
+    _require_non_negative(v_max=v_max, c=c)
     if not 0.0 < lambda_min < math.inf:
         raise ValueError("lambda_min must be positive and finite")
     sq = math.sqrt(lambda_min)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .analysis import build_cost_report, total_cost
 from .control import (
-    AssumedRates,
     ClosedLoopResult,
     ControlBounds,
     PolicyKind,
@@ -270,19 +269,27 @@ class RunArtifacts:
 
 
 def _assumed_rates(config: ScenarioConfig, inflation: InflationConfig,
-                   reference: Trajectory) -> AssumedRates:
+                   reference: Trajectory) -> EpidemicParams:
+    """The (beta, gamma) a robust or misestimated policy plans with: the
+    true rates times ``inflation``'s multipliers, or the estimated interval's
+    endpoints (beta_hi, gamma_lo). A pair that is not positive and finite
+    (an overflow, an underflow, singular regressors' NaN) is a ConfigError."""
     if inflation.mode == "multipliers":
-        return AssumedRates.from_multipliers(config.params, inflation.beta_mult,
-                                             inflation.gamma_mult)
-    if config.estimation is None:
+        beta = config.params.beta * inflation.beta_mult
+        gamma = config.params.gamma * inflation.gamma_mult
+        source = (f"inflation multipliers beta_mult={inflation.beta_mult:.6g}, "
+                  f"gamma_mult={inflation.gamma_mult:.6g} give")
+    elif config.estimation is None:
         raise ConfigError("inflation mode 'estimated' needs an estimation block")
-    row, = _sweep_rows(config, reference, alphas=(config.estimation.alphas[0],))
-    iv = param_intervals(ParamEstimate(row.beta_hat, row.gamma_hat), row.bound_b)
-    rates = AssumedRates(iv.beta_hi, iv.gamma_lo)
-    if not (rates.beta > 0.0 and rates.gamma > 0.0):  # NaN: singular regressors
-        raise ConfigError(f"estimation gives beta_max={rates.beta:.6g}, gamma_min="
-                          f"{rates.gamma:.6g}; the robust policy needs both positive")
-    return rates
+    else:
+        row, = _sweep_rows(config, reference, alphas=(config.estimation.alphas[0],))
+        iv = param_intervals(ParamEstimate(row.beta_hat, row.gamma_hat), row.bound_b)
+        beta, gamma, source = iv.beta_hi, iv.gamma_lo, "estimation gives"
+    try:
+        return EpidemicParams(beta, gamma)
+    except ValueError as exc:
+        raise ConfigError(f"{source} beta_max={beta:.6g}, gamma_min={gamma:.6g}; a "
+                          "policy plans with both positive and finite") from exc
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:

@@ -22,7 +22,6 @@ from sirctl.analysis import (
     total_cost,
 )
 from sirctl.control import (
-    AssumedRates,
     ClosedLoopResult,
     FeasibilityReport,
     PolicyKind,
@@ -34,14 +33,13 @@ from sirctl.core import (EpidemicParams, IntegratorConfig, SirState, Trajectory,
 from sirctl.scenarios import preset, run_scenario
 
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
-TRUTH = AssumedRates(PARAMS.beta, PARAMS.gamma)  # the optimal policy's plan
 REPORT = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan,
                            max_infection_attained=0.01)
 TIMES = SwitchingTimes(t_b=5.0, t_h=15.0)
 
 
 def make_trace(t, u, kind=PolicyKind.OPTIMAL, switching=SwitchingTimes(),
-               s_seen=None, plan=TRUTH):
+               s_seen=None, plan=PARAMS):
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
     filler = np.zeros_like(t)
@@ -62,7 +60,7 @@ def make_traj(t, s, i, u=None, params=PARAMS):
                       step=float(t[1] - t[0]), params=params)
 
 
-def make_run(t, s, i, switching=SwitchingTimes(), plan=TRUTH, params=PARAMS):
+def make_run(t, s, i, switching=SwitchingTimes(), plan=PARAMS, params=PARAMS):
     """A run at rate zero whose consumed susceptible signal is its true S."""
     trace = make_trace(t, np.zeros(len(t)), switching=switching, s_seen=s, plan=plan)
     return ClosedLoopResult(make_traj(t, s, i, params=params), trace, REPORT)
@@ -202,7 +200,7 @@ class TestBuildCostReport:
         # the closed form and its bound NaN, not an inverted segment
         t = np.arange(0.0, 20.1, 0.1)
         s, i = np.full_like(t, 0.9), np.full_like(t, 0.01)
-        robust = make_run(t, s, i, robust_times, plan=AssumedRates(0.168, 0.03))
+        robust = make_run(t, s, i, robust_times, plan=EpidemicParams(0.168, 0.03))
         optimal = make_run(t, s, i, TIMES)
         l4, c, c_bar = build_cost_report(robust, optimal)
         assert math.isnan(c) and math.isnan(c_bar)
@@ -318,7 +316,7 @@ class TestGapClosedForm:
     def test_rejects_inverted_ordering(self):
         t = np.arange(0.0, 20.1, 0.1)
         robust = flat_run(t, switching=SwitchingTimes(t_b=6.0, t_h=14.0),
-                          plan=AssumedRates(0.168, 0.03))
+                          plan=EpidemicParams(0.168, 0.03))
         with pytest.raises(ValueError, match="out of order"):
             gap_closed_form(robust, flat_run(t))
 

@@ -8,10 +8,8 @@ import pytest
 
 from sirctl import core
 from sirctl.control import (
-    AssumedRates,
     ControlBounds,
     PolicyKind,
-    feasibility_check,
     simulate_closed_loop,
     stage_two_rate,
 )
@@ -43,10 +41,6 @@ else:
 
 PARAMS_F1 = EpidemicParams(beta=0.16, gamma=0.063)
 BOUNDS = ControlBounds(u_max=0.2)
-
-
-def _state(s, i, t=0.0):
-    return SirState(t=t, s=s, i=i, r=1.0 - s - i)
 
 
 class TestOptimalRate:
@@ -83,7 +77,7 @@ class TestStateBounds:
         # i_bar above any infection reached: no event, one trace row per node
         params = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
         return simulate_closed_loop(
-            PolicyKind.ROBUST, params, AssumedRates.from_multipliers(params, 1.05, 0.95),
+            PolicyKind.ROBUST, params, EpidemicParams(params.beta * 1.05, params.gamma * 0.95),
             SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0), noise, self.CONFIG,
             i_bar=0.5, bounds=ControlBounds(u_max=0.15))
 
@@ -123,23 +117,6 @@ class TestStateBounds:
         misses = {"s": int(np.count_nonzero(traj.s > trace.node_s_seen)),
                   "i": int(np.count_nonzero(traj.i > trace.node_i_seen))}
         assert misses == {"s": 0, "i": 0}
-
-
-class TestFeasibilityCheck:
-    def test_hand_value_feasible(self):
-        required, ok = feasibility_check(PARAMS_F1, _state(0.9, 0.01), u_max=0.2)
-        assert required == pytest.approx(0.081, abs=1e-12)
-        assert ok
-
-    def test_budget_too_small(self):
-        required, ok = feasibility_check(PARAMS_F1, _state(0.9, 0.01), u_max=0.05)
-        assert required == pytest.approx(0.081, abs=1e-12)
-        assert not ok
-
-    def test_trivially_feasible_below_herd_level(self):
-        required, ok = feasibility_check(PARAMS_F1, _state(0.3, 0.01), u_max=0.05)
-        assert required <= 0.0
-        assert ok
 
 
 class TestClosedLoop:
@@ -215,7 +192,7 @@ class TestClosedLoop:
         params = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
         res = simulate_closed_loop(
             PolicyKind.ROBUST, params,
-            AssumedRates.from_multipliers(params, 1.05, 0.95), self.INIT, None,
+            EpidemicParams(params.beta * 1.05, params.gamma * 0.95), self.INIT, None,
             IntegratorConfig(step=0.01, horizon=150.0), i_bar=0.01,
             bounds=ControlBounds(u_max=0.05))
         assert res.trace.clamp_events == 5866
@@ -236,7 +213,7 @@ class TestClosedLoop:
                                            reference=ref.trajectory)
             return simulate_closed_loop(
                 PolicyKind.ROBUST, params,
-                AssumedRates.from_multipliers(params, 1.05, 0.95), self.INIT,
+                EpidemicParams(params.beta * 1.05, params.gamma * 0.95), self.INIT,
                 noise, cfg, i_bar=0.01, bounds=ControlBounds(0.15))
 
         a, b = run(), run()
@@ -268,8 +245,7 @@ class TestClosedLoop:
                                              config, 0.5, ControlBounds(u_max=1.0))
                 assert first.trace.node_stage[:3].tolist() == [1, 1, 2]
             with pytest.raises(NonFiniteDynamicsError, match=rf"at t={float(k)}$"):
-                simulate_closed_loop(kind, params, AssumedRates(params.beta, params.gamma),
-                                     init, source, config, 0.95, BOUNDS)
+                simulate_closed_loop(kind, params, params, init, source, config, 0.95, BOUNDS)
 
     def test_infeasibility_is_recorded_not_raised(self, compare_artifacts):
         # the misestimated run exceeded the cap without aborting the run
@@ -451,7 +427,7 @@ class TestSharedStageOne:
         for module in (core, control):
             monkeypatch.setattr(module, "_rk4_fill", lambda ss, ii, rr, k0, end, *a: (
                 fills.append((k0, end)) or _rk4_fill(ss, ii, rr, k0, end, *a)))
-        args = (PolicyKind.ROBUST, cfg.params, AssumedRates(0.168, 0.05985), cfg.init,
+        args = (PolicyKind.ROBUST, cfg.params, EpidemicParams(0.168, 0.05985), cfg.init,
                 noise, cfg.integrator, cfg.i_bar, BOUNDS)
         result = simulate_closed_loop(*args)
         shared, shared_fills = len(steps), fills[:]
@@ -534,7 +510,7 @@ class TestSharedStageOne:
         fig1 = preset("fig1")
         run_scenario(fig1)
         cfg = replace(fig1, **change)
-        args = (PolicyKind.ROBUST, cfg.params, AssumedRates(0.168, 0.05985), cfg.init, None,
+        args = (PolicyKind.ROBUST, cfg.params, EpidemicParams(0.168, 0.05985), cfg.init, None,
                 cfg.integrator, cfg.i_bar, BOUNDS)
         after_fig1 = simulate_closed_loop(*args)
         core._memo.clear()
@@ -599,7 +575,7 @@ class TestStageOneFill:
                 cases.setdefault(first, i_bar)
         seen = set()
         for (f, test), i_bar in sorted(cases.items())[:12]:
-            args = (PolicyKind.MISESTIMATED, self.PARAMS, AssumedRates(0.5, 0.1), self.INIT,
+            args = (PolicyKind.MISESTIMATED, self.PARAMS, EpidemicParams(0.5, 0.1), self.INIT,
                     noise, self.GRID, i_bar, bounds)
             one_block = simulate_closed_loop(*args)
             for size in range(1, 9):
@@ -659,7 +635,7 @@ class TestStageOneFill:
         noise = MeasurementNoise.build(NoiseConfig(kind="scaled_variance", divisor=1e6),
                                        config.n_steps + 1, seed=3)
         for kind, source in ((PolicyKind.OPTIMAL, None), (PolicyKind.ROBUST, noise)):
-            res = simulate_closed_loop(kind, params, AssumedRates(6.0, 0.1), init, source,
+            res = simulate_closed_loop(kind, params, EpidemicParams(6.0, 0.1), init, source,
                                        config, 0.5, ControlBounds(u_max=1.0))
             assert res.trace.node_stage[:3].tolist() == [1, 1, 2]
             assert np.isfinite(res.trajectory.i).all()
@@ -679,7 +655,7 @@ class TestStageOneFill:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteDynamicsError, match=r"at t=3\.0$"):
-                simulate_closed_loop(PolicyKind.ROBUST, params, AssumedRates(50.0, 0.1), init,
+                simulate_closed_loop(PolicyKind.ROBUST, params, EpidemicParams(50.0, 0.1), init,
                                      noise, config, 0.5, ControlBounds(u_max=1.0))
 
 
@@ -823,7 +799,51 @@ class TestStageTwoLoop:
             if before[3] == 1 and row[3] == 2 and row[1] == before[1]:
                 clamps += stage_two_rate(beta_plan, gamma_plan, row[4]) > cfg.u_max
         assert trace.clamp_events == clamps
+        cls._check_first_integral(res)
         return clamps
+
+    @staticmethod
+    def _check_first_integral(res) -> tuple[int, int, int]:
+        """The SIR first integral Phi = S + I - (gamma/beta) ln S on every step.
+
+        dPhi/dt = -u I, so a step held at u_k lowers Phi by the trapezoid
+        u_k (I_k + I_{k+1}) h / 2, up to that rule's error u h^3 |I''| / 12,
+        RK4's local error and the rounding of Phi; at u_k = 0 by nothing.
+        |I''| <= (max(beta, gamma + u)^2 + beta^2) I. A split step, one with
+        a switch row inside it, lowers Phi by at most its largest rate times
+        h times I. Returns the numbers of u = 0, held and split steps.
+        """
+        traj, h = res.trajectory, res.trajectory.step
+        beta, gamma = traj.params.beta, traj.params.gamma
+        ss, ii, uu = traj.s, traj.i, res.trace.node_u[:-1]
+        phi = ss + ii - gamma / beta * np.log(ss)
+        d_phi = np.diff(phi)
+        i_max = np.maximum(ii[:-1], ii[1:])
+        # 4 ulps of Phi, and RK4's local error (1.5e-14 at beta h = 0.016)
+        tol = 4.0 * np.finfo(float).eps * np.max(np.abs(phi)) + 1e-4 * (beta * h) ** 5
+        split = np.zeros(len(d_phi), dtype=bool)
+        rate = uu.copy()  # a split step's largest rate: its first node's or a switch row's
+        for pos, t, u, *_ in res.trace.switch_rows:
+            if t < traj.t[pos]:
+                split[pos - 1] = True
+                rate[pos - 1] = max(rate[pos - 1], u)
+        held = ~split
+        curv = np.maximum(beta, gamma + uu) ** 2 + beta ** 2
+        residual = d_phi + uu * (ii[:-1] + ii[1:]) * h / 2.0
+        assert np.all(np.abs(residual[held]) <= (tol + uu * h ** 3 * curv * i_max / 12.0)[held])
+        assert np.all(np.abs(d_phi[split]) <= (tol + rate * h * i_max)[split])
+        zero = int(np.count_nonzero(held & (uu == 0.0)))
+        return zero, int(np.count_nonzero(held)) - zero, int(np.count_nonzero(split))
+
+    @pytest.mark.parametrize("fixture", ["compare_artifacts", "fig1_noisy_artifacts"],
+                             ids=["policy-compare", "fig1"])
+    def test_first_integral_on_every_step_of_the_presets(self, request, fixture):
+        counts = [self._check_first_integral(run)
+                  for run in request.getfixturevalue(fixture).runs.values()]
+        # every run has u = 0 and held steps; fig1's robust threshold fires
+        # at a node, so its run has no split step
+        assert all(zero and held for zero, held, _ in counts)
+        assert any(split for *_, split in counts)
 
     def test_random_configs_match_the_reference_step_and_rate(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sirctl import core
-from sirctl.control import AssumedRates, PolicyKind, SwitchingTimes, simulate_closed_loop
+from sirctl.control import PolicyKind, SwitchingTimes, simulate_closed_loop
 from sirctl.core import (
     EVENT_TOL,
     ControlBounds,
@@ -503,8 +503,7 @@ class TestThresholdCrossing:
     def test_inflated_series_crosses_earlier(self):
         # the robust signal I + error + delta lies above I, so it reaches i_bar first
         optimal = _loop()
-        robust = _loop(PolicyKind.ROBUST, AssumedRates(PARAMS_F1.beta, PARAMS_F1.gamma),
-                       _snr_noise(30.0, optimal.trajectory))
+        robust = _loop(PolicyKind.ROBUST, PARAMS_F1, _snr_noise(30.0, optimal.trajectory))
         assert robust.trace.switching.t_b < optimal.trace.switching.t_b
 
     def test_already_above_at_start(self):
@@ -542,7 +541,7 @@ class TestHerdImmunity:
     def test_overestimated_rates_cross_later(self):
         beta, gamma = PARAMS_F1.beta, PARAMS_F1.gamma
         optimal = _loop()
-        robust = _loop(PolicyKind.ROBUST, AssumedRates(1.05 * beta, 0.95 * gamma))
+        robust = _loop(PolicyKind.ROBUST, EpidemicParams(1.05 * beta, 0.95 * gamma))
         t_hat = robust.trace.switching.t_h
         assert t_hat > optimal.trace.switching.t_h
         # it fires where the planned condition does: S = gamma_hat/beta_hat
@@ -553,8 +552,7 @@ class TestHerdImmunity:
         # the robust signal S + error + delta lies above S, so beta*S_seen
         # reaches gamma later
         optimal = _loop()
-        robust = _loop(PolicyKind.ROBUST, AssumedRates(PARAMS_F1.beta, PARAMS_F1.gamma),
-                       _snr_noise(40.0, optimal.trajectory))
+        robust = _loop(PolicyKind.ROBUST, PARAMS_F1, _snr_noise(40.0, optimal.trajectory))
         assert robust.trace.switching.t_h > optimal.trace.switching.t_h
 
     def test_not_reached_leaves_t_h_unset(self):

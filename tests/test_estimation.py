@@ -31,7 +31,7 @@ BOUND_INPUTS = dict(h=0.1, zeta=0.055, f_max=0.03, v_max=0.0, c=0.2, lambda_min=
 # each checked input of the bound functions, with valid values for the others
 CHECKED_INPUTS = [(fn, valid, name) for fn, valid in (
     (estimation_error_bound, BOUND_INPUTS),
-    (discretization_error_bound, dict(h=0.1, zeta=0.055, f_norm=0.03)),
+    (discretization_error_bound, dict(h=0.1, zeta=0.055, f_max=0.03)),
     (partial(lipschitz_constant, PARAMS), dict(x_max=1.0, r=0.1, u_max_local=0.0)),
 ) for name in valid]
 
@@ -81,6 +81,21 @@ class TestBatchConstruction:
                    for k, x in enumerate(samples_from_states(states, 0.0, 0, 7))]
         with pytest.raises(ValueError, match="nan"):
             build_regressor_batch(*samples, 0.05)
+
+    @pytest.mark.parametrize("steps, bad", [([0.1, 0.0], "0.0"), ([0.1, math.nan, 0.0], "nan"),
+                                            (math.nan, "nan")],
+                             ids=["stacked-zero", "stacked-nan", "nan"])
+    def test_names_the_first_bad_step(self, steps, bad):
+        # the Euler bound's step check, with its message
+        h = np.array(steps)
+        base = lambda t: MeasuredSample(t=t, s_hat=0.6, i_hat=0.3, u=0.0)
+        ahead = lambda t: MeasuredSample(t=t + h, s_hat=np.full_like(h, 0.6),
+                                         i_hat=np.full_like(h, 0.3), u=np.zeros_like(h))
+        with pytest.raises(ValueError) as batch_error:
+            build_regressor_batch(base(0.0), ahead(0.0), base(1.0), ahead(1.0), h)
+        with pytest.raises(ValueError) as euler_error:
+            discretization_error_bound(h, 0.055, 0.03)
+        assert str(batch_error.value) == str(euler_error.value) == f"h = {bad} must be positive"
 
     def test_zero_infections_give_singular_batch(self):
         mk = lambda t: MeasuredSample(t=t, s_hat=0.9, i_hat=0.0, u=0.0)
@@ -314,8 +329,8 @@ class TestErrorBound:
                              ids=[f"{getattr(fn, 'func', fn).__name__}-{name}"
                                   for fn, _, name in CHECKED_INPUTS])
     def test_rejects_a_nan_or_negative_input(self, fn, valid, name, bad):
-        # each message names its input; the Euler check calls f_max f_norm
-        with pytest.raises(ValueError, match=rf"\b{'f_norm' if name == 'f_max' else name}\b"):
+        # each message names its input
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
             fn(**{**valid, name: bad})
 
     def test_array_of_steps_matches_each_float_step_bitwise(self):

@@ -18,7 +18,6 @@ import pytest
 from sirctl import analysis, blockfmt, core, csvio, scenarios
 from sirctl.cli import build_parser, main
 from sirctl.control import (
-    AssumedRates,
     ClosedLoopResult,
     FeasibilityReport,
     PolicyKind,
@@ -300,16 +299,16 @@ class TestRunScenario:
                       integrator=IntegratorConfig(step=0.01, horizon=150.0))
         runs = run_scenario(cfg).runs
         truth, reference = cfg.params, runs["optimal"].trajectory
-        assert runs["optimal"].trace.plan == AssumedRates(truth.beta, truth.gamma)
-        assert runs["misestimated"].trace.plan == AssumedRates(truth.beta * 0.95,
-                                                               truth.gamma * 1.05)
+        assert runs["optimal"].trace.plan is truth
+        assert runs["misestimated"].trace.plan == EpidemicParams(truth.beta * 0.95,
+                                                                 truth.gamma * 1.05)
         robust = runs["robust"].trace.plan
         if mode == "multipliers":
-            assert robust == AssumedRates(truth.beta * 1.05, truth.gamma * 0.95)
+            assert robust == EpidemicParams(truth.beta * 1.05, truth.gamma * 0.95)
         else:
             row, = scenarios._sweep_rows(cfg, reference, alphas=(1,))
             b = row.bound_b
-            assert robust == AssumedRates(row.beta_hat + b, row.gamma_hat - b)
+            assert robust == EpidemicParams(row.beta_hat + b, row.gamma_hat - b)
             assert robust.beta == pytest.approx(0.1733, abs=1e-4)
             assert robust.gamma == pytest.approx(0.0501, abs=1e-4)
         for kind, inflation in (("robust", cfg.inflation),
@@ -811,7 +810,7 @@ class TestCsvFormat:
 
     REPORT = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan,
                                max_infection_attained=0.0)
-    PLAN = AssumedRates(beta=0.168, gamma=0.03)
+    PLAN = EpidemicParams(beta=0.168, gamma=0.03)
 
     def test_trajectory_and_trace(self, tmp_path, n):
         # the seen signals are written as trajectory columns only for a run
@@ -1102,6 +1101,25 @@ class TestCli:
         # each exited 1 with a NonFiniteDynamicsError traceback
         assert main([*command, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "config error: state became non-finite at t=0.01\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sets, named", [
+        # beta * beta_mult overflows: the plan was (inf, 0.05985), whose gaps
+        # were inf in costs.csv, and the run exited 3
+        (["params.beta=10", "inflation.beta_mult=1e308", "integrator.horizon=20"],
+         "inflation multipliers beta_mult=1e+308, gamma_mult=0.95 give beta_max=inf,"),
+        # gamma * gamma_mult underflows to 0
+        (["inflation.gamma_mult=5e-324", "integrator.horizon=20"],
+         "inflation multipliers beta_mult=1.05, gamma_mult=4.94066e-324 give beta_max="
+         "0.168, gamma_min=0;"),
+    ], ids=["overflow", "underflow"])
+    def test_multiplied_plan_out_of_range_is_config_error(self, tmp_path, capsys, sets,
+                                                          named):
+        command = ["simulate", "--preset", "fig1", "--out", str(tmp_path / "out")]
+        for spec in sets:
+            command += ["--set", spec]
+        assert main(command) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_estimate_rejects_a_mistyped_name(self, tmp_path, capsys):
