@@ -11,32 +11,39 @@ Subcommands:
 Configs are single JSON documents; ``--set path.to.field=value`` overrides
 individual fields. Exit codes: 0 success, 2 config error (an ``--out`` that
 names an existing file, ``--config`` with ``--preset``, or a key repeated in
-a JSON object among them, each refused before any run; and a state that
-became non-finite, e.g. under ``params.beta=1e200``, reported with its first
-non-finite node's time before any CSV is written), 3 the robust run was
-infeasible. The parser is built once per process for each set of
-preset names.
+a JSON object among them, each refused before any run; a plan that is out of
+range, refused before the first policy loop; and a state that became
+non-finite, e.g. under ``params.beta=1e200``, reported with its first
+non-finite node's time), 3 the robust run was infeasible. ``simulate`` and
+``reproduce`` write each run's CSVs as its loop ends and let the run go, but
+into a fresh staging directory whose files move into ``--out`` only after
+the last loop: a plan or loop that fails writes or overwrites no CSV and
+leaves no ``--out`` behind. The parser is built once per process for each
+set of preset names.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from .core import NonFiniteDynamicsError
-from .csvio import emit_csv, write_costs_csv, write_estimates_csv
+from .csvio import write_costs_csv, write_estimates_csv, write_run_csv
 from .scenarios import (
     PRESETS,
     ConfigError,
     ScenarioConfig,
     bound_sweep_noisy_config,
     gap_table,
+    policy_runs,
     preset,
-    run_scenario,
     sweep_h,
 )
 
@@ -91,20 +98,49 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig.from_dict(raw)
 
 
+def _write_scenario(config: ScenarioConfig,
+                    out: Path) -> tuple[list[Path], list[str], Optional[bool]]:
+    """Run ``config``'s loops and write their CSVs in ``out``, as ``emit_csv``
+    would: each run's trajectory and policy-trace files, then costs.csv.
+
+    A run's two files are written as soon as its loop and cost row are done,
+    and the run is let go before the next loop starts, so at most the
+    optimal run and one policy run are held. The files go into a fresh
+    staging directory in ``out``, or in its nearest existing parent, and
+    move into ``out`` only after the last loop, so a plan or loop that fails
+    writes and overwrites no CSV and leaves no ``out`` behind. Returns the
+    paths in ``out`` in the order written, one summary line per run, and the
+    robust run's feasibility (None without one).
+    """
+    base = next(p for p in (out, *out.parents) if p.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=".sirctl-", dir=base))
+    try:
+        names, lines, rows = [], [], []
+        for name, run, row, noise in policy_runs(config):
+            names += [p.name for p in write_run_csv(staging, name, run, noise)]
+            rep = run.report
+            lines.append(f"{name}: feasible={rep.feasible} "
+                         f"max_I={rep.max_infection_attained:.6g} "
+                         f"clamps={run.trace.clamp_events}")
+            rows.append(row)
+            del run  # else the loop variable holds this run through the next loop
+        names.append("costs.csv")
+        write_costs_csv(staging / names[-1], rows)
+        out.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    robust_feasible = next((row.feasible for row in rows if row.policy == "robust"), None)
+    return [out / name for name in names], lines, robust_feasible
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    artifacts = run_scenario(config)
-    paths = emit_csv(artifacts, args.out)
-    for p in paths:
-        print(p)
-    for name, run in artifacts.runs.items():
-        rep = run.report
-        print(f"{name}: feasible={rep.feasible} "
-              f"max_I={rep.max_infection_attained:.6g} "
-              f"clamps={run.trace.clamp_events}")
-    if artifacts.robust_feasible is False:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    paths, lines, robust_feasible = _write_scenario(config, Path(args.out))
+    for line in (*paths, *lines):
+        print(line)
+    return EXIT_INFEASIBLE if robust_feasible is False else EXIT_OK
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -157,13 +193,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             write_estimates_csv(out / "estimates_snr100.csv", sweep_h(noisy))
         print(out)
         return EXIT_OK
-    config = preset(name, args.seed)
-    artifacts = run_scenario(config)
-    emit_csv(artifacts, out)
+    _, _, robust_feasible = _write_scenario(preset(name, args.seed), out)
     print(out)
-    if artifacts.robust_feasible is False:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return EXIT_INFEASIBLE if robust_feasible is False else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

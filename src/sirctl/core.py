@@ -214,10 +214,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def sample(self, k: int) -> SirState:
-        return SirState(t=float(self.t[k]), s=float(self.s[k]), i=float(self.i[k]),
-                        r=float(self.r[k]))
-
     def index_at(self, time: float) -> int:
         """Index of the last grid node with t[k] <= time (to 1e-12).
 
@@ -240,9 +236,6 @@ class Trajectory:
         if dt <= 0.0:
             return s, i, r
         return _rk4_step(s, i, r, self.params.beta, self.params.gamma, float(self.u[k]), dt)
-
-    def max_conservation_error(self) -> float:
-        return float(np.max(np.abs(self.s + self.i + self.r - 1.0)))
 
 
 _memo: dict = {}  # the constant-rate epidemic of the last inputs; rebound whole, so one entry

@@ -150,21 +150,25 @@ def write_costs_csv(path: Path, rows: Iterable[CostRow]) -> None:
     _write(path, COSTS_HEADER, _COSTS_KINDS, _slices(_row_columns(rows, COSTS_HEADER)))
 
 
+def write_run_csv(out_dir: Union[str, Path], name: str, run: ClosedLoopResult,
+                  noise: MeasurementNoise) -> list[Path]:
+    """Write one run's trajectory file, then its policy-trace file, in
+    ``out_dir``; returns their paths in that order."""
+    out = Path(out_dir)
+    paths = [out / f"trajectory_{name}.csv", out / f"policy_trace_{name}.csv"]
+    write_trajectory_csv(paths[0], run, noise)
+    write_trace_csv(paths[1], run)
+    return paths
+
+
 def emit_csv(artifacts: RunArtifacts, out_dir: Union[str, Path]) -> list[Path]:
     """Write all artifacts of one scenario run; overwrites idempotently."""
     out = Path(out_dir)
-    written: list[Path] = []
-    for name, run in artifacts.runs.items():
-        p = out / f"trajectory_{name}.csv"
-        write_trajectory_csv(p, run, artifacts.noise)
-        written.append(p)
-        p = out / f"policy_trace_{name}.csv"
-        write_trace_csv(p, run)
-        written.append(p)
+    written = [path for name, run in artifacts.runs.items()
+               for path in write_run_csv(out, name, run, artifacts.noise)]
     if artifacts.cost_rows:
-        p = out / "costs.csv"
-        write_costs_csv(p, artifacts.cost_rows)
-        written.append(p)
+        written.append(out / "costs.csv")
+        write_costs_csv(written[-1], artifacts.cost_rows)
     return written
 
 

@@ -2,11 +2,12 @@
 
 A scenario bundles the true epidemic, the infection cap and rate budget, the
 measurement-noise model, and how the policies' assumed parameter bounds are
-obtained (fixed inflation multipliers or an estimation run). ``run_scenario``
+obtained (fixed inflation multipliers or an estimation run). ``policy_runs``
 drives the optimal, robust, and optionally misestimated policies on the same
-true dynamics and the same noise draws, then assembles feasibility and cost
-artifacts. ``sweep_h`` reproduces the sample-step study: one estimate plus
-error bound per step multiple alpha.
+true dynamics and the same noise draws, yielding each run with its cost row
+as its loop ends; ``run_scenario`` holds them all as one set of artifacts.
+``sweep_h`` reproduces the sample-step study: one estimate plus error bound
+per step multiple alpha.
 
 Determinism: every scenario derives its RNG stream from (seed, scenario
 name), so fixed configs give byte-identical CSV artifacts.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from typing import NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Iterator, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -254,18 +255,15 @@ class RunArtifacts:
     its node columns (``PolicyTrace``). Neither the measured series nor a
     policy's seen signals are held: the trajectory writer forms both from
     ``noise`` per block of rows, and the closed-form gap the robust
-    envelope over its window.
+    envelope over its window. This holds every run at once; the CLI reads
+    ``policy_runs`` instead and holds the optimal run and at most one
+    policy run.
     """
 
     config: ScenarioConfig
     runs: dict[str, ClosedLoopResult]
     noise: MeasurementNoise
     cost_rows: tuple[CostRow, ...]
-
-    @property
-    def robust_feasible(self) -> Optional[bool]:
-        run = self.runs.get("robust")
-        return None if run is None else run.report.feasible
 
 
 def _assumed_rates(config: ScenarioConfig, inflation: InflationConfig,
@@ -292,26 +290,52 @@ def _assumed_rates(config: ScenarioConfig, inflation: InflationConfig,
                           "policy plans with both positive and finite") from exc
 
 
-def run_scenario(config: ScenarioConfig) -> RunArtifacts:
-    """Run the configured policies on one true epidemic and assemble artifacts.
+def policy_runs(config: ScenarioConfig) -> Iterator[
+        tuple[str, ClosedLoopResult, CostRow, MeasurementNoise]]:
+    """Each configured policy's run and cost row, one loop at a time.
 
-    All policies share the same per-epoch noise draws, making the comparison
-    matched and the artifacts deterministic under a fixed seed.
+    Yields (name, run, cost row, the scenario's noise source) for the
+    optimal, robust and misestimated policies, in that order, each that
+    ``config.policies`` names. The optimal loop runs first and resolves the
+    noise; every plan is resolved before the first policy loop runs, so a
+    plan that is a ConfigError runs no policy loop. All policies share the
+    same per-epoch noise draws, making the comparison matched and the
+    artifacts deterministic under a fixed seed.
+
+    A run is not held once it is yielded: the generator lets it go before
+    the next loop starts, and the optimal run once the robust row, the last
+    to read it, is formed. A consumer that also lets each run go holds at
+    most two at once.
     """
     optimal, noise = _optimal_run(config)
-    runs: dict[str, ClosedLoopResult] = {}
+    plans = [(kind, _assumed_rates(config, inflation, optimal.trajectory))
+             for kind, inflation in ((PolicyKind.ROBUST, config.inflation),
+                                     (PolicyKind.MISESTIMATED, config.misestimation))
+             if kind.value in config.policies]
+    opt_cost = math.nan
     if "optimal" in config.policies:
-        runs["optimal"] = optimal
-    for kind, inflation in ((PolicyKind.ROBUST, config.inflation),
-                            (PolicyKind.MISESTIMATED, config.misestimation)):
-        if kind.value in config.policies:
-            runs[kind.value] = _policy_run(config, kind, inflation, optimal, noise)
+        opt_cost = total_cost(optimal.trace)
+        yield "optimal", optimal, _cost_row("optimal", optimal, optimal, opt_cost), noise
+    # after its own row, only the robust row (the first plan) reads the optimal run
+    paired = optimal if "optimal" in config.policies and "robust" in config.policies else None
+    del optimal
+    for kind, plan in plans:
+        run = _policy_run(config, kind, plan, noise)
+        row = _cost_row(kind.value, run, paired, opt_cost)
+        paired = None
+        yield kind.value, run, row, noise
+        del run
 
-    paired = runs.get("optimal")
-    opt_cost = math.nan if paired is None else total_cost(paired.trace)
-    return RunArtifacts(config=config, runs=runs, noise=noise,
-                        cost_rows=tuple(_cost_row(name, run, paired, opt_cost)
-                                        for name, run in runs.items()))
+
+def run_scenario(config: ScenarioConfig) -> RunArtifacts:
+    """Run the configured policies on one true epidemic and assemble artifacts:
+    every run and row of ``policy_runs``, held together."""
+    runs: dict[str, ClosedLoopResult] = {}
+    rows: list[CostRow] = []
+    for name, run, row, noise in policy_runs(config):
+        runs[name] = run
+        rows.append(row)
+    return RunArtifacts(config=config, runs=runs, noise=noise, cost_rows=tuple(rows))
 
 
 def _optimal_run(config: ScenarioConfig) -> tuple[ClosedLoopResult, MeasurementNoise]:
@@ -330,13 +354,12 @@ def _optimal_run(config: ScenarioConfig) -> tuple[ClosedLoopResult, MeasurementN
     return optimal, noise
 
 
-def _policy_run(config: ScenarioConfig, kind: PolicyKind, inflation: InflationConfig,
-                optimal: ClosedLoopResult, noise: MeasurementNoise) -> ClosedLoopResult:
-    """The robust or misestimated closed loop of ``inflation``'s assumed
-    rates, on the scenario's ``_optimal_run`` and noise."""
-    return simulate_closed_loop(
-        kind, config.params, _assumed_rates(config, inflation, optimal.trajectory),
-        config.init, noise, config.integrator, config.i_bar, ControlBounds(config.u_max))
+def _policy_run(config: ScenarioConfig, kind: PolicyKind, plan: EpidemicParams,
+                noise: MeasurementNoise) -> ClosedLoopResult:
+    """The robust or misestimated closed loop that plans with ``plan``
+    (``_assumed_rates``), on the scenario's truth and noise."""
+    return simulate_closed_loop(kind, config.params, plan, config.init, noise,
+                                config.integrator, config.i_bar, ControlBounds(config.u_max))
 
 
 def _cost_row(name: str, run: ClosedLoopResult, optimal: Optional[ClosedLoopResult],
@@ -470,10 +493,11 @@ def gap_table(config: ScenarioConfig,
     opt_cost = total_cost(optimal.trace)
     rows = [_cost_row("optimal", optimal, optimal, opt_cost)]
     for (bm, gm), name in zip(inflations, names):
-        inflation = InflationConfig(beta_mult=bm, gamma_mult=gm)
+        plan = _assumed_rates(config, InflationConfig(beta_mult=bm, gamma_mult=gm),
+                              optimal.trajectory)
         # no name holds a pair's run, so it is freed before the next pair's loop runs
-        rows.append(_cost_row(name, _policy_run(config, PolicyKind.ROBUST, inflation,
-                                                optimal, noise), optimal, opt_cost))
+        rows.append(_cost_row(name, _policy_run(config, PolicyKind.ROBUST, plan, noise),
+                              optimal, opt_cost))
     return rows
 
 

@@ -31,6 +31,7 @@ from sirctl.scenarios import (
     sweep_h,
 )
 
+from helpers import max_conservation_error
 from test_core import _random_scenario, simulated_peak
 from test_estimation import euler_chain, samples_from_states
 
@@ -196,7 +197,7 @@ def test_criterion_10_conservation_and_determinism(request, tmp_path):
     arts = [request.getfixturevalue(name) for name in
             ("compare_artifacts", "fig1_noisy_artifacts",
              "fig1_noise_free_artifacts", "fig1_collapse_artifacts")]
-    worst = max(run.trajectory.max_conservation_error()
+    worst = max(max_conservation_error(run.trajectory)
                 for art in arts for run in art.runs.values())
 
     cfg = replace(preset("policy-compare"), name="determinism-check",

@@ -32,6 +32,8 @@ from sirctl.core import (EpidemicParams, IntegratorConfig, SirState, Trajectory,
                          integrate)
 from sirctl.scenarios import preset, run_scenario
 
+from helpers import node_state
+
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 REPORT = FeasibilityReport(feasible=True, required_rate_at_tb=math.nan,
                            max_infection_attained=0.01)
@@ -214,7 +216,7 @@ class TestStateOnGrid:
         state, parts = SirState(t=0.0, s=1.0 - 1e-5, i=1e-5, r=0.0), []
         for u, span in ((0.0, 30.0), (0.1, 60.0), (0.0, 60.0)):
             parts.append(integrate(PARAMS, u, state, IntegratorConfig(step=0.01, horizon=span)))
-            state = parts[-1].sample(-1)
+            state = node_state(parts[-1], -1)
         cols = {c: np.concatenate([getattr(p, c)[:-1] for p in parts[:-1]]
                                   + [getattr(parts[-1], c)]) for c in "tsiru"}
         return Trajectory(**cols, step=0.01, params=PARAMS)

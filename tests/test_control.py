@@ -25,6 +25,8 @@ from sirctl.core import (
 from sirctl.noise import MeasurementNoise, NoiseConfig, measured_series_for
 from sirctl.scenarios import InflationConfig
 
+from helpers import node_state
+
 try:
     from hypothesis import strategies as st
 except ImportError:  # the property tests skip themselves
@@ -679,7 +681,7 @@ class TestStageBoundaries:
         k3 = int(np.argmax(stage == 3))
         assert np.all(stage[k3:] == 3) and not np.any(traj.u[k3:])
         if k3 < n:
-            tail = integrate(cfg.params, 0.0, traj.sample(k3),
+            tail = integrate(cfg.params, 0.0, node_state(traj, k3),
                              IntegratorConfig(step=h, horizon=(n - k3) * h))
             for x, y in ((traj.s, tail.s), (traj.i, tail.i), (traj.r, tail.r)):
                 assert x[k3:].tobytes() == y.tobytes()

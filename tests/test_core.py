@@ -30,6 +30,8 @@ from sirctl.core import (
 )
 from sirctl.noise import MeasurementNoise, NoiseConfig
 
+from helpers import max_conservation_error, node_state
+
 PARAMS_52 = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 PARAMS_F1 = EpidemicParams(beta=0.16, gamma=0.063)
 
@@ -228,7 +230,7 @@ class TestIntegrate:
         assert np.all(traj.i == 0.0)
 
     def test_conservation_along_wave(self, wave_traj):
-        assert wave_traj.max_conservation_error() <= 1e-9
+        assert max_conservation_error(wave_traj) <= 1e-9
 
     def test_susceptibles_monotone(self, wave_traj):
         assert np.all(np.diff(wave_traj.s) <= 0.0)
@@ -584,7 +586,7 @@ def simulated_peak(params: EpidemicParams, init: SirState, u_fix: float,
         best = max(best, float(np.max(traj.i)))
         if int(np.argmax(traj.i)) < len(traj) - 1:
             return best
-        state = traj.sample(len(traj) - 1)
+        state = node_state(traj, len(traj) - 1)
     raise AssertionError("peak not reached within the search window")
 
 
@@ -599,7 +601,7 @@ def test_peak_formula_matches_simulation_on_random_scenarios(seed):
 def test_trajectory_invariants_on_random_scenarios(seed):
     params, init, u_fix = _random_scenario(100 + seed)
     traj = integrate(params, u_fix, init, IntegratorConfig(step=0.05, horizon=80.0))
-    assert traj.max_conservation_error() <= 1e-9
+    assert max_conservation_error(traj) <= 1e-9
     assert np.all(np.diff(traj.s) <= 1e-15)
     assert np.all(traj.i >= -1e-15)
 

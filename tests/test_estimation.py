@@ -25,6 +25,8 @@ from sirctl.estimation import (
 )
 from sirctl.scenarios import PRESETS, bound_sweep_noisy_config, preset
 
+from helpers import node_state
+
 PARAMS = EpidemicParams(beta=0.16, gamma=1.0 / 30.0)
 STEPS = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 10.0])  # zeta*h < 1 at zeta = 0.055
 BOUND_INPUTS = dict(h=0.1, zeta=0.055, f_max=0.03, v_max=0.0, c=0.2, lambda_min=1.4e-3)
@@ -153,7 +155,7 @@ class TestEstimator:
         est = estimate_params(batch)
 
         def e_i(k):
-            pred = euler_step(wave_traj.sample(k), PARAMS, 0.0, h)
+            pred = euler_step(node_state(wave_traj, k), PARAMS, 0.0, h)
             return float(wave_traj.i[k + alpha]) - pred.i
 
         def w(k):
@@ -205,13 +207,13 @@ class TestLipschitzAndDiscretization:
         # empirical check of the one-step bound with the working constant
         zeta = 0.055
         for base in (8000, 9000):
-            state = wave_traj.sample(base)
+            state = node_state(wave_traj, base)
             d = rhs(state, PARAMS, 0.0)
             f_norm = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
             for alpha in (1, 5, 20, 50, 100, 150, 200):
                 h = alpha * 0.01
                 pred = euler_step(state, PARAMS, 0.0, h)
-                truth = wave_traj.sample(base + alpha)
+                truth = node_state(wave_traj, base + alpha)
                 gap = math.sqrt((pred.s - truth.s) ** 2 + (pred.i - truth.i) ** 2
                                 + (pred.r - truth.r) ** 2)
                 assert gap <= discretization_error_bound(h, zeta, f_norm)

@@ -24,7 +24,8 @@ from sirctl.control import (
     PolicyTrace,
     SwitchingTimes,
 )
-from sirctl.core import EpidemicParams, IntegratorConfig, SirState, Trajectory, integrate
+from sirctl.core import (EpidemicParams, IntegratorConfig, NonFiniteDynamicsError, SirState,
+                         Trajectory, integrate)
 from sirctl.csvio import (
     COSTS_HEADER,
     ESTIMATES_HEADER,
@@ -71,6 +72,8 @@ from sirctl.scenarios import (
     run_scenario,
     sweep_h,
 )
+
+from helpers import node_state
 
 
 @pytest.fixture(scope="module")
@@ -469,7 +472,7 @@ def per_alpha_rows(config: ScenarioConfig, traj: Trajectory) -> list[EstimateRow
     def norm(v):
         return math.sqrt(sum(x * x for x in v))
 
-    f_max = max(norm(rhs(traj.sample(k), traj.params, float(traj.u[k]))) for k in (ki, kj))
+    f_max = max(norm(rhs(node_state(traj, k), traj.params, float(traj.u[k]))) for k in (ki, kj))
     u_loc = max(abs(float(traj.u[ki])), abs(float(traj.u[kj])))
     c = composite_constant(config.params, float(meas.s_hat[ki]), float(meas.s_hat[kj]),
                            float(meas.i_hat[ki]), float(meas.i_hat[kj]),
@@ -984,7 +987,7 @@ class TestCli:
         def run(*args):
             raise AssertionError("ran with both --config and --preset")
 
-        for name in ("run_scenario", "sweep_h", "gap_table"):
+        for name in ("policy_runs", "sweep_h", "gap_table"):
             monkeypatch.setattr(f"sirctl.cli.{name}", run)
         cfg = self._write_config(tmp_path)
         code = main([command, "--config", str(cfg), "--preset", "policy-compare",
@@ -1002,7 +1005,7 @@ class TestCli:
         def run(*args):
             raise AssertionError("ran a config with a duplicate key")
 
-        monkeypatch.setattr("sirctl.cli.run_scenario", run)
+        monkeypatch.setattr("sirctl.cli.policy_runs", run)
         cfg = self._write_config(tmp_path)
         if edit:
             cfg.write_text(cfg.read_text().replace(*edit, 1))
@@ -1121,6 +1124,53 @@ class TestCli:
         assert main(command) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_every_plan_is_refused_before_the_first_policy_loop(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the optimal and robust loops ran before the misestimated plan's ConfigError
+        loops = []
+        loop = scenarios.simulate_closed_loop
+
+        def counted(kind, *args):
+            loops.append(kind.value)
+            return loop(kind, *args)
+
+        monkeypatch.setattr(scenarios, "simulate_closed_loop", counted)
+        assert main(["simulate", "--preset", "policy-compare",
+                     "--set", "misestimation.gamma_mult=5e-324",
+                     "--set", "integrator.horizon=150", "--out", str(tmp_path / "out")]) == 2
+        assert "gamma_mult=4.94066e-324 give" in capsys.readouterr().err
+        assert loops == ["optimal"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, failing", [
+        (["simulate", "--preset", "policy-compare", "--set", "integrator.horizon=150"],
+         "misestimated"),
+        (["reproduce", "fig1"], "robust"),
+    ], ids=["simulate", "reproduce"])
+    @pytest.mark.parametrize("earlier", [False, True], ids=["new-out", "earlier-out"])
+    def test_a_later_loop_that_fails_writes_no_csv(self, tmp_path, capsys, monkeypatch,
+                                                   command, failing, earlier):
+        # each run's files are written as its loop ends, so the runs before
+        # the failing loop have files by then; none may reach --out
+        out = tmp_path / "out"
+        if earlier:
+            assert main([*command, "--out", str(out)]) in (0, 3)
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        loop = scenarios.simulate_closed_loop
+
+        def fails(kind, *args):
+            if kind.value == failing:
+                raise NonFiniteDynamicsError("state became non-finite at t=12.5")
+            return loop(kind, *args)
+
+        monkeypatch.setattr(scenarios, "simulate_closed_loop", fails)
+        capsys.readouterr()
+        assert main([*command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: state became non-finite at t=12.5\n"
+        after = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        assert after == before
+        assert out.exists() == earlier
 
     def test_estimate_rejects_a_mistyped_name(self, tmp_path, capsys):
         code = main(["estimate", "--preset", "param-est", "--set", "name=5",
@@ -1284,7 +1334,7 @@ class TestCli:
         def run(*args):
             raise AssertionError("ran with --out naming a file")
 
-        for name in ("run_scenario", "sweep_h", "gap_table"):
+        for name in ("policy_runs", "sweep_h", "gap_table"):
             monkeypatch.setattr(f"sirctl.cli.{name}", run)
         out, file = tmp_path / "taken", tmp_path / taken
         file.parent.mkdir(exist_ok=True)

@@ -1,12 +1,15 @@
 """What a scenario run keeps: each full-length array once, shared as read-only views."""
 from __future__ import annotations
 
+import weakref
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sirctl import csvio, noise
+from sirctl import csvio, noise, scenarios
+from sirctl.cli import main
 from sirctl.core import IntegratorConfig
 from sirctl.noise import MeasuredSeries, NoiseConfig
 from sirctl.scenarios import gap_table, preset, run_scenario
@@ -179,3 +182,34 @@ class TestSignalReads:
         last_b = max(int(np.searchsorted(t, row.t_b)) for row in rows[1:])
         assert all(stop - start <= control._READ and start <= last_b for start, stop in scans)
         assert max(stop - start for start, stop in calls) < len(t)
+
+
+class TestPipeline:
+    def test_the_cli_holds_the_optimal_run_and_one_policy_run(self, tmp_path, monkeypatch):
+        # simulate held every run until the last file was written; now each
+        # run is written and let go as its loop ends, and the optimal run once
+        # the robust row has read it
+        runs, at_loop, at_write = [], {}, {}
+        loop, write = scenarios.simulate_closed_loop, csvio.write_trajectory_csv
+
+        def alive() -> int:
+            return sum(ref() is not None for ref in runs)
+
+        def tracked(kind, *args):
+            at_loop[kind.value] = alive()
+            run = loop(kind, *args)
+            runs.append(weakref.ref(run))
+            return run
+
+        def counted(path, run, noise):
+            at_write[Path(path).stem] = alive()
+            write(path, run, noise)
+
+        monkeypatch.setattr(scenarios, "simulate_closed_loop", tracked)
+        monkeypatch.setattr(csvio, "write_trajectory_csv", counted)
+        assert main(["simulate", "--preset", "policy-compare",
+                     "--set", "integrator.horizon=150", "--out", str(tmp_path)]) == 0
+        # runs alive as each loop starts, and as each trajectory file is written
+        assert at_loop == {"optimal": 0, "robust": 1, "misestimated": 0}
+        assert at_write == {"trajectory_optimal": 1, "trajectory_robust": 1,
+                            "trajectory_misestimated": 1}
