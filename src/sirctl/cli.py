@@ -10,32 +10,29 @@ Subcommands:
 
 Configs are single JSON documents; ``--set path.to.field=value`` overrides
 individual fields. Exit codes: 0 success, 2 config error (an ``--out`` that
-names an existing file, ``--config`` with ``--preset``, or a key repeated in
-a JSON object among them, each refused before any run; a plan that is out of
-range, refused before the first policy loop; and a state that became
-non-finite, e.g. under ``params.beta=1e200``, reported with its first
-non-finite node's time), 3 the robust run was infeasible. ``simulate`` and
-``reproduce`` write each run's CSVs as its loop ends and let the run go, but
-into a fresh staging directory whose files move into ``--out`` only after
-the last loop: a plan or loop that fails writes or overwrites no CSV and
-leaves no ``--out`` behind. The parser is built once per process for each
-set of preset names.
+names an existing file or lies below one, ``--config`` with ``--preset``, or
+a key repeated in a JSON object among them, each refused before any run; a
+plan that is out of range, refused before the first policy loop; and a state
+that became non-finite, e.g. under ``params.beta=1e200``, reported with its
+first non-finite node's time), 3 the robust run was infeasible. ``simulate``
+and ``reproduce`` stream ``policy_runs`` through ``csvio.emit_csv``, which
+writes each run as its loop ends and lets it go, and moves the files into
+``--out`` only after the last loop: a plan or loop that fails writes or
+overwrites no CSV and leaves no ``--out`` behind. The parser is built once
+per process for each set of preset names.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import os
-import shutil
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from .core import NonFiniteDynamicsError
-from .csvio import write_costs_csv, write_estimates_csv, write_run_csv
+from .csvio import emit_csv, write_costs_csv, write_estimates_csv
 from .scenarios import (
     PRESETS,
     ConfigError,
@@ -100,39 +97,21 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def _write_scenario(config: ScenarioConfig,
                     out: Path) -> tuple[list[Path], list[str], Optional[bool]]:
-    """Run ``config``'s loops and write their CSVs in ``out``, as ``emit_csv``
-    would: each run's trajectory and policy-trace files, then costs.csv.
+    """Write ``config``'s runs in ``out`` as their loops end (``emit_csv``);
+    returns the paths, one summary line per run and the robust run's
+    feasibility (None without one)."""
+    lines, feasible = [], {}
 
-    A run's two files are written as soon as its loop and cost row are done,
-    and the run is let go before the next loop starts, so at most the
-    optimal run and one policy run are held. The files go into a fresh
-    staging directory in ``out``, or in its nearest existing parent, and
-    move into ``out`` only after the last loop, so a plan or loop that fails
-    writes and overwrites no CSV and leaves no ``out`` behind. Returns the
-    paths in ``out`` in the order written, one summary line per run, and the
-    robust run's feasibility (None without one).
-    """
-    base = next(p for p in (out, *out.parents) if p.is_dir())
-    staging = Path(tempfile.mkdtemp(prefix=".sirctl-", dir=base))
-    try:
-        names, lines, rows = [], [], []
+    def noted():
         for name, run, row, noise in policy_runs(config):
-            names += [p.name for p in write_run_csv(staging, name, run, noise)]
-            rep = run.report
-            lines.append(f"{name}: feasible={rep.feasible} "
-                         f"max_I={rep.max_infection_attained:.6g} "
+            lines.append(f"{name}: feasible={row.feasible} "
+                         f"max_I={run.report.max_infection_attained:.6g} "
                          f"clamps={run.trace.clamp_events}")
-            rows.append(row)
-            del run  # else the loop variable holds this run through the next loop
-        names.append("costs.csv")
-        write_costs_csv(staging / names[-1], rows)
-        out.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            os.replace(staging / name, out / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    robust_feasible = next((row.feasible for row in rows if row.policy == "robust"), None)
-    return [out / name for name in names], lines, robust_feasible
+            feasible[name] = row.feasible
+            yield name, run, row, noise
+            del run  # else this frame holds the run through the next loop
+
+    return emit_csv(noted(), out), lines, feasible.get("robust")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -247,10 +226,11 @@ def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # every subcommand writes under --out: refuse a file there before any run
+        # every subcommand writes under --out: refuse a file at or above it before any run
         out = Path(args.out)
-        if out.exists() and not out.is_dir():
-            raise ConfigError(f"--out {args.out} exists and is not a directory")
+        base = next(p for p in (out, *out.parents) if p.exists())
+        if not base.is_dir():
+            raise ConfigError(f"--out {args.out}: {base} exists and is not a directory")
         return args.func(args)
     except (ConfigError, NonFiniteDynamicsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
-"""CSV emission and parsing for scenario artifacts.
+"""CSV emission and parsing for scenario artifacts. ``emit_csv`` is the one
+writer of a scenario's files, staged so that a scenario that fails writes none.
 
 Schemas:
 
@@ -24,6 +25,9 @@ flag or text column by one ``%`` call; both give, byte for byte,
 from __future__ import annotations
 
 import csv
+import os
+import shutil
+import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -31,7 +35,7 @@ import numpy as np
 
 from .control import ClosedLoopResult
 from .noise import MeasurementNoise
-from .scenarios import CostRow, EstimateRow, RunArtifacts
+from .scenarios import CostRow, EstimateRow
 
 TRAJECTORY_HEADER = ["t", "S_true", "I_true", "R_true", "S_meas", "I_meas",
                      "u_applied", "stage"]
@@ -150,26 +154,36 @@ def write_costs_csv(path: Path, rows: Iterable[CostRow]) -> None:
     _write(path, COSTS_HEADER, _COSTS_KINDS, _slices(_row_columns(rows, COSTS_HEADER)))
 
 
-def write_run_csv(out_dir: Union[str, Path], name: str, run: ClosedLoopResult,
-                  noise: MeasurementNoise) -> list[Path]:
-    """Write one run's trajectory file, then its policy-trace file, in
-    ``out_dir``; returns their paths in that order."""
-    out = Path(out_dir)
-    paths = [out / f"trajectory_{name}.csv", out / f"policy_trace_{name}.csv"]
-    write_trajectory_csv(paths[0], run, noise)
-    write_trace_csv(paths[1], run)
-    return paths
+def emit_csv(runs: Iterable[tuple[str, ClosedLoopResult, CostRow, MeasurementNoise]],
+             out_dir: Union[str, Path]) -> list[Path]:
+    """Write each run's trajectory then policy-trace file, in the order of
+    ``runs``, then costs.csv of their rows, in ``out_dir``; returns the paths.
 
-
-def emit_csv(artifacts: RunArtifacts, out_dir: Union[str, Path]) -> list[Path]:
-    """Write all artifacts of one scenario run; overwrites idempotently."""
+    ``runs`` yields ``(name, run, cost row, noise)``, as ``policy_runs`` and
+    a ``RunArtifacts`` do; each run is written and let go before the next is
+    asked for. The files are staged in a fresh ``.sirctl-*`` directory in
+    ``out_dir`` or its nearest existing parent and moved in only once
+    ``runs`` ends, so if it raises no CSV is written or overwritten.
+    """
     out = Path(out_dir)
-    written = [path for name, run in artifacts.runs.items()
-               for path in write_run_csv(out, name, run, artifacts.noise)]
-    if artifacts.cost_rows:
-        written.append(out / "costs.csv")
-        write_costs_csv(written[-1], artifacts.cost_rows)
-    return written
+    base = next(p for p in (out, *out.parents) if p.exists())
+    staging = Path(tempfile.mkdtemp(prefix=".sirctl-", dir=base))
+    try:
+        names, rows = [], []
+        for name, run, row, noise in runs:
+            names += [f"trajectory_{name}.csv", f"policy_trace_{name}.csv"]
+            write_trajectory_csv(staging / names[-2], run, noise)
+            write_trace_csv(staging / names[-1], run)
+            rows.append(row)
+            del run  # else the loop variable holds this run while the next is made
+        names.append("costs.csv")
+        write_costs_csv(staging / names[-1], rows)
+        out.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return [out / name for name in names]
 
 
 def _read(path: Path, *headers: list[str], kinds: str = "") -> tuple[list[str], list[list]]:

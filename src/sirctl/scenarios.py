@@ -265,6 +265,11 @@ class RunArtifacts:
     noise: MeasurementNoise
     cost_rows: tuple[CostRow, ...]
 
+    def __iter__(self) -> Iterator[tuple[str, ClosedLoopResult, CostRow, MeasurementNoise]]:
+        """Each run as ``policy_runs`` yields it: (name, run, cost row, noise)."""
+        for (name, run), row in zip(self.runs.items(), self.cost_rows, strict=True):
+            yield name, run, row, self.noise
+
 
 def _assumed_rates(config: ScenarioConfig, inflation: InflationConfig,
                    reference: Trajectory) -> EpidemicParams:
@@ -483,18 +488,18 @@ def gap_table(config: ScenarioConfig,
     and name; only the robust loop runs per pair. The rows are the optimal
     row, then one ``robust_bx<beta_mult>_gx<gamma_mult>`` row per pair, in
     order. Two pairs with the same row name (``%g`` keeps 6 digits) are a
-    ConfigError.
+    ConfigError, and so is a bad pair, before any robust loop runs.
     """
     names = [f"robust_bx{bm:g}_gx{gm:g}" for bm, gm in inflations]
     for k, name in enumerate(names):
         if name in names[:k]:
             raise ConfigError(f"inflation pairs repeat the row name {name}")
     optimal, noise = _optimal_run(config)
+    plans = [_assumed_rates(config, InflationConfig(beta_mult=bm, gamma_mult=gm),
+                            optimal.trajectory) for bm, gm in inflations]
     opt_cost = total_cost(optimal.trace)
     rows = [_cost_row("optimal", optimal, optimal, opt_cost)]
-    for (bm, gm), name in zip(inflations, names):
-        plan = _assumed_rates(config, InflationConfig(beta_mult=bm, gamma_mult=gm),
-                              optimal.trajectory)
+    for plan, name in zip(plans, names):
         # no name holds a pair's run, so it is freed before the next pair's loop runs
         rows.append(_cost_row(name, _policy_run(config, PolicyKind.ROBUST, plan, noise),
                               optimal, opt_cost))

@@ -737,6 +737,32 @@ class TestCsv:
         for p in sorted((tmp_path / "run1").glob("*.csv")):
             assert p.read_bytes() == (tmp_path / "run2" / p.name).read_bytes()
 
+    def test_streamed_and_held_runs_write_the_cli_bytes(self, tmp_path):
+        # emit_csv is the one writer of a scenario's files: the CLI's stream
+        # of runs, the same stream from a library caller and the held
+        # artifacts give the same files, and a stream that fails leaves none
+        cfg = replace(preset("policy-compare"), integrator=IntegratorConfig(step=0.01,
+                                                                            horizon=150.0))
+        assert main(["simulate", "--preset", "policy-compare", "--set",
+                     "integrator.horizon=150", "--out", str(tmp_path / "cli")]) == 0
+        want = {p.name: p.read_bytes() for p in (tmp_path / "cli").iterdir()}
+        assert len(want) == 7
+        for name, runs in (("streamed", scenarios.policy_runs(cfg)),
+                           ("held", run_scenario(cfg))):
+            paths = emit_csv(runs, tmp_path / name)
+            assert {p.name: p.read_bytes() for p in paths} == want
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == sorted(want)
+
+        def fails():
+            runs = scenarios.policy_runs(cfg)
+            yield next(runs)
+            yield next(runs)
+            raise NonFiniteDynamicsError("state became non-finite at t=12.5")
+
+        with pytest.raises(NonFiniteDynamicsError):
+            emit_csv(fails(), tmp_path / "new" / "failed")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cli", "held", "streamed"]
+
     def test_estimates_roundtrip(self, tmp_path):
         cfg = replace(preset("param-est"), estimation=EstimationWindow(alphas=(1, 10)))
         rows = sweep_h(cfg)
@@ -1125,9 +1151,15 @@ class TestCli:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, named", [
+        (["simulate", "--preset", "policy-compare", "--set", "misestimation.gamma_mult=5e-324",
+          "--set", "integrator.horizon=150"], "gamma_mult=4.94066e-324 give"),
+        (["gap", "--preset", "fig1", "--set", "integrator.horizon=150",
+          "--inflations", "1.05:0.95,1.05:0"], "gamma_mult must be finite and > 0, got 0.0"),
+    ], ids=["simulate", "gap"])
     def test_every_plan_is_refused_before_the_first_policy_loop(self, tmp_path, capsys,
-                                                                monkeypatch):
-        # the optimal and robust loops ran before the misestimated plan's ConfigError
+                                                                monkeypatch, command, named):
+        # the optimal and robust loops ran before a later plan's ConfigError
         loops = []
         loop = scenarios.simulate_closed_loop
 
@@ -1136,10 +1168,8 @@ class TestCli:
             return loop(kind, *args)
 
         monkeypatch.setattr(scenarios, "simulate_closed_loop", counted)
-        assert main(["simulate", "--preset", "policy-compare",
-                     "--set", "misestimation.gamma_mult=5e-324",
-                     "--set", "integrator.horizon=150", "--out", str(tmp_path / "out")]) == 2
-        assert "gamma_mult=4.94066e-324 give" in capsys.readouterr().err
+        assert main([*command, "--out", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
         assert loops == ["optimal"]
         assert not (tmp_path / "out").exists()
 
@@ -1319,29 +1349,37 @@ class TestCli:
         assert np.all(table["stage"] == 1)
         assert table["I_true"].max() == pytest.approx(0.4649, abs=1e-3)
 
-    @pytest.mark.parametrize("command, taken", [
-        (["simulate", "--preset", "fig1", "--set", "integrator.horizon=20"], "taken"),
-        (["estimate", "--preset", "param-est"], "taken"),
-        (["gap", "--preset", "fig1"], "taken"),
-        (["reproduce", "fig1"], "taken"),
-        (["reproduce", "fig1"], "taken/fig1"),
-    ], ids=["simulate", "estimate", "gap", "reproduce", "reproduce-name"])
+    @pytest.mark.parametrize("command, out, taken", [
+        (["simulate", "--preset", "fig1", "--set", "integrator.horizon=20"], "taken", "taken"),
+        (["estimate", "--preset", "param-est"], "taken", "taken"),
+        (["gap", "--preset", "fig1"], "taken", "taken"),
+        (["reproduce", "fig1"], "taken", "taken"),
+        (["reproduce", "fig1"], "taken", "taken/fig1"),
+        (["simulate", "--preset", "fig1", "--set", "integrator.horizon=20"], "taken/sub",
+         "taken"),
+        (["estimate", "--preset", "param-est"], "taken/sub", "taken"),
+        (["gap", "--preset", "fig1"], "taken/sub", "taken"),
+        (["reproduce", "fig1"], "taken/sub", "taken"),
+    ], ids=["simulate", "estimate", "gap", "reproduce", "reproduce-name", "simulate-below",
+            "estimate-below", "gap-below", "reproduce-below"])
     def test_out_naming_a_file_is_refused_before_the_run(self, tmp_path, capsys,
-                                                         monkeypatch, command, taken):
+                                                         monkeypatch, command, out, taken):
         # this ran the whole scenario, then raised FileExistsError (or
-        # NotADirectoryError for reproduce) on writing; reproduce writes in
-        # the directory --out/NAME, so a file there is refused as well
+        # NotADirectoryError for reproduce, and for every subcommand with
+        # --out below a file) on writing; reproduce writes in the directory
+        # --out/NAME, so a file there is refused as well
         def run(*args):
             raise AssertionError("ran with --out naming a file")
 
         for name in ("policy_runs", "sweep_h", "gap_table"):
             monkeypatch.setattr(f"sirctl.cli.{name}", run)
-        out, file = tmp_path / "taken", tmp_path / taken
+        file = tmp_path / taken
         file.parent.mkdir(exist_ok=True)
         file.write_text("kept\n")
-        assert main([*command, "--out", str(out)]) == 2
+        assert main([*command, "--out", str(tmp_path / out)]) == 2
         assert "--out" in capsys.readouterr().err
-        assert sorted(tmp_path.rglob("*")) == sorted({out, file}) and file.read_text() == "kept\n"
+        assert sorted(tmp_path.rglob("*")) == sorted({file.parent, file} - {tmp_path})
+        assert file.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", [["gap", "--preset", "fig1"],
                                          ["reproduce", "bound-sweep"]],
